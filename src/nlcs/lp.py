@@ -1,32 +1,36 @@
-"""Primal-dual interior-point solver for standard-form linear programs.
+"""Primal-dual interior-point solver for basis pursuit.
 
-Solves
+Solves min ||u||_1 s.t. B u = b, with B of full row rank, as the split
+linear program (Chen, Donoho & Saunders 2001)
 
-    minimize    c'x
-    subject to  A x = b,  x >= 0
+    minimize 1'(u+ + u-)  subject to  B (u+ - u-) = b,  u+, u- >= 0
 
-with A of full row rank, using Mehrotra's predictor-corrector method: the
-affine-scaling (predictor) direction sets the centering weight
-sigma = (mu_aff/mu)^3 and a corrector step reuses the same factorization.
+by Mehrotra's predictor-corrector method: the affine-scaling (predictor)
+direction sets the centering weight sigma = (mu_aff/mu)^3 and a corrector
+step reuses the same factorization.
 
 Numerical design, chosen for the badly column-scaled systems the l1 decoder
 produces:
 
-* the normal-equations system A diag(x/s) A' dy = r is solved through the
-  triangular factor R of a QR factorization of diag(sqrt(x/s)) A', whose
-  condition number is the square root of that of the normal matrix, with
-  one pass of iterative refinement on top;
+* the program's matrix E = [B, -B] is never formed: E x and E'y are applied
+  in split form, and with d = x/s split as (d+, d-) the normal matrix
+  E diag(d) E' is B diag(d+ + d-) B'.  It is solved through the triangular
+  factor R of a QR factorization of the n x m matrix diag(sqrt(d+ + d-)) B',
+  whose condition number is the square root of the normal matrix's.  R^-1 is
+  formed once per iteration and applied by matrix products, with one pass of
+  iterative refinement on top; the starting point takes the same route;
 * convergence is declared on relative primal/dual residuals plus the
-  complementarity measure x's / (1 + |c'x|), the standard gap proxy that
-  stays meaningful when cancellation pollutes c'x - b'y;
+  complementarity measure x's / (1 + |1'x|), the standard gap proxy that
+  stays meaningful when cancellation pollutes 1'x - b'y;
 * the best iterate (by the max of those three measures) is tracked, and a
   sharp merit blow-up (a Newton step computed beyond working precision)
   aborts the loop, returning the best iterate with status "max_iter".
 
-The method is deterministic: pure dense numpy, no randomness.  Only the
-feasible-and-bounded case matters for the callers in this package (the l1
-decoder always produces such programs), so the statuses are just
-"converged" and "max_iter".
+The returned y is the dual solution and certifies the answer independently
+of this code: if ||B'y||_inf <= 1, every u with B u = b has
+||u||_1 >= y'B u = y'b, so y'b close to ||u||_1 proves u optimal.  The
+method is deterministic dense numpy.  Basis pursuit with B of full row rank
+is feasible and bounded, so the statuses are "converged" and "max_iter".
 """
 
 from __future__ import annotations
@@ -40,9 +44,11 @@ __all__ = ["LpResult", "solve_standard_form"]
 
 @dataclass
 class LpResult:
+    """x is the l1 minimizer u+ - u-, y the dual solution and
+    primal_objective the split objective 1'(u+ + u-)."""
+
     x: np.ndarray
     y: np.ndarray
-    s: np.ndarray
     status: str  # converged | max_iter
     iterations: int
     primal_objective: float
@@ -55,77 +61,72 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(min(1.0, (-v[neg] / dv[neg]).min()))
 
 
-def _cholesky_solver(M: np.ndarray):
-    jitter = 0.0
-    base = max(float(np.trace(M)) / M.shape[0], 1.0)
-    for _ in range(10):
-        try:
-            L = np.linalg.cholesky(M if jitter == 0.0 else M + jitter * np.eye(M.shape[0]))
-            return lambda r: np.linalg.solve(L.T, np.linalg.solve(L, r))
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 10.0, 1e-14 * base)
-    raise np.linalg.LinAlgError("normal equations not positive definite even with jitter")
+def _normal_solver(B: np.ndarray, dsum: np.ndarray):
+    """Solver of (B diag(dsum) B') v = r through R^-1, with R the triangular
+    factor of the n x m matrix diag(sqrt(dsum)) B'."""
+    Rinv = np.linalg.inv(np.linalg.qr((B * np.sqrt(dsum)).T, mode="r"))
+    return lambda r: Rinv @ (Rinv.T @ r)
 
 
-def solve_standard_form(A, b, c, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
+def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
                         max_iter: int = 200) -> LpResult:
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    m, n = A.shape
-    if m == 0:
-        # no constraints: with c >= 0 the optimum is x = 0
-        return LpResult(np.zeros(n), np.zeros(0), c.copy(), "converged", 0, 0.0)
+    """Minimize ||u||_1 s.t. B u = b for the measurements b (argument y) and
+    B of full row rank, through the split program above."""
+    B = np.asarray(B, dtype=np.float64)
+    b = np.asarray(y, dtype=np.float64)
+    n = B.shape[1]
+    N = 2 * n  # number of split variables
 
-    # Mehrotra's heuristic starting point
-    solve0 = _cholesky_solver(A @ A.T)
-    x = A.T @ solve0(b)
-    y = solve0(A @ c)
-    s = c - A.T @ y
+    def E(v):
+        return B @ (v[:n] - v[n:])
+
+    def Et(w):
+        g = B.T @ w
+        return np.concatenate([g, -g])
+
+    # Mehrotra's heuristic starting point: x = E'(EE')^-1 b, y = (EE')^-1 E1 = 0
+    x = Et(_normal_solver(B, np.full(n, 2.0))(b))
+    y = np.zeros(B.shape[0])
+    s = np.ones(N)
     x = x + max(-1.5 * float(x.min()), 0.0)
-    s = s + max(-1.5 * float(s.min()), 0.0)
     xs = float(x @ s)
     x = x + (0.5 * xs / max(float(s.sum()), 1e-12) if xs > 0 else 1.0)
     s = s + (0.5 * xs / max(float(x.sum()), 1e-12) if xs > 0 else 1.0)
     if x.min() <= 0:
         x = x + (1.0 - x.min())
-    if s.min() <= 0:
-        s = s + (1.0 - s.min())
 
     bn = 1.0 + float(np.linalg.norm(b))
-    cn = 1.0 + float(np.linalg.norm(c))
-    best = None  # (merit, x, y, s, iteration)
-    it = 0
+    cn = 1.0 + float(np.sqrt(N))
+    best = None  # (merit, x, y, iteration)
     for it in range(1, max_iter + 1):
-        rp = b - A @ x
-        rd = c - A.T @ y - s
-        mu = float(x @ s) / n
+        rp = b - E(x)
+        rd = 1.0 - Et(y) - s
+        mu = float(x @ s) / N
         pr = float(np.linalg.norm(rp)) / bn
         dr = float(np.linalg.norm(rd)) / cn
-        mu_rel = float(x @ s) / (1.0 + abs(float(c @ x)))
+        mu_rel = float(x @ s) / (1.0 + abs(float(x.sum())))
         merit = max(pr, dr, mu_rel)
         if best is None or merit < best[0]:
-            best = (merit, x.copy(), y.copy(), s.copy(), it - 1)
+            best = (merit, x.copy(), y.copy(), it - 1)
         if pr <= feas_tol and dr <= feas_tol and mu_rel <= opt_tol:
-            return LpResult(x, y, s, "converged", it - 1, float(c @ x))
+            return LpResult(x[:n] - x[n:], y, "converged", it - 1, float(x.sum()))
         if merit > 1e6 * best[0]:
             break  # the last step was beyond working precision; keep the best iterate
 
         d = np.clip(x / s, 1e-300, 1e300)
+        dsum = d[:n] + d[n:]
         try:
-            R = np.linalg.qr((A * np.sqrt(d)).T, mode="r")
-
-            def nsolve(rhs):
-                dy = np.linalg.solve(R, np.linalg.solve(R.T, rhs))
-                resid = rhs - (A * d) @ (A.T @ dy)
-                return dy + np.linalg.solve(R, np.linalg.solve(R.T, resid))
-
+            solve = _normal_solver(B, dsum)
         except np.linalg.LinAlgError:
-            nsolve = _cholesky_solver((A * d) @ A.T)
+            break  # singular factor: no Newton step; keep the best iterate
+
+        def nsolve(rhs):
+            dy = solve(rhs)
+            return dy + solve(rhs - B @ (dsum * (B.T @ dy)))
 
         def newton(rc):
-            dy = nsolve(rp - A @ ((rc - x * rd) / s))
-            ds_ = rd - A.T @ dy
+            dy = nsolve(rp - E((rc - x * rd) / s))
+            ds_ = rd - Et(dy)
             dx_ = (rc - x * ds_) / s
             return dx_, dy, ds_
 
@@ -133,7 +134,7 @@ def solve_standard_form(A, b, c, *, feas_tol: float = 1e-8, opt_tol: float = 1e-
         dx_a, _, ds_a = newton(-x * s)
         ap = _max_step(x, dx_a)
         ad = _max_step(s, ds_a)
-        mu_aff = float((x + ap * dx_a) @ (s + ad * ds_a)) / n
+        mu_aff = float((x + ap * dx_a) @ (s + ad * ds_a)) / N
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # corrector with centering
@@ -145,5 +146,5 @@ def solve_standard_form(A, b, c, *, feas_tol: float = 1e-8, opt_tol: float = 1e-
         y = y + ad * dy_c
         s = s + ad * ds_c
 
-    _, bx, by, bs, bit = best
-    return LpResult(bx, by, bs, "max_iter", bit, float(c @ bx))
+    _, bx, by, bit = best
+    return LpResult(bx[:n] - bx[n:], by, "max_iter", bit, float(bx.sum()))

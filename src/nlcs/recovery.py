@@ -2,9 +2,8 @@
 
 Two decoders are provided:
 
-* ``basis_pursuit`` -- l1-norm minimization subject to B u = y, solved as a
-  standard-form LP (split u = u+ - u-, minimize the sum of both parts)
-  with the in-repo interior-point core;
+* ``basis_pursuit`` -- l1-norm minimization subject to B u = y, solved by
+  the in-repo interior-point core for the split form u = u+ - u-;
 * ``l0_oracle`` -- exhaustive minimum-support search: for k = 0, 1, ... all
   size-k supports are tried in lexicographic order and the first one whose
   least-squares fit reproduces the measurements is returned.  Feasible only
@@ -58,15 +57,20 @@ MAX_L0_SUPPORTS = 100_000
 
 @dataclass
 class LpSettings:
-    """Tolerances of the l1 decoder; all must be positive."""
+    """Tolerances of the l1 decoder: finite positive tolerances and a
+    positive integer iteration cap."""
 
     feasibility_tol: float = 1e-8
     optimality_tol: float = 1e-8
     max_iterations: int = 200
 
     def __post_init__(self):
-        if self.feasibility_tol <= 0 or self.optimality_tol <= 0 or self.max_iterations <= 0:
-            raise ValueError("all LpSettings values must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.feasibility_tol, self.optimality_tol)):
+            raise ValueError("LpSettings tolerances must be finite and positive")
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int):
+            raise ValueError(f"LpSettings.max_iterations must be an int, got {self.max_iterations!r}")
+        if self.max_iterations <= 0:
+            raise ValueError("LpSettings.max_iterations must be positive")
 
 
 @dataclass
@@ -144,10 +148,10 @@ def basis_pursuit(B, y, settings: LpSettings | None = None) -> RecoveryReport:
 
     # reduce to a full-row-rank system; budget half the feasibility
     # tolerance for the out-of-span component and half for the LP residual
-    U, sv, _ = np.linalg.svd(B, full_matrices=False)
+    sv = np.linalg.svd(B, compute_uv=False)
     r = int(np.count_nonzero(sv > 1e-10 * sv[0]))
     if r < m:
-        Ur = U[:, :r]
+        Ur = np.linalg.svd(B, full_matrices=False)[0][:, :r]
         out_of_span = float(np.linalg.norm(yv - Ur @ (Ur.T @ yv)))
         if out_of_span > 0.5 * settings.feasibility_tol * (1.0 + ynorm):
             return _report(np.zeros(n), B, yv, "infeasible")
@@ -156,18 +160,14 @@ def basis_pursuit(B, y, settings: LpSettings | None = None) -> RecoveryReport:
     else:
         B_eff, y_eff = B, yv
 
-    E = np.hstack([B_eff, -B_eff])
-    cost = np.ones(2 * n)
     res = solve_standard_form(
-        E,
+        B_eff,
         y_eff,
-        cost,
         feas_tol=0.5 * settings.feasibility_tol,
         opt_tol=settings.optimality_tol,
         max_iter=settings.max_iterations,
     )
-    u = res.x[:n] - res.x[n:]
-    return _report(u, B, yv, res.status)
+    return _report(res.x, B, yv, res.status)
 
 
 def l0_oracle(B, y, k_max: int, *, max_supports: int = MAX_L0_SUPPORTS) -> RecoveryReport:

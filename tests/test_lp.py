@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from nlcs import recovery
 from nlcs.lp import solve_standard_form
 
 
@@ -35,47 +36,52 @@ def min_l1_by_basic_solutions(B, y, tol=1e-9):
     return best_val, best_u
 
 
-def bp_albers(B, y, **kw):
-    """Solve the l1 problem through the standard-form split formulation."""
-    m, n = B.shape
-    E = np.hstack([B, -B])
-    res = solve_standard_form(E, y, np.ones(2 * n), **kw)
-    return res.x[:n] - res.x[n:], res
+def l1_dual_certificate_ok(B, y, res):
+    """res.y certifies the l1 optimality of res.x: ||B' res.y||_inf <= 1, and
+    the dual objective res.y'y matches ||res.x||_1."""
+    l1 = np.abs(res.x).sum()
+    return (
+        np.abs(B.T @ res.y).max() <= 1.0 + 1e-9
+        and abs(l1 - res.y @ y) <= 1e-6 * (1.0 + l1)
+    )
 
 
 class TestSolveStandardForm:
     def test_unique_vertex(self):
-        # min 2a + b s.t. a + b = 1 -> (0, 1)
-        A = np.array([[1.0, 1.0]])
-        res = solve_standard_form(A, np.array([1.0]), np.array([2.0, 1.0]))
+        # min |a| + |b| s.t. a + 2b = 2 -> (0, 1)
+        res = solve_standard_form(np.array([[1.0, 2.0]]), np.array([2.0]))
         assert res.status == "converged"
         assert np.allclose(res.x, [0.0, 1.0], atol=1e-7)
 
     def test_degenerate_objective_value(self):
-        # min a + b s.t. a + b = 1: every feasible point optimal, value 1
-        A = np.array([[1.0, 1.0]])
-        res = solve_standard_form(A, np.array([1.0]), np.array([1.0, 1.0]))
+        # min |a| + |b| s.t. a + b = 1: every point of the segment a, b >= 0 is optimal, value 1
+        res = solve_standard_form(np.array([[1.0, 1.0]]), np.array([1.0]))
         assert res.status == "converged"
         assert res.primal_objective == pytest.approx(1.0, abs=1e-7)
+        assert np.abs(res.x).sum() == pytest.approx(1.0, abs=1e-7)
 
-    def test_no_constraints(self):
-        res = solve_standard_form(np.zeros((0, 3)), np.zeros(0), np.ones(3))
-        assert res.status == "converged"
-        assert np.array_equal(res.x, np.zeros(3))
+    def test_zero_measurements_never_reach_solver(self, monkeypatch):
+        # the solver has no branch for y = 0: basis_pursuit must answer it alone
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solver called for y = 0")
+
+        monkeypatch.setattr(recovery, "solve_standard_form", unreachable)
+        rep = recovery.basis_pursuit(np.array([[1.0, 2.0, 0.5]]), np.zeros(1))
+        assert rep.solver_status == "converged"
+        assert np.array_equal(rep.x_hat, np.zeros(3))
 
     def test_max_iter_status(self):
-        A = np.array([[1.0, 1.0, 0.3]])
-        res = solve_standard_form(A, np.array([1.0]), np.array([2.0, 1.0, 5.0]), max_iter=1)
+        res = solve_standard_form(np.array([[1.0, 1.0, 0.3]]), np.array([1.0]), max_iter=1)
         assert res.status == "max_iter"
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
-        A = rng.normal(size=(4, 10))
-        b = A @ np.abs(rng.normal(size=10))
-        c = np.ones(10)
-        r1 = solve_standard_form(A, b, c)
-        r2 = solve_standard_form(A, b, c)
+        B = rng.normal(size=(4, 10))
+        y = B @ rng.normal(size=10)
+        r1 = solve_standard_form(B, y)
+        r2 = solve_standard_form(B, y)
         assert r1.x.tobytes() == r2.x.tobytes()
+        assert r1.y.tobytes() == r2.y.tobytes()
         assert r1.iterations == r2.iterations
 
     @pytest.mark.parametrize("seed", range(12))
@@ -86,11 +92,23 @@ class TestSolveStandardForm:
         x0 = np.zeros(n)
         x0[rng.choice(n, 2, replace=False)] = rng.normal(size=2)
         y = B @ x0
-        u, res = bp_albers(B, y)
+        res = solve_standard_form(B, y)
         assert res.status == "converged"
         best_val, _ = min_l1_by_basic_solutions(B, y)
-        assert np.abs(u).sum() == pytest.approx(best_val, abs=1e-6)
-        assert np.linalg.norm(B @ u - y) <= 1e-7 * (1.0 + np.linalg.norm(y))
+        assert np.abs(res.x).sum() == pytest.approx(best_val, abs=1e-6)
+        assert np.linalg.norm(B @ res.x - y) <= 1e-7 * (1.0 + np.linalg.norm(y))
+        assert l1_dual_certificate_ok(B, y, res)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dual_certificate_at_desk_scale(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        B = rng.normal(size=(64, 128)) / 8.0
+        x0 = np.zeros(128)
+        x0[rng.choice(128, 10, replace=False)] = rng.normal(size=10)
+        y = B @ x0
+        res = solve_standard_form(B, y)
+        assert res.status == "converged"
+        assert l1_dual_certificate_ok(B, y, res)
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_solution_scale_invariance_of_feasibility(self, scale):
@@ -99,9 +117,9 @@ class TestSolveStandardForm:
         x0 = np.zeros(9)
         x0[[1, 5]] = [2.0, -1.0]
         y = scale * (B @ x0)
-        u, res = bp_albers(B, y)
+        res = solve_standard_form(B, y)
         assert res.status == "converged"
-        assert np.linalg.norm(B @ u - y) <= 1e-7 * (1.0 + np.linalg.norm(y))
+        assert np.linalg.norm(B @ res.x - y) <= 1e-7 * (1.0 + np.linalg.norm(y))
 
     def test_duality_gap_bound_transfers_to_objective(self):
         rng = np.random.default_rng(9)
@@ -109,6 +127,6 @@ class TestSolveStandardForm:
         x0 = np.zeros(10)
         x0[[0, 7]] = [1.0, 3.0]
         y = B @ x0
-        u, res = bp_albers(B, y, opt_tol=1e-10)
+        res = solve_standard_form(B, y, opt_tol=1e-10)
         best_val, _ = min_l1_by_basic_solutions(B, y)
-        assert np.abs(u).sum() <= best_val + 1e-8 * (1.0 + best_val)
+        assert np.abs(res.x).sum() <= best_val + 1e-8 * (1.0 + best_val)

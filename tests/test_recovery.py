@@ -107,6 +107,24 @@ class TestBasisPursuit:
         assert support_set(base.x_hat) == support_set(scaled.x_hat)
 
 
+class TestLpSettings:
+    @pytest.mark.parametrize("field", ["feasibility_tol", "optimality_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1e-8, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, field, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            LpSettings(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 200.0, True, "200"])
+    def test_rejects_non_int_max_iterations(self, value):
+        with pytest.raises(ValueError, match="must be an int"):
+            LpSettings(max_iterations=value)
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_rejects_non_positive_max_iterations(self, value):
+        with pytest.raises(ValueError, match="positive"):
+            LpSettings(max_iterations=value)
+
+
 class TestL0Oracle:
     def test_zero_measurements(self):
         rep = l0_oracle(gaussian_matrix(3, 6, 0), np.zeros(3), 2)
