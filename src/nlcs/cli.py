@@ -23,14 +23,7 @@ from .matrix_core import (
     read_vector,
 )
 from .nonlinear_maps import abs_map, map_from_spec, quantize_floor, sign_map
-from .pointwise_linearization import (
-    certificate_errors,
-    classify,
-    linearize_diagonal,
-    linearize_general,
-    linearize_invertible,
-    linearize_permuted_diagonal,
-)
+from .pointwise_linearization import certificate_errors, classify, linearize, linearize_diagonal
 from .recovery import LpSettings, basis_pursuit, l0_oracle, recover_via_linearization
 from .sensing_properties import nsp_estimate, rip_constants, spark
 
@@ -84,13 +77,7 @@ def cmd_classify(args) -> int:
 def cmd_linearize(args) -> int:
     z = read_vector(args.point)
     F = map_from_spec(_parse_map_spec(args.map), z.shape[0])
-    constructors = {
-        1: linearize_general,
-        2: linearize_invertible,
-        3: linearize_diagonal,
-        4: linearize_permuted_diagonal,
-    }
-    cert = constructors[args.type](F, z)
+    cert = linearize(F, z, args.type)
     problems = certificate_errors(cert)
     if problems:  # defensive: constructors should never emit an invalid certificate
         print("invalid certificate: " + "; ".join(problems), file=sys.stderr)

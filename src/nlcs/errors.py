@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["GuardError", "RipOrderError", "NspOrderError", "MapDomainError", "RequirementError"]
+
 
 class GuardError(ValueError):
     """A combinatorial guard was exceeded (problem too large for brute force)."""

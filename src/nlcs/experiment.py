@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from .matrix_core import gaussian_matrix, random_sparse_signal, seeded_rng
 from .nonlinear_maps import map_from_spec
 from .pointwise_linearization import classify
 from .recovery import LpSettings, recover_via_linearization
+from .report import JsonReport
 
 __all__ = [
     "ExperimentConfig",
@@ -71,20 +72,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Parse a config object; a missing or wrongly typed entry raises ``ValueError``."""
+        if not isinstance(d, dict):
+            raise ValueError("config must be a JSON object")
         required = {"m", "n", "k", "map", "composition", "trials", "seed", "method", "output_dir"}
         missing = required - set(d)
         if missing:
             raise ValueError(f"config missing keys: {sorted(missing)}")
+        if not isinstance(d["map"], dict):
+            raise ValueError(f"config 'map' must be an object, got {d['map']!r}")
+        ints = {}
+        for key in ("m", "n", "k", "trials", "seed"):
+            try:
+                ints[key] = int(d[key])
+            except (TypeError, OverflowError):
+                raise ValueError(f"config {key!r} must be an integer, got {d[key]!r}") from None
         return cls(
-            m=int(d["m"]),
-            n=int(d["n"]),
-            k=int(d["k"]),
             map_spec=dict(d["map"]),
             composition=str(d["composition"]),
-            trials=int(d["trials"]),
-            seed=int(d["seed"]),
             method=str(d["method"]),
             output_dir=str(d["output_dir"]),
+            **ints,
         )
 
     @classmethod
@@ -114,19 +122,12 @@ class TrialRecord:
 
 
 @dataclass
-class ExperimentSummary:
+class ExperimentSummary(JsonReport):
     success_rate: float
     median_rel_error: float
     trials: int
-    mean_runtime_s: float  # informational; excluded from emitted files
-
-    def to_dict(self) -> dict:
-        # runtime is nondeterministic, so it stays out of the serialized form
-        return {
-            "success_rate": self.success_rate,
-            "median_rel_error": self.median_rel_error,
-            "trials": self.trials,
-        }
+    # informational: runtime is nondeterministic, so it stays out of the serialized form
+    mean_runtime_s: float = field(metadata={"json": None})
 
 
 @dataclass

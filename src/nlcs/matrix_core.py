@@ -13,7 +13,9 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "as_vector",
+    "as_system",
     "seeded_rng",
+    "nonzero_normals",
     "rank",
     "extreme_eigenvalues",
     "solve_least_squares",
@@ -52,6 +54,17 @@ def as_vector(a) -> np.ndarray:
     return v
 
 
+def as_system(M, b) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the matrix and right-hand side of a linear system ``M u = b``."""
+    A = as_matrix(M)
+    y = as_vector(b)
+    if A.shape[0] != y.shape[0]:
+        raise ValueError(
+            f"dimension mismatch: matrix has {A.shape[0]} rows, vector has dim {y.shape[0]}"
+        )
+    return A, y
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
     """Return a PCG64 generator for an unsigned 64-bit seed."""
     if not isinstance(seed, (int, np.integer)):
@@ -59,6 +72,16 @@ def seeded_rng(seed: int) -> np.random.Generator:
     if not 0 <= int(seed) < MAX_SEED:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     return np.random.default_rng(int(seed))
+
+
+def nonzero_normals(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Standard normal draws, each redrawn until its magnitude is at least 1e-6."""
+    vals = rng.standard_normal(size)
+    while True:
+        small = np.abs(vals) < 1e-6
+        if not small.any():
+            return vals
+        vals[small] = rng.standard_normal(int(small.sum()))
 
 
 def rank(M, tol: float = 1e-10) -> int:
@@ -90,12 +113,7 @@ def extreme_eigenvalues(S) -> tuple[float, float]:
 
 def solve_least_squares(M, b) -> np.ndarray:
     """Minimum-norm least squares solution of ``M u = b``."""
-    A = as_matrix(M)
-    y = as_vector(b)
-    if A.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix has {A.shape[0]} rows, vector has dim {y.shape[0]}"
-        )
+    A, y = as_system(M, b)
     u, *_ = np.linalg.lstsq(A, y, rcond=None)
     return u
 
@@ -122,14 +140,8 @@ def random_sparse_signal(n: int, k: int, seed: int) -> np.ndarray:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     rng = seeded_rng(seed)
     support = rng.choice(n, size=k, replace=False)
-    vals = rng.standard_normal(k)
-    while True:
-        small = np.abs(vals) < 1e-6
-        if not small.any():
-            break
-        vals[small] = rng.standard_normal(int(small.sum()))
     x = np.zeros(n)
-    x[support] = vals
+    x[support] = nonzero_normals(rng, k)
     return x
 
 

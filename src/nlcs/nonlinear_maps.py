@@ -18,6 +18,12 @@ built-in kinds model common measurement nonlinearities:
                          function of (seed, input bits)
 * custom              -- caller-supplied component functions
 
+Everything that depends on the kind -- the component function, the
+nominal requirement type, the zero tolerances, the parameter a config spec
+must give, the domain check and the domain sampler -- is one row of the
+``_KINDS`` table; the factories, ``map_from_spec``, ``evaluate`` and
+``sample_domain_points`` all read that row.
+
 A map can be queried, at a point or over sampled points, for the four
 pointwise-linearization requirements, numbered by the matrix class the
 linearization lives in:
@@ -38,12 +44,14 @@ a requirement violation.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import MapDomainError
-from .matrix_core import as_vector, seeded_rng
+from .matrix_core import MAX_SEED, as_vector, nonzero_normals, seeded_rng
 
 __all__ = [
     "NonlinearMap",
@@ -64,34 +72,69 @@ __all__ = [
     "sample_domain_points",
 ]
 
-MAP_KINDS = (
-    "identity",
-    "abs",
-    "sign",
-    "quantize_afz",
-    "quantize_floor",
-    "sine",
-    "square",
-    "nonzero_random",
-    "custom",
-)
+#: zero tolerance of the continuous kinds
+_TOL = 1e-12
+#: sampled sine inputs stay strictly inside (-pi, pi)
+_SINE_BOUND = np.pi * (1.0 - 1e-9)
 
-#: discrete-valued kinds use an exact zero test
-_EXACT_ZERO_KINDS = {"sign", "quantize_afz", "quantize_floor"}
 
-#: strongest requirement type each built-in kind satisfies over its whole domain
-_NOMINAL_TYPE = {
-    "identity": 3,
-    "abs": 3,
-    "sign": 3,
-    "quantize_afz": 3,
-    "quantize_floor": 1,
-    "sine": 3,
-    "square": 3,
-    "nonzero_random": 2,
+def _nonzero_random(F: NonlinearMap, z: np.ndarray) -> np.ndarray:
+    if np.all(z == 0.0):
+        return np.zeros(F.dim)
+    # fold -0.0 into +0.0 so the value is a function of the numeric input
+    bits = np.ascontiguousarray(np.where(z == 0.0, 0.0, z), dtype=np.float64).tobytes()
+    digest = hashlib.sha256()
+    digest.update(int(F.seed).to_bytes(8, "little"))
+    digest.update(bits)
+    rng = np.random.default_rng(int.from_bytes(digest.digest()[:8], "little"))
+    return nonzero_normals(rng, F.dim)
+
+
+def _check_sine_domain(F: NonlinearMap, z: np.ndarray) -> None:
+    inside = np.all(np.abs(z) < np.pi) if F.open_domain else np.all(np.abs(z) <= np.pi)
+    if not inside:
+        side = "open" if F.open_domain else "closed"
+        raise MapDomainError(
+            f"sine input outside the {side} interval (-pi, pi): max |z_i| = {np.abs(z).max()}"
+        )
+
+
+def _step_scaled_point(F: NonlinearMap, rng: np.random.Generator) -> np.ndarray:
+    # tied to the step so that sub-step magnitudes occur
+    return rng.standard_normal(F.dim) * F.step
+
+
+class _Kind(NamedTuple):
+    """Catalog row: everything about a map that depends on its kind."""
+
+    f: Callable  # (F, z) -> F(z)
+    nominal_type: int | None  # strongest requirement type over the whole domain
+    zero_tol_in: float
+    zero_tol_out: float
+    param: str | None = None  # the parameter a spec must give: "step", "seed" or none
+    sample: Callable = lambda F, rng: rng.standard_normal(F.dim)  # (F, rng) -> a domain point
+    check_domain: Callable | None = None  # (F, z) -> None, or MapDomainError
+
+
+#: the built-in kinds; discrete-valued kinds use an exact zero test
+_KINDS = {
+    "identity": _Kind(lambda F, z: z.copy(), 3, _TOL, _TOL),
+    "abs": _Kind(lambda F, z: np.abs(z), 3, _TOL, _TOL),
+    "sign": _Kind(lambda F, z: np.sign(z), 3, 0.0, 0.0),
+    "quantize_afz": _Kind(lambda F, z: np.sign(z) * F.step * np.ceil(np.abs(z) / F.step),
+                          3, 0.0, 0.0, "step", _step_scaled_point),
+    "quantize_floor": _Kind(lambda F, z: F.step * np.floor(z / F.step),
+                            1, 0.0, 0.0, "step", _step_scaled_point),
+    "sine": _Kind(lambda F, z: np.sin(z), 3, _TOL, _TOL, check_domain=_check_sine_domain,
+                  sample=lambda F, rng: rng.uniform(-_SINE_BOUND, _SINE_BOUND, size=F.dim)),
+    # the output scales like the square of the input
+    "square": _Kind(lambda F, z: z * z, 3, _TOL, _TOL**2),
+    "nonzero_random": _Kind(_nonzero_random, 2, _TOL, _TOL, "seed"),
 }
 
-_ANALYTIC_TOL = 1e-12
+#: every kind a map can have: the built-in ones plus caller-supplied components
+_ROWS = {**_KINDS, "custom": _Kind(lambda F, z: np.array([float(f(z)) for f in F.components]),
+                                   None, _TOL, _TOL)}
 
 
 class NonlinearMap:
@@ -104,32 +147,31 @@ class NonlinearMap:
     """
 
     def __init__(self, kind, dim, *, step=None, seed=None, components=None,
-                 elementwise=None, open_domain=True, zero_tol_in=None,
-                 zero_tol_out=None, nominal_type=None):
-        if kind not in MAP_KINDS:
-            raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
+                 open_domain=True, zero_tol_in=None, zero_tol_out=None, nominal_type=None):
+        row = _ROWS.get(kind)
+        if row is None:
+            raise ValueError(f"unknown map kind {kind!r}; expected one of {tuple(_ROWS)}")
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
+        if step is not None:
+            step = float(step)
+            if not step > 0:
+                raise ValueError(f"step must be positive, got {step}")
+        if seed is not None:
+            if not 0 <= seed < MAX_SEED:
+                raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+            seed = int(seed)
         self.kind = kind
         self.dim = int(dim)
         self.step = step
         self.seed = seed
         self.components = components
         self.open_domain = bool(open_domain)
-        if elementwise is None:
-            elementwise = kind not in ("nonzero_random", "custom")
-        self.elementwise = bool(elementwise)
-        if zero_tol_in is None:
-            zero_tol_in = 0.0 if kind in _EXACT_ZERO_KINDS else _ANALYTIC_TOL
-        if zero_tol_out is None:
-            if kind in _EXACT_ZERO_KINDS:
-                zero_tol_out = 0.0
-            elif kind == "square":
-                zero_tol_out = _ANALYTIC_TOL**2  # f scales like the square of the input
-            else:
-                zero_tol_out = _ANALYTIC_TOL
-        self.zero_tol_in = float(zero_tol_in)
-        self.zero_tol_out = float(zero_tol_out)
+        self.zero_tol_in = float(row.zero_tol_in if zero_tol_in is None else zero_tol_in)
+        self.zero_tol_out = float(row.zero_tol_out if zero_tol_out is None else zero_tol_out)
+        if nominal_type is None and open_domain:
+            # the closed sine domain reaches sin(+-pi) = 0: no nominal type there
+            nominal_type = row.nominal_type
         self.nominal_type = nominal_type
 
     def __repr__(self):
@@ -140,105 +182,73 @@ class NonlinearMap:
 
 
 def identity_map(dim: int) -> NonlinearMap:
-    return NonlinearMap("identity", dim, nominal_type=_NOMINAL_TYPE["identity"])
+    return NonlinearMap("identity", dim)
 
 
 def abs_map(dim: int) -> NonlinearMap:
-    return NonlinearMap("abs", dim, nominal_type=_NOMINAL_TYPE["abs"])
+    return NonlinearMap("abs", dim)
 
 
 def sign_map(dim: int) -> NonlinearMap:
-    return NonlinearMap("sign", dim, nominal_type=_NOMINAL_TYPE["sign"])
+    return NonlinearMap("sign", dim)
 
 
 def quantize_away_from_zero(dim: int, step: float) -> NonlinearMap:
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
-    return NonlinearMap("quantize_afz", dim, step=float(step),
-                        nominal_type=_NOMINAL_TYPE["quantize_afz"])
+    return NonlinearMap("quantize_afz", dim, step=step)
 
 
 def quantize_floor(dim: int, step: float) -> NonlinearMap:
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
-    return NonlinearMap("quantize_floor", dim, step=float(step),
-                        nominal_type=_NOMINAL_TYPE["quantize_floor"])
+    return NonlinearMap("quantize_floor", dim, step=step)
 
 
 def sine_map(dim: int, open_domain: bool = True) -> NonlinearMap:
     """Elementwise sine on (-pi, pi).  ``open_domain=False`` widens the
     domain to the closed interval, where sin(+-pi) = 0 breaks requirement 3;
     the variant exists to demonstrate exactly that boundary failure."""
-    return NonlinearMap("sine", dim, open_domain=open_domain,
-                        nominal_type=_NOMINAL_TYPE["sine"] if open_domain else None)
+    return NonlinearMap("sine", dim, open_domain=open_domain)
 
 
 def square_map(dim: int) -> NonlinearMap:
-    return NonlinearMap("square", dim, nominal_type=_NOMINAL_TYPE["square"])
+    return NonlinearMap("square", dim)
 
 
 def nonzero_random_map(dim: int, seed: int) -> NonlinearMap:
-    return NonlinearMap("nonzero_random", dim, seed=int(seed),
-                        nominal_type=_NOMINAL_TYPE["nonzero_random"])
+    return NonlinearMap("nonzero_random", dim, seed=seed)
 
 
-def custom_map(components, *, elementwise=False, nominal_type=None,
-               zero_tol_in=_ANALYTIC_TOL, zero_tol_out=_ANALYTIC_TOL) -> NonlinearMap:
-    """Map from a table of component functions, each taking the full input
-    vector and returning one float.  ``elementwise=True`` is the caller's
-    promise that component i depends only on entry i."""
+def custom_map(components, *, nominal_type=None, zero_tol_in=_TOL,
+               zero_tol_out=_TOL) -> NonlinearMap:
+    """Map from a table of component functions: component i takes the full
+    input vector and returns f_i as one float.  ``nominal_type`` declares
+    the strongest requirement type the map satisfies (None when unknown)."""
     components = tuple(components)
     if not components:
         raise ValueError("components table must be nonempty")
     return NonlinearMap("custom", len(components), components=components,
-                        elementwise=elementwise, nominal_type=nominal_type,
-                        zero_tol_in=zero_tol_in, zero_tol_out=zero_tol_out)
+                        nominal_type=nominal_type, zero_tol_in=zero_tol_in,
+                        zero_tol_out=zero_tol_out)
 
 
 def map_from_spec(spec: dict, dim: int) -> NonlinearMap:
-    """Build a map from a config entry {"kind": ..., "step": ..., "seed": ...}."""
+    """Build a built-in map from a config entry {"kind": ..., "step": ..., "seed": ...}.
+
+    Only the parameter the kind needs is read; a missing, wrongly typed or
+    out-of-range value raises ``ValueError``.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("map spec must be a dict with a 'kind' key")
     kind = spec["kind"]
-    if kind in ("quantize_afz", "quantize_floor"):
-        if "step" not in spec:
-            raise ValueError(f"map kind {kind!r} requires a 'step' value")
-        maker = quantize_away_from_zero if kind == "quantize_afz" else quantize_floor
-        return maker(dim, float(spec["step"]))
-    if kind == "nonzero_random":
-        if "seed" not in spec:
-            raise ValueError("map kind 'nonzero_random' requires a 'seed' value")
-        return nonzero_random_map(dim, int(spec["seed"]))
-    simple = {
-        "identity": identity_map,
-        "abs": abs_map,
-        "sign": sign_map,
-        "sine": sine_map,
-        "square": square_map,
-    }
-    if kind not in simple:
+    row = _KINDS.get(kind) if isinstance(kind, str) else None
+    if row is None:
         raise ValueError(f"unknown map kind {kind!r} in spec")
-    return simple[kind](dim)
-
-
-def _canonical_bits(z: np.ndarray) -> bytes:
-    # fold -0.0 into +0.0 so evaluation is a function of the numeric value
-    zc = np.where(z == 0.0, 0.0, z)
-    return np.ascontiguousarray(zc, dtype=np.float64).tobytes()
-
-
-def _nonzero_random_values(F: NonlinearMap, z: np.ndarray) -> np.ndarray:
-    digest = hashlib.sha256()
-    digest.update(int(F.seed).to_bytes(8, "little"))
-    digest.update(_canonical_bits(z))
-    rng = np.random.default_rng(int.from_bytes(digest.digest()[:8], "little"))
-    vals = rng.standard_normal(F.dim)
-    while True:
-        small = np.abs(vals) < 1e-6
-        if not small.any():
-            break
-        vals[small] = rng.standard_normal(int(small.sum()))
-    return vals
+    if row.param is None:
+        return NonlinearMap(kind, dim)
+    if row.param not in spec:
+        raise ValueError(f"map kind {kind!r} requires a {row.param!r} value")
+    value = spec[row.param]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"map kind {kind!r} needs a numeric {row.param!r}, got {value!r}")
+    return NonlinearMap(kind, dim, **{row.param: value})
 
 
 def evaluate(F: NonlinearMap, z, *, check_domain: bool = True) -> np.ndarray:
@@ -246,32 +256,10 @@ def evaluate(F: NonlinearMap, z, *, check_domain: bool = True) -> np.ndarray:
     v = as_vector(z)
     if v.shape[0] != F.dim:
         raise ValueError(f"dimension mismatch: map has dim {F.dim}, input has dim {v.shape[0]}")
-    if F.kind == "sine" and check_domain:
-        bound = np.pi
-        inside = np.all(np.abs(v) < bound) if F.open_domain else np.all(np.abs(v) <= bound)
-        if not inside:
-            kind = "open" if F.open_domain else "closed"
-            raise MapDomainError(
-                f"sine input outside the {kind} interval (-pi, pi): max |z_i| = {np.abs(v).max()}"
-            )
-    if F.kind == "identity":
-        out = v.copy()
-    elif F.kind == "abs":
-        out = np.abs(v)
-    elif F.kind == "sign":
-        out = np.sign(v)
-    elif F.kind == "quantize_afz":
-        out = np.sign(v) * F.step * np.ceil(np.abs(v) / F.step)
-    elif F.kind == "quantize_floor":
-        out = F.step * np.floor(v / F.step)
-    elif F.kind == "sine":
-        out = np.sin(v)
-    elif F.kind == "square":
-        out = v * v
-    elif F.kind == "nonzero_random":
-        out = np.zeros(F.dim) if np.all(v == 0.0) else _nonzero_random_values(F, v)
-    else:  # custom
-        out = np.array([float(f(v)) for f in F.components])
+    row = _ROWS[F.kind]
+    if check_domain and row.check_domain is not None:
+        row.check_domain(F, v)
+    out = row.f(F, v)
     if not np.all(np.isfinite(out)):
         raise ValueError(f"map {F.kind!r} produced non-finite output")
     return out
@@ -314,24 +302,20 @@ def check_requirement(F: NonlinearMap, rtype: int, z) -> RequirementCheck:
 def sample_domain_points(F: NonlinearMap, samples: int, seed: int) -> np.ndarray:
     """Deterministic points of F's domain for sampled requirement checks.
 
-    Includes the zero vector and points with planted zero entries; for
-    quantizers the scale is tied to the step so sub-step magnitudes occur.
+    Includes the zero vector and points with planted zero entries; the
+    kind's sampler draws the rest (sub-step scales for the quantizers,
+    inside (-pi, pi) for the sine).
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = seeded_rng(seed)
     pts = np.empty((samples, F.dim))
+    sample = _ROWS[F.kind].sample
     for i in range(samples):
         if i == 0:
             pts[i] = 0.0
             continue
-        if F.kind == "sine":
-            bound = np.pi * (1.0 - 1e-9)
-            z = rng.uniform(-bound, bound, size=F.dim)
-        elif F.kind in ("quantize_afz", "quantize_floor"):
-            z = rng.standard_normal(F.dim) * F.step
-        else:
-            z = rng.standard_normal(F.dim)
+        z = sample(F, rng)
         if i % 3 == 1:
             z[rng.random(F.dim) < 0.5] = 0.0
         pts[i] = z

@@ -23,18 +23,21 @@ Each construction demands the matching requirement to hold at z (checked,
 ``RequirementError`` otherwise).  Strength order of the types is
 3 > 4 > 2 > 1: a diagonal certificate is also monomial, a monomial one is
 invertible, and any of them is a valid general linearization.
+``linearize(F, z, type)`` is the one entry point that picks the
+construction for a type; the strongest-type search, the recovery pipeline
+and the CLI all go through it.
 
 ``classify`` reports the strongest type whose requirement holds at sampled
 domain points, plus whether the map may replace the nonlinearity in a
 composite with a sensing matrix: composing after the matrix needs an
 invertible Y (type 2 or stronger), composing before it needs a monomial Y
 (type 4 or stronger), so that the effective matrix product keeps the spark,
-NSP order and RIP order of the sensing matrix.
+NSP order and RIP order of the sensing matrix.  ``REQUIRED_TYPE`` holds
+that rule for both ``classify`` and the recovery pipeline.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +50,14 @@ from .nonlinear_maps import (
     check_requirement_sampled,
     evaluate,
 )
+from .report import JsonReport
 
 __all__ = [
     "LinearizationCertificate",
     "ClassificationReport",
     "TYPE_STRENGTH",
+    "REQUIRED_TYPE",
+    "linearize",
     "linearize_general",
     "linearize_invertible",
     "linearize_diagonal",
@@ -64,12 +70,16 @@ __all__ = [
 #: strength ranking of linearization types (higher = more structured)
 TYPE_STRENGTH = {0: -1, 1: 0, 2: 1, 4: 2, 3: 3}
 
+#: weakest type a map needs per composition side: an invertible Y when it acts
+#: after the sensing matrix ("pre"), a monomial Y when it acts before it ("post")
+REQUIRED_TYPE = {"pre": 2, "post": 4}
+
 #: residual tolerance of a valid certificate: ||Yz - Fz||_inf <= RTOL*(1+||Fz||_inf)
 CERT_RTOL = 1e-9
 
 
 @dataclass
-class LinearizationCertificate:
+class LinearizationCertificate(JsonReport):
     """A matrix Y witnessing F(z) = Yz at the anchor point z.
 
     type is 1 (general), 2 (invertible), 3 (invertible diagonal) or
@@ -87,16 +97,7 @@ class LinearizationCertificate:
         return self.z.shape[0]
 
     def to_dict(self) -> dict:
-        return {
-            "type": self.type,
-            "dim": self.dim,
-            "Y": [float(v) for v in self.Y.ravel()],
-            "z": [float(v) for v in self.z],
-            "Fz": [float(v) for v in self.Fz],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return {**super().to_dict(), "dim": self.dim}
 
 
 def certificate_errors(cert: LinearizationCertificate, *, rank_tol: float = 1e-10) -> list[str]:
@@ -130,22 +131,24 @@ def certificate_errors(cert: LinearizationCertificate, *, rank_tol: float = 1e-1
     return problems
 
 
-def _require(F: NonlinearMap, rtype: int, z: np.ndarray) -> None:
-    res = check_requirement(F, rtype, z)
-    if not res.holds:
+def _anchor(F: NonlinearMap, z, rtype: int | None):
+    """z, F(z) and their nonzero masks; ``RequirementError`` unless requirement
+    ``rtype`` holds at z (None: the caller checks)."""
+    v = as_vector(z)
+    if rtype is not None and not check_requirement(F, rtype, v).holds:
         raise RequirementError(
             f"map {F.kind!r} violates linearization requirement {rtype} at the given point"
         )
+    fz = evaluate(F, v)
+    return v, fz, np.abs(v) > F.zero_tol_in, np.abs(fz) > F.zero_tol_out
 
 
 def linearize_general(F: NonlinearMap, z) -> LinearizationCertificate:
     """Type-1 certificate: every row carried by the first nonzero coordinate."""
-    v = as_vector(z)
-    _require(F, 1, v)
-    fz = evaluate(F, v)
+    v, fz, z_nz, _ = _anchor(F, z, 1)
     n = v.shape[0]
     Y = np.zeros((n, n))
-    nz = np.flatnonzero(np.abs(v) > F.zero_tol_in)
+    nz = np.flatnonzero(z_nz)
     if nz.size:
         q = int(nz[0])
         Y[:, q] = fz / v[q]
@@ -183,12 +186,8 @@ def linearize_invertible(F: NonlinearMap, z) -> LinearizationCertificate:
     variant), otherwise the smallest index with f_p(z) != 0 and the
     smallest with z_q != 0.  Y = identity when z = 0 (and so F(0) = 0).
     """
-    v = as_vector(z)
-    _require(F, 2, v)
-    fz = evaluate(F, v)
+    v, fz, z_nz, f_nz = _anchor(F, z, 2)
     n = v.shape[0]
-    z_nz = np.abs(v) > F.zero_tol_in
-    f_nz = np.abs(fz) > F.zero_tol_out
     if not z_nz.any():
         return LinearizationCertificate(2, np.eye(n), v.copy(), fz)
     both = np.flatnonzero(z_nz & f_nz)
@@ -209,10 +208,7 @@ def linearize_diagonal(F: NonlinearMap, z, free_value: float = 1.0) -> Lineariza
     """
     if free_value == 0.0:
         raise ValueError("free_value must be nonzero")
-    v = as_vector(z)
-    fz = evaluate(F, v)
-    z_nz = np.abs(v) > F.zero_tol_in
-    f_nz = np.abs(fz) > F.zero_tol_out
+    v, fz, z_nz, f_nz = _anchor(F, z, None)  # checked here, to name the index
     mismatch = np.flatnonzero(z_nz != f_nz)
     if mismatch.size:
         i = int(mismatch[0])
@@ -236,12 +232,8 @@ def linearize_permuted_diagonal(F: NonlinearMap, z, free_value: float = 1.0) -> 
     """
     if free_value == 0.0:
         raise ValueError("free_value must be nonzero")
-    v = as_vector(z)
-    _require(F, 4, v)
-    fz = evaluate(F, v)
+    v, fz, z_nz, f_nz = _anchor(F, z, 4)
     n = v.shape[0]
-    z_nz = np.abs(v) > F.zero_tol_in
-    f_nz = np.abs(fz) > F.zero_tol_out
     Y = np.zeros((n, n))
     for i, j in zip(np.flatnonzero(f_nz), np.flatnonzero(z_nz)):
         Y[i, j] = fz[i] / v[j]
@@ -258,6 +250,18 @@ _CONSTRUCTORS = {
 }
 
 
+def linearize(F: NonlinearMap, z, type: int, *,
+              free_value: float = 1.0) -> LinearizationCertificate:
+    """Certificate of the given type (1..4) at z; ``RequirementError`` when
+    that type's requirement fails there.  ``free_value`` fills the free
+    entries of types 3 and 4 and is unused by types 1 and 2."""
+    if type not in _CONSTRUCTORS:
+        raise ValueError(f"certificate type must be in 1..4, got {type!r}")
+    if type in (3, 4):
+        return _CONSTRUCTORS[type](F, z, free_value)
+    return _CONSTRUCTORS[type](F, z)
+
+
 def linearize_strongest(F: NonlinearMap, z, *, free_value: float = 1.0,
                         at_least: int = 1) -> LinearizationCertificate:
     """Certificate of the strongest type whose requirement holds at z.
@@ -270,16 +274,14 @@ def linearize_strongest(F: NonlinearMap, z, *, free_value: float = 1.0,
         if TYPE_STRENGTH[t] < TYPE_STRENGTH[at_least]:
             break
         if check_requirement(F, t, v).holds:
-            if t in (3, 4):
-                return _CONSTRUCTORS[t](F, v, free_value)
-            return _CONSTRUCTORS[t](F, v)
+            return linearize(F, v, t, free_value=free_value)
     raise RequirementError(
         f"map {F.kind!r} admits no linearization of type {at_least} or stronger at the given point"
     )
 
 
 @dataclass
-class ClassificationReport:
+class ClassificationReport(JsonReport):
     """Sampled classification of a map: strongest requirement type holding
     at every sampled point (0 = none), and whether that type qualifies the
     map for the requested composition side."""
@@ -290,33 +292,20 @@ class ClassificationReport:
     qualifies: bool
     samples: int
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "composition": self.composition,
-            "best_type": self.best_type,
-            "qualifies": self.qualifies,
-            "samples": self.samples,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def classify(F: NonlinearMap, composition: str, samples: int, seed: int) -> ClassificationReport:
     """Strongest sampled requirement type, plus composition qualification.
 
     Applying the map after the sensing matrix ("pre") requires type 2 or
     stronger; applying it before the matrix ("post") requires type 4 or
-    stronger.
+    stronger (``REQUIRED_TYPE``).
     """
-    if composition not in ("pre", "post"):
+    if composition not in REQUIRED_TYPE:
         raise ValueError(f"composition must be 'pre' or 'post', got {composition!r}")
     best = 0
     for t in (3, 4, 2, 1):
         if check_requirement_sampled(F, t, samples, seed).holds:
             best = t
             break
-    needed = 2 if composition == "pre" else 4
-    qualifies = TYPE_STRENGTH[best] >= TYPE_STRENGTH[needed]
+    qualifies = TYPE_STRENGTH[best] >= TYPE_STRENGTH[REQUIRED_TYPE[composition]]
     return ClassificationReport(F.kind, composition, best, qualifies, samples)

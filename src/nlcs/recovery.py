@@ -20,7 +20,6 @@ explicit input.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -29,16 +28,16 @@ import numpy as np
 
 from .errors import GuardError, RequirementError, RipOrderError
 from .lp import solve_standard_form
-from .matrix_core import as_matrix, as_vector
+from .matrix_core import as_matrix, as_system, as_vector
 from .nonlinear_maps import NonlinearMap, evaluate
 from .pointwise_linearization import (
+    REQUIRED_TYPE,
     TYPE_STRENGTH,
     LinearizationCertificate,
     classify,
-    linearize_diagonal,
-    linearize_invertible,
-    linearize_permuted_diagonal,
+    linearize,
 )
+from .report import JsonReport
 from .sensing_properties import MAX_RIP_SUPPORTS, rip_constants
 
 __all__ = [
@@ -74,7 +73,7 @@ class LpSettings:
 
 
 @dataclass
-class RecoveryReport:
+class RecoveryReport(JsonReport):
     """Outcome of a recovery run.
 
     support_exact and rel_error are filled only when ground truth is
@@ -88,19 +87,6 @@ class RecoveryReport:
     support_exact: bool | None
     rel_error: float | None
     solver_status: str  # converged | max_iter | infeasible
-
-    def to_dict(self) -> dict:
-        return {
-            "x_hat": [float(v) for v in self.x_hat],
-            "residual": self.residual,
-            "l1_norm": self.l1_norm,
-            "support_exact": self.support_exact,
-            "rel_error": self.rel_error,
-            "solver_status": self.solver_status,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def support_set(v, threshold: float | None = None) -> set[int]:
@@ -133,12 +119,7 @@ def basis_pursuit(B, y, settings: LpSettings | None = None) -> RecoveryReport:
     has a component outside the column space beyond tolerance the report
     comes back with solver_status "infeasible" and x_hat = 0.
     """
-    B = as_matrix(B)
-    yv = as_vector(y)
-    if B.shape[0] != yv.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix has {B.shape[0]} rows, vector has dim {yv.shape[0]}"
-        )
+    B, yv = as_system(B, y)
     if settings is None:
         settings = LpSettings()
     m, n = B.shape
@@ -179,13 +160,8 @@ def l0_oracle(B, y, k_max: int, *, max_supports: int = MAX_L0_SUPPORTS) -> Recov
     support of size <= k_max fits, the report carries solver_status
     "infeasible" (nothing found) and x_hat = 0.
     """
-    B = as_matrix(B)
-    yv = as_vector(y)
+    B, yv = as_system(B, y)
     m, n = B.shape
-    if B.shape[0] != yv.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix has {m} rows, vector has dim {yv.shape[0]}"
-        )
     if not 0 <= k_max <= n:
         raise ValueError(f"k_max must satisfy 0 <= k_max <= cols, got {k_max}")
     if math.comb(n, k_max) > max_supports:
@@ -259,7 +235,7 @@ def recover_via_linearization(
     """
     A = as_matrix(A)
     x = as_vector(x_true)
-    if composition not in ("pre", "post"):
+    if composition not in REQUIRED_TYPE:
         raise ValueError(f"composition must be 'pre' or 'post', got {composition!r}")
     if method not in ("l1", "l0"):
         raise ValueError(f"method must be 'l1' or 'l0', got {method!r}")
@@ -271,7 +247,8 @@ def recover_via_linearization(
         raise ValueError("x_true must have at least one nonzero entry")
 
     order = min(2 * k, n)
-    if math.comb(n, order) <= max_supports:
+    measurable = math.comb(n, order) <= max_supports
+    if measurable:
         rip_constants(A, order, max_supports=max_supports)  # RipOrderError on failure
 
     target = F.nominal_type
@@ -281,42 +258,29 @@ def recover_via_linearization(
     if composition == "pre":
         anchor = A @ x
         z = evaluate(F, anchor)
-        if TYPE_STRENGTH[target] >= TYPE_STRENGTH[3]:
-            cert = linearize_diagonal(F, anchor)
-        elif TYPE_STRENGTH[target] >= TYPE_STRENGTH[4]:
-            cert = linearize_permuted_diagonal(F, anchor)
-        elif TYPE_STRENGTH[target] >= TYPE_STRENGTH[2]:
-            cert = linearize_invertible(F, anchor)
-        else:
-            raise RequirementError(
-                f"map {F.kind!r} does not qualify for pre-composition "
-                "(no invertible pointwise linearization)"
-            )
-        B = cert.Y @ A
+        free = 1.0
     else:
         anchor = x
         fz = evaluate(F, anchor)
         z = A @ fz
         free = _balanced_free_value(fz, anchor, F.zero_tol_in)
-        if TYPE_STRENGTH[target] >= TYPE_STRENGTH[3]:
-            cert = linearize_diagonal(F, anchor, free_value=free)
-        elif TYPE_STRENGTH[target] >= TYPE_STRENGTH[4]:
-            cert = linearize_permuted_diagonal(F, anchor, free_value=free)
-        else:
-            raise RequirementError(
-                f"map {F.kind!r} does not qualify for post-composition "
-                "(no monomial pointwise linearization)"
-            )
-        B = A @ cert.Y
+    needed = REQUIRED_TYPE[composition]
+    if TYPE_STRENGTH[target] < TYPE_STRENGTH[needed]:
+        raise RequirementError(
+            f"map {F.kind!r} does not qualify for {composition}-composition "
+            f"(no {({2: 'invertible', 4: 'monomial'})[needed]} pointwise linearization)"
+        )
+    # the certificate has exactly the map's type, even where a stronger one exists
+    cert = linearize(F, anchor, target, free_value=free)
+    B = cert.Y @ A if composition == "pre" else A @ cert.Y
 
-    lam = 1.0
-    delta = None
-    if math.comb(B.shape[1], order) <= max_supports:
+    lam, delta = 1.0, None
+    if measurable:  # B has the n columns of A
         try:
             rep = rip_constants(B, order, max_supports=max_supports)
             lam, delta = rep.lam, rep.delta
         except RipOrderError:
-            lam, delta = 1.0, None
+            pass
 
     if method == "l1":
         report = basis_pursuit(lam * B, lam * z, settings)

@@ -24,15 +24,15 @@ them raises ``GuardError`` rather than silently truncating.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 import numpy as np
 
 from .errors import GuardError, NspOrderError, RipOrderError
 from .matrix_core import as_matrix, rank, seeded_rng
+from .report import JsonReport
 
 __all__ = [
     "SparkReport",
@@ -60,22 +60,16 @@ _DEPENDENT_TOL = 1e-10
 
 
 @dataclass
-class SparkReport:
+class SparkReport(JsonReport):
     """Spark value in [1, cols+1] plus a witness set of dependent columns
     (empty when all column subsets are independent, spark = cols+1)."""
 
     spark: int
     witness: list[int]
 
-    def to_dict(self) -> dict:
-        return {"spark": self.spark, "witness": list(self.witness)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @dataclass
-class RipReport:
+class RipReport(JsonReport):
     """Asymmetric restricted-isometry constants of a given order.
 
     alpha and beta bound ||Ax||^2 / ||x||^2 over all k-sparse x; multiplying
@@ -87,7 +81,7 @@ class RipReport:
     alpha: float
     beta: float
     delta: float
-    lam: float
+    lam: float = field(metadata={"json": "lambda"})
 
     @classmethod
     def from_bounds(cls, order: int, alpha: float, beta: float) -> "RipReport":
@@ -97,21 +91,9 @@ class RipReport:
         lam = math.sqrt(2.0 / (beta + alpha))
         return cls(order=order, alpha=alpha, beta=beta, delta=delta, lam=lam)
 
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "delta": self.delta,
-            "lambda": self.lam,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @dataclass
-class NspEstimate:
+class NspEstimate(JsonReport):
     """Sampled lower bound on the null space property constant of order k.
 
     c_lower is the largest sampled value of sqrt(k) * ||h_L||_2 / ||h_Lc||_1
@@ -123,12 +105,6 @@ class NspEstimate:
     order: int
     c_lower: float
     samples: int
-
-    def to_dict(self) -> dict:
-        return {"order": self.order, "c_lower": self.c_lower, "samples": self.samples}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _chunked_combinations(n: int, r: int):
@@ -258,26 +234,23 @@ def nsp_estimate(A, k: int, samples: int, seed: int) -> NspEstimate:
     return NspEstimate(order=k, c_lower=float((num / den).max()), samples=samples)
 
 
-def _validate_left_factor(M_I, rows: int) -> np.ndarray:
-    B = as_matrix(M_I)
-    if B.shape[0] != B.shape[1] or B.shape[0] != rows:
-        raise ValueError(f"M_I must be square of size {rows}, got shape {B.shape}")
-    if rank(B) < B.shape[0]:
+def _validate_factors(A, M_I, M_D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A, an invertible left factor M_I and a monomial right factor M_D."""
+    M, L, R = as_matrix(A), as_matrix(M_I), as_matrix(M_D)
+    rows, cols = M.shape
+    if L.shape[0] != L.shape[1] or L.shape[0] != rows:
+        raise ValueError(f"M_I must be square of size {rows}, got shape {L.shape}")
+    if rank(L) < L.shape[0]:
         raise ValueError("M_I is not invertible (numerically rank deficient)")
-    return B
-
-
-def _validate_right_factor(M_D, cols: int) -> np.ndarray:
-    B = as_matrix(M_D)
-    if B.shape[0] != B.shape[1] or B.shape[0] != cols:
-        raise ValueError(f"M_D must be square of size {cols}, got shape {B.shape}")
-    nz = B != 0.0  # constructed matrices: exact zero test
+    if R.shape[0] != R.shape[1] or R.shape[0] != cols:
+        raise ValueError(f"M_D must be square of size {cols}, got shape {R.shape}")
+    nz = R != 0.0  # constructed matrices: exact zero test
     if not (np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)):
         raise ValueError(
             "M_D is not a permuted invertible diagonal matrix "
             "(needs exactly one nonzero entry in each row and each column)"
         )
-    return B
+    return M, L, R
 
 
 def check_invariance_spark(A, M_I, M_D, *, max_cols: int = MAX_SPARK_COLS) -> bool:
@@ -286,9 +259,7 @@ def check_invariance_spark(A, M_I, M_D, *, max_cols: int = MAX_SPARK_COLS) -> bo
     This always holds for invertible M_I and permuted invertible diagonal
     M_D; a False return indicates an implementation bug.
     """
-    M = as_matrix(A)
-    L = _validate_left_factor(M_I, M.shape[0])
-    R = _validate_right_factor(M_D, M.shape[1])
+    M, L, R = _validate_factors(A, M_I, M_D)
     s0 = spark(M, max_cols=max_cols).spark
     return (
         spark(L @ M, max_cols=max_cols).spark == s0
@@ -305,9 +276,7 @@ def check_invariance_rip_order(
     propagates otherwise).  Constant values may change; only the order is
     asserted to be preserved.
     """
-    M = as_matrix(A)
-    L = _validate_left_factor(M_I, M.shape[0])
-    R = _validate_right_factor(M_D, M.shape[1])
+    M, L, R = _validate_factors(A, M_I, M_D)
     rip_constants(M, k, max_supports=max_supports)  # precondition on A
     try:
         rip_constants(L @ M, k, max_supports=max_supports)

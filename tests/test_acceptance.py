@@ -31,10 +31,8 @@ from nlcs.nonlinear_maps import (
 from nlcs.pointwise_linearization import (
     certificate_errors,
     classify,
+    linearize,
     linearize_diagonal,
-    linearize_general,
-    linearize_invertible,
-    linearize_permuted_diagonal,
 )
 from nlcs.recovery import basis_pursuit, l0_oracle, recover_via_linearization, support_set
 from nlcs.sensing_properties import (
@@ -85,12 +83,6 @@ def test_criterion_1_invariance_suite():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_linearization_soundness():
-    constructors = {
-        1: linearize_general,
-        2: linearize_invertible,
-        3: linearize_diagonal,
-        4: linearize_permuted_diagonal,
-    }
     violations = []
     certificates = 0
     for i in range(1000):
@@ -113,7 +105,7 @@ def test_criterion_2_linearization_soundness():
         for t in (1, 2, 3, 4):
             if not check_requirement(F, t, z).holds:
                 continue
-            cert = constructors[t](F, z)
+            cert = linearize(F, z, t)
             certificates += 1
             problems = certificate_errors(cert)
             if problems:

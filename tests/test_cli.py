@@ -102,6 +102,23 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", "--map", "tanh", "--composition", "pre", "--dim", "3")
         assert code == 1
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed(self, capsys, seed):
+        spec = '{"kind": "nonzero_random", "seed": %s}' % seed
+        code, out, err = run_cli(capsys, "classify", "--map", spec, "--composition", "pre", "--dim", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", ['{"kind": "quantize_afz", "step": [1]}',
+                                      '{"kind": "quantize_floor", "step": null}',
+                                      '{"kind": ["abs"]}'])
+    def test_wrongly_typed_spec(self, capsys, spec):
+        code, _, err = run_cli(capsys, "classify", "--map", spec, "--composition", "pre", "--dim", "3")
+        assert code == 1
+        assert err.startswith("error:")
+
 
 class TestLinearize:
     def test_diagonal_certificate(self, tmp_path, capsys):
@@ -203,6 +220,27 @@ class TestExperiment:
         cfg_path.write_text(json.dumps({"m": 4}))
         code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 1
+
+    @pytest.mark.parametrize("key, value", [("map", 5), ("m", None), ("trials", [2])])
+    def test_wrongly_typed_config(self, tmp_path, capsys, key, value):
+        config = {
+            "m": 8,
+            "n": 16,
+            "k": 2,
+            "map": {"kind": "abs"},
+            "composition": "pre",
+            "trials": 2,
+            "seed": 1,
+            "method": "l1",
+            "output_dir": str(tmp_path / "o"),
+            key: value,
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 1
+        assert err.startswith("error:") and repr(key) in err
+        assert not (tmp_path / "o").exists()
 
     def test_mismatched_map_rejected(self, tmp_path, capsys):
         config = {

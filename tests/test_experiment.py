@@ -168,6 +168,13 @@ class TestEmitReports:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
 
+    def test_summary_json_keys(self, tmp_path):
+        summary = run_experiment(make_config(tmp_path, trials=2)).summary
+        assert summary.mean_runtime_s > 0.0
+        keys = {"success_rate", "median_rel_error", "trials"}
+        assert set(summary.to_dict()) == keys
+        assert set(json.loads(summary.to_json())) == keys
+
     def test_signals_optional(self, tmp_path):
         cfg = make_config(tmp_path, trials=2)
         result = run_experiment(cfg)

@@ -121,7 +121,38 @@ class TestEvaluate:
         assert np.array_equal(evaluate(F, z)[perm], evaluate(F, z[perm]))
 
 
+BUILT_IN = [
+    ({"kind": "identity"}, identity_map),
+    ({"kind": "abs"}, abs_map),
+    ({"kind": "sign"}, sign_map),
+    ({"kind": "quantize_afz", "step": 0.5}, lambda d: quantize_away_from_zero(d, 0.5)),
+    ({"kind": "quantize_floor", "step": 0.25}, lambda d: quantize_floor(d, 0.25)),
+    ({"kind": "sine"}, sine_map),
+    ({"kind": "square"}, square_map),
+    ({"kind": "nonzero_random", "seed": 9}, lambda d: nonzero_random_map(d, 9)),
+]
+
+
 class TestMapFromSpec:
+    @pytest.mark.parametrize("spec, factory", BUILT_IN, ids=[s["kind"] for s, _ in BUILT_IN])
+    def test_spec_matches_factory(self, spec, factory):
+        a, b = map_from_spec(spec, 4), factory(4)
+        fields = ("kind", "dim", "step", "seed", "nominal_type", "zero_tol_in", "zero_tol_out")
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            map_from_spec({"kind": "nonzero_random", "seed": seed}, 3)
+
+    @pytest.mark.parametrize("spec", [{"kind": "quantize_afz", "step": [1]},
+                                      {"kind": "quantize_floor", "step": None},
+                                      {"kind": "nonzero_random", "seed": "5"},
+                                      {"kind": ["abs"]}])
+    def test_wrongly_typed_values(self, spec):
+        with pytest.raises(ValueError):
+            map_from_spec(spec, 3)
+
     def test_kinds(self):
         assert map_from_spec({"kind": "abs"}, 3).kind == "abs"
         assert map_from_spec({"kind": "quantize_afz", "step": 0.5}, 3).step == 0.5
@@ -138,6 +169,18 @@ class TestMapFromSpec:
     def test_not_a_dict(self):
         with pytest.raises(ValueError):
             map_from_spec("abs", 3)
+
+
+class TestNonzeroRandomSeed:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_out_of_range_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            nonzero_random_map(3, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_range_ends_accepted(self, seed):
+        out = evaluate(nonzero_random_map(3, seed), [1.0, 0.0, -1.0])
+        assert np.abs(out).min() >= 1e-6
 
 
 class TestCheckRequirement:

@@ -18,6 +18,7 @@ from nlcs.pointwise_linearization import (
     LinearizationCertificate,
     certificate_errors,
     classify,
+    linearize,
     linearize_diagonal,
     linearize_general,
     linearize_invertible,
@@ -219,6 +220,35 @@ class TestPropertyPreservation:
             assert spark(cert.Y @ A).spark == spark(A).spark
 
 
+class TestLinearize:
+    CONSTRUCTORS = {
+        1: linearize_general,
+        2: linearize_invertible,
+        3: linearize_diagonal,
+        4: linearize_permuted_diagonal,
+    }
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("point", [[1.0, -2.0, 0.0], [0.0, 0.0, 0.0], [0.5, 3.0, -1.5]])
+    def test_matches_direct_constructor(self, t, point):
+        for F in (abs_map(3), square_map(3), sign_map(3)):
+            got, want = linearize(F, point, t), self.CONSTRUCTORS[t](F, point)
+            assert got.type == want.type == t
+            for name in ("Y", "z", "Fz"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_free_value_reaches_constructor(self, t):
+        got = linearize(abs_map(3), [1.0, 0.0, 2.0], t, free_value=0.25)
+        want = self.CONSTRUCTORS[t](abs_map(3), [1.0, 0.0, 2.0], 0.25)
+        assert np.array_equal(got.Y, want.Y)
+
+    @pytest.mark.parametrize("t", [0, 5])
+    def test_rejects_type_outside_range(self, t):
+        with pytest.raises(ValueError, match="1..4"):
+            linearize(abs_map(2), [1.0, 2.0], t)
+
+
 class TestCertificateSerialization:
     def test_json_keys_and_roundtrip(self):
         import json
@@ -282,6 +312,12 @@ class TestClassify:
     def test_bad_composition(self):
         with pytest.raises(ValueError):
             classify(abs_map(2), "sideways", samples=10, seed=0)
+
+    def test_json_keys(self):
+        import json
+
+        payload = json.loads(classify(abs_map(3), "pre", samples=10, seed=0).to_json())
+        assert set(payload) == {"kind", "composition", "best_type", "qualifies", "samples"}
 
 
 @pytest.mark.parametrize("seed", range(30))
