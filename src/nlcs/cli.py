@@ -23,7 +23,7 @@ from .matrix_core import (
     read_vector,
 )
 from .nonlinear_maps import abs_map, map_from_spec, quantize_floor, sign_map
-from .pointwise_linearization import certificate_errors, classify, linearize, linearize_diagonal
+from .pointwise_linearization import certificate_errors, classify, linearize
 from .recovery import LpSettings, basis_pursuit, l0_oracle, recover_via_linearization
 from .sensing_properties import nsp_estimate, rip_constants, spark
 
@@ -140,14 +140,14 @@ def cmd_selftest(args) -> int:
             A = gaussian_matrix(4, 8, seed)
             z = A @ random_sparse_signal(8, 2, seed + 100)
             for F in (abs_map(4), sign_map(4)):
-                cert = linearize_diagonal(F, z)
+                cert = linearize(F, z, 3)
                 assert not certificate_errors(cert)
 
     def _floor_fails():
         F = quantize_floor(3, 1.0)
         cert_ok = False
         try:
-            linearize_diagonal(F, np.array([0.5, 1.5, 0.0]))
+            linearize(F, np.array([0.5, 1.5, 0.0]), 3)
             cert_ok = True
         except RequirementError:
             pass

@@ -3,7 +3,8 @@ and JSON report emission suitable for diffing across runs.
 
 Every trial draws a fresh seeded Gaussian sensing matrix and sparse signal,
 forms the composite measurements, runs the linearize-then-recover pipeline
-and records the outcome.  Trial seeds are derived deterministically from the
+and records the outcome.  Before any trial, ``qualified_type`` -- the rule
+the pipeline applies -- rejects a map that does not qualify.  Trial seeds are derived deterministically from the
 config seed alone, so two configs differing only in the map see identical
 (A, x) draws trial by trial, and identical configs produce byte-identical
 output files.
@@ -12,6 +13,7 @@ output files.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +22,7 @@ import numpy as np
 
 from .matrix_core import gaussian_matrix, random_sparse_signal, seeded_rng
 from .nonlinear_maps import map_from_spec
-from .pointwise_linearization import classify
+from .pointwise_linearization import qualified_type
 from .recovery import LpSettings, recover_via_linearization
 from .report import JsonReport
 
@@ -83,10 +85,11 @@ class ExperimentConfig:
             raise ValueError(f"config 'map' must be an object, got {d['map']!r}")
         ints = {}
         for key in ("m", "n", "k", "trials", "seed"):
-            try:
-                ints[key] = int(d[key])
-            except (TypeError, OverflowError):
-                raise ValueError(f"config {key!r} must be an integer, got {d[key]!r}") from None
+            v = d[key]  # an integral float such as 5.0 passes; 2.5, "5" and true do not
+            if isinstance(v, bool) or not (isinstance(v, numbers.Integral)
+                                           or isinstance(v, float) and v.is_integer()):
+                raise ValueError(f"config {key!r} must be an integer, got {v!r}")
+            ints[key] = int(v)
         return cls(
             map_spec=dict(d["map"]),
             composition=str(d["composition"]),
@@ -139,15 +142,11 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials of a config.  The map/composition pairing is vetted
-    up front by sampled classification; a mismatch aborts before any trial."""
+    up front by ``qualified_type``, the rule every trial's pipeline applies;
+    a mismatch raises ``RequirementError`` before any trial."""
     dim = config.m if config.composition == "pre" else config.n
     F = map_from_spec(config.map_spec, dim)
-    gate = classify(F, config.composition, samples=64, seed=config.seed)
-    if not gate.qualifies:
-        raise ValueError(
-            f"map {F.kind!r} (sampled type {gate.best_type}) does not qualify "
-            f"for {config.composition}-composition"
-        )
+    qualified_type(F, config.composition)
 
     master = seeded_rng(config.seed)
     trial_seeds = master.integers(0, 2**63, size=2 * config.trials)

@@ -33,7 +33,9 @@ linearization lives in:
 3. an invertible diagonal Y exists (f_i(z) = 0 iff z_i = 0 for every i);
 4. a permuted invertible diagonal Y exists (zero counts of F(z) and z match).
 
-Requirement 3 implies 4 implies 2 implies 1 at every point.
+Requirement 3 implies 4 implies 2 implies 1 at every point, so the strongest
+type holding says which of them hold; ``requirement_at`` decides it, with
+one evaluation of F, for every check and certificate.
 
 Zero tests are exact (0.0) for discrete-valued kinds and tolerance-based
 for continuous ones; continuous kinds carry separate input/output
@@ -56,6 +58,8 @@ from .matrix_core import MAX_SEED, as_vector, nonzero_normals, seeded_rng
 __all__ = [
     "NonlinearMap",
     "RequirementCheck",
+    "PointRequirements",
+    "TYPE_STRENGTH",
     "identity_map",
     "abs_map",
     "sign_map",
@@ -67,6 +71,7 @@ __all__ = [
     "custom_map",
     "map_from_spec",
     "evaluate",
+    "requirement_at",
     "check_requirement",
     "check_requirement_sampled",
     "sample_domain_points",
@@ -76,6 +81,9 @@ __all__ = [
 _TOL = 1e-12
 #: sampled sine inputs stay strictly inside (-pi, pi)
 _SINE_BOUND = np.pi * (1.0 - 1e-9)
+
+#: strength ranking of requirement types, 0 = none holds (higher = more structured)
+TYPE_STRENGTH = {0: -1, 1: 0, 2: 1, 4: 2, 3: 3}
 
 
 def _nonzero_random(F: NonlinearMap, z: np.ndarray) -> np.ndarray:
@@ -141,13 +149,12 @@ class NonlinearMap:
     """Immutable descriptor of a vector-valued nonlinear map.
 
     Use the factory functions (``abs_map``, ``sign_map``, ...) rather than
-    the constructor.  ``nominal_type`` is the strongest linearization
-    requirement the map satisfies over its whole domain (None when unknown,
-    e.g. for custom maps without a declared type).
+    the constructor (it rejects a non-finite or non-positive step and a
+    non-integral seed).  ``nominal_type`` is the strongest requirement type
+    over the whole domain (None for custom maps and the closed sine domain).
     """
 
-    def __init__(self, kind, dim, *, step=None, seed=None, components=None,
-                 open_domain=True, zero_tol_in=None, zero_tol_out=None, nominal_type=None):
+    def __init__(self, kind, dim, *, step=None, seed=None, components=None, open_domain=True):
         row = _ROWS.get(kind)
         if row is None:
             raise ValueError(f"unknown map kind {kind!r}; expected one of {tuple(_ROWS)}")
@@ -155,11 +162,13 @@ class NonlinearMap:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if step is not None:
             step = float(step)
-            if not step > 0:
-                raise ValueError(f"step must be positive, got {step}")
+            if not (step > 0 and np.isfinite(step)):
+                raise ValueError(f"step must be finite and positive, got {step}")
         if seed is not None:
             if not 0 <= seed < MAX_SEED:
                 raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+            if seed != int(seed):
+                raise ValueError(f"seed must be an integer, got {seed}")
             seed = int(seed)
         self.kind = kind
         self.dim = int(dim)
@@ -167,12 +176,10 @@ class NonlinearMap:
         self.seed = seed
         self.components = components
         self.open_domain = bool(open_domain)
-        self.zero_tol_in = float(row.zero_tol_in if zero_tol_in is None else zero_tol_in)
-        self.zero_tol_out = float(row.zero_tol_out if zero_tol_out is None else zero_tol_out)
-        if nominal_type is None and open_domain:
-            # the closed sine domain reaches sin(+-pi) = 0: no nominal type there
-            nominal_type = row.nominal_type
-        self.nominal_type = nominal_type
+        self.zero_tol_in = row.zero_tol_in
+        self.zero_tol_out = row.zero_tol_out
+        # the closed sine domain reaches sin(+-pi) = 0: no nominal type there
+        self.nominal_type = row.nominal_type if open_domain else None
 
     def __repr__(self):
         return f"NonlinearMap(kind={self.kind!r}, dim={self.dim})"
@@ -216,17 +223,14 @@ def nonzero_random_map(dim: int, seed: int) -> NonlinearMap:
     return NonlinearMap("nonzero_random", dim, seed=seed)
 
 
-def custom_map(components, *, nominal_type=None, zero_tol_in=_TOL,
-               zero_tol_out=_TOL) -> NonlinearMap:
+def custom_map(components) -> NonlinearMap:
     """Map from a table of component functions: component i takes the full
-    input vector and returns f_i as one float.  ``nominal_type`` declares
-    the strongest requirement type the map satisfies (None when unknown)."""
+    input vector and returns f_i as one float.  The map has no nominal type
+    and uses the continuous kinds' zero tolerances."""
     components = tuple(components)
     if not components:
         raise ValueError("components table must be nonempty")
-    return NonlinearMap("custom", len(components), components=components,
-                        nominal_type=nominal_type, zero_tol_in=zero_tol_in,
-                        zero_tol_out=zero_tol_out)
+    return NonlinearMap("custom", len(components), components=components)
 
 
 def map_from_spec(spec: dict, dim: int) -> NonlinearMap:
@@ -275,28 +279,46 @@ class RequirementCheck:
     witness: np.ndarray | None = None
 
 
-def _zero_masks(F: NonlinearMap, z: np.ndarray, fz: np.ndarray):
-    return np.abs(z) <= F.zero_tol_in, np.abs(fz) <= F.zero_tol_out
+class PointRequirements(NamedTuple):
+    """A point z, F(z), their nonzero masks and the strongest requirement
+    type holding at z (0 when none holds)."""
+
+    z: np.ndarray
+    fz: np.ndarray
+    z_nz: np.ndarray
+    f_nz: np.ndarray
+    type: int
+
+
+def requirement_at(F: NonlinearMap, z) -> PointRequirements:
+    """Evaluate F once at z and decide which requirements hold there.
+
+    The requirements are nested, so the strongest type holding names all
+    of them: 3 for equal zero masks, 4 for equal zero counts, 2 when z and
+    F(z) are both zero or both nonzero, 1 when z != 0 or F(z) = 0.
+    """
+    v = as_vector(z)
+    fz = evaluate(F, v)
+    z_nz, f_nz = np.abs(v) > F.zero_tol_in, np.abs(fz) > F.zero_tol_out
+    z_any = bool(z_nz.any())
+    if np.array_equal(z_nz, f_nz):
+        rtype = 3
+    elif z_nz.sum() == f_nz.sum():
+        rtype = 4
+    elif z_any == bool(f_nz.any()):
+        rtype = 2
+    else:
+        rtype = 1 if z_any else 0
+    return PointRequirements(v, fz, z_nz, f_nz, rtype)
 
 
 def check_requirement(F: NonlinearMap, rtype: int, z) -> RequirementCheck:
     """Test one of the four pointwise-linearization requirements at z."""
     if rtype not in (1, 2, 3, 4):
         raise ValueError(f"requirement type must be in 1..4, got {rtype}")
-    v = as_vector(z)
-    fz = evaluate(F, v)
-    z_zero, f_zero = _zero_masks(F, v, fz)
-    z_is_zero = bool(z_zero.all())
-    f_is_zero = bool(f_zero.all())
-    if rtype == 1:
-        holds = (not z_is_zero) or f_is_zero
-    elif rtype == 2:
-        holds = z_is_zero == f_is_zero
-    elif rtype == 3:
-        holds = bool(np.array_equal(z_zero, f_zero))
-    else:
-        holds = int(z_zero.sum()) == int(f_zero.sum())
-    return RequirementCheck(rtype, holds, None if holds else v.copy())
+    at = requirement_at(F, z)
+    holds = TYPE_STRENGTH[at.type] >= TYPE_STRENGTH[rtype]
+    return RequirementCheck(rtype, holds, None if holds else at.z.copy())
 
 
 def sample_domain_points(F: NonlinearMap, samples: int, seed: int) -> np.ndarray:

@@ -19,13 +19,14 @@ Four constructions are provided, ordered here by the structure of Y:
   and likewise of the zero entries, gives a bijection sigma with
   Y[i, sigma(i)] = f_i(z)/z_sigma(i) (or a free nonzero value on zero pairs).
 
-Each construction demands the matching requirement to hold at z (checked,
-``RequirementError`` otherwise).  Strength order of the types is
-3 > 4 > 2 > 1: a diagonal certificate is also monomial, a monomial one is
-invertible, and any of them is a valid general linearization.
-``linearize(F, z, type)`` is the one entry point that picks the
-construction for a type; the strongest-type search, the recovery pipeline
-and the CLI all go through it.
+Every construction starts from one ``requirement_at`` decision: F is
+evaluated once at z, and the strongest requirement type holding there says
+whether the requested type may be built (``RequirementError`` otherwise).
+Strength order of the types is 3 > 4 > 2 > 1: a diagonal certificate is
+also monomial, a monomial one is invertible, and any of them is a valid
+general linearization.  ``linearize(F, z, type)`` is the one entry point
+that picks the construction for a type, which the recovery pipeline and
+the CLI call; ``linearize_strongest`` builds the type that decision found.
 
 ``classify`` reports the strongest type whose requirement holds at sampled
 domain points, plus whether the map may replace the nonlinearity in a
@@ -33,7 +34,8 @@ composite with a sensing matrix: composing after the matrix needs an
 invertible Y (type 2 or stronger), composing before it needs a monomial Y
 (type 4 or stronger), so that the effective matrix product keeps the spark,
 NSP order and RIP order of the sensing matrix.  ``REQUIRED_TYPE`` holds
-that rule for both ``classify`` and the recovery pipeline.
+that rule; ``qualified_type`` applies it to the map's nominal type, else its
+sampled type, for both the experiment gate and the recovery pipeline.
 """
 
 from __future__ import annotations
@@ -43,32 +45,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RequirementError
-from .matrix_core import as_vector, rank
+from .matrix_core import rank
 from .nonlinear_maps import (
+    TYPE_STRENGTH,
     NonlinearMap,
-    check_requirement,
-    check_requirement_sampled,
-    evaluate,
+    PointRequirements,
+    requirement_at,
+    sample_domain_points,
 )
 from .report import JsonReport
 
 __all__ = [
     "LinearizationCertificate",
     "ClassificationReport",
-    "TYPE_STRENGTH",
     "REQUIRED_TYPE",
     "linearize",
-    "linearize_general",
-    "linearize_invertible",
-    "linearize_diagonal",
-    "linearize_permuted_diagonal",
     "linearize_strongest",
     "certificate_errors",
     "classify",
+    "qualified_type",
 ]
-
-#: strength ranking of linearization types (higher = more structured)
-TYPE_STRENGTH = {0: -1, 1: 0, 2: 1, 4: 2, 3: 3}
 
 #: weakest type a map needs per composition side: an invertible Y when it acts
 #: after the sensing matrix ("pre"), a monomial Y when it acts before it ("post")
@@ -131,153 +127,100 @@ def certificate_errors(cert: LinearizationCertificate, *, rank_tol: float = 1e-1
     return problems
 
 
-def _anchor(F: NonlinearMap, z, rtype: int | None):
-    """z, F(z) and their nonzero masks; ``RequirementError`` unless requirement
-    ``rtype`` holds at z (None: the caller checks)."""
-    v = as_vector(z)
-    if rtype is not None and not check_requirement(F, rtype, v).holds:
-        raise RequirementError(
-            f"map {F.kind!r} violates linearization requirement {rtype} at the given point"
-        )
-    fz = evaluate(F, v)
-    return v, fz, np.abs(v) > F.zero_tol_in, np.abs(fz) > F.zero_tol_out
-
-
-def linearize_general(F: NonlinearMap, z) -> LinearizationCertificate:
-    """Type-1 certificate: every row carried by the first nonzero coordinate."""
-    v, fz, z_nz, _ = _anchor(F, z, 1)
-    n = v.shape[0]
+def _general(p: PointRequirements, free_value: float) -> np.ndarray:
+    """Type 1: every row carried by the first nonzero coordinate."""
+    n = p.z.shape[0]
     Y = np.zeros((n, n))
-    nz = np.flatnonzero(z_nz)
+    nz = np.flatnonzero(p.z_nz)
     if nz.size:
         q = int(nz[0])
-        Y[:, q] = fz / v[q]
+        Y[:, q] = p.fz / p.z[q]
     # else z = 0 and F(0) = 0 (requirement 1): the zero matrix works
-    return LinearizationCertificate(1, Y, v.copy(), fz)
+    return Y
 
 
 def _invertible_from_pivots(fz: np.ndarray, z: np.ndarray, p: int, q: int) -> np.ndarray:
     """Invertible Y with fz = Y z given pivots f_p != 0 and z_q != 0."""
-    n = z.shape[0]
-    Y = np.zeros((n, n))
-    if p == q:
-        Y[p, p] = fz[p] / z[p]
-        for i in range(n):
-            if i != p:
-                Y[i, i] = 1.0
-                Y[i, p] = (fz[i] - z[i]) / z[p]
-    else:
-        Y[p, q] = fz[p] / z[q]
+    Y = np.eye(z.shape[0])
+    Y[:, q] = (fz - z) / z[q]  # every other row i: z_i + (f_i - z_i) = f_i
+    Y[p, p] = 0.0
+    Y[p, q] = fz[p] / z[q]
+    if p != q:
         Y[q, p] = 1.0
         Y[q, q] = (fz[q] - z[p]) / z[q]
-        for i in range(n):
-            if i in (p, q):
-                continue
-            Y[i, i] = 1.0
-            Y[i, q] = (fz[i] - z[i]) / z[q]
     return Y
 
 
-def linearize_invertible(F: NonlinearMap, z) -> LinearizationCertificate:
-    """Type-2 certificate via the two-pivot construction.
-
-    Pivots are deterministic: the smallest index carrying both a nonzero
-    map component and a nonzero coordinate when one exists (single-pivot
-    variant), otherwise the smallest index with f_p(z) != 0 and the
-    smallest with z_q != 0.  Y = identity when z = 0 (and so F(0) = 0).
-    """
-    v, fz, z_nz, f_nz = _anchor(F, z, 2)
-    n = v.shape[0]
-    if not z_nz.any():
-        return LinearizationCertificate(2, np.eye(n), v.copy(), fz)
-    both = np.flatnonzero(z_nz & f_nz)
+def _invertible(p: PointRequirements, free_value: float) -> np.ndarray:
+    """Type 2: the pivot construction at the smallest pivot indices, or the
+    identity when z = 0 (and so F(0) = 0)."""
+    if not p.z_nz.any():
+        return np.eye(p.z.shape[0])
+    both = np.flatnonzero(p.z_nz & p.f_nz)
     if both.size:
-        p = q = int(both[0])
+        i = j = int(both[0])
     else:
-        p = int(np.flatnonzero(f_nz)[0])
-        q = int(np.flatnonzero(z_nz)[0])
-    Y = _invertible_from_pivots(fz, v, p, q)
-    return LinearizationCertificate(2, Y, v.copy(), fz)
+        i = int(np.flatnonzero(p.f_nz)[0])
+        j = int(np.flatnonzero(p.z_nz)[0])
+    return _invertible_from_pivots(p.fz, p.z, i, j)
 
 
-def linearize_diagonal(F: NonlinearMap, z, free_value: float = 1.0) -> LinearizationCertificate:
-    """Type-3 certificate Y = diag(c), c_i = f_i(z)/z_i on nonzero coordinates.
-
-    ``free_value`` fills the unconstrained diagonal entries (where z_i = 0
-    and hence f_i(z) = 0); any nonzero value yields a valid certificate.
-    """
-    if free_value == 0.0:
-        raise ValueError("free_value must be nonzero")
-    v, fz, z_nz, f_nz = _anchor(F, z, None)  # checked here, to name the index
-    mismatch = np.flatnonzero(z_nz != f_nz)
-    if mismatch.size:
-        i = int(mismatch[0])
-        raise RequirementError(
-            f"map {F.kind!r} violates linearization requirement 3 at index {i}: "
-            f"z[{i}]={v[i]!r}, f[{i}]={fz[i]!r}"
-        )
-    c = np.full(v.shape[0], float(free_value))
-    c[z_nz] = fz[z_nz] / v[z_nz]
-    return LinearizationCertificate(3, np.diag(c), v.copy(), fz)
+def _diagonal(p: PointRequirements, free_value: float) -> np.ndarray:
+    """Type 3: c_i = f_i(z)/z_i on nonzero coordinates, else ``free_value``."""
+    c = np.full(p.z.shape[0], float(free_value))
+    c[p.z_nz] = p.fz[p.z_nz] / p.z[p.z_nz]
+    return np.diag(c)
 
 
-def linearize_permuted_diagonal(F: NonlinearMap, z, free_value: float = 1.0) -> LinearizationCertificate:
-    """Type-4 certificate: monomial Y from order-preserving index pairing.
-
-    Nonzero entries of F(z) are paired in ascending index order with the
-    nonzero coordinates of z, and zero entries likewise; each row i then
-    holds the single entry f_i(z)/z_sigma(i) (or ``free_value`` on a zero
-    pair).  The pairing is O(n log n); no permutation search is needed to
-    build one certificate.
-    """
-    if free_value == 0.0:
-        raise ValueError("free_value must be nonzero")
-    v, fz, z_nz, f_nz = _anchor(F, z, 4)
-    n = v.shape[0]
+def _permuted_diagonal(p: PointRequirements, free_value: float) -> np.ndarray:
+    """Type 4: the order-preserving pairing, ``free_value`` on zero pairs;
+    no permutation search is needed."""
+    n = p.z.shape[0]
     Y = np.zeros((n, n))
-    for i, j in zip(np.flatnonzero(f_nz), np.flatnonzero(z_nz)):
-        Y[i, j] = fz[i] / v[j]
-    for i, j in zip(np.flatnonzero(~f_nz), np.flatnonzero(~z_nz)):
-        Y[i, j] = float(free_value)
-    return LinearizationCertificate(4, Y, v.copy(), fz)
+    rows, cols = np.flatnonzero(p.f_nz), np.flatnonzero(p.z_nz)
+    Y[rows, cols] = p.fz[rows] / p.z[cols]
+    Y[np.flatnonzero(~p.f_nz), np.flatnonzero(~p.z_nz)] = float(free_value)
+    return Y
 
 
-_CONSTRUCTORS = {
-    1: linearize_general,
-    2: linearize_invertible,
-    3: linearize_diagonal,
-    4: linearize_permuted_diagonal,
-}
+#: certificate type -> builder (evaluated point, free value) -> Y
+_BUILDERS = {1: _general, 2: _invertible, 3: _diagonal, 4: _permuted_diagonal}
+
+
+def _certificate(p: PointRequirements, type: int, free_value: float) -> LinearizationCertificate:
+    return LinearizationCertificate(type, _BUILDERS[type](p, free_value), p.z.copy(), p.fz)
 
 
 def linearize(F: NonlinearMap, z, type: int, *,
               free_value: float = 1.0) -> LinearizationCertificate:
     """Certificate of the given type (1..4) at z; ``RequirementError`` when
-    that type's requirement fails there.  ``free_value`` fills the free
-    entries of types 3 and 4 and is unused by types 1 and 2."""
-    if type not in _CONSTRUCTORS:
+    that type's requirement fails there (for type 3, naming the first index
+    where exactly one of z_i and f_i(z) is zero).  ``free_value`` must be
+    nonzero; it fills the free entries of types 3 and 4 and is unused by
+    types 1 and 2."""
+    if type not in _BUILDERS:
         raise ValueError(f"certificate type must be in 1..4, got {type!r}")
-    if type in (3, 4):
-        return _CONSTRUCTORS[type](F, z, free_value)
-    return _CONSTRUCTORS[type](F, z)
+    if free_value == 0.0:
+        raise ValueError("free_value must be nonzero")
+    p = requirement_at(F, z)
+    if TYPE_STRENGTH[p.type] < TYPE_STRENGTH[type]:
+        where = "at the given point"
+        if type == 3:
+            i = int(np.flatnonzero(p.z_nz != p.f_nz)[0])
+            where = f"at index {i}: z[{i}]={p.z[i]!r}, f[{i}]={p.fz[i]!r}"
+        raise RequirementError(f"map {F.kind!r} violates linearization requirement {type} {where}")
+    return _certificate(p, type, free_value)
 
 
-def linearize_strongest(F: NonlinearMap, z, *, free_value: float = 1.0,
-                        at_least: int = 1) -> LinearizationCertificate:
-    """Certificate of the strongest type whose requirement holds at z.
-
-    ``at_least`` rejects (with ``RequirementError``) any point where only
-    types weaker than the given one are available.
-    """
-    v = as_vector(z)
-    for t in (3, 4, 2, 1):
-        if TYPE_STRENGTH[t] < TYPE_STRENGTH[at_least]:
-            break
-        if check_requirement(F, t, v).holds:
-            return linearize(F, v, t, free_value=free_value)
-    raise RequirementError(
-        f"map {F.kind!r} admits no linearization of type {at_least} or stronger at the given point"
-    )
+def linearize_strongest(F: NonlinearMap, z) -> LinearizationCertificate:
+    """Certificate of the strongest type whose requirement holds at z;
+    ``RequirementError`` where none holds."""
+    p = requirement_at(F, z)
+    if p.type == 0:
+        raise RequirementError(
+            f"map {F.kind!r} admits no linearization of type 1 or stronger at the given point"
+        )
+    return _certificate(p, p.type, 1.0)
 
 
 @dataclass
@@ -293,19 +236,45 @@ class ClassificationReport(JsonReport):
     samples: int
 
 
+def _required_type(composition: str) -> int:
+    if composition not in REQUIRED_TYPE:
+        raise ValueError(f"composition must be 'pre' or 'post', got {composition!r}")
+    return REQUIRED_TYPE[composition]
+
+
 def classify(F: NonlinearMap, composition: str, samples: int, seed: int) -> ClassificationReport:
     """Strongest sampled requirement type, plus composition qualification.
 
-    Applying the map after the sensing matrix ("pre") requires type 2 or
-    stronger; applying it before the matrix ("post") requires type 4 or
-    stronger (``REQUIRED_TYPE``).
+    The sample points are drawn once and F is evaluated once at each; the
+    best type is the weakest per-point type.  Applying the map after the
+    sensing matrix ("pre") requires type 2 or stronger; applying it before
+    the matrix ("post") requires type 4 or stronger (``REQUIRED_TYPE``).
     """
-    if composition not in REQUIRED_TYPE:
-        raise ValueError(f"composition must be 'pre' or 'post', got {composition!r}")
-    best = 0
-    for t in (3, 4, 2, 1):
-        if check_requirement_sampled(F, t, samples, seed).holds:
-            best = t
+    needed = _required_type(composition)
+    best = 3
+    for z in sample_domain_points(F, samples, seed):
+        best = min(best, requirement_at(F, z).type, key=TYPE_STRENGTH.__getitem__)
+        if best == 0:
             break
-    qualifies = TYPE_STRENGTH[best] >= TYPE_STRENGTH[REQUIRED_TYPE[composition]]
+    qualifies = TYPE_STRENGTH[best] >= TYPE_STRENGTH[needed]
     return ClassificationReport(F.kind, composition, best, qualifies, samples)
+
+
+def qualified_type(F: NonlinearMap, composition: str) -> int:
+    """The certificate type the recovery pipeline builds for F: its nominal
+    type, or else its sampled type (``classify`` over 64 points, seed 0).
+
+    ``RequirementError`` when that type is weaker than the composition
+    needs (``REQUIRED_TYPE``); the experiment gate and the pipeline both
+    decide qualification here.
+    """
+    needed = _required_type(composition)
+    target = F.nominal_type
+    if target is None:
+        target = classify(F, composition, samples=64, seed=0).best_type
+    if TYPE_STRENGTH[target] < TYPE_STRENGTH[needed]:
+        raise RequirementError(
+            f"map {F.kind!r} does not qualify for {composition}-composition "
+            f"(no {({2: 'invertible', 4: 'monomial'})[needed]} pointwise linearization)"
+        )
+    return target

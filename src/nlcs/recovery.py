@@ -26,16 +26,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import GuardError, RequirementError, RipOrderError
+from .errors import GuardError, RipOrderError
 from .lp import solve_standard_form
 from .matrix_core import as_matrix, as_system, as_vector
 from .nonlinear_maps import NonlinearMap, evaluate
 from .pointwise_linearization import (
     REQUIRED_TYPE,
-    TYPE_STRENGTH,
     LinearizationCertificate,
-    classify,
     linearize,
+    qualified_type,
 )
 from .report import JsonReport
 from .sensing_properties import MAX_RIP_SUPPORTS, rip_constants
@@ -251,28 +250,18 @@ def recover_via_linearization(
     if measurable:
         rip_constants(A, order, max_supports=max_supports)  # RipOrderError on failure
 
-    target = F.nominal_type
-    if target is None:
-        target = classify(F, composition, samples=64, seed=0).best_type
+    target = qualified_type(F, composition)  # RequirementError when F does not qualify
 
-    if composition == "pre":
-        anchor = A @ x
-        z = evaluate(F, anchor)
-        free = 1.0
-    else:
-        anchor = x
-        fz = evaluate(F, anchor)
-        z = A @ fz
-        free = _balanced_free_value(fz, anchor, F.zero_tol_in)
-    needed = REQUIRED_TYPE[composition]
-    if TYPE_STRENGTH[target] < TYPE_STRENGTH[needed]:
-        raise RequirementError(
-            f"map {F.kind!r} does not qualify for {composition}-composition "
-            f"(no {({2: 'invertible', 4: 'monomial'})[needed]} pointwise linearization)"
-        )
     # the certificate has exactly the map's type, even where a stronger one exists
-    cert = linearize(F, anchor, target, free_value=free)
-    B = cert.Y @ A if composition == "pre" else A @ cert.Y
+    if composition == "pre":
+        cert = linearize(F, A @ x, target)
+        z = cert.Fz  # the measurements F(A x), from the certificate's one evaluation
+        B = cert.Y @ A
+    else:
+        fz = evaluate(F, x)
+        cert = linearize(F, x, target, free_value=_balanced_free_value(fz, x, F.zero_tol_in))
+        z = A @ fz
+        B = A @ cert.Y
 
     lam, delta = 1.0, None
     if measurable:  # B has the n columns of A

@@ -32,7 +32,6 @@ from nlcs.pointwise_linearization import (
     certificate_errors,
     classify,
     linearize,
-    linearize_diagonal,
 )
 from nlcs.recovery import basis_pursuit, l0_oracle, recover_via_linearization, support_set
 from nlcs.sensing_properties import (
@@ -145,7 +144,7 @@ def _build_instance(i, seed_base=0):
     x = random_sparse_signal(12, 2, seed_base + 41_000 + i)
     F = abs_map(6) if i % 2 == 0 else sign_map(6)
     anchor = A @ x
-    cert = linearize_diagonal(F, anchor)
+    cert = linearize(F, anchor, 3)
     B = cert.Y @ A
     z = cert.Fz
     try:
@@ -341,8 +340,8 @@ def test_criterion_8_determinism(panel_runs, tmp_path_factory):
             classify(abs_map(6), "pre", 100, seed=3).to_json(),
         ),
         (
-            linearize_diagonal(sign_map(6), A[:, 0] + 0.1).to_json(),
-            linearize_diagonal(sign_map(6), A[:, 0] + 0.1).to_json(),
+            linearize(sign_map(6), A[:, 0] + 0.1, 3).to_json(),
+            linearize(sign_map(6), A[:, 0] + 0.1, 3).to_json(),
         ),
     ]
     for a, b in json_pairs:

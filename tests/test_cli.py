@@ -111,6 +111,16 @@ class TestClassify:
         assert err.startswith("error:") and "seed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec", ['{"kind": "nonzero_random", "seed": 3.7}',
+                                      '{"kind": "quantize_floor", "step": Infinity}',
+                                      '{"kind": "quantize_afz", "step": NaN}'])
+    def test_bad_map_parameter(self, capsys, spec):
+        code, out, err = run_cli(capsys, "classify", "--map", spec, "--composition", "pre", "--dim", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and ("seed" in err or "step" in err)
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("spec", ['{"kind": "quantize_afz", "step": [1]}',
                                       '{"kind": "quantize_floor", "step": null}',
                                       '{"kind": ["abs"]}'])
@@ -221,7 +231,9 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 1
 
-    @pytest.mark.parametrize("key, value", [("map", 5), ("m", None), ("trials", [2])])
+    @pytest.mark.parametrize("key, value", [("map", 5), ("m", None), ("trials", [2]),
+                                            ("trials", 2.5), ("seed", "5"), ("k", True),
+                                            ("n", 16.5)])
     def test_wrongly_typed_config(self, tmp_path, capsys, key, value):
         config = {
             "m": 8,

@@ -3,6 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import nlcs.experiment
+from nlcs.errors import RequirementError
+from nlcs.matrix_core import gaussian_matrix, random_sparse_signal
+from nlcs.nonlinear_maps import map_from_spec
+from nlcs.recovery import recover_via_linearization
 from nlcs.experiment import (
     ExperimentConfig,
     emit_reports,
@@ -42,6 +47,21 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(d)
         assert cfg.map_spec == {"kind": "sign"}
         assert cfg.method == "l0"
+
+    @pytest.mark.parametrize("key", ["m", "n", "k", "trials", "seed"])
+    @pytest.mark.parametrize("value", [2.5, "5", True, False, None, float("inf")])
+    def test_non_integer_sizes_rejected(self, tmp_path, key, value):
+        d = {"m": 8, "n": 16, "k": 2, "map": {"kind": "abs"}, "composition": "pre",
+             "trials": 3, "seed": 7, "method": "l1", "output_dir": str(tmp_path), key: value}
+        with pytest.raises(ValueError, match=repr(key)):
+            ExperimentConfig.from_dict(d)
+
+    def test_integral_floats_accepted(self, tmp_path):
+        d = {"m": 8.0, "n": 16.0, "k": 2.0, "map": {"kind": "abs"}, "composition": "pre",
+             "trials": 3.0, "seed": 7.0, "method": "l1", "output_dir": str(tmp_path)}
+        cfg = ExperimentConfig.from_dict(d)
+        assert (cfg.m, cfg.n, cfg.k, cfg.trials, cfg.seed) == (8, 16, 2, 3, 7)
+        assert all(type(v) is int for v in (cfg.m, cfg.n, cfg.k, cfg.trials, cfg.seed))
 
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing"):
@@ -123,6 +143,38 @@ class TestRunExperiment:
         )
         with pytest.raises(ValueError, match="qualify"):
             run_experiment(cfg)
+
+    def test_gate_uses_the_pipeline_rule(self, tmp_path, monkeypatch):
+        # sampled at m=64 this map looks invertible (no sample maps to all
+        # zeros), but its nominal type 1 is what every trial would build
+        calls = []
+        monkeypatch.setattr(nlcs.experiment, "recover_via_linearization",
+                            lambda *a, **k: calls.append(a))
+        cfg = make_config(tmp_path, m=64, n=128, k=10, trials=2,
+                          map_spec={"kind": "quantize_floor", "step": 0.5})
+        with pytest.raises(RequirementError, match="qualify"):
+            run_experiment(cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("spec", [{"kind": "abs"}, {"kind": "quantize_floor", "step": 0.5},
+                                      {"kind": "nonzero_random", "seed": 3}, {"kind": "square"}])
+    @pytest.mark.parametrize("composition", ["pre", "post"])
+    def test_gate_agrees_with_pipeline(self, tmp_path, spec, composition):
+        cfg = make_config(tmp_path, map_spec=spec, composition=composition, trials=1)
+        try:
+            run_experiment(cfg)
+            gate_passed = True
+        except RequirementError:
+            gate_passed = False
+        dim = cfg.m if composition == "pre" else cfg.n
+        A = gaussian_matrix(cfg.m, cfg.n, 1)
+        x = random_sparse_signal(cfg.n, cfg.k, 2)
+        try:
+            recover_via_linearization(A, map_from_spec(spec, dim), composition, x, "l1")
+            pipeline_passed = True
+        except RequirementError:
+            pipeline_passed = False
+        assert gate_passed == pipeline_passed
 
     def test_delta_recorded_at_small_scale(self, tmp_path):
         cfg = make_config(tmp_path, n=12, m=6, k=2, trials=2)

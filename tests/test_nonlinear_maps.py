@@ -182,6 +182,40 @@ class TestNonzeroRandomSeed:
         out = evaluate(nonzero_random_map(3, seed), [1.0, 0.0, -1.0])
         assert np.abs(out).min() >= 1e-6
 
+    @pytest.mark.parametrize("seed", [3.7, 0.5, 1000.25])
+    def test_non_integral_rejected(self, seed):
+        with pytest.raises(ValueError, match="integer"):
+            nonzero_random_map(4, seed)
+        with pytest.raises(ValueError, match="integer"):
+            map_from_spec({"kind": "nonzero_random", "seed": seed}, 4)
+
+    def test_integral_float_accepted(self):
+        a, b = map_from_spec({"kind": "nonzero_random", "seed": 3.0}, 4), nonzero_random_map(4, 3)
+        assert a.seed == 3 and isinstance(a.seed, int)
+        assert np.array_equal(evaluate(a, [1.0, 2.0, 0.0, -1.0]), evaluate(b, [1.0, 2.0, 0.0, -1.0]))
+
+
+class TestStep:
+    @pytest.mark.parametrize("step", [float("inf"), float("-inf"), float("nan"), 0.0, -0.5])
+    def test_non_finite_or_non_positive_rejected(self, step):
+        for factory in (quantize_floor, quantize_away_from_zero):
+            with pytest.raises(ValueError, match="step"):
+                factory(3, step)
+        with pytest.raises(ValueError, match="step"):
+            map_from_spec({"kind": "quantize_floor", "step": step}, 3)
+
+
+class TestCustomMap:
+    def test_row_supplies_type_and_tolerances(self):
+        F = custom_map([lambda z: z[0], lambda z: z[1]])
+        assert F.nominal_type is None
+        assert (F.zero_tol_in, F.zero_tol_out) == (1e-12, 1e-12)
+
+    @pytest.mark.parametrize("option", ["nominal_type", "zero_tol_in", "zero_tol_out"])
+    def test_removed_options_rejected(self, option):
+        with pytest.raises(TypeError):
+            custom_map([lambda z: z[0]], **{option: 3})
+
 
 class TestCheckRequirement:
     def test_abs_type3_holds(self):

@@ -19,11 +19,8 @@ from nlcs.pointwise_linearization import (
     certificate_errors,
     classify,
     linearize,
-    linearize_diagonal,
-    linearize_general,
-    linearize_invertible,
-    linearize_permuted_diagonal,
     linearize_strongest,
+    qualified_type,
 )
 from nlcs.pointwise_linearization import _invertible_from_pivots
 from nlcs.sensing_properties import spark
@@ -36,24 +33,24 @@ def assert_valid(cert):
 
 class TestLinearizeGeneral:
     def test_square_map_example(self):
-        cert = linearize_general(square_map(2), [2.0, 3.0])
+        cert = linearize(square_map(2), [2.0, 3.0], 1)
         assert np.allclose(cert.Y, [[2.0, 0.0], [4.5, 0.0]])
         assert_valid(cert)
 
     def test_zero_point_zero_matrix(self):
-        cert = linearize_general(abs_map(3), np.zeros(3))
+        cert = linearize(abs_map(3), np.zeros(3), 1)
         assert np.array_equal(cert.Y, np.zeros((3, 3)))
         assert_valid(cert)
 
     def test_abs_with_trailing_zero(self):
-        cert = linearize_general(abs_map(2), [-1.0, 0.0])
+        cert = linearize(abs_map(2), [-1.0, 0.0], 1)
         assert np.allclose(cert.Y, [[-1.0, 0.0], [0.0, 0.0]])
         assert_valid(cert)
 
     def test_zero_point_nonzero_image_rejected(self):
         F = custom_map([lambda z: z[0] + 1.0, lambda z: z[1]])
         with pytest.raises(RequirementError):
-            linearize_general(F, np.zeros(2))
+            linearize(F, np.zeros(2), 1)
 
 
 class TestLinearizeInvertible:
@@ -68,20 +65,54 @@ class TestLinearizeInvertible:
         assert np.allclose(Y @ z, fz)
         assert rank(Y) == 5
 
+    @staticmethod
+    def loop_pivots(fz, z, p, q):
+        """Entry-by-entry form of the pivot construction, the reference."""
+        n = z.shape[0]
+        Y = np.zeros((n, n))
+        if p == q:
+            Y[p, p] = fz[p] / z[p]
+            for i in range(n):
+                if i != p:
+                    Y[i, i] = 1.0
+                    Y[i, p] = (fz[i] - z[i]) / z[p]
+        else:
+            Y[p, q] = fz[p] / z[q]
+            Y[q, p] = 1.0
+            Y[q, q] = (fz[q] - z[p]) / z[q]
+            for i in range(n):
+                if i not in (p, q):
+                    Y[i, i] = 1.0
+                    Y[i, q] = (fz[i] - z[i]) / z[q]
+        return Y
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pivots_match_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        z, fz = rng.normal(size=n), rng.normal(size=n)
+        z[rng.random(n) < 0.3] = 0.0
+        fz[rng.random(n) < 0.3] = 0.0
+        p, q = int(rng.integers(n)), int(rng.integers(n))
+        z[q] = z[q] or 1.5
+        Y = _invertible_from_pivots(fz, z, p, q)
+        assert np.array_equal(Y, self.loop_pivots(fz, z, p, q))
+        assert np.array_equal(np.signbit(Y), np.signbit(self.loop_pivots(fz, z, p, q)))
+
     def test_distinct_pivots_construction(self):
         # force p != q: image nonzero only where the point is zero
         F = custom_map([lambda z: z[1], lambda z: z[0]])
-        cert = linearize_invertible(F, [0.0, 5.0])
+        cert = linearize(F, [0.0, 5.0], 2)
         assert_valid(cert)
         assert np.allclose(cert.Y @ cert.z, cert.Fz)
 
     def test_common_pivot_construction(self):
-        cert = linearize_invertible(square_map(3), [2.0, -1.0, 0.0])
+        cert = linearize(square_map(3), [2.0, -1.0, 0.0], 2)
         assert_valid(cert)
         assert cert.Y[0, 0] == pytest.approx(2.0)  # f_0/z_0 = 4/2
 
     def test_zero_point_identity(self):
-        cert = linearize_invertible(sign_map(3), np.zeros(3))
+        cert = linearize(sign_map(3), np.zeros(3), 2)
         assert np.array_equal(cert.Y, np.eye(3))
         assert_valid(cert)
 
@@ -94,56 +125,56 @@ class TestLinearizeInvertible:
             z[rng.random(6) < 0.5] = 0.0
         if not z.any():
             z[0] = 1.0
-        cert = linearize_invertible(F, z)
+        cert = linearize(F, z, 2)
         assert cert.type == 2
         assert rank(cert.Y) == 6
         assert_valid(cert)
 
     def test_requirement2_violation(self):
         with pytest.raises(RequirementError):
-            linearize_invertible(quantize_floor(2, 1.0), [0.5, 0.25])
+            linearize(quantize_floor(2, 1.0), [0.5, 0.25], 2)
 
 
 class TestLinearizeDiagonal:
     def test_abs_example(self):
-        cert = linearize_diagonal(abs_map(3), [1.0, -2.0, 0.0])
+        cert = linearize(abs_map(3), [1.0, -2.0, 0.0], 3)
         assert np.allclose(cert.Y, np.diag([1.0, -1.0, 1.0]))
         assert_valid(cert)
 
     def test_sign_example(self):
-        cert = linearize_diagonal(sign_map(2), [2.0, -3.0])
+        cert = linearize(sign_map(2), [2.0, -3.0], 3)
         assert np.allclose(cert.Y, np.diag([0.5, 1.0 / 3.0]))
         assert_valid(cert)
 
     def test_square_example(self):
-        cert = linearize_diagonal(square_map(2), [2.0, -3.0])
+        cert = linearize(square_map(2), [2.0, -3.0], 3)
         assert np.allclose(cert.Y, np.diag([2.0, -3.0]))
         assert_valid(cert)
 
     def test_free_value(self):
-        cert = linearize_diagonal(abs_map(2), [0.0, 2.0], free_value=7.0)
+        cert = linearize(abs_map(2), [0.0, 2.0], 3, free_value=7.0)
         assert cert.Y[0, 0] == 7.0
         assert_valid(cert)
 
     def test_zero_free_value_rejected(self):
         with pytest.raises(ValueError):
-            linearize_diagonal(abs_map(2), [0.0, 2.0], free_value=0.0)
+            linearize(abs_map(2), [0.0, 2.0], 3, free_value=0.0)
 
     def test_violation_reports_index(self):
         with pytest.raises(RequirementError, match="index 1"):
-            linearize_diagonal(quantize_floor(3, 1.0), [1.5, 0.5, 0.0])
+            linearize(quantize_floor(3, 1.0), [1.5, 0.5, 0.0], 3)
 
 
 class TestLinearizePermutedDiagonal:
     def test_diagonal_point_reduces_to_identity_pairing(self):
-        cert3 = linearize_diagonal(abs_map(3), [1.0, -2.0, 0.0])
-        cert4 = linearize_permuted_diagonal(abs_map(3), [1.0, -2.0, 0.0])
+        cert3 = linearize(abs_map(3), [1.0, -2.0, 0.0], 3)
+        cert4 = linearize(abs_map(3), [1.0, -2.0, 0.0], 4)
         assert np.array_equal(cert3.Y, cert4.Y)
         assert_valid(cert4)
 
     def test_reversal_map(self):
         F = custom_map([lambda z: z[1], lambda z: z[0]])
-        cert = linearize_permuted_diagonal(F, [1.0, 2.0])
+        cert = linearize(F, [1.0, 2.0], 4)
         # the order-preserving pairing gives a valid certificate; verify the
         # defining property directly rather than one particular matrix
         assert_valid(cert)
@@ -151,7 +182,7 @@ class TestLinearizePermutedDiagonal:
 
     def test_swap_with_zero(self):
         F = custom_map([lambda z: z[1], lambda z: z[0]])
-        cert = linearize_permuted_diagonal(F, [3.0, 0.0])
+        cert = linearize(F, [3.0, 0.0], 4)
         # F(3, 0) = (0, 3): zero pair (row 0 -> col 1), nonzero pair (row 1 -> col 0)
         assert np.allclose(cert.Y, [[0.0, 1.0], [1.0, 0.0]])
         assert_valid(cert)
@@ -159,13 +190,29 @@ class TestLinearizePermutedDiagonal:
     def test_spec_style_cross_pairing(self):
         # image (0, 5) at point (3, 0): sigma pairs row 1 with column 0
         F = custom_map([lambda z: 0.0, lambda z: 5.0 * np.sign(z[0])])
-        cert = linearize_permuted_diagonal(F, [3.0, 0.0])
+        cert = linearize(F, [3.0, 0.0], 4)
         assert np.allclose(cert.Y, [[0.0, 1.0], [5.0 / 3.0, 0.0]])
         assert_valid(cert)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pairing_matches_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        # scaled permutation: zero counts always match, zero positions move
+        F = custom_map([lambda z, i=i: (i - 1.5) * z[(i + 2) % 5] for i in range(5)])
+        z = rng.normal(size=5)
+        z[rng.choice(5, size=2, replace=False)] = 0.0
+        cert = linearize(F, z, 4, free_value=0.75)
+        # the entry-by-entry pairing, the reference
+        fz, want = cert.Fz, np.zeros((5, 5))
+        for i, j in zip(np.flatnonzero(fz != 0.0), np.flatnonzero(z != 0.0)):
+            want[i, j] = fz[i] / z[j]
+        for i, j in zip(np.flatnonzero(fz == 0.0), np.flatnonzero(z == 0.0)):
+            want[i, j] = 0.75
+        assert np.array_equal(cert.Y, want)
+
     def test_count_mismatch_rejected(self):
         with pytest.raises(RequirementError):
-            linearize_permuted_diagonal(quantize_floor(2, 1.0), [0.5, 1.5])
+            linearize(quantize_floor(2, 1.0), [0.5, 1.5], 4)
 
 
 class TestDowngradeConsistency:
@@ -175,10 +222,10 @@ class TestDowngradeConsistency:
         F = abs_map(5)
         z = rng.normal(size=5)
         z[rng.random(5) < 0.3] = 0.0
-        c3 = linearize_diagonal(F, z)
-        c4 = linearize_permuted_diagonal(F, z)
-        c2 = linearize_invertible(F, z)
-        c1 = linearize_general(F, z)
+        c3 = linearize(F, z, 3)
+        c4 = linearize(F, z, 4)
+        c2 = linearize(F, z, 2)
+        c1 = linearize(F, z, 1)
         for cert in (c3, c4, c2, c1):
             assert_valid(cert)
 
@@ -193,20 +240,23 @@ class TestDowngradeConsistency:
     def test_strongest_respects_floor(self):
         cert = linearize_strongest(quantize_floor(2, 1.0), [0.5, 0.25])
         assert cert.type == 1
-        with pytest.raises(RequirementError):
-            linearize_strongest(quantize_floor(2, 1.0), [0.5, 0.25], at_least=2)
+
+    def test_strongest_rejects_point_without_linearization(self):
+        F = custom_map([lambda z: 1.0, lambda z: z[1]])  # F(0) != 0
+        with pytest.raises(RequirementError, match="no linearization"):
+            linearize_strongest(F, np.zeros(2))
 
 
 class TestPropertyPreservation:
     def test_left_invertible_certificate_preserves_spark(self):
         A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-        cert = linearize_invertible(nonzero_random_map(2, 8), [1.5, -0.5])
+        cert = linearize(nonzero_random_map(2, 8), [1.5, -0.5], 2)
         assert spark(cert.Y @ A).spark == spark(A).spark == 3
 
     def test_right_monomial_certificate_preserves_spark(self):
         A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         F = custom_map([lambda z: z[1], lambda z: 2.0 * z[2], lambda z: z[0]])
-        cert = linearize_permuted_diagonal(F, [1.0, 2.0, 3.0])
+        cert = linearize(F, [1.0, 2.0, 3.0], 4)
         assert cert.type == 4
         assert spark(A @ cert.Y).spark == spark(A).spark == 3
 
@@ -216,33 +266,11 @@ class TestPropertyPreservation:
         x = random_sparse_signal(8, 2, seed + 50)
         z = A @ x
         for F in (abs_map(4), sign_map(4)):
-            cert = linearize_diagonal(F, z)
+            cert = linearize(F, z, 3)
             assert spark(cert.Y @ A).spark == spark(A).spark
 
 
 class TestLinearize:
-    CONSTRUCTORS = {
-        1: linearize_general,
-        2: linearize_invertible,
-        3: linearize_diagonal,
-        4: linearize_permuted_diagonal,
-    }
-
-    @pytest.mark.parametrize("t", [1, 2, 3, 4])
-    @pytest.mark.parametrize("point", [[1.0, -2.0, 0.0], [0.0, 0.0, 0.0], [0.5, 3.0, -1.5]])
-    def test_matches_direct_constructor(self, t, point):
-        for F in (abs_map(3), square_map(3), sign_map(3)):
-            got, want = linearize(F, point, t), self.CONSTRUCTORS[t](F, point)
-            assert got.type == want.type == t
-            for name in ("Y", "z", "Fz"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-
-    @pytest.mark.parametrize("t", [3, 4])
-    def test_free_value_reaches_constructor(self, t):
-        got = linearize(abs_map(3), [1.0, 0.0, 2.0], t, free_value=0.25)
-        want = self.CONSTRUCTORS[t](abs_map(3), [1.0, 0.0, 2.0], 0.25)
-        assert np.array_equal(got.Y, want.Y)
-
     @pytest.mark.parametrize("t", [0, 5])
     def test_rejects_type_outside_range(self, t):
         with pytest.raises(ValueError, match="1..4"):
@@ -253,7 +281,7 @@ class TestCertificateSerialization:
     def test_json_keys_and_roundtrip(self):
         import json
 
-        cert = linearize_diagonal(abs_map(2), [1.0, -2.0])
+        cert = linearize(abs_map(2), [1.0, -2.0], 3)
         payload = json.loads(cert.to_json())
         assert set(payload) == {"type", "dim", "Y", "z", "Fz"}
         assert payload["dim"] == 2
@@ -320,6 +348,28 @@ class TestClassify:
         assert set(payload) == {"kind", "composition", "best_type", "qualifies", "samples"}
 
 
+class TestQualifiedType:
+    def test_nominal_type_is_the_built_type(self):
+        assert qualified_type(abs_map(4), "post") == 3
+        assert qualified_type(nonzero_random_map(4, 3), "pre") == 2
+
+    def test_nominal_type_decides_over_samples(self):
+        # no sampled point of this map at dim 64 maps to all zeros, so the
+        # sampled type is 2; the nominal type 1 is what the pipeline builds
+        F = quantize_floor(64, 0.5)
+        assert classify(F, "pre", samples=64, seed=0).qualifies
+        with pytest.raises(RequirementError, match="does not qualify for pre-composition"):
+            qualified_type(F, "pre")
+
+    def test_sampled_type_without_nominal_type(self):
+        F = custom_map([lambda z: z[1], lambda z: 2.0 * z[0]])
+        assert qualified_type(F, "post") == classify(F, "post", 64, 0).best_type == 4
+
+    def test_bad_composition(self):
+        with pytest.raises(ValueError, match="composition"):
+            qualified_type(abs_map(2), "sideways")
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_soundness_across_kinds(seed):
     # every constructed certificate satisfies the residual and shape contracts
@@ -343,3 +393,37 @@ def test_soundness_across_kinds(seed):
     assert_valid(cert)
     fz = evaluate(F, z)
     assert np.abs(cert.Y @ z - fz).max() <= 1e-9 * (1.0 + np.abs(fz).max())
+
+
+def counting_map(dim):
+    """Swap of the first two coordinates as a custom map, with the number of
+    times it has been evaluated (component 0 runs once per evaluation)."""
+    count = [0]
+
+    def first(v):
+        count[0] += 1
+        return v[1]
+
+    components = [first, lambda v: v[0]] + [lambda v, i=i: v[i] for i in range(2, dim)]
+    return custom_map(components), count
+
+
+class TestEvaluationCount:
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_linearize_evaluates_once(self, t):
+        F, count = counting_map(4)
+        linearize(F, [1.0, 1.0, 0.0, 2.0], t)
+        assert count[0] == 1
+
+    @pytest.mark.parametrize("point, strongest", [([1.0, 1.0, 0.0, 2.0], 3),
+                                                  ([1.0, 0.0, 0.0, 2.0], 4)])
+    def test_linearize_strongest_evaluates_once(self, point, strongest):
+        F, count = counting_map(4)
+        assert linearize_strongest(F, point).type == strongest
+        assert count[0] == 1
+
+    def test_classify_evaluates_each_sample_once(self):
+        F, count = counting_map(4)
+        rep = classify(F, "post", samples=40, seed=0)
+        assert rep.best_type == 4
+        assert count[0] == 40
