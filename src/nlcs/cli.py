@@ -24,7 +24,7 @@ from .matrix_core import (
 )
 from .nonlinear_maps import abs_map, map_from_spec, quantize_floor, sign_map
 from .pointwise_linearization import certificate_errors, classify, linearize
-from .recovery import LpSettings, basis_pursuit, l0_oracle, recover_via_linearization
+from .recovery import basis_pursuit, l0_oracle, recover_via_linearization
 from .sensing_properties import nsp_estimate, rip_constants, spark
 
 
@@ -91,8 +91,8 @@ def cmd_recover(args) -> int:
     x = read_vector(args.signal)
     dim = A.shape[0] if args.composition == "pre" else A.shape[1]
     F = map_from_spec(_parse_map_spec(args.map), dim)
-    settings = LpSettings(max_iterations=args.max_iter)
-    out = recover_via_linearization(A, F, args.composition, x, args.method, settings)
+    out = recover_via_linearization(A, F, args.composition, x, args.method,
+                                    max_iter=args.max_iter)
     payload = out.report.to_dict()
     payload["certificate_type"] = out.certificate.type
     payload["delta_2k"] = out.delta_2k

@@ -4,10 +4,10 @@ and JSON report emission suitable for diffing across runs.
 Every trial draws a fresh seeded Gaussian sensing matrix and sparse signal,
 forms the composite measurements, runs the linearize-then-recover pipeline
 and records the outcome.  Before any trial, ``qualified_type`` -- the rule
-the pipeline applies -- rejects a map that does not qualify.  Trial seeds are derived deterministically from the
-config seed alone, so two configs differing only in the map see identical
-(A, x) draws trial by trial, and identical configs produce byte-identical
-output files.
+the pipeline applies -- rejects a map that does not qualify.  Trial seeds
+are derived deterministically from the config seed alone, so two configs
+differing only in the map see identical (A, x) draws trial by trial, and
+identical configs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .matrix_core import gaussian_matrix, random_sparse_signal, seeded_rng
 from .nonlinear_maps import map_from_spec
 from .pointwise_linearization import qualified_type
-from .recovery import LpSettings, recover_via_linearization
+from .recovery import recover_via_linearization
 from .report import JsonReport
 
 __all__ = [
@@ -151,7 +151,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     master = seeded_rng(config.seed)
     trial_seeds = master.integers(0, 2**63, size=2 * config.trials)
 
-    settings = LpSettings()
     records: list[TrialRecord] = []
     signals: list[tuple[np.ndarray, np.ndarray]] = []
     runtimes = []
@@ -163,7 +162,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if peak > SINE_MAX_MAGNITUDE:
                 x = x * (SINE_MAX_MAGNITUDE / peak)
         t0 = time.perf_counter()
-        out = recover_via_linearization(A, F, config.composition, x, config.method, settings)
+        out = recover_via_linearization(A, F, config.composition, x, config.method)
         runtimes.append(time.perf_counter() - t0)
         records.append(
             TrialRecord(

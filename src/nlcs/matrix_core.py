@@ -16,6 +16,8 @@ __all__ = [
     "as_system",
     "seeded_rng",
     "nonzero_normals",
+    "RANK_TOL",
+    "rank_of_singular_values",
     "rank",
     "extreme_eigenvalues",
     "solve_least_squares",
@@ -28,6 +30,9 @@ __all__ = [
 ]
 
 MAX_SEED = 2**64
+
+#: relative singular-value cutoff of every numerical rank decision in the package
+RANK_TOL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
@@ -84,14 +89,16 @@ def nonzero_normals(rng: np.random.Generator, size: int) -> np.ndarray:
         vals[small] = rng.standard_normal(int(small.sum()))
 
 
-def rank(M, tol: float = 1e-10) -> int:
-    """Numerical rank: the number of singular values strictly greater than
-    ``tol`` times the largest singular value."""
-    A = as_matrix(M)
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.count_nonzero(s > tol * s[0]))
+def rank_of_singular_values(s: np.ndarray) -> np.ndarray:
+    """Number of singular values strictly greater than ``RANK_TOL`` times the
+    largest, along the last axis of descending singular values ``s``: one
+    count for a single matrix, an array of counts for a stack."""
+    return np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
+
+
+def rank(M) -> int:
+    """Numerical rank of a matrix (see ``rank_of_singular_values``)."""
+    return int(rank_of_singular_values(np.linalg.svd(as_matrix(M), compute_uv=False)))
 
 
 def extreme_eigenvalues(S) -> tuple[float, float]:

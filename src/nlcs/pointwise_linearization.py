@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RequirementError
-from .matrix_core import rank
+from .matrix_core import as_matrix, rank
 from .nonlinear_maps import (
     TYPE_STRENGTH,
     NonlinearMap,
@@ -96,32 +96,36 @@ class LinearizationCertificate(JsonReport):
         return {**super().to_dict(), "dim": self.dim}
 
 
-def certificate_errors(cert: LinearizationCertificate, *, rank_tol: float = 1e-10) -> list[str]:
+def certificate_errors(cert: LinearizationCertificate) -> list[str]:
     """Independent re-verification of a certificate; empty list means valid.
 
     Checks the residual bound ||Y z - Fz||_inf <= 1e-9 (1 + ||Fz||_inf) and
-    the per-type shape contract: invertibility (numerical full rank) for
-    type >= 2, strictly diagonal with nonzero diagonal for type 3, exactly
-    one nonzero per row and column for type 4.
+    the per-type shape contract: numerical full rank for type 2, strictly
+    diagonal with nonzero diagonal for type 3, exactly one nonzero per row
+    and column for type 4.  The type 3 and 4 structures are exactly
+    invertible, however small an entry, so they get no rank test.  An
+    invertible type (2, 3 or 4) with a NaN or infinite entry in Y cannot be
+    verified and raises ``ValueError``.
     """
     problems = []
     n = cert.dim
     if cert.Y.shape != (n, n):
         return [f"Y has shape {cert.Y.shape}, expected ({n}, {n})"]
-    resid = float(np.abs(cert.Y @ cert.z - cert.Fz).max())
+    Y = as_matrix(cert.Y) if cert.type >= 2 else cert.Y
+    resid = float(np.abs(Y @ cert.z - cert.Fz).max())
     bound = CERT_RTOL * (1.0 + float(np.abs(cert.Fz).max()))
     if resid > bound:
         problems.append(f"residual {resid:.3e} exceeds bound {bound:.3e}")
-    if cert.type >= 2 and rank(cert.Y, rank_tol) < n:
+    if cert.type == 2 and rank(Y) < n:
         problems.append("Y is not invertible (numerically rank deficient)")
     if cert.type == 3:
-        off = cert.Y - np.diag(np.diag(cert.Y))
+        off = Y - np.diag(np.diag(Y))
         if np.any(off != 0.0):
             problems.append("Y has off-diagonal entries but type is 3")
-        if np.any(np.diag(cert.Y) == 0.0):
+        if np.any(np.diag(Y) == 0.0):
             problems.append("Y has a zero diagonal entry but type is 3")
     if cert.type == 4:
-        nz = cert.Y != 0.0
+        nz = Y != 0.0
         if not (np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)):
             problems.append("Y is not monomial (one nonzero per row and column) but type is 4")
     return problems

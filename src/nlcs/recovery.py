@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GuardError, RipOrderError
 from .lp import solve_standard_form
-from .matrix_core import as_matrix, as_system, as_vector
+from .matrix_core import as_matrix, as_system, as_vector, rank_of_singular_values
 from .nonlinear_maps import NonlinearMap, evaluate
 from .pointwise_linearization import (
     REQUIRED_TYPE,
@@ -40,7 +40,6 @@ from .report import JsonReport
 from .sensing_properties import MAX_RIP_SUPPORTS, rip_constants
 
 __all__ = [
-    "LpSettings",
     "RecoveryReport",
     "PipelineResult",
     "support_set",
@@ -51,24 +50,17 @@ __all__ = [
 
 #: guard on the number of supports at the deepest level of the l0 search
 MAX_L0_SUPPORTS = 100_000
+#: l1 decoder tolerances: the residual ||B u - y|| and the relative duality gap
+LP_FEASIBILITY_TOL = 1e-8
+LP_OPTIMALITY_TOL = 1e-8
 
 
-@dataclass
-class LpSettings:
-    """Tolerances of the l1 decoder: finite positive tolerances and a
-    positive integer iteration cap."""
-
-    feasibility_tol: float = 1e-8
-    optimality_tol: float = 1e-8
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if not all(math.isfinite(t) and t > 0 for t in (self.feasibility_tol, self.optimality_tol)):
-            raise ValueError("LpSettings tolerances must be finite and positive")
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int):
-            raise ValueError(f"LpSettings.max_iterations must be an int, got {self.max_iterations!r}")
-        if self.max_iterations <= 0:
-            raise ValueError("LpSettings.max_iterations must be positive")
+def _check_max_iter(max_iter) -> None:
+    """The l1 decoder's iteration cap must be a positive int (not a bool)."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int):
+        raise ValueError(f"max_iter must be an int, got {max_iter!r}")
+    if max_iter <= 0:
+        raise ValueError(f"max_iter must be positive, got {max_iter}")
 
 
 @dataclass
@@ -88,15 +80,14 @@ class RecoveryReport(JsonReport):
     solver_status: str  # converged | max_iter | infeasible
 
 
-def support_set(v, threshold: float | None = None) -> set[int]:
+def support_set(v) -> set[int]:
     """Indices of the significant entries of a recovered vector.
 
-    The default threshold 1e-6 * max(1, ||v||_inf) separates true support
-    values from decoder noise on the scales this package works at.
+    The threshold 1e-6 * max(1, ||v||_inf) separates true support values
+    from decoder noise on the scales this package works at.
     """
     x = as_vector(v)
-    if threshold is None:
-        threshold = 1e-6 * max(1.0, float(np.abs(x).max()))
+    threshold = 1e-6 * max(1.0, float(np.abs(x).max()))
     return {int(i) for i in np.flatnonzero(np.abs(x) > threshold)}
 
 
@@ -111,16 +102,16 @@ def _report(x_hat: np.ndarray, B: np.ndarray, y: np.ndarray, status: str) -> Rec
     )
 
 
-def basis_pursuit(B, y, settings: LpSettings | None = None) -> RecoveryReport:
+def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     """Minimize ||u||_1 subject to B u = y (within the feasibility tolerance).
 
     Row-rank-deficient systems are reduced to their row space first; if y
     has a component outside the column space beyond tolerance the report
-    comes back with solver_status "infeasible" and x_hat = 0.
+    comes back with solver_status "infeasible" and x_hat = 0.  The solver
+    stops after ``max_iter`` iterations with status "max_iter".
     """
+    _check_max_iter(max_iter)
     B, yv = as_system(B, y)
-    if settings is None:
-        settings = LpSettings()
     m, n = B.shape
     ynorm = float(np.linalg.norm(yv))
     if ynorm == 0.0:
@@ -128,12 +119,11 @@ def basis_pursuit(B, y, settings: LpSettings | None = None) -> RecoveryReport:
 
     # reduce to a full-row-rank system; budget half the feasibility
     # tolerance for the out-of-span component and half for the LP residual
-    sv = np.linalg.svd(B, compute_uv=False)
-    r = int(np.count_nonzero(sv > 1e-10 * sv[0]))
+    r = int(rank_of_singular_values(np.linalg.svd(B, compute_uv=False)))
     if r < m:
         Ur = np.linalg.svd(B, full_matrices=False)[0][:, :r]
         out_of_span = float(np.linalg.norm(yv - Ur @ (Ur.T @ yv)))
-        if out_of_span > 0.5 * settings.feasibility_tol * (1.0 + ynorm):
+        if out_of_span > 0.5 * LP_FEASIBILITY_TOL * (1.0 + ynorm):
             return _report(np.zeros(n), B, yv, "infeasible")
         B_eff = Ur.T @ B
         y_eff = Ur.T @ yv
@@ -143,14 +133,14 @@ def basis_pursuit(B, y, settings: LpSettings | None = None) -> RecoveryReport:
     res = solve_standard_form(
         B_eff,
         y_eff,
-        feas_tol=0.5 * settings.feasibility_tol,
-        opt_tol=settings.optimality_tol,
-        max_iter=settings.max_iterations,
+        feas_tol=0.5 * LP_FEASIBILITY_TOL,
+        opt_tol=LP_OPTIMALITY_TOL,
+        max_iter=max_iter,
     )
     return _report(res.x, B, yv, res.status)
 
 
-def l0_oracle(B, y, k_max: int, *, max_supports: int = MAX_L0_SUPPORTS) -> RecoveryReport:
+def l0_oracle(B, y, k_max: int) -> RecoveryReport:
     """Sparsest solution of B u = y by exhaustive support enumeration.
 
     For each k = 0..k_max, supports are tried in lexicographic order and
@@ -163,10 +153,10 @@ def l0_oracle(B, y, k_max: int, *, max_supports: int = MAX_L0_SUPPORTS) -> Recov
     m, n = B.shape
     if not 0 <= k_max <= n:
         raise ValueError(f"k_max must satisfy 0 <= k_max <= cols, got {k_max}")
-    if math.comb(n, k_max) > max_supports:
+    if math.comb(n, k_max) > MAX_L0_SUPPORTS:
         raise GuardError(
             f"l0 enumeration guard exceeded: C({n},{k_max})={math.comb(n, k_max)}"
-            f" > max_supports={max_supports}"
+            f" > max_supports={MAX_L0_SUPPORTS}"
         )
     thr = 1e-8 * (1.0 + float(np.linalg.norm(yv)))
     if float(np.linalg.norm(yv)) <= thr:
@@ -213,9 +203,8 @@ def recover_via_linearization(
     composition: str,
     x_true,
     method: str,
-    settings: LpSettings | None = None,
     *,
-    max_supports: int = MAX_RIP_SUPPORTS,
+    max_iter: int = 200,
 ) -> PipelineResult:
     """Recover a sparse signal from composite nonlinear measurements.
 
@@ -230,8 +219,10 @@ def recover_via_linearization(
     the support count is within the guard, and asserted by the caller
     otherwise.  The effective matrix is rescaled to symmetric RIP bounds
     when its constants are measurable (again within the guard); rescaling
-    never changes the recovered support.
+    never changes the recovered support.  ``max_iter`` caps the l1 solver's
+    iterations; it is validated for either method.
     """
+    _check_max_iter(max_iter)
     A = as_matrix(A)
     x = as_vector(x_true)
     if composition not in REQUIRED_TYPE:
@@ -246,9 +237,9 @@ def recover_via_linearization(
         raise ValueError("x_true must have at least one nonzero entry")
 
     order = min(2 * k, n)
-    measurable = math.comb(n, order) <= max_supports
+    measurable = math.comb(n, order) <= MAX_RIP_SUPPORTS
     if measurable:
-        rip_constants(A, order, max_supports=max_supports)  # RipOrderError on failure
+        rip_constants(A, order)  # RipOrderError on failure
 
     target = qualified_type(F, composition)  # RequirementError when F does not qualify
 
@@ -266,13 +257,13 @@ def recover_via_linearization(
     lam, delta = 1.0, None
     if measurable:  # B has the n columns of A
         try:
-            rep = rip_constants(B, order, max_supports=max_supports)
+            rep = rip_constants(B, order)
             lam, delta = rep.lam, rep.delta
         except RipOrderError:
             pass
 
     if method == "l1":
-        report = basis_pursuit(lam * B, lam * z, settings)
+        report = basis_pursuit(lam * B, lam * z, max_iter=max_iter)
     else:
         report = l0_oracle(lam * B, lam * z, k)
 

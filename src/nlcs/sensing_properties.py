@@ -18,8 +18,9 @@ invertible matrix on the left, or by a permuted invertible diagonal matrix
 on the right, preserves the spark and the RIP order.  These hold as
 theorems; the checkers exist to exercise the implementation.
 
-Enumeration guards are configuration values with safe defaults; exceeding
-them raises ``GuardError`` rather than silently truncating.
+Enumeration guards are fixed limits (``MAX_SPARK_COLS``,
+``MAX_RIP_SUPPORTS``); exceeding them raises ``GuardError`` rather than
+silently truncating.  Every rank decision uses ``matrix_core.RANK_TOL``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import GuardError, NspOrderError, RipOrderError
-from .matrix_core import as_matrix, rank, seeded_rng
+from .matrix_core import as_matrix, rank, rank_of_singular_values, seeded_rng
 from .report import JsonReport
 
 __all__ = [
@@ -49,9 +50,9 @@ __all__ = [
     "composite_rip_estimate",
 ]
 
-#: default cap on matrix columns for spark enumeration
+#: cap on matrix columns for spark enumeration
 MAX_SPARK_COLS = 24
-#: default cap on the number of supports enumerated by rip_constants
+#: cap on the number of supports enumerated by rip_constants
 MAX_RIP_SUPPORTS = 200_000
 #: enumeration chunk size (memory control for batched SVD/eigh)
 _CHUNK = 4096
@@ -116,7 +117,7 @@ def _chunked_combinations(n: int, r: int):
         yield np.array(block, dtype=np.intp)
 
 
-def spark(A, *, tol: float = 1e-10, max_cols: int = MAX_SPARK_COLS) -> SparkReport:
+def spark(A) -> SparkReport:
     """Smallest number of linearly dependent columns, with a witness subset.
 
     Subsets are scanned in lexicographic order by increasing size, so the
@@ -126,23 +127,22 @@ def spark(A, *, tol: float = 1e-10, max_cols: int = MAX_SPARK_COLS) -> SparkRepo
     """
     M = as_matrix(A)
     m, n = M.shape
-    if n > max_cols:
-        raise GuardError(f"spark enumeration guard exceeded: cols={n} > max_cols={max_cols}")
+    if n > MAX_SPARK_COLS:
+        raise GuardError(f"spark enumeration guard exceeded: cols={n} > max_cols={MAX_SPARK_COLS}")
     for r in range(1, min(m + 1, n) + 1):
         if r > m:
             # more columns than rows: any r columns are dependent
             return SparkReport(spark=r, witness=list(range(r)))
         for subs in _chunked_combinations(n, r):
             stacks = np.moveaxis(M[:, subs], 1, 0)  # (chunk, m, r)
-            s = np.linalg.svd(stacks, compute_uv=False)
-            dep = s[:, -1] <= tol * s[:, 0]
+            dep = rank_of_singular_values(np.linalg.svd(stacks, compute_uv=False)) < r
             if dep.any():
                 first = int(np.argmax(dep))
                 return SparkReport(spark=r, witness=[int(j) for j in subs[first]])
     return SparkReport(spark=n + 1, witness=[])
 
 
-def rip_constants(A, k: int, *, max_supports: int = MAX_RIP_SUPPORTS) -> RipReport:
+def rip_constants(A, k: int) -> RipReport:
     """Brute-force asymmetric RIP constants of order k.
 
     alpha is the smallest and beta the largest eigenvalue of the Gram matrix
@@ -155,9 +155,10 @@ def rip_constants(A, k: int, *, max_supports: int = MAX_RIP_SUPPORTS) -> RipRepo
     if not 1 <= k <= n:
         raise ValueError(f"order k must satisfy 1 <= k <= cols, got k={k}, cols={n}")
     total = math.comb(n, k)
-    if total > max_supports:
+    if total > MAX_RIP_SUPPORTS:
         raise GuardError(
-            f"RIP enumeration guard exceeded: C({n},{k})={total} > max_supports={max_supports}"
+            f"RIP enumeration guard exceeded: C({n},{k})={total}"
+            f" > max_supports={MAX_RIP_SUPPORTS}"
         )
     alpha = np.inf
     beta = -np.inf
@@ -174,23 +175,23 @@ def rip_constants(A, k: int, *, max_supports: int = MAX_RIP_SUPPORTS) -> RipRepo
     return RipReport.from_bounds(k, alpha, beta)
 
 
-def null_space_basis(A, tol: float = 1e-10) -> np.ndarray:
+def null_space_basis(A) -> np.ndarray:
     """Orthonormal basis of the null space as columns of an (n, d) array."""
     M = as_matrix(A)
     n = M.shape[1]
     _, s, vt = np.linalg.svd(M, full_matrices=True)
-    r = int(np.count_nonzero(s > tol * s[0])) if s.size else 0
+    r = int(rank_of_singular_values(s))
     return vt[r:].T.reshape(n, n - r)
 
 
-def sample_null_vectors(A, samples: int, seed: int, tol: float = 1e-10) -> np.ndarray:
+def sample_null_vectors(A, samples: int, seed: int) -> np.ndarray:
     """Draw unit-norm random vectors in the null space; shape (samples, n).
 
     Returns an empty (0, n) array when the null space is trivial.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    basis = null_space_basis(A, tol)
+    basis = null_space_basis(A)
     n, d = basis.shape
     if d == 0:
         return np.zeros((0, n))
@@ -253,23 +254,18 @@ def _validate_factors(A, M_I, M_D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return M, L, R
 
 
-def check_invariance_spark(A, M_I, M_D, *, max_cols: int = MAX_SPARK_COLS) -> bool:
+def check_invariance_spark(A, M_I, M_D) -> bool:
     """True iff spark(M_I A) = spark(A) = spark(A M_D).
 
     This always holds for invertible M_I and permuted invertible diagonal
     M_D; a False return indicates an implementation bug.
     """
     M, L, R = _validate_factors(A, M_I, M_D)
-    s0 = spark(M, max_cols=max_cols).spark
-    return (
-        spark(L @ M, max_cols=max_cols).spark == s0
-        and spark(M @ R, max_cols=max_cols).spark == s0
-    )
+    s0 = spark(M).spark
+    return spark(L @ M).spark == s0 and spark(M @ R).spark == s0
 
 
-def check_invariance_rip_order(
-    A, k: int, M_I, M_D, *, max_supports: int = MAX_RIP_SUPPORTS
-) -> bool:
+def check_invariance_rip_order(A, k: int, M_I, M_D) -> bool:
     """True iff M_I A and A M_D both still satisfy the RIP of order k.
 
     Requires A itself to satisfy the RIP of order k (``RipOrderError``
@@ -277,10 +273,10 @@ def check_invariance_rip_order(
     asserted to be preserved.
     """
     M, L, R = _validate_factors(A, M_I, M_D)
-    rip_constants(M, k, max_supports=max_supports)  # precondition on A
+    rip_constants(M, k)  # precondition on A
     try:
-        rip_constants(L @ M, k, max_supports=max_supports)
-        rip_constants(M @ R, k, max_supports=max_supports)
+        rip_constants(L @ M, k)
+        rip_constants(M @ R, k)
     except RipOrderError:
         return False
     return True

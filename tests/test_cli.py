@@ -140,6 +140,14 @@ class TestLinearize:
         Y = np.array(payload["Y"]).reshape(3, 3)
         assert np.allclose(Y, np.diag([1.0, -1.0, 1.0]))
 
+    def test_tiny_entry_certificate_accepted(self, tmp_path, capsys):
+        point = tmp_path / "z.csv"
+        write_vector(point, np.array([1.0, 1e-12]))
+        code, out, err = run_cli(capsys, "linearize", "--map", "sign", "--point", str(point),
+                                 "--type", "3")
+        assert code == 0, err
+        assert json.loads(out)["Y"] == [1.0, 0.0, 0.0, 1e12]
+
     def test_requirement_violation(self, tmp_path, capsys):
         point = tmp_path / "z.csv"
         write_vector(point, np.array([0.5, 1.5]))
@@ -198,6 +206,22 @@ class TestRecover:
         )
         assert code == 2
         assert json.loads(out)["solver_status"] == "max_iter"
+
+    @pytest.mark.parametrize("method", ["l1", "l0"])
+    def test_zero_max_iter_rejected(self, tmp_path, capsys, method):
+        apath, xpath = self._write_instance(tmp_path)
+        code, out, err = run_cli(
+            capsys,
+            "recover",
+            "--matrix", apath,
+            "--map", "sign",
+            "--composition", "pre",
+            "--signal", xpath,
+            "--method", method,
+            "--max-iter", "0",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "max_iter" in err
 
 
 class TestExperiment:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlcs
 import nlcs.experiment
 from nlcs.errors import RequirementError
 from nlcs.matrix_core import gaussian_matrix, random_sparse_signal
@@ -242,3 +247,24 @@ def test_paired_seed_draws_are_map_independent(tmp_path):
     rb = run_experiment(cfg_b)
     for (xa, _), (xb, _) in zip(ra.signals, rb.signals):
         assert np.array_equal(xa, xb)
+
+
+@pytest.mark.parametrize("kind, composition", [("sign", "pre"), ("square", "post")])
+def test_outputs_identical_across_blas_thread_counts(tmp_path, kind, composition):
+    src = str(Path(nlcs.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads{threads}"
+        cfg_path = tmp_path / f"config{threads}.json"
+        cfg_path.write_text(json.dumps({
+            "m": 64, "n": 128, "k": 10, "map": {"kind": kind}, "composition": composition,
+            "trials": 10, "seed": 0, "method": "l1", "output_dir": str(out_dir),
+        }))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cmd = [sys.executable, "-m", "nlcs", "experiment", "--config", str(cfg_path)]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    assert len(outputs[0]) == 12  # trials.csv, summary.json, 10 signal files
+    assert outputs[0] == outputs[1]

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from nlcs.matrix_core import (
+    RANK_TOL,
     as_matrix,
     as_vector,
     extreme_eigenvalues,
     gaussian_matrix,
     random_sparse_signal,
     rank,
+    rank_of_singular_values,
     read_matrix,
     read_vector,
     solve_least_squares,
@@ -38,18 +40,27 @@ class TestValidation:
 
 class TestRank:
     def test_identity(self):
-        assert rank(np.eye(3), 1e-10) == 3
+        assert rank(np.eye(3)) == 3
 
     def test_all_ones(self):
-        assert rank(np.ones((2, 2)), 1e-10) == 1
+        assert rank(np.ones((2, 2))) == 1
 
     def test_dependent_row(self):
         M = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
-        assert rank(M, 1e-10) == 2
+        assert rank(M) == 2
 
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            rank(np.eye(2), -1.0)
+    def test_cutoff_is_strict_and_relative(self):
+        assert RANK_TOL == 1e-10
+        assert rank(np.diag([3.0, 3.0 * RANK_TOL])) == 1
+        assert rank(np.diag([3.0, 3.0 * RANK_TOL * (1 + 1e-9)])) == 2
+
+    def test_stacked_counts_match_rank(self):
+        rng = np.random.default_rng(0)
+        stacks = rng.normal(size=(5, 4, 3))
+        stacks[1, :, 2] = stacks[1, :, 0] + stacks[1, :, 1]
+        stacks[3] = 0.0
+        counts = rank_of_singular_values(np.linalg.svd(stacks, compute_uv=False))
+        assert counts.tolist() == [rank(S) for S in stacks] == [3, 2, 3, 0, 3]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rank_equals_rank_of_transpose(self, seed):

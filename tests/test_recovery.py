@@ -15,7 +15,6 @@ from nlcs.nonlinear_maps import (
     square_map,
 )
 from nlcs.recovery import (
-    LpSettings,
     basis_pursuit,
     l0_oracle,
     recover_via_linearization,
@@ -81,7 +80,7 @@ class TestBasisPursuit:
     def test_max_iter_status(self):
         B = gaussian_matrix(3, 8, 1)
         y = B @ random_sparse_signal(8, 2, 2)
-        rep = basis_pursuit(B, y, LpSettings(max_iterations=1))
+        rep = basis_pursuit(B, y, max_iter=1)
         assert rep.solver_status == "max_iter"
 
     def test_dimension_mismatch(self):
@@ -107,22 +106,24 @@ class TestBasisPursuit:
         assert support_set(base.x_hat) == support_set(scaled.x_hat)
 
 
-class TestLpSettings:
-    @pytest.mark.parametrize("field", ["feasibility_tol", "optimality_tol"])
-    @pytest.mark.parametrize("value", [0.0, -1e-8, math.nan, math.inf])
-    def test_rejects_bad_tolerance(self, field, value):
-        with pytest.raises(ValueError, match="finite and positive"):
-            LpSettings(**{field: value})
-
+class TestMaxIter:
     @pytest.mark.parametrize("value", [2.5, 200.0, True, "200"])
-    def test_rejects_non_int_max_iterations(self, value):
+    def test_rejects_non_int_max_iter(self, value):
         with pytest.raises(ValueError, match="must be an int"):
-            LpSettings(max_iterations=value)
+            basis_pursuit(np.eye(2), np.ones(2), max_iter=value)
 
     @pytest.mark.parametrize("value", [0, -3])
-    def test_rejects_non_positive_max_iterations(self, value):
+    def test_rejects_non_positive_max_iter(self, value):
         with pytest.raises(ValueError, match="positive"):
-            LpSettings(max_iterations=value)
+            basis_pursuit(np.eye(2), np.ones(2), max_iter=value)
+
+    @pytest.mark.parametrize("method", ["l1", "l0"])
+    @pytest.mark.parametrize("value", [0, True])
+    def test_pipeline_checks_max_iter_for_both_methods(self, method, value):
+        A = gaussian_matrix(6, 12, 5)
+        x = random_sparse_signal(12, 2, 6)
+        with pytest.raises(ValueError, match="max_iter"):
+            recover_via_linearization(A, sign_map(6), "pre", x, method, max_iter=value)
 
 
 class TestL0Oracle:

@@ -109,7 +109,7 @@ class TestRipConstants:
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            rip_constants(np.ones((2, 40)), 20, max_supports=10)
+            rip_constants(np.ones((2, 40)), 20)
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
