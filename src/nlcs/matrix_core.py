@@ -1,5 +1,5 @@
-"""Dense linear-algebra kernel: validation, rank, extreme eigenvalues,
-least squares, seeded random generation, and CSV I/O.
+"""Dense linear-algebra kernel: validation, rank, the exact monomial test,
+extreme eigenvalues, seeded random generation, and CSV I/O.
 
 All operations are pure: inputs are never mutated and all randomness is
 driven by an explicit 64-bit seed (PCG64 via ``numpy.random.default_rng``),
@@ -19,8 +19,8 @@ __all__ = [
     "RANK_TOL",
     "rank_of_singular_values",
     "rank",
+    "is_monomial",
     "extreme_eigenvalues",
-    "solve_least_squares",
     "gaussian_matrix",
     "random_sparse_signal",
     "read_matrix",
@@ -101,6 +101,14 @@ def rank(M) -> int:
     return int(rank_of_singular_values(np.linalg.svd(as_matrix(M), compute_uv=False)))
 
 
+def is_monomial(M: np.ndarray) -> bool:
+    """True iff M has exactly one nonzero entry in each row and each column,
+    that is, M is a permuted invertible diagonal matrix.  The zero test is
+    exact, so a True answer proves invertibility however small an entry is."""
+    nz = M != 0.0
+    return bool(np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1))
+
+
 def extreme_eigenvalues(S) -> tuple[float, float]:
     """Smallest and largest eigenvalues of a symmetric matrix.
 
@@ -116,13 +124,6 @@ def extreme_eigenvalues(S) -> tuple[float, float]:
         raise ValueError("matrix is not symmetric within tolerance 1e-12")
     ev = np.linalg.eigvalsh(A)
     return float(ev[0]), float(ev[-1])
-
-
-def solve_least_squares(M, b) -> np.ndarray:
-    """Minimum-norm least squares solution of ``M u = b``."""
-    A, y = as_system(M, b)
-    u, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return u
 
 
 def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:

@@ -22,6 +22,8 @@ Four constructions are provided, ordered here by the structure of Y:
 Every construction starts from one ``requirement_at`` decision: F is
 evaluated once at z, and the strongest requirement type holding there says
 whether the requested type may be built (``RequirementError`` otherwise).
+``_certificate`` builds every type and rejects an overflowed Y (some
+f_i(z)/z_j beyond the float range, as at a subnormal z_j) with one error.
 Strength order of the types is 3 > 4 > 2 > 1: a diagonal certificate is
 also monomial, a monomial one is invertible, and any of them is a valid
 general linearization.  ``linearize(F, z, type)`` is the one entry point
@@ -41,11 +43,13 @@ sampled type, for both the experiment gate and the recovery pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .errors import RequirementError
-from .matrix_core import as_matrix, rank
+from .matrix_core import as_matrix, is_monomial
 from .nonlinear_maps import (
     TYPE_STRENGTH,
     NonlinearMap,
@@ -100,34 +104,39 @@ def certificate_errors(cert: LinearizationCertificate) -> list[str]:
     """Independent re-verification of a certificate; empty list means valid.
 
     Checks the residual bound ||Y z - Fz||_inf <= 1e-9 (1 + ||Fz||_inf) and
-    the per-type shape contract: numerical full rank for type 2, strictly
-    diagonal with nonzero diagonal for type 3, exactly one nonzero per row
-    and column for type 4.  The type 3 and 4 structures are exactly
-    invertible, however small an entry, so they get no rank test.  An
-    invertible type (2, 3 or 4) with a NaN or infinite entry in Y cannot be
-    verified and raises ``ValueError``.
+    an exact structural rule per type that proves invertibility however
+    small an entry is: for type 2, Y - I is zero outside at most two columns
+    D and det(Y[D, D]) != 0 (-f_p/z_q, or f_q/z_q when p = q, for the pivot
+    construction); type 3 is diagonal with a nonzero diagonal; type 4 is
+    monomial.  A Y with a NaN or infinite entry raises ``ValueError``.
     """
-    problems = []
     n = cert.dim
     if cert.Y.shape != (n, n):
         return [f"Y has shape {cert.Y.shape}, expected ({n}, {n})"]
-    Y = as_matrix(cert.Y) if cert.type >= 2 else cert.Y
+    Y = as_matrix(cert.Y)
+    problems = []
     resid = float(np.abs(Y @ cert.z - cert.Fz).max())
     bound = CERT_RTOL * (1.0 + float(np.abs(cert.Fz).max()))
     if resid > bound:
         problems.append(f"residual {resid:.3e} exceeds bound {bound:.3e}")
-    if cert.type == 2 and rank(Y) < n:
-        problems.append("Y is not invertible (numerically rank deficient)")
+    if cert.type == 2:  # Y - I lives in the columns D, so det(Y) = det(Y[D, D])
+        D = np.flatnonzero((Y != np.eye(n)).any(axis=0))
+        if D.size > 2:
+            problems.append(f"Y differs from the identity in {D.size} columns but type is 2")
+        else:
+            block = np.eye(2)  # Y[D, D] padded with the identity; its det in exact arithmetic
+            block[:D.size, :D.size] = Y[np.ix_(D, D)]
+            a, b, c, d = map(Fraction, block.ravel().tolist())
+            if a * d == b * c:
+                problems.append("Y is not invertible (singular pivot block) but type is 2")
     if cert.type == 3:
         off = Y - np.diag(np.diag(Y))
         if np.any(off != 0.0):
             problems.append("Y has off-diagonal entries but type is 3")
         if np.any(np.diag(Y) == 0.0):
             problems.append("Y has a zero diagonal entry but type is 3")
-    if cert.type == 4:
-        nz = Y != 0.0
-        if not (np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)):
-            problems.append("Y is not monomial (one nonzero per row and column) but type is 4")
+    if cert.type == 4 and not is_monomial(Y):
+        problems.append("Y is not monomial (one nonzero per row and column) but type is 4")
     return problems
 
 
@@ -191,21 +200,30 @@ def _permuted_diagonal(p: PointRequirements, free_value: float) -> np.ndarray:
 _BUILDERS = {1: _general, 2: _invertible, 3: _diagonal, 4: _permuted_diagonal}
 
 
-def _certificate(p: PointRequirements, type: int, free_value: float) -> LinearizationCertificate:
-    return LinearizationCertificate(type, _BUILDERS[type](p, free_value), p.z.copy(), p.fz)
+def _certificate(p: PointRequirements, type: int, free_value) -> LinearizationCertificate:
+    with np.errstate(over="ignore"):  # an overflow is rejected below, not warned about
+        value = free_value(p)
+        Y = _BUILDERS[type](p, value)
+    if value == 0.0:
+        raise ValueError("free_value must be nonzero")
+    if not np.isfinite(Y).all():
+        raise ValueError("certificate overflows at the given point: some f_i(z)/z_j is not finite")
+    return LinearizationCertificate(type, Y, p.z.copy(), p.fz)
 
 
 def linearize(F: NonlinearMap, z, type: int, *,
-              free_value: float = 1.0) -> LinearizationCertificate:
-    """Certificate of the given type (1..4) at z; ``RequirementError`` when
-    that type's requirement fails there (for type 3, naming the first index
-    where exactly one of z_i and f_i(z) is zero).  ``free_value`` must be
-    nonzero; it fills the free entries of types 3 and 4 and is unused by
-    types 1 and 2."""
+              free_value: Callable[[PointRequirements], float] = lambda p: 1.0,
+              ) -> LinearizationCertificate:
+    """Certificate of the given type (1..4) at z, from one evaluation of F;
+    ``RequirementError`` when that type's requirement fails there (for type
+    3, naming the first index where exactly one of z_i and f_i(z) is zero),
+    ``ValueError`` when some f_i(z)/z_j overflows (a subnormal z_j).  Type 2
+    is the two-pivot Y: Y - I is zero outside the pivot columns p and q, and
+    det(Y) = -f_p/z_q (f_q/z_q when p = q).  ``free_value`` maps the
+    evaluated point to the nonzero value of the free entries of types 3 and
+    4 (types 1 and 2 have none)."""
     if type not in _BUILDERS:
         raise ValueError(f"certificate type must be in 1..4, got {type!r}")
-    if free_value == 0.0:
-        raise ValueError("free_value must be nonzero")
     p = requirement_at(F, z)
     if TYPE_STRENGTH[p.type] < TYPE_STRENGTH[type]:
         where = "at the given point"
@@ -224,7 +242,7 @@ def linearize_strongest(F: NonlinearMap, z) -> LinearizationCertificate:
         raise RequirementError(
             f"map {F.kind!r} admits no linearization of type 1 or stronger at the given point"
         )
-    return _certificate(p, p.type, 1.0)
+    return _certificate(p, p.type, lambda p: 1.0)
 
 
 @dataclass

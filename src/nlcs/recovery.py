@@ -29,7 +29,7 @@ import numpy as np
 from .errors import GuardError, RipOrderError
 from .lp import solve_standard_form
 from .matrix_core import as_matrix, as_system, as_vector, rank_of_singular_values
-from .nonlinear_maps import NonlinearMap, evaluate
+from .nonlinear_maps import NonlinearMap, PointRequirements
 from .pointwise_linearization import (
     REQUIRED_TYPE,
     LinearizationCertificate,
@@ -182,7 +182,7 @@ class PipelineResult:
     scale: float  # rescale factor applied to the linear system (1.0 when not measured)
 
 
-def _balanced_free_value(fz: np.ndarray, z: np.ndarray, tol_in: float) -> float:
+def _balanced_free_value(p: PointRequirements) -> float:
     """Free diagonal value that keeps the implied l1 weighting one-sided.
 
     Constrained diagonal entries are f_i(z)/z_i on the support of z; setting
@@ -190,10 +190,9 @@ def _balanced_free_value(fz: np.ndarray, z: np.ndarray, tol_in: float) -> float:
     at least as expensive as on it, so the l1 decoder on the reweighted
     system is never worse than on the unweighted one.
     """
-    mask = np.abs(z) > tol_in
-    if not mask.any():
+    if not p.z_nz.any():
         return 1.0
-    cmin = float(np.min(np.abs(fz[mask] / z[mask])))
+    cmin = float(np.min(np.abs(p.fz[p.z_nz] / p.z[p.z_nz])))
     return min(1.0, cmin) if cmin > 0 else 1.0
 
 
@@ -243,15 +242,15 @@ def recover_via_linearization(
 
     target = qualified_type(F, composition)  # RequirementError when F does not qualify
 
-    # the certificate has exactly the map's type, even where a stronger one exists
+    # the certificate has exactly the map's type, even where a stronger one
+    # exists; the measurements reuse its one evaluation of F
     if composition == "pre":
         cert = linearize(F, A @ x, target)
-        z = cert.Fz  # the measurements F(A x), from the certificate's one evaluation
+        z = cert.Fz
         B = cert.Y @ A
     else:
-        fz = evaluate(F, x)
-        cert = linearize(F, x, target, free_value=_balanced_free_value(fz, x, F.zero_tol_in))
-        z = A @ fz
+        cert = linearize(F, x, target, free_value=_balanced_free_value)
+        z = A @ cert.Fz
         B = A @ cert.Y
 
     lam, delta = 1.0, None

@@ -16,7 +16,8 @@ Three properties are covered:
 Invariance checkers confirm that multiplying a sensing matrix by an
 invertible matrix on the left, or by a permuted invertible diagonal matrix
 on the right, preserves the spark and the RIP order.  These hold as
-theorems; the checkers exist to exercise the implementation.
+theorems; the checkers exist to exercise the implementation.  The right
+factor passes ``matrix_core.is_monomial``, as a type-4 certificate must.
 
 Enumeration guards are fixed limits (``MAX_SPARK_COLS``,
 ``MAX_RIP_SUPPORTS``); exceeding them raises ``GuardError`` rather than
@@ -32,7 +33,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import GuardError, NspOrderError, RipOrderError
-from .matrix_core import as_matrix, rank, rank_of_singular_values, seeded_rng
+from .matrix_core import as_matrix, is_monomial, rank, rank_of_singular_values, seeded_rng
 from .report import JsonReport
 
 __all__ = [
@@ -46,8 +47,6 @@ __all__ = [
     "nsp_estimate",
     "check_invariance_spark",
     "check_invariance_rip_order",
-    "sample_sparse_pairs",
-    "composite_rip_estimate",
 ]
 
 #: cap on matrix columns for spark enumeration
@@ -245,8 +244,7 @@ def _validate_factors(A, M_I, M_D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("M_I is not invertible (numerically rank deficient)")
     if R.shape[0] != R.shape[1] or R.shape[0] != cols:
         raise ValueError(f"M_D must be square of size {cols}, got shape {R.shape}")
-    nz = R != 0.0  # constructed matrices: exact zero test
-    if not (np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)):
+    if not is_monomial(R):
         raise ValueError(
             "M_D is not a permuted invertible diagonal matrix "
             "(needs exactly one nonzero entry in each row and each column)"
@@ -280,49 +278,3 @@ def check_invariance_rip_order(A, k: int, M_I, M_D) -> bool:
     except RipOrderError:
         return False
     return True
-
-
-def sample_sparse_pairs(n: int, k: int, pairs: int, seed: int):
-    """Random pairs of k-sparse vectors, shared and disjoint supports mixed
-    roughly 50/50 (shared when 2k > n).  Returns two (pairs, n) arrays."""
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    if pairs < 1:
-        raise ValueError(f"pairs must be >= 1, got {pairs}")
-    rng = seeded_rng(seed)
-    X1 = np.zeros((pairs, n))
-    X2 = np.zeros((pairs, n))
-    for i in range(pairs):
-        while True:
-            disjoint = bool(rng.integers(2)) and 2 * k <= n
-            if disjoint:
-                perm = rng.permutation(n)
-                s1, s2 = perm[:k], perm[k : 2 * k]
-            else:
-                s1 = s2 = rng.choice(n, size=k, replace=False)
-            x1 = np.zeros(n)
-            x2 = np.zeros(n)
-            x1[s1] = rng.standard_normal(k)
-            x2[s2] = rng.standard_normal(k)
-            if np.linalg.norm(x1 - x2) >= 1e-12:
-                X1[i], X2[i] = x1, x2
-                break
-    return X1, X2
-
-
-def composite_rip_estimate(phi, n: int, k: int, pairs: int, seed: int) -> tuple[float, float]:
-    """Sampled two-sided distortion bounds of a composite mapping on sparse pairs.
-
-    Returns (lower, upper) over sampled pairs of k-sparse x1, x2 of
-    ||phi(x1) - phi(x2)||^2 / ||x1 - x2||^2.  A lower bound of 0 is a
-    candidate witness that phi is not injective on k-sparse signals.
-    """
-    X1, X2 = sample_sparse_pairs(n, k, pairs, seed)
-    lo, hi = np.inf, -np.inf
-    for x1, x2 in zip(X1, X2):
-        num = float(np.sum((np.asarray(phi(x1)) - np.asarray(phi(x2))) ** 2))
-        den = float(np.sum((x1 - x2) ** 2))
-        ratio = num / den
-        lo = min(lo, ratio)
-        hi = max(hi, ratio)
-    return lo, hi

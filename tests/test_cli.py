@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,29 @@ class TestLinearize:
                                  "--type", "3")
         assert code == 0, err
         assert json.loads(out)["Y"] == [1.0, 0.0, 0.0, 1e12]
+
+    def test_tiny_entry_type2_certificate_accepted(self, tmp_path, capsys):
+        # an exact two-pivot Y with cond(Y) > 1e16 is invertible by structure
+        point = tmp_path / "z.csv"
+        write_vector(point, np.array([0.0, 1e-9, 1.0, 0.0]))
+        code, out, err = run_cli(capsys, "linearize", "--map", "sine", "--point", str(point),
+                                 "--type", "2")
+        assert code == 0, err
+        assert json.loads(out)["type"] == 2
+
+    @pytest.mark.parametrize("spec", ["sign", '{"kind": "quantize_afz", "step": 0.5}'])
+    @pytest.mark.parametrize("t", ["1", "2", "3", "4"])
+    def test_subnormal_point_overflow_is_one_error(self, tmp_path, capsys, spec, t):
+        point = tmp_path / "z.csv"
+        write_vector(point, np.array([1e-310, 1.0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "linearize", "--map", spec, "--point", str(point),
+                                     "--type", t)
+        assert (code, out, caught) == (1, "", [])
+        assert err.splitlines() == [
+            "error: certificate overflows at the given point: some f_i(z)/z_j is not finite"
+        ]
 
     def test_requirement_violation(self, tmp_path, capsys):
         point = tmp_path / "z.csv"

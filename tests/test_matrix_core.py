@@ -4,15 +4,16 @@ import pytest
 from nlcs.matrix_core import (
     RANK_TOL,
     as_matrix,
+    as_system,
     as_vector,
     extreme_eigenvalues,
     gaussian_matrix,
+    is_monomial,
     random_sparse_signal,
     rank,
     rank_of_singular_values,
     read_matrix,
     read_vector,
-    solve_least_squares,
     write_matrix,
     write_vector,
 )
@@ -109,32 +110,23 @@ class TestExtremeEigenvalues:
         assert lo >= -1e-9
 
 
-class TestLeastSquares:
-    def test_identity(self):
-        b = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(solve_least_squares(np.eye(3), b), b)
-
-    def test_mean(self):
-        u = solve_least_squares(np.array([[1.0], [1.0]]), np.array([0.0, 2.0]))
-        assert u == pytest.approx([1.0])
-
-    def test_projection(self):
-        M = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        u = solve_least_squares(M, np.array([1.0, 2.0, 5.0]))
-        assert np.allclose(u, [1.0, 2.0])
-
+class TestAsSystem:
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_least_squares(np.eye(3), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            as_system(np.eye(3), np.array([1.0, 2.0]))
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_residual_orthogonal_to_column_space(self, seed):
-        rng = np.random.default_rng(seed)
-        M = rng.normal(size=(9, 5))
-        b = rng.normal(size=9)
-        u = solve_least_squares(M, b)
-        lhs = np.abs(M.T @ (M @ u - b)).max()
-        assert lhs <= 1e-8 * np.abs(M.T @ b).max() + 1e-12
+
+class TestIsMonomial:
+    @pytest.mark.parametrize("M, want", [
+        (np.eye(3), True),
+        (np.array([[0.0, 1e-300], [-5e300, 0.0]]), True),  # exact: any nonzero counts
+        (np.array([[0.0, 2.0], [3.0, 0.0], [0.0, 0.0]]), False),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), False),
+        (np.array([[0.0, 1.0], [0.0, 1.0]]), False),
+        (np.zeros((2, 2)), False),
+    ])
+    def test_one_nonzero_per_row_and_column(self, M, want):
+        assert is_monomial(M) is want
 
 
 class TestGaussianMatrix:

@@ -152,13 +152,14 @@ class TestLinearizeDiagonal:
         assert_valid(cert)
 
     def test_free_value(self):
-        cert = linearize(abs_map(2), [0.0, 2.0], 3, free_value=7.0)
+        # the free value is a function of the evaluated point
+        cert = linearize(abs_map(2), [0.0, 2.0], 3, free_value=lambda p: 3.5 * p.fz[1])
         assert cert.Y[0, 0] == 7.0
         assert_valid(cert)
 
     def test_zero_free_value_rejected(self):
         with pytest.raises(ValueError):
-            linearize(abs_map(2), [0.0, 2.0], 3, free_value=0.0)
+            linearize(abs_map(2), [0.0, 2.0], 3, free_value=lambda p: 0.0)
 
     def test_violation_reports_index(self):
         with pytest.raises(RequirementError, match="index 1"):
@@ -201,7 +202,7 @@ class TestLinearizePermutedDiagonal:
         F = custom_map([lambda z, i=i: (i - 1.5) * z[(i + 2) % 5] for i in range(5)])
         z = rng.normal(size=5)
         z[rng.choice(5, size=2, replace=False)] = 0.0
-        cert = linearize(F, z, 4, free_value=0.75)
+        cert = linearize(F, z, 4, free_value=lambda p: 0.75)
         # the entry-by-entry pairing, the reference
         fz, want = cert.Fz, np.zeros((5, 5))
         for i, j in zip(np.flatnonzero(fz != 0.0), np.flatnonzero(z != 0.0)):
@@ -308,6 +309,22 @@ class TestCertificateSerialization:
             type=2, Y=np.zeros((2, 2)), z=np.zeros(2), Fz=np.zeros(2)
         )
         assert any("invertible" in p for p in certificate_errors(cert))
+
+    def test_type2_outside_two_columns_rejected(self):
+        # invertible (unit upper triangular) and exact, but Y - I has three
+        # nonzero columns: not the two-pivot structure type 2 promises
+        Y = np.eye(4) + np.diag([1.0, 1.0, 1.0], k=1)
+        z = np.array([1.0, -2.0, 0.5, 3.0])
+        cert = LinearizationCertificate(type=2, Y=Y, z=z, Fz=Y @ z)
+        assert certificate_errors(cert) == ["Y differs from the identity in 3 columns but type is 2"]
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_certificate_errors_rejects_nonfinite_for_every_type(self, t):
+        cert = LinearizationCertificate(
+            type=t, Y=np.diag([np.inf, 1.0]), z=np.array([1.0, 1.0]), Fz=np.array([np.inf, 1.0])
+        )
+        with pytest.raises(ValueError, match="finite"):
+            certificate_errors(cert)
 
 
 class TestClassify:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nlcs import nonlinear_maps
 from nlcs.errors import GuardError, RequirementError, RipOrderError
 from nlcs.matrix_core import gaussian_matrix, random_sparse_signal
 from nlcs.nonlinear_maps import (
@@ -258,6 +259,18 @@ class TestRecoverViaLinearization:
         on = x != 0
         expected_free = min(1.0, np.abs(diag[on]).min())
         assert np.allclose(diag[~on], expected_free)
+
+    @pytest.mark.parametrize("composition, dim", [("pre", 8), ("post", 12)])
+    def test_one_map_evaluation_per_trial(self, monkeypatch, composition, dim):
+        # count the square map's evaluations through its catalog row
+        row, calls = nonlinear_maps._ROWS["square"], []
+        monkeypatch.setitem(nonlinear_maps._ROWS, "square",
+                            row._replace(f=lambda F, z: calls.append(1) or row.f(F, z)))
+        A = gaussian_matrix(8, 12, 41)
+        x = random_sparse_signal(12, 2, 42)
+        out = recover_via_linearization(A, square_map(dim), composition, x, "l0")
+        assert out.report.rel_error <= 1e-8
+        assert len(calls) == 1
 
     def test_sine_post_composition(self):
         A = gaussian_matrix(8, 12, 51)

@@ -1,6 +1,8 @@
 """Property tests of the one requirement decision against the four-branch
 definition of the requirements, written out here as the reference."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from nlcs.nonlinear_maps import (
     sine_map,
     square_map,
 )
-from nlcs.pointwise_linearization import certificate_errors, linearize_strongest
+from nlcs.pointwise_linearization import certificate_errors, linearize, linearize_strongest
 
 
 def reference_holds(F, rtype, z):
@@ -40,6 +42,30 @@ def reference_holds(F, rtype, z):
 
 def reference_strongest(F, z):
     return next((t for t in (3, 4, 2, 1) if reference_holds(F, t, z)), 0)
+
+
+def reference_overflows(F, t, z):
+    """Whether some entry of the type-t certificate at z leaves the float
+    range, computed entry by entry in Python floats (an overflowing quotient
+    is inf there, with no warning)."""
+    v = [float(x) for x in z]
+    fz = [float(x) for x in evaluate(F, np.asarray(z, dtype=np.float64))]
+    zs = [i for i, x in enumerate(v) if abs(x) > F.zero_tol_in]
+    fs = [i for i, x in enumerate(fz) if abs(x) > F.zero_tol_out]
+    if not zs:
+        return False  # no quotient at all
+    if t == 1:  # every row over the first nonzero coordinate
+        entries = [f / v[zs[0]] for f in fz]
+    elif t == 2:  # the pivot rows p, q and the column q of the others
+        both = [i for i in zs if i in fs]
+        p, q = (both[0], both[0]) if both else (fs[0], zs[0])
+        entries = [(fz[i] - v[i]) / v[q] for i in range(len(v)) if i not in (p, q)]
+        entries += [fz[p] / v[q]] + ([(fz[q] - v[p]) / v[q]] if p != q else [])
+    elif t == 3:
+        entries = [fz[i] / v[i] for i in zs]
+    else:  # the order-preserving pairing of nonzeros
+        entries = [fz[i] / v[j] for i, j in zip(fs, zs)]
+    return any(math.isinf(e) for e in entries)
 
 
 def _permutation(dim):
@@ -68,17 +94,18 @@ MAKERS = {
 }
 
 #: signed zeros, values at and around the zero tolerances (1e-12 in, 1e-24
-#: out for the square), quantizer steps and the sine domain's ends
+#: out for the square), quantizer steps, the sine domain's ends, and
+#: subnormal and tiny normal values around where 1/z_i and 0.5/z_i overflow
 SPECIAL = [0.0, -0.0, 1e-12, -1e-12, 1.0000001e-12, 9.999999e-13, 1e-13, 1e-6,
-           0.25, 0.5, -0.5, 0.4999999, 1.0, -1.0, np.pi, -np.pi]
+           0.25, 0.5, -0.5, 0.4999999, 1.0, -1.0, np.pi, -np.pi,
+           5e-324, -1e-310, 2.7e-309, 5.6e-309, 1e-308]
 
 
 @st.composite
 def map_and_point(draw):
     kind = draw(st.sampled_from(sorted(MAKERS)))
     dim = draw(st.integers(1, 6))
-    # subnormal entries overflow f_i(z)/z_i: see test_subnormal_entry_overflows
-    entry = st.one_of(st.sampled_from(SPECIAL), st.floats(-3.0, 3.0, allow_subnormal=False))
+    entry = st.one_of(st.sampled_from(SPECIAL), st.floats(-3.0, 3.0))
     z = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)), dtype=np.float64)
     if draw(st.booleans()):  # planted zeros
         z[np.array(draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))] = 0.0
@@ -86,8 +113,6 @@ def map_and_point(draw):
         z = np.clip(z, -3.0, 3.0)
     return MAKERS[kind](dim), z
 
-
-RANK_PROBLEM = "Y is not invertible (numerically rank deficient)"
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=400, deadline=None)
 
@@ -111,30 +136,46 @@ def test_linearize_strongest_matches_reference(case):
         with pytest.raises(RequirementError):
             linearize_strongest(F, z)
         return
+    if reference_overflows(F, want, z):
+        with pytest.raises(ValueError, match="overflows"):
+            linearize_strongest(F, z)
+        return
     cert = linearize_strongest(F, z)
     assert cert.type == want, (F.kind, z)
-    problems = certificate_errors(cert)
-    if cert.type == 2 and RANK_PROBLEM in problems:
-        # a type-2 Y built from tiny entries can be exactly invertible yet
-        # numerically singular: only a condition number above 1e10 is reported
-        assert np.linalg.cond(cert.Y) > 1e10, (F.kind, z, cert.Y)
-        problems.remove(RANK_PROBLEM)
-    assert problems == [], (F.kind, z)
+    assert certificate_errors(cert) == [], (F.kind, z)
 
 
-def test_tiny_entry_gives_numerically_singular_certificate():
-    # sign(1e-12) = 1 makes Y = diag(1, 1e12): a diagonal Y with a nonzero
-    # diagonal is exactly invertible, so no numerical rank test rejects it.
+@PROPERTY_SETTINGS
+@given(map_and_point())
+def test_every_holding_type_builds_or_reports_overflow(case):
+    # valid certificates are never rejected, however tiny an entry, and an
+    # overflow is the one documented error for every type
+    F, z = case
+    for t in (1, 2, 3, 4):
+        if not reference_holds(F, t, z):
+            continue
+        if reference_overflows(F, t, z):
+            with pytest.raises(ValueError, match="certificate overflows"):
+                linearize(F, z, t)
+        else:
+            assert certificate_errors(linearize(F, z, t)) == [], (F.kind, t, z)
+
+
+def test_tiny_entry_gives_exactly_invertible_certificate():
+    # sign(1e-12) = 1 makes Y = diag(1, 1e12), and the sine at [0, 1e-9, 1, 0]
+    # gives a two-pivot Y with cond(Y) > 1e16: both are exactly invertible,
+    # and the structural checks accept them
     cert = linearize_strongest(sign_map(2), [1.0, 1e-12])
     assert cert.type == 3
     assert certificate_errors(cert) == []
+    cert = linearize(sine_map(4), [0.0, 1e-9, 1.0, 0.0], 2)
+    assert np.linalg.cond(cert.Y) > 1e16
+    assert certificate_errors(cert) == []
 
 
-def test_subnormal_entry_overflows():
-    # Known fault, kept visible: 0.5 / 1e-310 overflows, so the certificate at
-    # a point with a subnormal entry holds inf and cannot be verified.
-    with np.errstate(over="ignore"):
-        cert = linearize_strongest(quantize_away_from_zero(1, 0.5), [1e-310])
-    assert cert.type == 3 and np.isinf(cert.Y).any()
-    with pytest.raises(ValueError, match="finite"):
-        certificate_errors(cert)
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_subnormal_entry_overflows(t):
+    # 0.5 / 1e-310 is beyond the float range: every type reports the same
+    # documented error, and no RuntimeWarning is raised on the way
+    with pytest.raises(ValueError, match="^certificate overflows at the given point"):
+        linearize(quantize_away_from_zero(2, 0.5), [1e-310, 1.0], t)

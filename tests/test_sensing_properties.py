@@ -9,12 +9,10 @@ from nlcs.matrix_core import gaussian_matrix, random_sparse_signal
 from nlcs.sensing_properties import (
     check_invariance_rip_order,
     check_invariance_spark,
-    composite_rip_estimate,
     nsp_estimate,
     null_space_basis,
     rip_constants,
     sample_null_vectors,
-    sample_sparse_pairs,
     spark,
 )
 
@@ -258,41 +256,6 @@ class TestInvarianceChecks:
         M_D = random_permuted_diagonal(12, rng)
         assert check_invariance_spark(A, M_I, M_D)
         assert check_invariance_rip_order(A, 2, M_I, M_D)
-
-
-class TestCompositeRipEstimate:
-    def test_identity_map_orthonormal_matrix(self):
-        rng = np.random.default_rng(7)
-        Q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-        lo, hi = composite_rip_estimate(lambda x: Q @ x, n=8, k=2, pairs=50, seed=3)
-        assert lo == pytest.approx(1.0, abs=1e-9)
-        assert hi == pytest.approx(1.0, abs=1e-9)
-
-    def test_sign_map_collision_found(self):
-        A = gaussian_matrix(4, 8, 31)
-        phi = lambda x: np.sign(A @ x)  # noqa: E731
-        lo, hi = composite_rip_estimate(phi, n=8, k=1, pairs=200, seed=5)
-        assert lo == 0.0
-        # oracle: an explicit colliding pair exists (same direction, different scale)
-        e = np.zeros(8)
-        e[0] = 1.0
-        assert np.array_equal(phi(e), phi(2.0 * e))
-
-    def test_linear_scaling_multiplies_bounds_by_four(self):
-        A = gaussian_matrix(5, 10, 41)
-        n, k, pairs, seed = 10, 2, 60, 11
-        lo2, hi2 = composite_rip_estimate(lambda x: 2.0 * (A @ x), n, k, pairs, seed)
-        # oracle: recompute on the same sampled pairs without the factor
-        X1, X2 = sample_sparse_pairs(n, k, pairs, seed)
-        ratios = [
-            np.sum((A @ (x1 - x2)) ** 2) / np.sum((x1 - x2) ** 2) for x1, x2 in zip(X1, X2)
-        ]
-        assert lo2 == pytest.approx(4.0 * min(ratios), rel=1e-12)
-        assert hi2 == pytest.approx(4.0 * max(ratios), rel=1e-12)
-
-    def test_pair_sampler_never_returns_equal_pairs(self):
-        X1, X2 = sample_sparse_pairs(6, 3, 100, 0)
-        assert np.linalg.norm(X1 - X2, axis=1).min() >= 1e-12
 
 
 def test_guard_message_names_the_bound():
