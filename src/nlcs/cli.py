@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import GuardError, MapDomainError, NspOrderError, RequirementError, RipOrderError
+from .errors import NspOrderError, RequirementError, RipOrderError
 from .experiment import ExperimentConfig, emit_reports, run_experiment
 from .matrix_core import (
     extreme_eigenvalues,
@@ -38,22 +38,19 @@ def _parse_map_spec(text: str) -> dict:
     return {"kind": text}
 
 
-def _emit(obj) -> None:
-    if isinstance(obj, str):
-        print(obj)
-    else:
-        print(json.dumps(obj, sort_keys=True))
+def _emit(obj: dict) -> None:
+    print(json.dumps(obj, sort_keys=True))
 
 
 def cmd_spark(args) -> int:
-    _emit(spark(read_matrix(args.matrix)).to_json())
+    _emit(spark(read_matrix(args.matrix)).to_dict())
     return 0
 
 
 def cmd_rip(args) -> int:
     A = read_matrix(args.matrix)
     try:
-        _emit(rip_constants(A, args.k).to_json())
+        _emit(rip_constants(A, args.k).to_dict())
     except RipOrderError as exc:
         _emit({"order": args.k, "holds": False, "message": str(exc)})
     return 0
@@ -62,7 +59,7 @@ def cmd_rip(args) -> int:
 def cmd_nsp(args) -> int:
     A = read_matrix(args.matrix)
     try:
-        _emit(nsp_estimate(A, args.k, args.samples, args.seed).to_json())
+        _emit(nsp_estimate(A, args.k, args.samples, args.seed).to_dict())
     except NspOrderError as exc:
         _emit({"order": args.k, "holds": False, "message": str(exc)})
     return 0
@@ -70,7 +67,7 @@ def cmd_nsp(args) -> int:
 
 def cmd_classify(args) -> int:
     F = map_from_spec(_parse_map_spec(args.map), args.dim)
-    _emit(classify(F, args.composition, args.samples, args.seed).to_json())
+    _emit(classify(F, args.composition, args.samples, args.seed).to_dict())
     return 0
 
 
@@ -82,7 +79,7 @@ def cmd_linearize(args) -> int:
     if problems:  # defensive: constructors should never emit an invalid certificate
         print("invalid certificate: " + "; ".join(problems), file=sys.stderr)
         return 2
-    _emit(cert.to_json())
+    _emit(cert.to_dict())
     return 0
 
 
@@ -247,8 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, GuardError, MapDomainError, RequirementError, RipOrderError,
-            OSError, json.JSONDecodeError) as exc:
+    except (ValueError, RipOrderError, OSError) as exc:  # the other package errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

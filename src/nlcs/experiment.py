@@ -38,7 +38,7 @@ __all__ = [
 #: a trial counts as a success when its relative error is below this
 SUCCESS_REL_ERROR = 1e-3
 
-#: sparse signals for the sine map are rescaled into max magnitude 3 (< pi)
+#: sine anchors (x for "post", A x for "pre") are rescaled into max magnitude 3 (< pi)
 SINE_MAX_MAGNITUDE = 3.0
 
 #: desk-scale dimensions: brute-force spot checks and the LP stay fast
@@ -157,8 +157,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for i in range(config.trials):
         A = gaussian_matrix(config.m, config.n, int(trial_seeds[2 * i]))
         x = random_sparse_signal(config.n, config.k, int(trial_seeds[2 * i + 1]))
-        if F.kind == "sine":
-            peak = float(np.abs(x).max())
+        if F.kind == "sine":  # the map acts on the anchor, which must stay inside (-pi, pi)
+            peak = float(np.abs(A @ x if config.composition == "pre" else x).max())
             if peak > SINE_MAX_MAGNITUDE:
                 x = x * (SINE_MAX_MAGNITUDE / peak)
         t0 = time.perf_counter()
@@ -190,10 +190,10 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def emit_reports(records, summary, output_dir, signals=None) -> list[str]:
-    """Write trials.csv and summary.json (and signal_<i>.csv overlays when
-    the per-trial signals are given).  Returns the paths written.  Output is
-    byte-identical across reruns of the same experiment."""
+def emit_reports(records, summary, output_dir, signals) -> list[str]:
+    """Write trials.csv, summary.json and one signal_<i>.csv overlay per
+    trial's (true, recovered) signal pair.  Returns the paths written.
+    Output is byte-identical across reruns of the same experiment."""
     if not records:
         raise ValueError("records must be nonempty")
     out = Path(output_dir)
@@ -218,12 +218,11 @@ def emit_reports(records, summary, output_dir, signals=None) -> list[str]:
         fh.write("\n")
     written.append(str(summary_path))
 
-    if signals is not None:
-        for i, (x_true, x_hat) in enumerate(signals):
-            sig_path = out / f"signal_{i}.csv"
-            with open(sig_path, "w", encoding="utf-8") as fh:
-                fh.write("index,true_value,recovered_value\n")
-                for j in range(len(x_true)):
-                    fh.write(f"{j},{_fmt(x_true[j])},{_fmt(x_hat[j])}\n")
-            written.append(str(sig_path))
+    for i, (x_true, x_hat) in enumerate(signals):
+        sig_path = out / f"signal_{i}.csv"
+        with open(sig_path, "w", encoding="utf-8") as fh:
+            fh.write("index,true_value,recovered_value\n")
+            for j in range(len(x_true)):
+                fh.write(f"{j},{_fmt(x_true[j])},{_fmt(x_hat[j])}\n")
+        written.append(str(sig_path))
     return written

@@ -44,14 +44,12 @@ __all__ = ["LpResult", "solve_standard_form"]
 
 @dataclass
 class LpResult:
-    """x is the l1 minimizer u+ - u-, y the dual solution and
-    primal_objective the split objective 1'(u+ + u-)."""
+    """x is the l1 minimizer u+ - u- and y the dual solution."""
 
     x: np.ndarray
     y: np.ndarray
     status: str  # converged | max_iter
     iterations: int
-    primal_objective: float
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -109,7 +107,7 @@ def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
         if best is None or merit < best[0]:
             best = (merit, x.copy(), y.copy(), it - 1)
         if pr <= feas_tol and dr <= feas_tol and mu_rel <= opt_tol:
-            return LpResult(x[:n] - x[n:], y, "converged", it - 1, float(x.sum()))
+            return LpResult(x[:n] - x[n:], y, "converged", it - 1)
         if merit > 1e6 * best[0]:
             break  # the last step was beyond working precision; keep the best iterate
 
@@ -147,4 +145,4 @@ def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
         s = s + ad * ds_c
 
     _, bx, by, bit = best
-    return LpResult(bx[:n] - bx[n:], by, "max_iter", bit, float(bx.sum()))
+    return LpResult(bx[:n] - bx[n:], by, "max_iter", bit)

@@ -1,5 +1,5 @@
 """Dense linear-algebra kernel: validation, rank, the exact monomial test,
-extreme eigenvalues, seeded random generation, and CSV I/O.
+extreme eigenvalues, seeded random generation, and CSV readers.
 
 All operations are pure: inputs are never mutated and all randomness is
 driven by an explicit 64-bit seed (PCG64 via ``numpy.random.default_rng``),
@@ -24,9 +24,7 @@ __all__ = [
     "gaussian_matrix",
     "random_sparse_signal",
     "read_matrix",
-    "write_matrix",
     "read_vector",
-    "write_vector",
 ]
 
 MAX_SEED = 2**64
@@ -154,8 +152,8 @@ def random_sparse_signal(n: int, k: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O: matrices are one row per line, comma separated, no header.
-# Vectors are a single CSV line or one value per line (reader accepts both).
+# CSV input: matrices are one row per line, comma separated, no header.
+# Vectors are a single CSV line or one value per line (the reader accepts both).
 # ---------------------------------------------------------------------------
 
 def _parse_row(line: str) -> list[float]:
@@ -173,13 +171,6 @@ def read_matrix(path) -> np.ndarray:
     return as_matrix(rows)
 
 
-def write_matrix(path, M) -> None:
-    A = as_matrix(M)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in A:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def read_vector(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh if ln.strip() != ""]
@@ -195,9 +186,3 @@ def read_vector(path) -> np.ndarray:
                 raise ValueError(f"multi-line vector in {path} must have one value per line")
             vals.append(row[0])
     return as_vector(vals)
-
-
-def write_vector(path, v) -> None:
-    x = as_vector(v)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(repr(float(t)) for t in x) + "\n")

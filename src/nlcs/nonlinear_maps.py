@@ -37,10 +37,12 @@ Requirement 3 implies 4 implies 2 implies 1 at every point, so the strongest
 type holding says which of them hold; ``requirement_at`` decides it, with
 one evaluation of F, for every check and certificate.
 
-Zero tests are exact (0.0) for discrete-valued kinds and tolerance-based
-for continuous ones; continuous kinds carry separate input/output
-tolerances so that e.g. squaring a barely-nonzero entry is not misread as
-a requirement violation.
+Zero tests are tolerance-based.  Discrete-valued kinds test outputs
+exactly (0.0) and count an input as zero up to the smallest normal float,
+so a subnormal z_i, whose quotient f_i(z)/z_i could overflow, is a zero
+coordinate there.  Continuous kinds carry separate input/output tolerances
+so that e.g. squaring a barely-nonzero entry is not misread as a
+requirement violation.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ __all__ = [
 
 #: zero tolerance of the continuous kinds
 _TOL = 1e-12
+#: input zero tolerance of the discrete-valued kinds: a subnormal z_i counts as zero
+_TINY = float(np.finfo(np.float64).tiny)
 #: sampled sine inputs stay strictly inside (-pi, pi)
 _SINE_BOUND = np.pi * (1.0 - 1e-9)
 
@@ -124,15 +128,15 @@ class _Kind(NamedTuple):
     check_domain: Callable | None = None  # (F, z) -> None, or MapDomainError
 
 
-#: the built-in kinds; discrete-valued kinds use an exact zero test
+#: the built-in kinds; discrete-valued kinds use an exact zero test on the output
 _KINDS = {
     "identity": _Kind(lambda F, z: z.copy(), 3, _TOL, _TOL),
     "abs": _Kind(lambda F, z: np.abs(z), 3, _TOL, _TOL),
-    "sign": _Kind(lambda F, z: np.sign(z), 3, 0.0, 0.0),
+    "sign": _Kind(lambda F, z: np.sign(z), 3, _TINY, 0.0),
     "quantize_afz": _Kind(lambda F, z: np.sign(z) * F.step * np.ceil(np.abs(z) / F.step),
-                          3, 0.0, 0.0, "step", _step_scaled_point),
+                          3, _TINY, 0.0, "step", _step_scaled_point),
     "quantize_floor": _Kind(lambda F, z: F.step * np.floor(z / F.step),
-                            1, 0.0, 0.0, "step", _step_scaled_point),
+                            1, _TINY, 0.0, "step", _step_scaled_point),
     "sine": _Kind(lambda F, z: np.sin(z), 3, _TOL, _TOL, check_domain=_check_sine_domain,
                   sample=lambda F, rng: rng.uniform(-_SINE_BOUND, _SINE_BOUND, size=F.dim)),
     # the output scales like the square of the input
@@ -183,9 +187,6 @@ class NonlinearMap:
 
     def __repr__(self):
         return f"NonlinearMap(kind={self.kind!r}, dim={self.dim})"
-
-    def __call__(self, z):
-        return evaluate(self, z)
 
 
 def identity_map(dim: int) -> NonlinearMap:
@@ -255,13 +256,13 @@ def map_from_spec(spec: dict, dim: int) -> NonlinearMap:
     return NonlinearMap(kind, dim, **{row.param: value})
 
 
-def evaluate(F: NonlinearMap, z, *, check_domain: bool = True) -> np.ndarray:
+def evaluate(F: NonlinearMap, z) -> np.ndarray:
     """Apply the map to a point of its domain."""
     v = as_vector(z)
     if v.shape[0] != F.dim:
         raise ValueError(f"dimension mismatch: map has dim {F.dim}, input has dim {v.shape[0]}")
     row = _ROWS[F.kind]
-    if check_domain and row.check_domain is not None:
+    if row.check_domain is not None:
         row.check_domain(F, v)
     out = row.f(F, v)
     if not np.all(np.isfinite(out)):
@@ -274,7 +275,6 @@ class RequirementCheck:
     """Outcome of testing one linearization requirement; on failure the
     witness point reproduces it."""
 
-    linearization_type: int
     holds: bool
     witness: np.ndarray | None = None
 
@@ -318,7 +318,7 @@ def check_requirement(F: NonlinearMap, rtype: int, z) -> RequirementCheck:
         raise ValueError(f"requirement type must be in 1..4, got {rtype}")
     at = requirement_at(F, z)
     holds = TYPE_STRENGTH[at.type] >= TYPE_STRENGTH[rtype]
-    return RequirementCheck(rtype, holds, None if holds else at.z.copy())
+    return RequirementCheck(holds, None if holds else at.z.copy())
 
 
 def sample_domain_points(F: NonlinearMap, samples: int, seed: int) -> np.ndarray:
@@ -331,12 +331,9 @@ def sample_domain_points(F: NonlinearMap, samples: int, seed: int) -> np.ndarray
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = seeded_rng(seed)
-    pts = np.empty((samples, F.dim))
+    pts = np.zeros((samples, F.dim))  # row 0 stays the zero vector
     sample = _ROWS[F.kind].sample
-    for i in range(samples):
-        if i == 0:
-            pts[i] = 0.0
-            continue
+    for i in range(1, samples):
         z = sample(F, rng)
         if i % 3 == 1:
             z[rng.random(F.dim) < 0.5] = 0.0
@@ -351,4 +348,4 @@ def check_requirement_sampled(F: NonlinearMap, rtype: int, samples: int, seed: i
         res = check_requirement(F, rtype, z)
         if not res.holds:
             return res
-    return RequirementCheck(rtype, True, None)
+    return RequirementCheck(True, None)

@@ -23,7 +23,7 @@ Every construction starts from one ``requirement_at`` decision: F is
 evaluated once at z, and the strongest requirement type holding there says
 whether the requested type may be built (``RequirementError`` otherwise).
 ``_certificate`` builds every type and rejects an overflowed Y (some
-f_i(z)/z_j beyond the float range, as at a subnormal z_j) with one error.
+f_i(z)/z_j beyond the float range) with one error.
 Strength order of the types is 3 > 4 > 2 > 1: a diagonal certificate is
 also monomial, a monomial one is invertible, and any of them is a valid
 general linearization.  ``linearize(F, z, type)`` is the one entry point
@@ -217,11 +217,11 @@ def linearize(F: NonlinearMap, z, type: int, *,
     """Certificate of the given type (1..4) at z, from one evaluation of F;
     ``RequirementError`` when that type's requirement fails there (for type
     3, naming the first index where exactly one of z_i and f_i(z) is zero),
-    ``ValueError`` when some f_i(z)/z_j overflows (a subnormal z_j).  Type 2
-    is the two-pivot Y: Y - I is zero outside the pivot columns p and q, and
-    det(Y) = -f_p/z_q (f_q/z_q when p = q).  ``free_value`` maps the
-    evaluated point to the nonzero value of the free entries of types 3 and
-    4 (types 1 and 2 have none)."""
+    ``ValueError`` when some f_i(z)/z_j overflows.  Type 2 is the two-pivot
+    Y: Y - I is zero outside the pivot columns p and q, and det(Y) = -f_p/z_q
+    (f_q/z_q when p = q).  ``free_value`` maps the evaluated point to the
+    nonzero value of the free entries of types 3 and 4 (types 1 and 2 have
+    none)."""
     if type not in _BUILDERS:
         raise ValueError(f"certificate type must be in 1..4, got {type!r}")
     p = requirement_at(F, z)

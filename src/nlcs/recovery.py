@@ -30,12 +30,7 @@ from .errors import GuardError, RipOrderError
 from .lp import solve_standard_form
 from .matrix_core import as_matrix, as_system, as_vector, rank_of_singular_values
 from .nonlinear_maps import NonlinearMap, PointRequirements
-from .pointwise_linearization import (
-    REQUIRED_TYPE,
-    LinearizationCertificate,
-    linearize,
-    qualified_type,
-)
+from .pointwise_linearization import LinearizationCertificate, linearize, qualified_type
 from .report import JsonReport
 from .sensing_properties import MAX_RIP_SUPPORTS, rip_constants
 
@@ -214,18 +209,19 @@ def recover_via_linearization(
     domain, and the measurements are then decoded as z = (Y A) x or
     z = (A Y) x by the chosen method ("l1" or "l0").
 
-    The sensing matrix's RIP of order 2k is verified by brute force when
-    the support count is within the guard, and asserted by the caller
-    otherwise.  The effective matrix is rescaled to symmetric RIP bounds
-    when its constants are measurable (again within the guard); rescaling
-    never changes the recovered support.  ``max_iter`` caps the l1 solver's
+    The map is qualified (``qualified_type``) first.  The sensing matrix's
+    RIP of order 2k is then verified by brute force when the support count
+    is within the guard, and asserted by the caller otherwise.  The
+    effective matrix is rescaled to symmetric RIP bounds when its constants
+    are measurable (again within the guard); rescaling never changes the
+    recovered support.  ``max_iter`` caps the l1 solver's
     iterations; it is validated for either method.
     """
     _check_max_iter(max_iter)
     A = as_matrix(A)
     x = as_vector(x_true)
-    if composition not in REQUIRED_TYPE:
-        raise ValueError(f"composition must be 'pre' or 'post', got {composition!r}")
+    # ValueError for an unknown composition, RequirementError when F does not qualify
+    target = qualified_type(F, composition)
     if method not in ("l1", "l0"):
         raise ValueError(f"method must be 'l1' or 'l0', got {method!r}")
     m, n = A.shape
@@ -239,8 +235,6 @@ def recover_via_linearization(
     measurable = math.comb(n, order) <= MAX_RIP_SUPPORTS
     if measurable:
         rip_constants(A, order)  # RipOrderError on failure
-
-    target = qualified_type(F, composition)  # RequirementError when F does not qualify
 
     # the certificate has exactly the map's type, even where a stronger one
     # exists; the measurements reuse its one evaluation of F

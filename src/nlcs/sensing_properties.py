@@ -83,14 +83,6 @@ class RipReport(JsonReport):
     delta: float
     lam: float = field(metadata={"json": "lambda"})
 
-    @classmethod
-    def from_bounds(cls, order: int, alpha: float, beta: float) -> "RipReport":
-        if not 0 < alpha <= beta:
-            raise ValueError(f"need 0 < alpha <= beta, got alpha={alpha}, beta={beta}")
-        delta = (beta - alpha) / (beta + alpha)
-        lam = math.sqrt(2.0 / (beta + alpha))
-        return cls(order=order, alpha=alpha, beta=beta, delta=delta, lam=lam)
-
 
 @dataclass
 class NspEstimate(JsonReport):
@@ -171,7 +163,8 @@ def rip_constants(A, k: int) -> RipReport:
         raise RipOrderError(
             f"RIP of order {k} fails: alpha={alpha:.3e} is zero to numerical precision"
         )
-    return RipReport.from_bounds(k, alpha, beta)
+    return RipReport(order=k, alpha=alpha, beta=beta, delta=(beta - alpha) / (beta + alpha),
+                     lam=math.sqrt(2.0 / (beta + alpha)))
 
 
 def null_space_basis(A) -> np.ndarray:

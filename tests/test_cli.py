@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from nlcs.cli import main
-from nlcs.matrix_core import gaussian_matrix, random_sparse_signal, write_matrix, write_vector
+from nlcs.matrix_core import gaussian_matrix, random_sparse_signal
 
 
 @pytest.fixture
 def matrix_file(tmp_path):
     path = tmp_path / "A.csv"
-    write_matrix(path, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    np.savetxt(path, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), delimiter=",")
     return str(path)
 
 
@@ -37,7 +37,7 @@ class TestSpark:
 class TestRip:
     def test_success(self, tmp_path, capsys):
         path = tmp_path / "D.csv"
-        write_matrix(path, np.diag([1.0, 2.0]))
+        np.savetxt(path, np.diag([1.0, 2.0]), delimiter=",")
         code, out, _ = run_cli(capsys, "rip", str(path), "--k", "1")
         assert code == 0
         payload = json.loads(out)
@@ -47,7 +47,7 @@ class TestRip:
 
     def test_failure_reported(self, tmp_path, capsys):
         path = tmp_path / "D.csv"
-        write_matrix(path, np.array([[1.0, 1.0], [2.0, 2.0]]))
+        np.savetxt(path, np.array([[1.0, 1.0], [2.0, 2.0]]), delimiter=",")
         code, out, _ = run_cli(capsys, "rip", str(path), "--k", "2")
         assert code == 0
         payload = json.loads(out)
@@ -69,7 +69,7 @@ class TestNsp:
 
     def test_order_failure_reported(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"
-        write_matrix(path, np.array([[1.0, -1.0]]))
+        np.savetxt(path, np.array([[1.0, -1.0]]), delimiter=",")
         code, out, _ = run_cli(capsys, "nsp", str(path), "--k", "2", "--samples", "10")
         assert code == 0
         assert json.loads(out)["holds"] is False
@@ -134,7 +134,7 @@ class TestClassify:
 class TestLinearize:
     def test_diagonal_certificate(self, tmp_path, capsys):
         point = tmp_path / "z.csv"
-        write_vector(point, np.array([1.0, -2.0, 0.0]))
+        np.savetxt(point, np.array([1.0, -2.0, 0.0]), delimiter=",")
         code, out, _ = run_cli(capsys, "linearize", "--map", "abs", "--point", str(point), "--type", "3")
         assert code == 0
         payload = json.loads(out)
@@ -143,7 +143,7 @@ class TestLinearize:
 
     def test_tiny_entry_certificate_accepted(self, tmp_path, capsys):
         point = tmp_path / "z.csv"
-        write_vector(point, np.array([1.0, 1e-12]))
+        np.savetxt(point, np.array([1.0, 1e-12]), delimiter=",")
         code, out, err = run_cli(capsys, "linearize", "--map", "sign", "--point", str(point),
                                  "--type", "3")
         assert code == 0, err
@@ -152,7 +152,7 @@ class TestLinearize:
     def test_tiny_entry_type2_certificate_accepted(self, tmp_path, capsys):
         # an exact two-pivot Y with cond(Y) > 1e16 is invertible by structure
         point = tmp_path / "z.csv"
-        write_vector(point, np.array([0.0, 1e-9, 1.0, 0.0]))
+        np.savetxt(point, np.array([0.0, 1e-9, 1.0, 0.0]), delimiter=",")
         code, out, err = run_cli(capsys, "linearize", "--map", "sine", "--point", str(point),
                                  "--type", "2")
         assert code == 0, err
@@ -160,13 +160,34 @@ class TestLinearize:
 
     @pytest.mark.parametrize("spec", ["sign", '{"kind": "quantize_afz", "step": 0.5}'])
     @pytest.mark.parametrize("t", ["1", "2", "3", "4"])
-    def test_subnormal_point_overflow_is_one_error(self, tmp_path, capsys, spec, t):
+    def test_subnormal_entry_counts_as_zero(self, tmp_path, capsys, spec, t):
+        # z_0 = 1e-310 is a zero coordinate while f_0(z) != 0: types 1 and 2
+        # hold and build, types 3 and 4 fail, and nothing overflows
         point = tmp_path / "z.csv"
-        write_vector(point, np.array([1e-310, 1.0]))
+        np.savetxt(point, np.array([1e-310, 1.0]), delimiter=",")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, "linearize", "--map", spec, "--point", str(point),
                                      "--type", t)
+        assert caught == []
+        if t in ("1", "2"):
+            assert (code, err) == (0, "")
+            assert json.loads(out)["type"] == int(t)
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: map ")
+            assert f"violates linearization requirement {t}" in err
+
+    @pytest.mark.parametrize("t", ["1", "2", "3", "4"])
+    def test_overflow_is_one_error(self, tmp_path, capsys, t):
+        # 1e300 / 1e-10 is beyond the float range for every type's construction
+        point = tmp_path / "z.csv"
+        np.savetxt(point, np.array([1e-10, 1.0]), delimiter=",")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "linearize", "--map",
+                                     '{"kind": "quantize_afz", "step": 1e300}',
+                                     "--point", str(point), "--type", t)
         assert (code, out, caught) == (1, "", [])
         assert err.splitlines() == [
             "error: certificate overflows at the given point: some f_i(z)/z_j is not finite"
@@ -174,7 +195,7 @@ class TestLinearize:
 
     def test_requirement_violation(self, tmp_path, capsys):
         point = tmp_path / "z.csv"
-        write_vector(point, np.array([0.5, 1.5]))
+        np.savetxt(point, np.array([0.5, 1.5]), delimiter=",")
         code, _, err = run_cli(
             capsys,
             "linearize",
@@ -194,8 +215,8 @@ class TestRecover:
         A = gaussian_matrix(6, 12, 5)
         x = random_sparse_signal(12, 2, 6)
         apath, xpath = tmp_path / "A.csv", tmp_path / "x.csv"
-        write_matrix(apath, A)
-        write_vector(xpath, x)
+        np.savetxt(apath, A, delimiter=",")
+        np.savetxt(xpath, x, delimiter=",")
         return str(apath), str(xpath)
 
     def test_l0_exact(self, tmp_path, capsys):

@@ -139,6 +139,14 @@ class TestRunExperiment:
         assert all(x_true.max() <= 3.0 for x_true, _ in result.signals)
         assert result.summary.success_rate == 1.0
 
+    def test_sine_pre_stays_in_domain(self, tmp_path):
+        # under "pre" the sine acts on A x, so A x is what must stay inside
+        # (-pi, pi); rescaling x alone let a trial of this config leave it
+        cfg = make_config(tmp_path, m=16, n=32, k=6, map_spec={"kind": "sine"},
+                          composition="pre", trials=5, seed=29, method="l1")
+        result = run_experiment(cfg)
+        assert len(result.records) == 5
+
     def test_mismatch_rejected_before_trials(self, tmp_path):
         cfg = make_config(tmp_path, map_spec={"kind": "quantize_floor", "step": 1.0})
         with pytest.raises(ValueError, match="qualify"):
@@ -211,7 +219,7 @@ class TestEmitReports:
         cfg = make_config(tmp_path, trials=1)
         result = run_experiment(cfg)
         with pytest.raises(ValueError):
-            emit_reports([], result.summary, cfg.output_dir)
+            emit_reports([], result.summary, cfg.output_dir, result.signals)
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg1 = make_config(tmp_path, output_dir=str(tmp_path / "a"))
@@ -231,12 +239,6 @@ class TestEmitReports:
         keys = {"success_rate", "median_rel_error", "trials"}
         assert set(summary.to_dict()) == keys
         assert set(json.loads(summary.to_json())) == keys
-
-    def test_signals_optional(self, tmp_path):
-        cfg = make_config(tmp_path, trials=2)
-        result = run_experiment(cfg)
-        written = emit_reports(result.records, result.summary, cfg.output_dir)
-        assert len(written) == 2
 
 
 def test_paired_seed_draws_are_map_independent(tmp_path):

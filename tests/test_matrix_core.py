@@ -14,8 +14,6 @@ from nlcs.matrix_core import (
     rank_of_singular_values,
     read_matrix,
     read_vector,
-    write_matrix,
-    write_vector,
 )
 
 
@@ -186,13 +184,13 @@ class TestCsvIO:
     def test_matrix_roundtrip(self, tmp_path):
         A = np.array([[1.25, -3.5, 0.1], [4.0, 5.0, -6.75]])
         path = tmp_path / "m.csv"
-        write_matrix(path, A)
+        np.savetxt(path, A, delimiter=",")
         assert np.array_equal(read_matrix(path), A)
 
     def test_vector_roundtrip(self, tmp_path):
         v = np.array([1.5, -2.0, 3.25])
         path = tmp_path / "v.csv"
-        write_vector(path, v)
+        np.savetxt(path, [v], delimiter=",")  # one CSV line
         assert np.array_equal(read_vector(path), v)
 
     def test_vector_one_per_line(self, tmp_path):

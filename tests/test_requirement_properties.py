@@ -18,6 +18,7 @@ from nlcs.nonlinear_maps import (
     nonzero_random_map,
     quantize_away_from_zero,
     quantize_floor,
+    requirement_at,
     sign_map,
     sine_map,
     square_map,
@@ -173,9 +174,29 @@ def test_tiny_entry_gives_exactly_invertible_certificate():
     assert certificate_errors(cert) == []
 
 
+@pytest.mark.parametrize("F", [sign_map(2), quantize_away_from_zero(2, 0.5)],
+                         ids=["sign", "quantize_afz"])
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
-def test_subnormal_entry_overflows(t):
-    # 0.5 / 1e-310 is beyond the float range: every type reports the same
+def test_subnormal_entry_counts_as_zero(F, t):
+    # 0.5 / 1e-310 would be beyond the float range, so the subnormal z_0 is a
+    # zero coordinate with f_0(z) != 0: types 1 and 2 build, 3 and 4 fail
+    z = [1e-310, 1.0]
+    assert requirement_at(F, z).type == 2
+    if t in (1, 2):
+        assert certificate_errors(linearize(F, z, t)) == []
+    else:
+        with pytest.raises(RequirementError):
+            linearize(F, z, t)
+
+
+def test_subnormal_entry_floor_quantizer_is_diagonal():
+    # floor(1e-310 / 0.5) = 0, so the zero masks of z and F(z) agree
+    assert linearize_strongest(quantize_floor(2, 0.5), [1e-310, 1.0]).type == 3
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_overflow_is_one_error(t):
+    # 1e300 / 1e-10 is beyond the float range: every type reports the same
     # documented error, and no RuntimeWarning is raised on the way
     with pytest.raises(ValueError, match="^certificate overflows at the given point"):
-        linearize(quantize_away_from_zero(2, 0.5), [1e-310, 1.0], t)
+        linearize(quantize_away_from_zero(2, 1e300), [1e-10, 1.0], t)
