@@ -120,7 +120,8 @@ class _Kind(NamedTuple):
     """Catalog row: everything about a map that depends on its kind."""
 
     f: Callable  # (F, z) -> F(z)
-    nominal_type: int | None  # strongest requirement type over the whole domain
+    # strongest requirement type at every domain point whose nonzero coordinates are normal floats
+    nominal_type: int | None
     zero_tol_in: float
     zero_tol_out: float
     param: str | None = None  # the parameter a spec must give: "step", "seed" or none
@@ -155,7 +156,9 @@ class NonlinearMap:
     Use the factory functions (``abs_map``, ``sign_map``, ...) rather than
     the constructor (it rejects a non-finite or non-positive step and a
     non-integral seed).  ``nominal_type`` is the strongest requirement type
-    over the whole domain (None for custom maps and the closed sine domain).
+    holding at every domain point whose nonzero coordinates are normal
+    floats (None for custom maps and the closed sine domain); a subnormal
+    coordinate can weaken it, e.g. to type 2 for sign.
     """
 
     def __init__(self, kind, dim, *, step=None, seed=None, components=None, open_domain=True):

@@ -209,7 +209,10 @@ def recover_via_linearization(
     domain, and the measurements are then decoded as z = (Y A) x or
     z = (A Y) x by the chosen method ("l1" or "l0").
 
-    The map is qualified (``qualified_type``) first.  The sensing matrix's
+    The map is qualified (``qualified_type``) first.  A signal with a
+    subnormal nonzero entry raises ``ValueError`` naming its index: a map's
+    nominal type holds only where nonzero coordinates are normal floats, and
+    such an entry would also count as support.  The sensing matrix's
     RIP of order 2k is then verified by brute force when the support count
     is within the guard, and asserted by the caller otherwise.  The
     effective matrix is rescaled to symmetric RIP bounds when its constants
@@ -227,6 +230,10 @@ def recover_via_linearization(
     m, n = A.shape
     if x.shape[0] != n:
         raise ValueError(f"signal dim {x.shape[0]} does not match sensing matrix cols {n}")
+    subnormal = np.flatnonzero((x != 0.0) & (np.abs(x) < np.finfo(np.float64).tiny))
+    if subnormal.size:
+        i = int(subnormal[0])
+        raise ValueError(f"x_true[{i}] = {x[i]:.3g} is subnormal; rescale the signal or set it to 0")
     k = int(np.count_nonzero(x))
     if k == 0:
         raise ValueError("x_true must have at least one nonzero entry")

@@ -327,6 +327,21 @@ class TestRecoverViaLinearization:
         with pytest.raises(ValueError):
             recover_via_linearization(gaussian_matrix(4, 8, 0), abs_map(4), "pre", np.zeros(8), "l1")
 
+    @pytest.mark.parametrize("composition", ["pre", "post"])
+    def test_subnormal_signal_entry_rejected_before_rip_gate(self, composition, monkeypatch):
+        # sign's nominal type 3 fails at a subnormal coordinate, and the entry
+        # would count as support; the pipeline rejects it before any work
+        def rip_gate_reached(*args):
+            raise AssertionError("the RIP gate ran")
+
+        monkeypatch.setattr("nlcs.recovery.rip_constants", rip_gate_reached)
+        x = np.zeros(12)
+        x[3], x[7] = 1.5, 1e-310
+        F = sign_map(10 if composition == "pre" else 12)
+        with pytest.raises(ValueError, match=r"x_true\[7\] = 1e-310 is subnormal") as info:
+            recover_via_linearization(gaussian_matrix(10, 12, 5), F, composition, x, "l1")
+        assert type(info.value) is ValueError
+
     def test_bad_arguments(self):
         A = gaussian_matrix(4, 8, 0)
         x = random_sparse_signal(8, 1, 1)

@@ -4,8 +4,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from nlcs import sensing_properties
 from nlcs.errors import GuardError, RipOrderError
-from nlcs.matrix_core import gaussian_matrix, random_sparse_signal
+from nlcs.matrix_core import RANK_TOL, gaussian_matrix, random_sparse_signal, rank_of_singular_values
 from nlcs.sensing_properties import (
     check_invariance_rip_order,
     check_invariance_spark,
@@ -29,6 +30,161 @@ def random_invertible(n, rng, det_floor=1e-6):
         M = rng.normal(size=(n, n))
         if abs(np.linalg.det(M)) >= det_floor:
             return M
+
+
+def reference_spark(A):
+    """The upward SVD scan that ``spark`` must reproduce: subsets of r columns
+    in lexicographic order by increasing r, batched as before the probe."""
+    M = np.asarray(A, dtype=np.float64)
+    m, n = M.shape
+    for r in range(1, min(m + 1, n) + 1):
+        if r > m:
+            return r, list(range(r))
+        subs = np.array(list(combinations(range(n), r)), dtype=np.intp)
+        for start in range(0, len(subs), 4096):
+            block = subs[start:start + 4096]
+            stacks = np.moveaxis(M[:, block], 1, 0)
+            dep = rank_of_singular_values(np.linalg.svd(stacks, compute_uv=False)) < r
+            if dep.any():
+                return r, [int(j) for j in block[int(np.argmax(dep))]]
+    return n + 1, []
+
+
+def plant_dependency(A, level, rng):
+    """Make one random set of ``level`` columns of A dependent: a zero column
+    at level 1, else one column a combination of the others."""
+    A = A.copy()
+    cols = rng.choice(A.shape[1], size=level, replace=False)
+    A[:, cols[-1]] = A[:, cols[:-1]] @ rng.normal(size=level - 1) if level > 1 else 0.0
+    return A
+
+
+def with_singular_values(s, rng):
+    """U diag(s) V^T with random orthogonal U and V."""
+    U, _ = np.linalg.qr(rng.normal(size=(len(s), len(s))))
+    V, _ = np.linalg.qr(rng.normal(size=(len(s), len(s))))
+    return U @ np.diag(s) @ V.T
+
+
+def assert_matches_reference(A):
+    rep = spark(A)
+    assert (rep.spark, rep.witness) == reference_spark(A)
+
+
+class TestSparkMatchesUpwardScan:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 3), (3, 6), (4, 8), (5, 10), (6, 12),
+                                       (6, 13), (7, 12), (3, 3), (6, 6), (5, 2), (8, 5)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_gaussians(self, shape, seed):
+        assert_matches_reference(gaussian_matrix(*shape, 300 + seed))
+
+    @pytest.mark.parametrize("m, n", [(4, 8), (6, 12), (5, 5)])
+    def test_planted_dependency_at_every_level(self, m, n):
+        rng = np.random.default_rng(m * n)
+        for level in range(1, m + 1):
+            for seed in range(3):
+                A = plant_dependency(gaussian_matrix(m, n, 400 + seed), level, rng)
+                assert_matches_reference(A)
+                assert spark(A).spark <= level
+
+    def test_dependency_found_only_at_level_m(self):
+        # columns 0-4 and 11 are the one dependent 6-subset: the probe finds it,
+        # the upward scan then returns it
+        A = gaussian_matrix(6, 12, 5)
+        A[:, 11] = A[:, :5] @ np.array([0.5, -1.0, 2.0, 0.25, 1.5])
+        rep = spark(A)
+        assert (rep.spark, rep.witness) == (6, [0, 1, 2, 3, 4, 11]) == reference_spark(A)
+
+    def test_two_dependencies_at_one_level_give_the_first(self):
+        A = gaussian_matrix(5, 10, 9)
+        A[:, 9] = A[:, 1] - A[:, 6]
+        A[:, 8] = A[:, 2] + A[:, 3]
+        rep = spark(A)
+        assert (rep.spark, rep.witness) == (3, [1, 6, 9]) == reference_spark(A)
+
+    @pytest.mark.parametrize("rank_", [1, 2, 3, 4])
+    def test_low_rank_products(self, rank_):
+        rng = np.random.default_rng(rank_)
+        for n in (3, 5, 9):
+            assert_matches_reference(rng.normal(size=(5, rank_)) @ rng.normal(size=(rank_, n)))
+
+    @pytest.mark.parametrize("shape", [(6, 12), (4, 4), (7, 3)])
+    def test_zero_column(self, shape):
+        for j in (0, shape[1] - 1):
+            A = gaussian_matrix(*shape, 17)
+            A[:, j] = 0.0
+            rep = spark(A)
+            assert (rep.spark, rep.witness) == (1, [j]) == reference_spark(A)
+
+    def test_all_zero_and_tall_dependent(self):
+        assert_matches_reference(np.zeros((3, 5)))
+        A = gaussian_matrix(8, 5, 3)
+        A[:, 4] = A[:, 0] + A[:, 2]
+        assert_matches_reference(A)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_invariance_products(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        for A in (gaussian_matrix(6, 12, 600 + seed),
+                  plant_dependency(gaussian_matrix(6, 12, 600 + seed), 1 + seed, rng)):
+            M_I = random_invertible(6, rng)
+            M_D = random_permuted_diagonal(12, rng)
+            for M in (A, M_I @ A, A @ M_D):
+                assert_matches_reference(M)
+
+    def test_generic_matrix_scans_only_level_m(self, monkeypatch):
+        levels = []
+        chunks = sensing_properties._chunked_combinations
+
+        def recording(n, r):
+            levels.append(r)
+            return chunks(n, r)
+
+        monkeypatch.setattr(sensing_properties, "_chunked_combinations", recording)
+        assert spark(gaussian_matrix(6, 12, 5)).spark == 7
+        assert levels == [6]
+
+
+class TestDeterminantScreen:
+    """The screen may clear a square subset only when the SVD test would pass it."""
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 7])
+    @pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
+    def test_ratio_at_the_cutoff(self, m, side):
+        rng = np.random.default_rng(m)
+        s = np.linspace(1.0, 0.2, m)
+        s[-1] = RANK_TOL * side
+        B = with_singular_values(s, rng)
+        subs = np.arange(m)[None, :]
+        assert not sensing_properties._cleared(B, subs, sensing_properties._screen_inputs(B))[0]
+        svd = np.linalg.svd(B, compute_uv=False)
+        assert (svd[-1] <= RANK_TOL * svd[0]) == (side < 1.0)
+        for A in (B, np.hstack([B, gaussian_matrix(m, m, m)])):
+            assert_matches_reference(A)
+        assert spark(B).spark == (m if side < 1.0 else m + 1)
+
+    def test_cleared_subsets_are_far_from_the_cutoff(self):
+        # ratios from far below RANK_TOL to well above the clearing floor
+        rng = np.random.default_rng(7)
+        cleared_any = False
+        for ratio in np.logspace(-12, -1, 45):
+            for m in (3, 6, 8):
+                s = np.sort(rng.uniform(0.3, 1.0, size=m))[::-1]
+                s[-1] = ratio * s[0]
+                A = np.hstack([with_singular_values(s, rng), rng.normal(size=(m, 3))])
+                subs = np.array(list(combinations(range(m + 3), m)), dtype=np.intp)
+                cleared = sensing_properties._cleared(A, subs, sensing_properties._screen_inputs(A))
+                sv = np.linalg.svd(np.moveaxis(A[:, subs], 1, 0), compute_uv=False)
+                assert (sv[cleared, -1] > 900 * RANK_TOL * sv[cleared, 0]).all()
+                cleared_any |= bool(cleared[0])
+                assert_matches_reference(A)
+        assert cleared_any
+
+    def test_screen_skipped_outside_safe_range(self):
+        for scale in (2.0**-420, 2.0**420):
+            assert sensing_properties._screen_inputs(scale * np.eye(3)) is None
+            assert_matches_reference(scale * gaussian_matrix(3, 6, 1))
+        assert sensing_properties._screen_inputs(np.zeros((2, 2))) is None
 
 
 class TestSpark:

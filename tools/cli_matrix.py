@@ -49,6 +49,12 @@ def _dependent_columns() -> np.ndarray:
     return A
 
 
+def _dependent_at_level_m() -> np.ndarray:
+    A = gaussian_matrix(6, 12, 5)
+    A[:, 11] = A[:, :5] @ np.array([0.5, -1.0, 2.0, 0.25, 1.5])  # one dependent 6-subset
+    return A
+
+
 def _signal_with_subnormal() -> np.ndarray:
     x = random_sparse_signal(12, 2, 6)
     x[np.flatnonzero(x == 0.0)[0]] = 1e-310
@@ -66,6 +72,9 @@ MATRICES = {
     "g6x12.csv": gaussian_matrix(6, 12, 5),
     "dupcol.csv": _dependent_columns(),
     "wide25.csv": gaussian_matrix(2, 25, 2),
+    "dep6x12.csv": _dependent_at_level_m(),
+    "tall8x5.csv": gaussian_matrix(8, 5, 4),
+    "g7x7.csv": gaussian_matrix(7, 7, 8),
 }
 
 POINTS = {
