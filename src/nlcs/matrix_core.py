@@ -1,5 +1,6 @@
 """Dense linear-algebra kernel: validation, rank, the exact monomial test,
-extreme eigenvalues, seeded random generation, and CSV readers.
+extreme eigenvalues, column-subset tables, seeded random generation, and
+CSV readers.
 
 All operations are pure: inputs are never mutated and all randomness is
 driven by an explicit 64-bit seed (PCG64 via ``numpy.random.default_rng``),
@@ -7,6 +8,10 @@ so results are reproducible bit for bit across runs.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -20,7 +25,9 @@ __all__ = [
     "rank_of_singular_values",
     "rank",
     "is_monomial",
+    "in_safe_range",
     "extreme_eigenvalues",
+    "column_subsets",
     "gaussian_matrix",
     "random_sparse_signal",
     "read_matrix",
@@ -31,6 +38,12 @@ MAX_SEED = 2**64
 
 #: relative singular-value cutoff of every numerical rank decision in the package
 RANK_TOL = 1e-10
+#: rows per chunk of ``column_subsets`` (memory control for the batched kernels)
+_CHUNK = 4096
+#: a one-chunk level is cached when its table holds at most this many indices
+_CACHE_ENTRIES = 8 * _CHUNK
+#: number of cached level tables
+_CACHE_LEVELS = 32
 
 
 def as_matrix(a) -> np.ndarray:
@@ -107,6 +120,15 @@ def is_monomial(M: np.ndarray) -> bool:
     return bool(np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1))
 
 
+def in_safe_range(M: np.ndarray) -> bool:
+    """True iff M has a nonzero entry and every nonzero entry lies in
+    [2^-400, 2^400] in magnitude, where the batched screens' rounding bounds
+    hold: their products can neither overflow nor lose accuracy to
+    underflow."""
+    nz = np.abs(M[M != 0.0])
+    return bool(nz.size and nz.min() >= 2.0**-400 and nz.max() <= 2.0**400)
+
+
 def extreme_eigenvalues(S) -> tuple[float, float]:
     """Smallest and largest eigenvalues of a symmetric matrix.
 
@@ -122,6 +144,38 @@ def extreme_eigenvalues(S) -> tuple[float, float]:
         raise ValueError("matrix is not symmetric within tolerance 1e-12")
     ev = np.linalg.eigvalsh(A)
     return float(ev[0]), float(ev[-1])
+
+
+def _subset_rows(it, count: int, r: int) -> np.ndarray:
+    """The next ``count`` r-subsets of ``it`` as a (count, r) intp array."""
+    flat = np.fromiter(chain.from_iterable(islice(it, count)), dtype=np.intp, count=count * r)
+    return flat.reshape(count, r)
+
+
+@lru_cache(maxsize=_CACHE_LEVELS)
+def _level_table(n: int, r: int) -> np.ndarray:
+    table = _subset_rows(combinations(range(n), r), math.comb(n, r), r)
+    table.flags.writeable = False
+    return table
+
+
+def column_subsets(n: int, r: int):
+    """Yield every r-subset of range(n) in lexicographic order, as (rows, r)
+    intp arrays of at most ``_CHUNK`` rows each.
+
+    A level that fits in one chunk and holds at most ``_CACHE_ENTRIES``
+    indices is built once and then served from a cache of the last
+    ``_CACHE_LEVELS`` such tables used; those arrays are read-only.  The
+    cache holds at most 32 * 32,768 indices, 8 MiB.  Larger levels are
+    built chunk by chunk as they are consumed.
+    """
+    total = math.comb(n, r)
+    if 0 < total <= _CHUNK and total * r <= _CACHE_ENTRIES:
+        yield _level_table(n, r)
+        return
+    it = combinations(range(n), r)
+    for start in range(0, total, _CHUNK):
+        yield _subset_rows(it, min(_CHUNK, total - start), r)
 
 
 def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:

@@ -6,8 +6,12 @@ Two decoders are provided:
   the in-repo interior-point core for the split form u = u+ - u-;
 * ``l0_oracle`` -- exhaustive minimum-support search: for k = 0, 1, ... all
   size-k supports are tried in lexicographic order and the first one whose
-  least-squares fit reproduces the measurements is returned.  Feasible only
-  at small scale (guarded).
+  least-squares fit reproduces the measurements is returned.  Each level
+  is screened in chunks by one batched QR of the augmented support
+  matrices, which skips a support only when a rounding-aware lower bound
+  on its residual proves the fit would miss; every other support goes, in
+  order, to the same ``lstsq`` test, so the screen never changes the
+  answer.  Feasible only at small scale (guarded).
 
 ``recover_via_linearization`` composes them with the pointwise-linearization
 machinery: given the true signal x, the measurements of a composite map are
@@ -22,13 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
 from .errors import GuardError, RipOrderError
 from .lp import solve_standard_form
-from .matrix_core import as_matrix, as_system, as_vector, rank_of_singular_values
+from .matrix_core import (as_matrix, as_system, as_vector, column_subsets, in_safe_range,
+                          rank_of_singular_values)
 from .nonlinear_maps import NonlinearMap, PointRequirements
 from .pointwise_linearization import LinearizationCertificate, linearize, qualified_type
 from .report import JsonReport
@@ -45,6 +49,8 @@ __all__ = [
 
 #: guard on the number of supports at the deepest level of the l0 search
 MAX_L0_SUPPORTS = 100_000
+#: unit roundoff u of float64, in the l0 screen's error bound
+_UNIT_ROUNDOFF = 2.0**-53
 #: l1 decoder tolerances: the residual ||B u - y|| and the relative duality gap
 LP_FEASIBILITY_TOL = 1e-8
 LP_OPTIMALITY_TOL = 1e-8
@@ -135,14 +141,61 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     return _report(res.x, B, yv, res.status)
 
 
+def _may_fit(By: np.ndarray, subs: np.ndarray, thr: float, gamma: float) -> np.ndarray:
+    """For each row of ``subs`` (k < m columns of B; ``By`` is [B, y]): may
+    that support's least-squares residual still pass ``thr``?  False only
+    when the QR bound of ``l0_oracle`` rules that out."""
+    count, k = subs.shape
+    n = By.shape[1] - 1
+    R = np.linalg.qr(np.moveaxis(By[:, np.hstack([subs, np.full((count, 1), n)])], 1, 0), mode="r")
+    rho = np.abs(R[:, k, k])
+    R11 = R[:, :k, :k]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero R11 gives w = nan
+        w = np.prod(np.abs(np.diagonal(R11, axis1=1, axis2=2))
+                    / np.linalg.norm(R11, axis=(1, 2))[:, None], axis=1)
+    margin = 32.0 * gamma * float(np.linalg.norm(By[:, n]))
+    ruled_out = (w > 1e3 * gamma) & (rho * w > thr * w + margin)
+    return ~ruled_out
+
+
 def l0_oracle(B, y, k_max: int) -> RecoveryReport:
     """Sparsest solution of B u = y by exhaustive support enumeration.
 
     For each k = 0..k_max, supports are tried in lexicographic order and
-    the first least-squares fit with residual <= 1e-8 (1 + ||y||_2) wins,
-    which also fixes the tie-breaking within a sparsity level.  When no
-    support of size <= k_max fits, the report carries solver_status
+    the first least-squares fit with residual <= thr = 1e-8 (1 + ||y||_2)
+    wins, which also fixes the tie-breaking within a sparsity level.  When
+    no support of size <= k_max fits, the report carries solver_status
     "infeasible" (nothing found) and x_hat = 0.
+
+    Screen.  Each level is taken in chunks of ``matrix_core.column_subsets``
+    and, for k < m, screened before ``lstsq`` runs.  One batched
+    Householder QR of the augmented matrices [C, y] (C = B[:, S]) gives R;
+    rho = |R[k, k]| is the distance from y to range(C) for the problem the
+    QR solved exactly, and w = prod_i |R[i, i]| / ||R11||_F (R11 the
+    leading k x k block, the R factor of C) satisfies w <= s_min/s_max for
+    the singular values of R11, since |det R11| <= s_min s_max^(k-1) and
+    s_max <= ||R11||_F.  In exact arithmetic every residual C c - y is at
+    least rho.  In floating point, with u = 2^-53 and gamma = 64 m k^2 u
+    (generous for the constants of the columnwise backward-error bounds of
+    Householder QR, of ``lstsq`` and of the residual's matrix-vector
+    product): the QR is exact for [C + dC, y + dy] with ||dC|| <= gamma ||C||
+    and ||dy|| <= gamma ||y||.  If w > 1e3 gamma, then sigma_min(C) >=
+    (w/2) s_max and ||C|| <= 2 s_max, so kappa = 4/w bounds the condition
+    number of C, and the distance from y to range(C) is at least
+    rho - gamma (1 + kappa) ||y||.  ``lstsq`` truncates nothing (its cutoff
+    eps max(m, k) s_max is far below w s_max) and returns
+    ||c|| <= 2 ||y|| / sigma_min(C), so forming and measuring C c - y costs
+    at most gamma (2 kappa + 1) ||y||.  The computed ``lstsq`` residual is
+    therefore at least rho - 4 kappa gamma ||y||, and a support is skipped
+    only when rho > thr + 32 gamma ||y|| / w, twice that margin.  Supports
+    with w <= 1e3 gamma (duplicate or zero columns, factors near
+    ``lstsq``'s cutoff) always go to ``lstsq``, as does every support at
+    k >= m, where range(C) can be all of R^m.  The screen is off when
+    [B, y] is outside ``matrix_core.in_safe_range``, where underflow or
+    overflow could void the bound.  The supports not skipped go in
+    lexicographic order through the same ``lstsq`` call and residual test
+    as without the screen, so the chosen support, x_hat and status never
+    depend on it.
     """
     B, yv = as_system(B, y)
     m, n = B.shape
@@ -156,14 +209,21 @@ def l0_oracle(B, y, k_max: int) -> RecoveryReport:
     thr = 1e-8 * (1.0 + float(np.linalg.norm(yv)))
     if float(np.linalg.norm(yv)) <= thr:
         return _report(np.zeros(n), B, yv, "converged")
+    By = np.column_stack([B, yv])
+    screenable = in_safe_range(By)
     for k in range(1, k_max + 1):
-        for sup in combinations(range(n), k):
-            cols = B[:, sup]
-            coef, *_ = np.linalg.lstsq(cols, yv, rcond=None)
-            if float(np.linalg.norm(cols @ coef - yv)) <= thr:
-                u = np.zeros(n)
-                u[list(sup)] = coef
-                return _report(u, B, yv, "converged")
+        gamma = 64.0 * m * k * k * _UNIT_ROUNDOFF
+        screen = screenable and k < m
+        for subs in column_subsets(n, k):
+            if screen:
+                subs = subs[_may_fit(By, subs, thr, gamma)]
+            for sup in subs:
+                cols = B[:, sup]
+                coef, *_ = np.linalg.lstsq(cols, yv, rcond=None)
+                if float(np.linalg.norm(cols @ coef - yv)) <= thr:
+                    u = np.zeros(n)
+                    u[sup] = coef
+                    return _report(u, B, yv, "converged")
     return _report(np.zeros(n), B, yv, "infeasible")
 
 

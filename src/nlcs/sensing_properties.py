@@ -25,22 +25,24 @@ on the right, preserves the spark and the RIP order.  These hold as
 theorems; the checkers exist to exercise the implementation.  The right
 factor passes ``matrix_core.is_monomial``, as a type-4 certificate must.
 
-Enumeration guards are fixed limits (``MAX_SPARK_COLS``,
-``MAX_RIP_SUPPORTS``); exceeding them raises ``GuardError`` rather than
-silently truncating.  Every rank decision uses ``matrix_core.RANK_TOL``.
+Enumeration guards are fixed limits on the number of column subsets
+visited (``MAX_SPARK_SUBSETS``, ``MAX_RIP_SUPPORTS``); exceeding them raises
+``GuardError`` rather than silently truncating.  Subsets come from
+``matrix_core.column_subsets``, which builds a small level's table once
+and serves it from a cache.  Every rank decision uses
+``matrix_core.RANK_TOL``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
 
 import numpy as np
 
 from .errors import GuardError, NspOrderError, RipOrderError
-from .matrix_core import (RANK_TOL, as_matrix, is_monomial, rank, rank_of_singular_values,
-                          seeded_rng)
+from .matrix_core import (RANK_TOL, as_matrix, column_subsets, in_safe_range, is_monomial,
+                          rank, rank_of_singular_values, seeded_rng)
 from .report import JsonReport
 
 __all__ = [
@@ -56,12 +58,10 @@ __all__ = [
     "check_invariance_rip_order",
 ]
 
-#: cap on matrix columns for spark enumeration
-MAX_SPARK_COLS = 24
+#: cap on the column subsets spark can visit (probe plus upward scan)
+MAX_SPARK_SUBSETS = 1_000_000
 #: cap on the number of supports enumerated by rip_constants
 MAX_RIP_SUPPORTS = 200_000
-#: enumeration chunk size (memory control for batched SVD/eigh)
-_CHUNK = 4096
 #: alpha <= _DEPENDENT_TOL * beta is treated as a numerically zero alpha
 _DEPENDENT_TOL = 1e-10
 #: unit roundoff u of float64, in the determinant screen's error bound
@@ -108,21 +108,16 @@ class NspEstimate(JsonReport):
     samples: int
 
 
-def _chunked_combinations(n: int, r: int):
-    it = combinations(range(n), r)
-    while True:
-        block = list(islice(it, _CHUNK))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp)
+def _spark_worst_case(n: int, t: int) -> int:
+    """Column subsets ``spark`` visits at most on n columns with probe level
+    t: the probe's C(n, t) plus the upward scan's C(n, 1) + ... + C(n, t)."""
+    return math.comb(n, t) + sum(math.comb(n, r) for r in range(1, t + 1))
 
 
 def _screen_inputs(M: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Squared column norms and the spectral norm of M for the determinant
-    screen, or None when a nonzero entry lies outside [2^-400, 2^400], where
-    underflow or overflow could void the screen's bound."""
-    nz = np.abs(M[M != 0.0])
-    if nz.size == 0 or nz.min() < 2.0**-400 or nz.max() > 2.0**400:
+    screen, or None when M is outside ``in_safe_range``."""
+    if not in_safe_range(M):
         return None
     return (M * M).sum(axis=0), float(np.linalg.norm(M, 2))
 
@@ -165,6 +160,15 @@ def spark(A) -> SparkReport:
     ``range(rows+1)``), and if no subset is dependent the spark is cols+1
     with an empty witness.
 
+    Guard.  ``GuardError`` is raised when the worst case, C(n, t) probe
+    subsets plus C(n, 1) + ... + C(n, t) for the scan, exceeds
+    ``MAX_SPARK_SUBSETS``.  Generic shapes it admits include 10x20
+    (801,421 worst case; 1.1 s), 11x20 (2.0 s), 9x21 (0.7 s), 8x22 (0.6 s),
+    2x1000 (0.2 s) and any matrix of at most 19 columns; it refuses 12x20,
+    10x21 and 20x20.  With a dependent probe subset the scan runs:
+    4.1 s at 10x20, 7.1 s at 11x20, 8.6 s at 19x19 (one core, BLAS on one
+    thread).  The worst case is at least 2^t, so t <= 19.
+
     Probe.  Level t = min(rows, cols) is scanned first.  Every smaller
     subset lies inside some t-subset, and removing columns can only raise
     s_min and lower s_max (interlacing), so when every t-subset passes the
@@ -181,8 +185,8 @@ def spark(A) -> SparkReport:
     s_hat = (1 + 1e-12) * min(||A_S||_F, ||A||_2).  Batched ``slogdet`` is
     several times cheaper than the SVD.  It factors A_S by partial-pivoting
     LU, so it returns the determinant of A_S + E with
-    ||E|| <= d ||A_S||, d = t^3 * 2^(t-1) * u (u = 2^-53; at most 1.3e-5 for
-    the t <= 24 that ``MAX_SPARK_COLS`` allows, 3.9e-10 at t = 12).  Then the
+    ||E|| <= d ||A_S||, d = t^3 * 2^(t-1) * u (u = 2^-53; at most 2.0e-7 for
+    the t <= 19 that the guard allows, 3.9e-10 at t = 12).  Then the
     computed bound is at most (s_min/s_max + d)(1 + d)^(t-1), so a subset
     is cleared only when the bound exceeds 1e3 * RANK_TOL + 2d, which
     leaves its true ratio above 900 * RANK_TOL, far from the SVD's cutoff.
@@ -194,17 +198,21 @@ def spark(A) -> SparkReport:
     """
     M = as_matrix(A)
     m, n = M.shape
-    if n > MAX_SPARK_COLS:
-        raise GuardError(f"spark enumeration guard exceeded: cols={n} > max_cols={MAX_SPARK_COLS}")
     t = min(m, n)
+    worst = _spark_worst_case(n, t)
+    if worst > MAX_SPARK_SUBSETS:
+        raise GuardError(
+            f"spark enumeration guard exceeded: C({n},{t}) + C({n},1) + ... + C({n},{t})={worst}"
+            f" > max_subsets={MAX_SPARK_SUBSETS}"
+        )
     screen = _screen_inputs(M) if t == m else None
-    if not any(_dependent(M, subs, screen).any() for subs in _chunked_combinations(n, t)):
+    if not any(_dependent(M, subs, screen).any() for subs in column_subsets(n, t)):
         return SparkReport(spark=t + 1, witness=list(range(t + 1)) if t < n else [])
     for r in range(1, min(m + 1, n) + 1):
         if r > m:
             # more columns than rows: any r columns are dependent
             return SparkReport(spark=r, witness=list(range(r)))
-        for subs in _chunked_combinations(n, r):
+        for subs in column_subsets(n, r):
             dep = _dependent(M, subs)
             if dep.any():
                 first = int(np.argmax(dep))
@@ -232,7 +240,7 @@ def rip_constants(A, k: int) -> RipReport:
         )
     alpha = np.inf
     beta = -np.inf
-    for subs in _chunked_combinations(n, k):
+    for subs in column_subsets(n, k):
         stacks = np.moveaxis(M[:, subs], 1, 0)  # (chunk, m, k)
         grams = stacks.transpose(0, 2, 1) @ stacks
         ev = np.linalg.eigvalsh(grams)

@@ -1,11 +1,12 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from nlcs import nonlinear_maps
+from nlcs import matrix_core, nonlinear_maps, recovery
 from nlcs.errors import GuardError, RequirementError, RipOrderError
-from nlcs.matrix_core import gaussian_matrix, random_sparse_signal
+from nlcs.matrix_core import as_system, gaussian_matrix, random_sparse_signal
 from nlcs.nonlinear_maps import (
     abs_map,
     identity_map,
@@ -171,6 +172,147 @@ class TestL0Oracle:
         bp = basis_pursuit(B, y)
         oracle = l0_oracle(B, y, 2)
         assert bp.l1_norm <= oracle.l1_norm + 1e-8 * (1.0 + oracle.l1_norm)
+
+
+def reference_l0(B, y, k_max):
+    """The support-by-support search that ``l0_oracle`` must reproduce bit
+    for bit: every support in lexicographic order through ``lstsq``."""
+    B, yv = as_system(B, y)
+    n = B.shape[1]
+    thr = 1e-8 * (1.0 + float(np.linalg.norm(yv)))
+    if float(np.linalg.norm(yv)) <= thr:
+        return recovery._report(np.zeros(n), B, yv, "converged")
+    for k in range(1, k_max + 1):
+        for sup in combinations(range(n), k):
+            cols = B[:, sup]
+            coef, *_ = np.linalg.lstsq(cols, yv, rcond=None)
+            if float(np.linalg.norm(cols @ coef - yv)) <= thr:
+                u = np.zeros(n)
+                u[list(sup)] = coef
+                return recovery._report(u, B, yv, "converged")
+    return recovery._report(np.zeros(n), B, yv, "infeasible")
+
+
+def assert_l0_matches_reference(B, y, k_max):
+    rep = l0_oracle(B, y, k_max)
+    assert rep.to_json() == reference_l0(B, y, k_max).to_json()
+    return rep
+
+
+def with_residual(B, support, coef, factor):
+    """B[:, support] @ coef plus a component orthogonal to those columns of
+    norm factor * thr, so the support's fit misses or meets thr by factor."""
+    y0 = B[:, support] @ coef
+    Q, _ = np.linalg.qr(B[:, support], mode="complete")
+    e = Q[:, len(support)]
+    return y0 + factor * 1e-8 * (1.0 + np.linalg.norm(y0)) * e
+
+
+class TestL0Screen:
+    """The batched QR screen may skip a support only when lstsq would reject it."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_gaussians(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        m = int(rng.integers(3, 9))
+        n = int(rng.integers(m, 14))
+        k = int(rng.integers(1, min(3, m - 1) + 1))
+        B = gaussian_matrix(m, n, 800 + seed)
+        support = np.sort(rng.choice(n, size=k, replace=False))
+        coef = rng.normal(size=k)
+        assert_l0_matches_reference(B, B[:, support] @ coef, k)
+        assert_l0_matches_reference(B, rng.normal(size=m), min(k + 1, m - 1))
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3, 1e3):
+            assert_l0_matches_reference(B, with_residual(B, support, coef, factor), k)
+
+    def test_duplicate_and_zero_columns(self):
+        B = gaussian_matrix(5, 9, 61)
+        B[:, 7] = B[:, 3]
+        B[:, 0] = 0.0
+        for y in (B[:, 7], 2.0 * B[:, 3] + B[:, 5], B[:, 1] - B[:, 8]):
+            assert_l0_matches_reference(B, y, 3)
+        assert_l0_matches_reference(np.zeros((4, 6)), np.ones(4), 3)
+
+    def test_two_fitting_supports_break_ties_lexicographically(self):
+        B = gaussian_matrix(5, 9, 62)
+        B[:, 7] = B[:, 3]
+        rep = assert_l0_matches_reference(B, 2.0 * B[:, 3] + B[:, 5], 2)
+        assert support_set(rep.x_hat) == {3, 5}
+
+    @pytest.mark.parametrize("ratio", [1.33e-15 * (1 - 1e-3), 1.33e-15 * (1 + 1e-3), 1.33e-14,
+                                       1e-9, 1e-6 * (1 - 1e-3), 1e-6 * (1 + 1e-3), 1e-3])
+    def test_supports_near_the_lstsq_cutoff(self, ratio):
+        # columns 1 and 4 have singular values 1 and ratio; lstsq's cutoff is
+        # eps * max(6, 2) * s_max = 1.33e-15
+        rng = np.random.default_rng(63)
+        B = gaussian_matrix(6, 8, 64)
+        U, _ = np.linalg.qr(rng.normal(size=(6, 2)))
+        V, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        B[:, [1, 4]] = U @ np.diag([1.0, ratio]) @ V.T
+        for y in (U[:, 1], U[:, 0] + ratio * U[:, 1], U[:, 0] + 1e-3 * U[:, 1], rng.normal(size=6)):
+            assert_l0_matches_reference(B, y, 2)
+        assert recovery._may_fit(np.column_stack([B, U[:, 1]]), np.array([[1, 4]]), 1e-8,
+                                  64.0 * 6 * 4 * 2.0**-53)[0]
+
+    def test_k_max_beyond_rows(self):
+        B = gaussian_matrix(3, 7, 65)
+        assert_l0_matches_reference(B, np.array([1.0, -2.0, 0.5]), 5)
+        B[2] = B[0] + B[1]  # rank 2: y off the column space fits at no level
+        rep = assert_l0_matches_reference(B, np.array([1.0, -2.0, 0.5]), 5)
+        assert rep.solver_status == "infeasible"
+
+    def test_infeasible(self):
+        B = gaussian_matrix(4, 8, 66)
+        B[3] = B[0] - 2.0 * B[2]
+        rep = assert_l0_matches_reference(B, np.array([0.0, 0.0, 0.0, 1.0]), 3)
+        assert rep.solver_status == "infeasible"
+
+    def test_out_of_range_entries_skip_the_screen(self, monkeypatch):
+        def unreachable(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("screen ran outside its safe range")
+
+        monkeypatch.setattr(recovery, "_may_fit", unreachable)
+        B = gaussian_matrix(5, 8, 67)
+        for scale in (2.0**-420, 2.0**420):
+            assert_l0_matches_reference(scale * B, scale * (B[:, 2] - B[:, 6]), 2)
+
+    def test_level_beyond_one_chunk(self, monkeypatch):
+        # C(20, 4) = 4,845 supports: level 4 is screened in two chunks, and
+        # the fitting support is the last one
+        batches = []
+        qr = np.linalg.qr
+
+        def recording(a, mode="reduced"):
+            batches.append(a.shape)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        B = gaussian_matrix(8, 20, 68)
+        rep = assert_l0_matches_reference(B, B[:, 16:] @ np.array([1.0, -0.5, 2.0, 0.7]), 4)
+        assert support_set(rep.x_hat) == {16, 17, 18, 19}
+        assert [b for b in batches if b[2] == 5] == [(4096, 8, 5), (749, 8, 5)]
+
+    def test_guard_level_is_screened_in_chunks(self, monkeypatch):
+        # C(19, 8) = 75,582 supports at the deepest level: no batch holds
+        # more than one chunk, and a y that no 8 columns fit never reaches lstsq
+        batches = []
+        qr = np.linalg.qr
+
+        def recording(a, mode="reduced"):
+            batches.append(a.shape[0])
+            return qr(a, mode=mode)
+
+        def unreachable(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("lstsq reached")
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        monkeypatch.setattr(np.linalg, "lstsq", unreachable)
+        B = gaussian_matrix(10, 19, 69)
+        rep = l0_oracle(B, np.random.default_rng(70).normal(size=10), 8)
+        assert rep.solver_status == "infeasible"
+        assert math.comb(19, 8) <= recovery.MAX_L0_SUPPORTS
+        assert max(batches) == matrix_core._CHUNK
+        assert sum(batches) == sum(math.comb(19, k) for k in range(1, 9))
 
 
 class TestOracleEquivalence:

@@ -4,9 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from nlcs import sensing_properties
+from nlcs import matrix_core, sensing_properties
 from nlcs.errors import GuardError, RipOrderError
-from nlcs.matrix_core import RANK_TOL, gaussian_matrix, random_sparse_signal, rank_of_singular_values
+from nlcs.matrix_core import (RANK_TOL, column_subsets, gaussian_matrix, random_sparse_signal,
+                              rank_of_singular_values)
 from nlcs.sensing_properties import (
     check_invariance_rip_order,
     check_invariance_spark,
@@ -134,15 +135,43 @@ class TestSparkMatchesUpwardScan:
 
     def test_generic_matrix_scans_only_level_m(self, monkeypatch):
         levels = []
-        chunks = sensing_properties._chunked_combinations
+        chunks = sensing_properties.column_subsets
 
         def recording(n, r):
             levels.append(r)
             return chunks(n, r)
 
-        monkeypatch.setattr(sensing_properties, "_chunked_combinations", recording)
+        monkeypatch.setattr(sensing_properties, "column_subsets", recording)
         assert spark(gaussian_matrix(6, 12, 5)).spark == 7
         assert levels == [6]
+
+
+class TestColumnSubsets:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_chunks_concatenate_to_combinations(self, n):
+        for r in range(n + 1):
+            chunks = list(column_subsets(n, r))
+            assert all(c.dtype == np.intp and c.ndim == 2 and c.shape[1] == r for c in chunks)
+            assert all(1 <= len(c) <= matrix_core._CHUNK for c in chunks)
+            rows = [tuple(int(j) for j in row) for c in chunks for row in c]
+            assert rows == list(combinations(range(n), r))
+
+    def test_large_levels_stream(self):
+        # C(16, 8) = 12,870 > _CHUNK: four chunks, built afresh on each call
+        first = [len(c) for c in column_subsets(16, 8)]
+        assert first == [4096, 4096, 4096, 582]
+        assert next(column_subsets(16, 8)) is not next(column_subsets(16, 8))
+
+    def test_cached_table_is_shared_and_read_only(self):
+        (table,) = column_subsets(12, 6)
+        (again,) = column_subsets(12, 6)
+        assert table is again
+        with pytest.raises(ValueError):
+            table[0, 0] = 5
+        assert table[0].tolist() == [0, 1, 2, 3, 4, 5]
+
+    def test_empty_level_yields_nothing(self):
+        assert list(column_subsets(3, 4)) == []
 
 
 class TestDeterminantScreen:
@@ -211,8 +240,27 @@ class TestSpark:
         assert rep.witness == [0]
 
     def test_guard(self):
-        with pytest.raises(GuardError):
-            spark(np.ones((2, 30)))
+        # the limit is on subsets visited, not on columns: 2x30 is 900 subsets
+        rep = spark(np.ones((2, 30)))
+        assert (rep.spark, rep.witness) == (2, [0, 1])
+        for shape in ((10, 21), (12, 24), (20, 20)):
+            with pytest.raises(GuardError):
+                spark(np.zeros(shape))
+
+    def test_guard_admits_benchmark_shapes_and_10x20(self):
+        worst = sensing_properties._spark_worst_case
+        assert worst(20, 10) == 801_421
+        assert worst(21, 10) == 1_401_291
+        for m, n in ((10, 20), (5, 10), (6, 12), (7, 12), (6, 13), (7, 13), (6, 14), (7, 14),
+                     (8, 14)):
+            assert worst(n, min(m, n)) <= sensing_properties.MAX_SPARK_SUBSETS
+
+    def test_guard_keeps_the_screen_below_t_20(self):
+        # the determinant screen's rounding bound is derived for t <= 19
+        admitted = [min(m, n) for m in range(1, 41) for n in range(1, 41)
+                    if sensing_properties._spark_worst_case(n, min(m, n))
+                    <= sensing_properties.MAX_SPARK_SUBSETS]
+        assert max(admitted) == 19
 
     def test_witness_is_dependent_and_smaller_sets_are_not(self):
         A = gaussian_matrix(3, 6, 5)
@@ -416,9 +464,10 @@ class TestInvarianceChecks:
 
 def test_guard_message_names_the_bound():
     try:
-        spark(np.ones((2, 30)))
+        spark(np.ones((10, 21)))
     except GuardError as exc:
-        assert "max_cols=24" in str(exc)
+        assert str(exc) == ("spark enumeration guard exceeded: C(21,10) + C(21,1) + ... + C(21,10)"
+                            "=1401291 > max_subsets=1000000")
     else:  # pragma: no cover
         pytest.fail("guard not raised")
 

@@ -55,6 +55,13 @@ def _dependent_at_level_m() -> np.ndarray:
     return A
 
 
+def _near_dependent() -> np.ndarray:
+    A = gaussian_matrix(6, 12, 5)
+    # columns 3 and 11 nearly parallel (singular-value ratio 4e-4): the RIP gate still passes
+    A[:, 11] = A[:, 3] + 1e-3 * gaussian_matrix(6, 1, 9)[:, 0]
+    return A
+
+
 def _signal_with_subnormal() -> np.ndarray:
     x = random_sparse_signal(12, 2, 6)
     x[np.flatnonzero(x == 0.0)[0]] = 1e-310
@@ -75,6 +82,7 @@ MATRICES = {
     "dep6x12.csv": _dependent_at_level_m(),
     "tall8x5.csv": gaussian_matrix(8, 5, 4),
     "g7x7.csv": gaussian_matrix(7, 7, 8),
+    "near6x12.csv": _near_dependent(),
 }
 
 POINTS = {
@@ -101,6 +109,7 @@ SIGNALS = {
     "x12zero.csv": np.zeros(12),
     "x12sub.csv": _signal_with_subnormal(),
     "x5.csv": random_sparse_signal(5, 1, 9),
+    "x12near.csv": np.array([0.0, 0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.75]),
 }
 
 BAD_FILES = {
@@ -218,7 +227,8 @@ def runs(configs: list[str]) -> list[list[str]]:
                     "square", '{"kind": "nonzero_random", "seed": 7}']
     out += [["recover", "--matrix", a, "--map", f, "--composition", c, "--signal", x,
              "--method", meth]
-            for a in ("g6x12.csv", "g4x8.csv", "dupcol.csv", "eye3.csv") for f in recover_maps
+            for a in ("g6x12.csv", "g4x8.csv", "dupcol.csv", "eye3.csv", "near6x12.csv")
+            for f in recover_maps
             for c in ("pre", "post") for x in SIGNALS for meth in ("l1", "l0")]
     out += [["recover", "--matrix", "g6x12.csv", "--map", "abs", "--composition", "pre",
              "--signal", "x12.csv", "--method", meth, "--max-iter", it]
