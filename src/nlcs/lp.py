@@ -19,6 +19,18 @@ produces:
   whose condition number is the square root of the normal matrix's.  R^-1 is
   formed once per iteration and applied by matrix products, with one pass of
   iterative refinement on top; the starting point takes the same route;
+* R^-1 is formed by blocked back substitution: with R = [R11 R12; 0 R22],
+  X22 = R22^-1 and X11 = R11^-1 recursively and X12 = -R11^-1 R12 X22 by a
+  recursive block triangular solve, rather than by an LU of all of R and a
+  solve against the identity.  Blocks of order at most 64 go to LAPACK's
+  general ``inv``/``solve``, whose partial pivoting never swaps rows of a
+  triangular block, and an R of order at most 64 is inverted by ``inv``
+  directly.  X12 comes from a triangular solve, not from the product
+  -(R11^-1 R12) R22^-1 of explicitly inverted diagonal blocks: that form is
+  faster but less accurate on the badly graded factors of late iterations,
+  and at the large preset (160 x 512, square/post, config seeds 1-2, 40
+  trials each) it ended 25 of 80 solves at "max_iter", against 6 for both
+  ``inv`` and the solve;
 * convergence is declared on relative primal/dual residuals plus the
   complementarity measure x's / (1 + |1'x|), the standard gap proxy that
   stays meaningful when cancellation pollutes 1'x - b'y;
@@ -41,6 +53,9 @@ import numpy as np
 
 __all__ = ["LpResult", "solve_standard_form"]
 
+#: triangular blocks of at most this order go to LAPACK whole
+_BLOCK = 64
+
 
 @dataclass
 class LpResult:
@@ -59,10 +74,34 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(min(1.0, (-v[neg] / dv[neg]).min()))
 
 
+def _solve_upper(R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """R^-1 C for upper triangular R, by block back substitution."""
+    m = R.shape[0]
+    if m <= _BLOCK:
+        return np.linalg.solve(R, C)
+    h = m // 2
+    Z2 = _solve_upper(R[h:, h:], C[h:])
+    return np.vstack([_solve_upper(R[:h, :h], C[:h] - R[:h, h:] @ Z2), Z2])
+
+
+def _upper_inverse(R: np.ndarray) -> np.ndarray:
+    """Inverse of the upper triangular R (see the module docstring);
+    ``LinAlgError`` when a diagonal entry is zero."""
+    m = R.shape[0]
+    if m <= _BLOCK:
+        return np.linalg.inv(R)
+    h = m // 2
+    X = np.zeros_like(R)
+    X[h:, h:] = _upper_inverse(R[h:, h:])
+    X[:h, :h] = _upper_inverse(R[:h, :h])
+    X[:h, h:] = _solve_upper(R[:h, :h], -R[:h, h:] @ X[h:, h:])
+    return X
+
+
 def _normal_solver(B: np.ndarray, dsum: np.ndarray):
     """Solver of (B diag(dsum) B') v = r through R^-1, with R the triangular
     factor of the n x m matrix diag(sqrt(dsum)) B'."""
-    Rinv = np.linalg.inv(np.linalg.qr((B * np.sqrt(dsum)).T, mode="r"))
+    Rinv = _upper_inverse(np.linalg.qr((B * np.sqrt(dsum)).T, mode="r"))
     return lambda r: Rinv @ (Rinv.T @ r)
 
 

@@ -40,6 +40,8 @@ MAX_SEED = 2**64
 RANK_TOL = 1e-10
 #: rows per chunk of ``column_subsets`` (memory control for the batched kernels)
 _CHUNK = 4096
+#: floats one batched gather of a chunk's columns may hold (16 MiB)
+_GATHER_FLOATS = _CHUNK * 64 * 8
 #: a one-chunk level is cached when its table holds at most this many indices
 _CACHE_ENTRIES = 8 * _CHUNK
 #: number of cached level tables
@@ -159,16 +161,7 @@ def _level_table(n: int, r: int) -> np.ndarray:
     return table
 
 
-def column_subsets(n: int, r: int):
-    """Yield every r-subset of range(n) in lexicographic order, as (rows, r)
-    intp arrays of at most ``_CHUNK`` rows each.
-
-    A level that fits in one chunk and holds at most ``_CACHE_ENTRIES``
-    indices is built once and then served from a cache of the last
-    ``_CACHE_LEVELS`` such tables used; those arrays are read-only.  The
-    cache holds at most 32 * 32,768 indices, 8 MiB.  Larger levels are
-    built chunk by chunk as they are consumed.
-    """
+def _level_chunks(n: int, r: int):
     total = math.comb(n, r)
     if 0 < total <= _CHUNK and total * r <= _CACHE_ENTRIES:
         yield _level_table(n, r)
@@ -176,6 +169,30 @@ def column_subsets(n: int, r: int):
     it = combinations(range(n), r)
     for start in range(0, total, _CHUNK):
         yield _subset_rows(it, min(_CHUNK, total - start), r)
+
+
+def column_subsets(n: int, r: int, floats_per_subset: int = 0):
+    """Yield every r-subset of range(n) in lexicographic order, as (rows, r)
+    intp arrays of at most ``_CHUNK`` rows each.
+
+    A caller that gathers ``floats_per_subset`` floats for each subset (m r
+    for the columns of an m-row matrix) gets chunks cut further, to at most
+    ``_GATHER_FLOATS // floats_per_subset`` rows (at least one), so that one
+    gather holds at most 16 MiB whatever the row count.  A level that fits
+    in one chunk and holds at most ``_CACHE_ENTRIES`` indices is built once
+    and then served from a cache of the last ``_CACHE_LEVELS`` such tables
+    used; those arrays are read-only.  The cache holds at most
+    32 * 32,768 indices, 8 MiB.  Larger levels are built chunk by chunk as
+    they are consumed.
+    """
+    step = _CHUNK
+    if floats_per_subset > 0:
+        step = max(1, min(step, _GATHER_FLOATS // floats_per_subset))
+    for chunk in _level_chunks(n, r):
+        if len(chunk) <= step:
+            yield chunk
+        else:
+            yield from (chunk[i:i + step] for i in range(0, len(chunk), step))
 
 
 def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import GuardError, RipOrderError
 from .lp import solve_standard_form
-from .matrix_core import (as_matrix, as_system, as_vector, column_subsets, in_safe_range,
-                          rank_of_singular_values)
+from .matrix_core import (RANK_TOL, as_matrix, as_system, as_vector, column_subsets,
+                          in_safe_range, rank_of_singular_values)
 from .nonlinear_maps import NonlinearMap, PointRequirements
 from .pointwise_linearization import LinearizationCertificate, linearize, qualified_type
 from .report import JsonReport
@@ -47,9 +47,9 @@ __all__ = [
     "recover_via_linearization",
 ]
 
-#: guard on the number of supports at the deepest level of the l0 search
-MAX_L0_SUPPORTS = 100_000
-#: unit roundoff u of float64, in the l0 screen's error bound
+#: guard on the number of supports the l0 search can visit, C(n, 1) + ... + C(n, k_max)
+MAX_L0_SUPPORTS = 200_000
+#: unit roundoff u of float64, in the error bounds of the l0 and row-rank screens
 _UNIT_ROUNDOFF = 2.0**-53
 #: l1 decoder tolerances: the residual ||B u - y|| and the relative duality gap
 LP_FEASIBILITY_TOL = 1e-8
@@ -103,6 +103,21 @@ def _report(x_hat: np.ndarray, B: np.ndarray, y: np.ndarray, status: str) -> Rec
     )
 
 
+def _certified_full_row_rank(B: np.ndarray) -> bool:
+    """Does a Cholesky factorization of B B' - tau I prove that B's SVD
+    counts rank m?  (See ``basis_pursuit``.)"""
+    if not in_safe_range(B):
+        return False
+    m, n = B.shape
+    G = B @ B.T
+    tau = ((1e3 * RANK_TOL) ** 2 + 4.0 * (m + n) * _UNIT_ROUNDOFF) * float(np.trace(G))
+    try:
+        np.linalg.cholesky(G - tau * np.eye(m))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     """Minimize ||u||_1 subject to B u = y (within the feasibility tolerance).
 
@@ -110,6 +125,32 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     has a component outside the column space beyond tolerance the report
     comes back with solver_status "infeasible" and x_hat = 0.  The solver
     stops after ``max_iter`` iterations with status "max_iter".
+
+    Row-rank screen.  The row rank r is the ``RANK_TOL`` count of B's
+    singular values; the SVD that computes it is skipped when a Cholesky
+    factorization proves r = m.  Let F = ||B||_F^2, u = 2^-53,
+    gamma_k = k u / (1 - k u) and tau = ((1e3 RANK_TOL)^2 + 4 (m + n) u) F,
+    with F taken as the trace of fl(B B'), which is within gamma_(m+n) F
+    of the true F.  Suppose the Cholesky factorization of
+    H = fl(fl(B B') - tau I) succeeds.  Three errors separate H + tau I
+    from B B' in the 2-norm: the Gram matrix (|fl(B B') - B B'| <=
+    gamma_n |B| |B'| entrywise, so at most gamma_n F), the diagonal
+    subtraction (at most u ((1 + gamma_n) F + tau)), and the factorization,
+    blocked or not, which is exact for H + dH with |dH| <= gamma_(m+1)
+    |R'| |R| (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.3), so that ||dH||_2 <= gamma_(m+1) ||R||_F^2 <= gamma_(m+1)
+    trace(H) / (1 - gamma_(m+1)).  R'R = H + dH is positive definite, so
+    lambda_min(B B') exceeds tau minus these terms.  For (m + n + 2) u <=
+    0.01, true of any B that fits in memory, they sum to at most
+    1.1 (m + n + 2) u F, and with the rounding of tau that leaves
+    lambda_min(B B') > (1e3 RANK_TOL)^2 F >= (1e3 RANK_TOL)^2 s_max^2.
+    Hence s_min/s_max > 1e3 RANK_TOL, and the backward-stable SVD, whose
+    singular values are off by a small multiple of u s_max, would count all
+    m of them as well.  A B outside ``matrix_core.in_safe_range`` skips the
+    screen: inside it F >= 2^-800, so tau is a normal float and underflow
+    cannot void the bound.  A failed factorization takes the SVD path, so
+    the rank, the row reduction and the "infeasible" answer never depend on
+    the screen.
     """
     _check_max_iter(max_iter)
     B, yv = as_system(B, y)
@@ -120,7 +161,8 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
 
     # reduce to a full-row-rank system; budget half the feasibility
     # tolerance for the out-of-span component and half for the LP residual
-    r = int(rank_of_singular_values(np.linalg.svd(B, compute_uv=False)))
+    r = m if _certified_full_row_rank(B) else int(
+        rank_of_singular_values(np.linalg.svd(B, compute_uv=False)))
     if r < m:
         Ur = np.linalg.svd(B, full_matrices=False)[0][:, :r]
         out_of_span = float(np.linalg.norm(yv - Ur @ (Ur.T @ yv)))
@@ -196,14 +238,19 @@ def l0_oracle(B, y, k_max: int) -> RecoveryReport:
     lexicographic order through the same ``lstsq`` call and residual test
     as without the screen, so the chosen support, x_hat and status never
     depend on it.
+
+    Guard.  A y that fits no support visits every level, so ``GuardError``
+    is raised when C(n, 1) + ... + C(n, k_max) exceeds ``MAX_L0_SUPPORTS``,
+    not only when the deepest level does.
     """
     B, yv = as_system(B, y)
     m, n = B.shape
     if not 0 <= k_max <= n:
         raise ValueError(f"k_max must satisfy 0 <= k_max <= cols, got {k_max}")
-    if math.comb(n, k_max) > MAX_L0_SUPPORTS:
+    total = sum(math.comb(n, k) for k in range(1, k_max + 1))
+    if total > MAX_L0_SUPPORTS:
         raise GuardError(
-            f"l0 enumeration guard exceeded: C({n},{k_max})={math.comb(n, k_max)}"
+            f"l0 enumeration guard exceeded: C({n},1) + ... + C({n},{k_max})={total}"
             f" > max_supports={MAX_L0_SUPPORTS}"
         )
     thr = 1e-8 * (1.0 + float(np.linalg.norm(yv)))
@@ -214,7 +261,7 @@ def l0_oracle(B, y, k_max: int) -> RecoveryReport:
     for k in range(1, k_max + 1):
         gamma = 64.0 * m * k * k * _UNIT_ROUNDOFF
         screen = screenable and k < m
-        for subs in column_subsets(n, k):
+        for subs in column_subsets(n, k, m * (k + 1)):
             if screen:
                 subs = subs[_may_fit(By, subs, thr, gamma)]
             for sup in subs:
@@ -249,6 +296,21 @@ def _balanced_free_value(p: PointRequirements) -> float:
         return 1.0
     cmin = float(np.min(np.abs(p.fz[p.z_nz] / p.z[p.z_nz])))
     return min(1.0, cmin) if cmin > 0 else 1.0
+
+
+def _effective_matrix(A: np.ndarray, cert: LinearizationCertificate, composition: str):
+    """Y A for "pre", A Y for "post".  A type-3 Y is diagonal, so its
+    product is a row or column scaling of A: each entry is a sum with one
+    nonzero term, which the dense product rounds once, as the scaling does.
+    Adding 0.0 turns the -0.0 of a zero entry of A times a negative Y_ii
+    into the +0.0 of the dense product, so the two agree bit for bit
+    unless a product underflows to zero."""
+    if cert.type != 3:
+        return cert.Y @ A if composition == "pre" else A @ cert.Y
+    d = np.diagonal(cert.Y)
+    B = d[:, None] * A if composition == "pre" else A * d
+    B += 0.0
+    return B
 
 
 def recover_via_linearization(
@@ -308,11 +370,10 @@ def recover_via_linearization(
     if composition == "pre":
         cert = linearize(F, A @ x, target)
         z = cert.Fz
-        B = cert.Y @ A
     else:
         cert = linearize(F, x, target, free_value=_balanced_free_value)
         z = A @ cert.Fz
-        B = A @ cert.Y
+    B = _effective_matrix(A, cert, composition)
 
     lam, delta = 1.0, None
     if measurable:  # B has the n columns of A

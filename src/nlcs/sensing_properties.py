@@ -29,8 +29,9 @@ Enumeration guards are fixed limits on the number of column subsets
 visited (``MAX_SPARK_SUBSETS``, ``MAX_RIP_SUPPORTS``); exceeding them raises
 ``GuardError`` rather than silently truncating.  Subsets come from
 ``matrix_core.column_subsets``, which builds a small level's table once
-and serves it from a cache.  Every rank decision uses
-``matrix_core.RANK_TOL``.
+and serves it from a cache, and cuts chunks so that a batched gather of a
+tall matrix's columns stays within a fixed number of floats.  Every rank
+decision uses ``matrix_core.RANK_TOL``.
 """
 
 from __future__ import annotations
@@ -206,13 +207,13 @@ def spark(A) -> SparkReport:
             f" > max_subsets={MAX_SPARK_SUBSETS}"
         )
     screen = _screen_inputs(M) if t == m else None
-    if not any(_dependent(M, subs, screen).any() for subs in column_subsets(n, t)):
+    if not any(_dependent(M, subs, screen).any() for subs in column_subsets(n, t, m * t)):
         return SparkReport(spark=t + 1, witness=list(range(t + 1)) if t < n else [])
     for r in range(1, min(m + 1, n) + 1):
         if r > m:
             # more columns than rows: any r columns are dependent
             return SparkReport(spark=r, witness=list(range(r)))
-        for subs in column_subsets(n, r):
+        for subs in column_subsets(n, r, m * r):
             dep = _dependent(M, subs)
             if dep.any():
                 first = int(np.argmax(dep))
@@ -240,7 +241,7 @@ def rip_constants(A, k: int) -> RipReport:
         )
     alpha = np.inf
     beta = -np.inf
-    for subs in column_subsets(n, k):
+    for subs in column_subsets(n, k, M.shape[0] * k):
         stacks = np.moveaxis(M[:, subs], 1, 0)  # (chunk, m, k)
         grams = stacks.transpose(0, 2, 1) @ stacks
         ev = np.linalg.eigvalsh(grams)

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from nlcs import recovery
+from nlcs import lp, recovery
 from nlcs.lp import solve_standard_form
 
 
@@ -129,3 +129,34 @@ class TestSolveStandardForm:
         res = solve_standard_form(B, y, opt_tol=1e-10)
         best_val, _ = min_l1_by_basic_solutions(B, y)
         assert np.abs(res.x).sum() <= best_val + 1e-8 * (1.0 + best_val)
+
+
+def graded_factor(m, seed):
+    """The solver's triangular factor for a Gaussian m x 4m B and weights
+    spread over e^-20..e^20, as in late interior-point iterations."""
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(m, 4 * m))
+    dsum = np.exp(rng.uniform(-20.0, 20.0, size=4 * m))
+    return np.linalg.qr((B * np.sqrt(dsum)).T, mode="r")
+
+
+class TestUpperInverse:
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    def test_plain_inv_up_to_the_block_order(self, m):
+        R = graded_factor(m, m)
+        assert np.array_equal(lp._upper_inverse(R).view(np.int64), np.linalg.inv(R).view(np.int64))
+
+    @pytest.mark.parametrize("m", [65, 160, 257])
+    def test_blocked_inverse_is_as_accurate_as_inv(self, m):
+        R = graded_factor(m, m)
+        X = lp._upper_inverse(R)
+        I = np.eye(m)
+        assert np.array_equal(X, np.triu(X))
+        assert np.linalg.norm(X @ R - I) <= 10.0 * np.linalg.norm(np.linalg.inv(R) @ R - I)
+
+    @pytest.mark.parametrize("m, zero", [(64, 10), (65, 0), (160, 79), (160, 80), (257, 256)])
+    def test_zero_diagonal_entry_raises(self, m, zero):
+        R = graded_factor(m, m)
+        R[zero, zero] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            lp._upper_inverse(R)

@@ -6,7 +6,8 @@ import pytest
 
 from nlcs import matrix_core, nonlinear_maps, recovery
 from nlcs.errors import GuardError, RequirementError, RipOrderError
-from nlcs.matrix_core import as_system, gaussian_matrix, random_sparse_signal
+from nlcs.matrix_core import (as_system, gaussian_matrix, random_sparse_signal,
+                              rank_of_singular_values)
 from nlcs.nonlinear_maps import (
     abs_map,
     identity_map,
@@ -22,6 +23,7 @@ from nlcs.recovery import (
     recover_via_linearization,
     support_set,
 )
+from nlcs.pointwise_linearization import linearize
 from nlcs.sensing_properties import rip_constants, spark
 
 SQRT2_MINUS_1 = np.sqrt(2.0) - 1.0
@@ -108,6 +110,69 @@ class TestBasisPursuit:
         assert support_set(base.x_hat) == support_set(scaled.x_hat)
 
 
+def with_singular_values(s, n, seed):
+    """U diag(s) V' for random orthonormal U (m x m) and V (n x m)."""
+    rng = np.random.default_rng(seed)
+    m = len(s)
+    U, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, m)))
+    return (U * s) @ V.T
+
+
+class TestRowRankScreen:
+    """The Cholesky screen may clear B only when the SVD counts rank m."""
+
+    @pytest.mark.parametrize("ratio", [1e-7 * (1 - 1e-3), 1e-7 * (1 + 1e-3),
+                                       1e-10 * (1 - 1e-3), 1e-10 * (1 + 1e-3), 1e-3, 0.5])
+    @pytest.mark.parametrize("m, n", [(3, 5), (20, 40), (70, 90)])
+    def test_cleared_only_at_full_svd_rank(self, ratio, m, n):
+        B = with_singular_values(np.geomspace(1.0, ratio, m), n, m + n)
+        svd_rank = int(rank_of_singular_values(np.linalg.svd(B, compute_uv=False)))
+        if recovery._certified_full_row_rank(B):
+            assert svd_rank == m
+        if ratio < 1e-7:
+            assert not recovery._certified_full_row_rank(B)
+
+    def test_clears_well_conditioned_systems(self):
+        for m, n in [(1, 1), (1, 4), (4, 4), (64, 128), (160, 512)]:
+            assert recovery._certified_full_row_rank(gaussian_matrix(m, n, m + n))
+
+    def test_zero_rows_and_tall_matrices_are_not_cleared(self):
+        B = gaussian_matrix(6, 12, 71)
+        B[2] = 0.0
+        assert not recovery._certified_full_row_rank(B)
+        assert not recovery._certified_full_row_rank(gaussian_matrix(8, 5, 72))
+        assert not recovery._certified_full_row_rank(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("scale", [2.0**-420, 2.0**420])
+    def test_out_of_range_entries_skip_the_screen(self, scale, monkeypatch):
+        def unreachable(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("screen ran outside its safe range")
+
+        monkeypatch.setattr(np.linalg, "cholesky", unreachable)
+        B = gaussian_matrix(4, 9, 73)
+        assert not recovery._certified_full_row_rank(scale * B)
+        rep = basis_pursuit(scale * B, scale * (B @ random_sparse_signal(9, 2, 74)))
+        assert rep.solver_status == "converged"
+
+    def test_cleared_system_skips_the_svd(self, monkeypatch):
+        def unreachable(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("SVD reached")
+
+        B = gaussian_matrix(20, 40, 75)
+        y = B @ random_sparse_signal(40, 3, 76)
+        monkeypatch.setattr(np.linalg, "svd", unreachable)
+        assert basis_pursuit(B, y).solver_status == "converged"
+
+    @pytest.mark.parametrize("ratio", [1e-7 * (1 + 1e-3), 1e-10 * (1 + 1e-3), 1e-3])
+    def test_answers_match_the_svd_path(self, ratio, monkeypatch):
+        B = with_singular_values(np.geomspace(1.0, ratio, 8), 16, 77)
+        ys = [B @ random_sparse_signal(16, 2, 78), np.random.default_rng(79).normal(size=8)]
+        screened = [basis_pursuit(B, y).to_json() for y in ys]
+        monkeypatch.setattr(recovery, "_certified_full_row_rank", lambda B: False)
+        assert screened == [basis_pursuit(B, y).to_json() for y in ys]
+
+
 class TestMaxIter:
     @pytest.mark.parametrize("value", [2.5, 200.0, True, "200"])
     def test_rejects_non_int_max_iter(self, value):
@@ -162,6 +227,16 @@ class TestL0Oracle:
     def test_guard(self):
         with pytest.raises(GuardError):
             l0_oracle(np.ones((2, 60)), np.ones(2), 30)
+
+    def test_guard_counts_every_level(self):
+        # C(22, 21) = 22, but a y off the range of a rank-2 B would have
+        # every support of size <= 21 tried, 4,194,302 in all
+        B = gaussian_matrix(3, 22, 80)
+        B[2] = B[0] - B[1]
+        with pytest.raises(GuardError) as exc:
+            l0_oracle(B, np.array([0.0, 0.0, 1.0]), 21)
+        assert str(exc.value) == ("l0 enumeration guard exceeded: C(22,1) + ... + C(22,21)=4194302"
+                                  " > max_supports=200000")
 
     @pytest.mark.parametrize("seed", range(8))
     def test_l1_never_beats_l0_l1_norm_by_more_than_tol(self, seed):
@@ -310,9 +385,27 @@ class TestL0Screen:
         B = gaussian_matrix(10, 19, 69)
         rep = l0_oracle(B, np.random.default_rng(70).normal(size=10), 8)
         assert rep.solver_status == "infeasible"
-        assert math.comb(19, 8) <= recovery.MAX_L0_SUPPORTS
+        assert sum(math.comb(19, k) for k in range(1, 9)) <= recovery.MAX_L0_SUPPORTS
         assert max(batches) == matrix_core._CHUNK
         assert sum(batches) == sum(math.comb(19, k) for k in range(1, 9))
+
+
+    def test_tall_matrix_is_screened_in_bounded_gathers(self, monkeypatch):
+        # C(14, 4) = 1,001 supports of 2,000 x 5 floats at level 4: gathered
+        # in pieces of _GATHER_FLOATS // 10,000 = 209 supports
+        batches = []
+        qr = np.linalg.qr
+
+        def recording(a, mode="reduced"):
+            batches.append(a.shape)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        B = gaussian_matrix(2000, 14, 97)
+        y = B[:, [9, 11, 12, 13]] @ np.array([1.0, -2.0, 0.5, 3.0])
+        rep = assert_l0_matches_reference(B, y, 4)
+        assert support_set(rep.x_hat) == {9, 11, 12, 13}
+        assert [b[0] for b in batches if b[2] == 5] == [209] * 4 + [165]
 
 
 class TestOracleEquivalence:
@@ -522,6 +615,33 @@ class TestRecoverViaLinearization:
             "rel_error",
             "solver_status",
         }
+
+
+class TestEffectiveMatrix:
+    """A type-3 certificate's product is a row or column scaling of A."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scaling_equals_the_dense_product(self, seed):
+        rng = np.random.default_rng(90 + seed)
+        A = gaussian_matrix(12, 20, 91 + seed)
+        A[rng.random(A.shape) < 0.2] = 0.0  # zero entries keep the dense product's +0.0
+        for composition, dim in (("pre", 12), ("post", 20)):
+            z = rng.normal(size=dim)
+            z[rng.random(dim) < 0.2] = 0.0
+            # sign and abs certificates are +-1/|z_i|, here near 1e300 and 1e-300
+            wide = z * 10.0 ** rng.choice([-300, -150, 0, 150, 300], size=dim)
+            certs = [linearize(sign_map(dim), wide, 3), linearize(abs_map(dim), wide, 3),
+                     linearize(square_map(dim), z, 3)]
+            for cert in certs:
+                dense = cert.Y @ A if composition == "pre" else A @ cert.Y
+                B = recovery._effective_matrix(A, cert, composition)
+                assert np.array_equal(B, dense)
+                assert np.array_equal(B.view(np.int64), dense.view(np.int64))
+
+    def test_other_types_use_the_dense_product(self):
+        A = gaussian_matrix(4, 8, 97)
+        cert = linearize(nonzero_random_map(4, 5), A @ random_sparse_signal(8, 2, 98), 2)
+        assert np.array_equal(recovery._effective_matrix(A, cert, "pre"), cert.Y @ A)
 
 
 def test_support_set_threshold():

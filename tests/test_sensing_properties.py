@@ -137,9 +137,9 @@ class TestSparkMatchesUpwardScan:
         levels = []
         chunks = sensing_properties.column_subsets
 
-        def recording(n, r):
+        def recording(n, r, *rest):
             levels.append(r)
-            return chunks(n, r)
+            return chunks(n, r, *rest)
 
         monkeypatch.setattr(sensing_properties, "column_subsets", recording)
         assert spark(gaussian_matrix(6, 12, 5)).spark == 7
@@ -172,6 +172,44 @@ class TestColumnSubsets:
 
     def test_empty_level_yields_nothing(self):
         assert list(column_subsets(3, 4)) == []
+
+    @pytest.mark.parametrize("n, r, floats", [(12, 6, 10**4), (16, 8, 10**3), (13, 6, 10**8),
+                                              (10, 5, 3 * matrix_core._GATHER_FLOATS)])
+    def test_gathers_are_bounded(self, n, r, floats):
+        chunks = list(column_subsets(n, r, floats))
+        rows = [tuple(int(j) for j in row) for c in chunks for row in c]
+        assert rows == list(combinations(range(n), r))
+        assert all(1 <= len(c) <= matrix_core._CHUNK for c in chunks)
+        assert all(len(c) == 1 or len(c) * floats <= matrix_core._GATHER_FLOATS for c in chunks)
+
+
+class TestBoundedGathers:
+    """Cutting chunks for tall matrices leaves every answer bit-identical."""
+
+    def test_rip_of_a_tall_matrix(self, monkeypatch):
+        # C(13, 6) = 1,716 supports of 1,000 x 6 floats: one chunk, gathered
+        # in pieces of _GATHER_FLOATS // 6,000 = 349 supports
+        A = gaussian_matrix(1000, 13, 1)
+        batches = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            batches.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        cut = rip_constants(A, 6).to_json()
+        assert [b[0] for b in batches] == [349] * 4 + [320]
+        monkeypatch.setattr(matrix_core, "_GATHER_FLOATS", 10**12)
+        batches.clear()
+        assert rip_constants(A, 6).to_json() == cut
+        assert [b[0] for b in batches] == [1716]
+
+    def test_spark_of_a_tall_matrix(self):
+        rng = np.random.default_rng(95)
+        A = plant_dependency(gaussian_matrix(600, 13, 96), 6, rng)
+        assert len(list(column_subsets(13, 6, 600 * 6))) > 1
+        assert_matches_reference(A)
 
 
 class TestDeterminantScreen:

@@ -83,6 +83,7 @@ MATRICES = {
     "tall8x5.csv": gaussian_matrix(8, 5, 4),
     "g7x7.csv": gaussian_matrix(7, 7, 8),
     "near6x12.csv": _near_dependent(),
+    "g80x160.csv": gaussian_matrix(80, 160, 10),  # m > 64: the blocked inverse of the l1 solver
 }
 
 POINTS = {
@@ -111,6 +112,9 @@ SIGNALS = {
     "x5.csv": random_sparse_signal(5, 1, 9),
     "x12near.csv": np.array([0.0, 0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.75]),
 }
+
+#: signals for g80x160.csv only, kept out of the SIGNALS x matrices product
+WIDE_SIGNALS = {"x160.csv": random_sparse_signal(160, 8, 11)}
 
 BAD_FILES = {
     "ragged.csv": "1,2\n3\n",
@@ -181,7 +185,7 @@ def _write_inputs() -> list[str]:
     """Write every input file into the working directory; return the config names."""
     for name, M in MATRICES.items():
         np.savetxt(name, M, delimiter=",")
-    for name, v in {**POINTS, **SIGNALS}.items():
+    for name, v in {**POINTS, **SIGNALS, **WIDE_SIGNALS}.items():
         np.savetxt(name, np.asarray(v, dtype=np.float64), delimiter=",")
     for name, text in BAD_FILES.items():
         Path(name).write_text(text)
@@ -230,6 +234,8 @@ def runs(configs: list[str]) -> list[list[str]]:
             for a in ("g6x12.csv", "g4x8.csv", "dupcol.csv", "eye3.csv", "near6x12.csv")
             for f in recover_maps
             for c in ("pre", "post") for x in SIGNALS for meth in ("l1", "l0")]
+    out += [["recover", "--matrix", "g80x160.csv", "--map", f, "--composition", c, "--signal",
+             "x160.csv", "--method", "l1"] for f, c in (("sign", "pre"), ("square", "post"))]
     out += [["recover", "--matrix", "g6x12.csv", "--map", "abs", "--composition", "pre",
              "--signal", "x12.csv", "--method", meth, "--max-iter", it]
             for meth in ("l1", "l0") for it in ("0", "1", "3")]
