@@ -43,10 +43,22 @@ of this code: if ||B'y||_inf <= 1, every u with B u = b has
 ||u||_1 >= y'B u = y'b, so y'b close to ||u||_1 proves u optimal.  The
 method is deterministic dense numpy.  Basis pursuit with B of full row rank
 is feasible and bounded, so the statuses are "converged" and "max_iter".
+
+Certified exit.  A caller may pass ``certify``, called at every iterate
+with the candidate support S = {i : x+_i/s+_i > tau or x-_i/s-_i > tau}
+(tau = ``_SUPPORT_RATIO``; the primal/dual-slack indicator of El-Bakry,
+Tapia & Zhang, 1994) and the current dual y, whenever 0 < |S| < m.  It
+returns None or a pair (x, y), which the solve returns at once with status
+"converged"; the solver neither reads nor checks the pair, so the caller's
+hook alone answers for it (``recovery.certify_l1`` returns a polished x
+with a dual certificate of its unique optimality).  The hook must not
+modify y: a None then leaves the iterate untouched, and the solve goes on
+bit for bit as without a hook.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +67,8 @@ __all__ = ["LpResult", "solve_standard_form"]
 
 #: triangular blocks of at most this order go to LAPACK whole
 _BLOCK = 64
+#: support indicator of the certified exit: x_i/s_i above this on either split half
+_SUPPORT_RATIO = 0.1
 
 
 @dataclass
@@ -106,9 +120,12 @@ def _normal_solver(B: np.ndarray, dsum: np.ndarray):
 
 
 def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
-                        max_iter: int = 200) -> LpResult:
+                        max_iter: int = 200,
+                        certify: Callable[[np.ndarray, np.ndarray], tuple | None] | None = None,
+                        ) -> LpResult:
     """Minimize ||u||_1 s.t. B u = b for the measurements b (argument y) and
-    B of full row rank, through the split program above."""
+    B of full row rank, through the split program above; ``certify`` is the
+    optional certified-exit hook (see the module docstring)."""
     B = np.asarray(B, dtype=np.float64)
     b = np.asarray(y, dtype=np.float64)
     n = B.shape[1]
@@ -145,12 +162,18 @@ def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
         merit = max(pr, dr, mu_rel)
         if best is None or merit < best[0]:
             best = (merit, x.copy(), y.copy(), it - 1)
+        ratio = x / s
+        if certify is not None:
+            S = np.flatnonzero((ratio[:n] > _SUPPORT_RATIO) | (ratio[n:] > _SUPPORT_RATIO))
+            found = certify(S, y) if 0 < S.size < B.shape[0] else None
+            if found is not None:
+                return LpResult(*found, "converged", it - 1)
         if pr <= feas_tol and dr <= feas_tol and mu_rel <= opt_tol:
             return LpResult(x[:n] - x[n:], y, "converged", it - 1)
         if merit > 1e6 * best[0]:
             break  # the last step was beyond working precision; keep the best iterate
 
-        d = np.clip(x / s, 1e-300, 1e300)
+        d = np.clip(ratio, 1e-300, 1e300)
         dsum = d[:n] + d[n:]
         try:
             solve = _normal_solver(B, dsum)

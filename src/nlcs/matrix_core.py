@@ -38,6 +38,8 @@ MAX_SEED = 2**64
 
 #: relative singular-value cutoff of every numerical rank decision in the package
 RANK_TOL = 1e-10
+#: unit roundoff u of float64, in the error bounds of the certified screens and certificates
+_UNIT_ROUNDOFF = 2.0**-53
 #: rows per chunk of ``column_subsets`` (memory control for the batched kernels)
 _CHUNK = 4096
 #: floats one batched gather of a chunk's columns may hold (16 MiB)
@@ -127,8 +129,10 @@ def in_safe_range(M: np.ndarray) -> bool:
     [2^-400, 2^400] in magnitude, where the batched screens' rounding bounds
     hold: their products can neither overflow nor lose accuracy to
     underflow."""
-    nz = np.abs(M[M != 0.0])
-    return bool(nz.size and nz.min() >= 2.0**-400 and nz.max() <= 2.0**400)
+    a = np.abs(M)
+    hi = float(np.max(a, initial=0.0))
+    lo = float(np.min(a, where=a != 0.0, initial=np.inf))
+    return hi != 0.0 and lo >= 2.0**-400 and hi <= 2.0**400
 
 
 def extreme_eigenvalues(S) -> tuple[float, float]:

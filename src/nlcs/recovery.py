@@ -3,7 +3,9 @@
 Two decoders are provided:
 
 * ``basis_pursuit`` -- l1-norm minimization subject to B u = y, solved by
-  the in-repo interior-point core for the split form u = u+ - u-;
+  the in-repo interior-point core for the split form u = u+ - u-, which
+  stops at the first iterate whose support carries a dual certificate of
+  unique optimality (``certify_l1``, checked by ``l1_dual_errors``);
 * ``l0_oracle`` -- exhaustive minimum-support search: for k = 0, 1, ... all
   size-k supports are tried in lexicographic order and the first one whose
   least-squares fit reproduces the measurements is returned.  Each level
@@ -31,8 +33,8 @@ import numpy as np
 
 from .errors import GuardError, RipOrderError
 from .lp import solve_standard_form
-from .matrix_core import (RANK_TOL, as_matrix, as_system, as_vector, column_subsets,
-                          in_safe_range, rank_of_singular_values)
+from .matrix_core import (RANK_TOL, _UNIT_ROUNDOFF, as_matrix, as_system, as_vector,
+                          column_subsets, in_safe_range, rank_of_singular_values)
 from .nonlinear_maps import NonlinearMap, PointRequirements
 from .pointwise_linearization import LinearizationCertificate, linearize, qualified_type
 from .report import JsonReport
@@ -43,14 +45,16 @@ __all__ = [
     "PipelineResult",
     "support_set",
     "basis_pursuit",
+    "certify_l1",
+    "l1_dual_errors",
     "l0_oracle",
     "recover_via_linearization",
 ]
 
 #: guard on the number of supports the l0 search can visit, C(n, 1) + ... + C(n, k_max)
 MAX_L0_SUPPORTS = 200_000
-#: unit roundoff u of float64, in the error bounds of the l0 and row-rank screens
-_UNIT_ROUNDOFF = 2.0**-53
+#: relative floor (1e3 RANK_TOL)^2 on lambda_min(M M') / ||M||_F^2 of the row-rank screen
+_RANK_FLOOR = (1e3 * RANK_TOL) ** 2
 #: l1 decoder tolerances: the residual ||B u - y|| and the relative duality gap
 LP_FEASIBILITY_TOL = 1e-8
 LP_OPTIMALITY_TOL = 1e-8
@@ -70,7 +74,10 @@ class RecoveryReport(JsonReport):
 
     support_exact and rel_error are filled only when ground truth is
     available (None otherwise).  residual is the Euclidean norm of
-    B x_hat - y for the system actually solved.
+    B x_hat - y for the system actually solved.  certified is True when
+    the l1 solve ended on a dual certificate that x_hat is the unique l1
+    minimizer (see ``basis_pursuit``), and margin is then that
+    certificate's 1 - ||B_S^c' w||_inf (None otherwise).
     """
 
     x_hat: np.ndarray
@@ -79,6 +86,8 @@ class RecoveryReport(JsonReport):
     support_exact: bool | None
     rel_error: float | None
     solver_status: str  # converged | max_iter | infeasible
+    certified: bool
+    margin: float | None
 
 
 def support_set(v) -> set[int]:
@@ -92,7 +101,8 @@ def support_set(v) -> set[int]:
     return {int(i) for i in np.flatnonzero(np.abs(x) > threshold)}
 
 
-def _report(x_hat: np.ndarray, B: np.ndarray, y: np.ndarray, status: str) -> RecoveryReport:
+def _report(x_hat: np.ndarray, B: np.ndarray, y: np.ndarray, status: str,
+            margin: float | None = None) -> RecoveryReport:
     return RecoveryReport(
         x_hat=x_hat,
         residual=float(np.linalg.norm(B @ x_hat - y)),
@@ -100,22 +110,122 @@ def _report(x_hat: np.ndarray, B: np.ndarray, y: np.ndarray, status: str) -> Rec
         support_exact=None,
         rel_error=None,
         solver_status=status,
+        certified=margin is not None,
+        margin=margin,
     )
 
 
-def _certified_full_row_rank(B: np.ndarray) -> bool:
-    """Does a Cholesky factorization of B B' - tau I prove that B's SVD
-    counts rank m?  (See ``basis_pursuit``.)"""
-    if not in_safe_range(B):
-        return False
-    m, n = B.shape
-    G = B @ B.T
-    tau = ((1e3 * RANK_TOL) ** 2 + 4.0 * (m + n) * _UNIT_ROUNDOFF) * float(np.trace(G))
+def _gram_floor(M: np.ndarray, phi: float | None = None) -> float:
+    """Certified lower bound phi F / 2 on lambda_min(M M'), F = trace(fl(M M')),
+    from a Cholesky factorization of M M' - tau I, or 0.0 when it fails or
+    M is outside ``matrix_core.in_safe_range`` (see ``basis_pursuit``).
+    Without ``phi``, phi is half the computed smallest eigenvalue over F,
+    kept within [``_RANK_FLOOR``, 1/2]."""
+    if not in_safe_range(M):
+        return 0.0
+    m, n = M.shape
+    G = M @ M.T
+    F = float(np.trace(G))
+    if phi is None:
+        phi = min(max(float(np.linalg.eigvalsh(G)[0]) / (2.0 * F), _RANK_FLOOR), 0.5)
     try:
-        np.linalg.cholesky(G - tau * np.eye(m))
+        np.linalg.cholesky(G - (phi + 4.0 * (m + n) * _UNIT_ROUNDOFF) * F * np.eye(m))
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return 0.0
+    return phi * F / 2.0
+
+
+def _certified_full_row_rank(B: np.ndarray) -> bool:
+    """Does the Gram floor prove that B's SVD counts rank m?  (See
+    ``basis_pursuit``.)"""
+    return _gram_floor(B, _RANK_FLOOR) > 0.0
+
+
+def _margin_and_bound(B: np.ndarray, S: np.ndarray, w: np.ndarray,
+                      sign: np.ndarray) -> tuple[float, float] | None:
+    """The computed margin 1 - max over j outside S of |b_j' w| and its
+    rounding bound beta, or None when B_S has no certified full column rank
+    (see ``basis_pursuit``)."""
+    m, n = B.shape
+    u = _UNIT_ROUNDOFF
+    g = 2.0 * (m + 2) * u
+    c = B.T @ w
+    a = np.abs(B).T @ np.abs(w)
+    off = np.ones(n, dtype=bool)
+    off[S] = False
+    eps, s_lo = 0.0, 1.0
+    if S.size:
+        lam_lo = _gram_floor(B[:, S].T)
+        if lam_lo == 0.0:
+            return None
+        s_lo = math.sqrt(lam_lo)
+        eps = 1.05 * float(np.linalg.norm(np.abs(c[S] - sign) + g * a[S]))
+    terms = g * a[off] + np.linalg.norm(B, axis=0)[off] * (eps / s_lo)
+    margin = 1.0 - float(np.max(np.abs(c[off]), initial=0.0))
+    return margin, 1.05 * float(np.max(terms, initial=0.0)) + 2.0 * u
+
+
+def l1_dual_errors(B, b, x_hat, w) -> list[str]:
+    """Problems that stop w from certifying x_hat as the unique minimizer of
+    ||u||_1 subject to B u = B x_hat, with B x_hat within the l1 decoder's
+    feasibility tolerance of b; empty when none.
+
+    With S the nonzeros of x_hat, the conditions of Zhang, Yin & Cheng are
+    checked with every rounding error bounded: B_S has full column rank, and
+    w lies close enough to {B_S' w = sign(x_hat_S)} that its margin
+    1 - ||B_S^c' w||_inf stays positive after the correction onto that set
+    (``basis_pursuit`` gives the proof).  The check uses only its arguments,
+    so it does not trust the solver or ``certify_l1``.
+    """
+    B, bv = as_system(B, b)
+    x = as_vector(x_hat)
+    w = as_vector(w)
+    m, n = B.shape
+    if x.shape[0] != n or w.shape[0] != m:
+        raise ValueError(f"x_hat needs {n} entries and w {m}, got {x.shape[0]} and {w.shape[0]}")
+    problems = []
+    residual = float(np.linalg.norm(B @ x - bv))
+    tol = LP_FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(bv)))
+    if not residual <= tol:
+        problems.append(f"residual ||B x_hat - b|| = {residual:.3g} exceeds {tol:.3g}")
+    S = np.flatnonzero(x)
+    found = _margin_and_bound(B, S, w, np.sign(x[S]))
+    if found is None:
+        problems.append(f"B_S ({S.size} columns) has no certified full column rank")
+    elif not found[0] > found[1]:
+        problems.append(f"margin {found[0]:.3g} does not exceed its rounding bound {found[1]:.3g}")
+    return problems
+
+
+def certify_l1(B, b, S, y) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Polished l1 minimizer on the support S, its dual certificate w and
+    margin 1 - ||B_S^c' w||_inf, or None when they fail ``l1_dual_errors``.
+
+    x_S is the least-squares fit of b on B_S = Q R, given up on when its
+    residual exceeds half the feasibility tolerance; w is the dual y
+    projected onto {B_S' w = sign(x_S)}, w = y + Q R^-T (sign(x_S) - B_S' y).
+    The arguments are only read.
+    """
+    BS = B[:, S]
+    Q, R = np.linalg.qr(BS)
+    tol = 0.5 * LP_FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(b)))
+    try:
+        xs = np.linalg.solve(R, Q.T @ b)
+        if not (float(np.linalg.norm(BS @ xs - b)) <= tol and np.all(xs != 0.0)):
+            return None
+        w = y + Q @ np.linalg.solve(R.T, np.sign(xs) - BS.T @ y)
+    except np.linalg.LinAlgError:  # an exactly singular R
+        return None
+    off = np.ones(B.shape[1], dtype=bool)
+    off[S] = False
+    margin = 1.0 - float(np.abs((B.T @ w)[off]).max())
+    if not margin > 0.0:
+        return None
+    x = np.zeros(B.shape[1])
+    x[S] = xs
+    if l1_dual_errors(B, b, x, w):
+        return None
+    return x, w, margin
 
 
 def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
@@ -126,31 +236,80 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     comes back with solver_status "infeasible" and x_hat = 0.  The solver
     stops after ``max_iter`` iterations with status "max_iter".
 
+    Gram floor.  For a p x q matrix M inside ``matrix_core.in_safe_range``
+    and (1e3 RANK_TOL)^2 <= phi <= 1/2, let u = 2^-53,
+    gamma_k = k u / (1 - k u), F the trace of fl(M M') (within
+    gamma_(p+q) of ||M||_F^2) and tau = (phi + 4 (p + q) u) F.  Suppose the
+    Cholesky factorization of H = fl(fl(M M') - tau I) succeeds.  Three
+    errors separate H + tau I from M M' in the 2-norm: the Gram matrix
+    (|fl(M M') - M M'| <= gamma_q |M| |M'| entrywise, so at most
+    gamma_q ||M||_F^2), the diagonal subtraction (at most
+    u (1.01 F + tau) <= 1.52 u F), and the factorization, blocked or not,
+    which is exact for H + dH with |dH| <= gamma_(p+1) |R'| |R| (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3), so that
+    ||dH||_2 <= gamma_(p+1) ||R||_F^2 <= gamma_(p+1) trace(H) /
+    (1 - gamma_(p+1)).  R'R = H + dH is positive definite, so
+    lambda_min(M M') exceeds tau minus these terms.  For (p + q + 2) u <=
+    0.01, true of any M that fits in memory, they sum to at most
+    (1.12 (p + q) + 2.8) u F, and with the rounding of tau that leaves
+    lambda_min(M M') > 0.99 phi F; ``_gram_floor`` returns phi F / 2.
+    Inside the safe range F >= 2^-800, so tau is a normal float and
+    underflow cannot void the bound.
+
     Row-rank screen.  The row rank r is the ``RANK_TOL`` count of B's
-    singular values; the SVD that computes it is skipped when a Cholesky
-    factorization proves r = m.  Let F = ||B||_F^2, u = 2^-53,
-    gamma_k = k u / (1 - k u) and tau = ((1e3 RANK_TOL)^2 + 4 (m + n) u) F,
-    with F taken as the trace of fl(B B'), which is within gamma_(m+n) F
-    of the true F.  Suppose the Cholesky factorization of
-    H = fl(fl(B B') - tau I) succeeds.  Three errors separate H + tau I
-    from B B' in the 2-norm: the Gram matrix (|fl(B B') - B B'| <=
-    gamma_n |B| |B'| entrywise, so at most gamma_n F), the diagonal
-    subtraction (at most u ((1 + gamma_n) F + tau)), and the factorization,
-    blocked or not, which is exact for H + dH with |dH| <= gamma_(m+1)
-    |R'| |R| (Higham, Accuracy and Stability of Numerical Algorithms,
-    Thm 10.3), so that ||dH||_2 <= gamma_(m+1) ||R||_F^2 <= gamma_(m+1)
-    trace(H) / (1 - gamma_(m+1)).  R'R = H + dH is positive definite, so
-    lambda_min(B B') exceeds tau minus these terms.  For (m + n + 2) u <=
-    0.01, true of any B that fits in memory, they sum to at most
-    1.1 (m + n + 2) u F, and with the rounding of tau that leaves
-    lambda_min(B B') > (1e3 RANK_TOL)^2 F >= (1e3 RANK_TOL)^2 s_max^2.
-    Hence s_min/s_max > 1e3 RANK_TOL, and the backward-stable SVD, whose
-    singular values are off by a small multiple of u s_max, would count all
-    m of them as well.  A B outside ``matrix_core.in_safe_range`` skips the
-    screen: inside it F >= 2^-800, so tau is a normal float and underflow
-    cannot void the bound.  A failed factorization takes the SVD path, so
-    the rank, the row reduction and the "infeasible" answer never depend on
-    the screen.
+    singular values; the SVD that computes it is skipped when the Gram
+    floor with M = B and phi = (1e3 RANK_TOL)^2 holds.  Then
+    s_min^2 > 0.99 phi F >= 0.98 phi s_max^2, so s_min/s_max >
+    900 RANK_TOL, and the backward-stable SVD, whose singular values are
+    off by a small multiple of u s_max, would count all m of them as well.
+    A failed factorization, or a B outside the safe range, takes the SVD
+    path, so the rank, the row reduction and the "infeasible" answer never
+    depend on the screen.
+
+    Certified exit.  The l1 solve stops at the first interior-point
+    iterate whose candidate support S (see ``lp``) carries a certificate
+    that x_hat is the unique minimizer of ||u||_1 subject to B u = B x_hat.
+    ``certify_l1`` fits x_S by least squares on B_S = Q R, gives up when
+    the residual exceeds half the feasibility tolerance, projects the
+    iterate's dual onto {B_S' w = sign(x_S)} as
+    w = y + Q R^-T (sign(x_S) - B_S' y), and keeps (x_hat, w) only when
+    ``l1_dual_errors`` finds no problem.  The report is then "converged"
+    with certified = True, margin = 1 - ||B_S^c' w||_inf, and the polished
+    fit as x_hat.  On the row-reduced path the certificate is for
+    (U_r' B, U_r' y), whose null space is B's, so it proves the same.  A
+    failed attempt leaves the iterate untouched: a solve that is never
+    certified returns exactly what it returns without the check.
+
+    Certificate (Zhang, Yin & Cheng, JOTA 2015).  Let S be the support of
+    x_hat.  If B_S has full column rank and some w* has
+    B_S' w* = sign(x_S) and ||B_S^c' w*||_inf < 1, then every h != 0 with
+    B h = 0 has ||x_hat + h||_1 >= ||x_hat||_1 + sign(x_S)' h_S +
+    ||h_S^c||_1 and sign(x_S)' h_S = w*' B_S h_S = -w*' B_S^c h_S^c, so
+    ||x_hat + h||_1 - ||x_hat||_1 >= (1 - ||B_S^c' w*||_inf) ||h_S^c||_1,
+    which is positive unless h_S^c = 0, and then B_S h_S = 0 forces h = 0.
+
+    Rounding.  ``l1_dual_errors`` proves that such a w* exists from the
+    computed w, which meets B_S' w = sign(x_S) only up to rounding.  With
+    k = |S|, g = 2 (m + 2) u, c = fl(B' w) and a = fl(|B|' |w|), every
+    |c_j - b_j' w| <= g a_j (the dot-product bound gamma_m |b_j|' |w| with
+    |b_j|' |w| <= a_j / (1 - gamma_m); underflow adds at most m 2^-1074,
+    far below the 2u of step 3).
+    (1) Rank: the Gram floor with M = B_S' (p = k, q = m) and phi half the
+    computed smallest eigenvalue of fl(B_S' B_S) over F, kept within
+    [(1e3 RANK_TOL)^2, 1/2], must hold; then sigma_min(B_S) > s_lo =
+    sqrt(phi F / 2).
+    (2) Equality: e = B_S' w - sign(x_S) has |e_i| <= 1.01 |r_i| + g a_i
+    for the computed r = c_S - sign(x_S), so ||e||_2 <= eps =
+    1.05 fl(|| |r| + g a_S ||_2).  Then w* = w - B_S (B_S' B_S)^-1 e meets
+    B_S' w* = sign(x_S) exactly, and as ||B_S (B_S' B_S)^-1||_2 =
+    1 / sigma_min(B_S) < 1 / s_lo, every j outside S has
+    |b_j' w*| <= |c_j| + g a_j + ||b_j||_2 eps / s_lo.
+    (3) Margin: the check passes only when fl(1 - max_j |c_j|) exceeds
+    beta = 1.05 max_j (g a_j + fl(||b_j||_2) eps / s_lo) + 2u, over j
+    outside S.  The factor 1.05 covers the rounding of the norms, products
+    and sums that form eps and beta, each a relative error of at most
+    (m + k + 4) u <= 0.01, and 2u covers the subtraction from 1; so
+    ||B_S^c' w*||_inf < 1.
     """
     _check_max_iter(max_iter)
     B, yv = as_system(B, y)
@@ -173,14 +332,25 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     else:
         B_eff, y_eff = B, yv
 
+    margin = None
+
+    def certify(S, y_dual):
+        nonlocal margin
+        found = certify_l1(B_eff, y_eff, S, y_dual)
+        if found is None:
+            return None
+        x_hat, w, margin = found
+        return x_hat, w
+
     res = solve_standard_form(
         B_eff,
         y_eff,
         feas_tol=0.5 * LP_FEASIBILITY_TOL,
         opt_tol=LP_OPTIMALITY_TOL,
         max_iter=max_iter,
+        certify=certify,
     )
-    return _report(res.x, B, yv, res.status)
+    return _report(res.x, B, yv, res.status, margin)
 
 
 def _may_fit(By: np.ndarray, subs: np.ndarray, thr: float, gamma: float) -> np.ndarray:

@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardError, NspOrderError, RipOrderError
-from .matrix_core import (RANK_TOL, as_matrix, column_subsets, in_safe_range, is_monomial,
-                          rank, rank_of_singular_values, seeded_rng)
+from .matrix_core import (RANK_TOL, _UNIT_ROUNDOFF, as_matrix, column_subsets, in_safe_range,
+                          is_monomial, rank, rank_of_singular_values, seeded_rng)
 from .report import JsonReport
 
 __all__ = [
@@ -65,8 +65,6 @@ MAX_SPARK_SUBSETS = 1_000_000
 MAX_RIP_SUPPORTS = 200_000
 #: alpha <= _DEPENDENT_TOL * beta is treated as a numerically zero alpha
 _DEPENDENT_TOL = 1e-10
-#: unit roundoff u of float64, in the determinant screen's error bound
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass
@@ -164,11 +162,9 @@ def spark(A) -> SparkReport:
     Guard.  ``GuardError`` is raised when the worst case, C(n, t) probe
     subsets plus C(n, 1) + ... + C(n, t) for the scan, exceeds
     ``MAX_SPARK_SUBSETS``.  Generic shapes it admits include 10x20
-    (801,421 worst case; 1.1 s), 11x20 (2.0 s), 9x21 (0.7 s), 8x22 (0.6 s),
-    2x1000 (0.2 s) and any matrix of at most 19 columns; it refuses 12x20,
-    10x21 and 20x20.  With a dependent probe subset the scan runs:
-    4.1 s at 10x20, 7.1 s at 11x20, 8.6 s at 19x19 (one core, BLAS on one
-    thread).  The worst case is at least 2^t, so t <= 19.
+    (801,421 worst case), 11x20, 9x21, 8x22, 2x1000 and any matrix of at
+    most 19 columns; it refuses 12x20, 10x21 and 20x20 (README lists
+    timings).  The worst case is at least 2^t, so t <= 19.
 
     Probe.  Level t = min(rows, cols) is scanned first.  Every smaller
     subset lies inside some t-subset, and removing columns can only raise

@@ -131,6 +131,32 @@ class TestSolveStandardForm:
         assert np.abs(res.x).sum() <= best_val + 1e-8 * (1.0 + best_val)
 
 
+class TestCertifyHook:
+    def test_accepted_pair_is_returned_as_converged(self):
+        rng = np.random.default_rng(11)
+        B = rng.normal(size=(6, 12))
+        y = B @ np.where(np.arange(12) < 2, 1.0, 0.0)
+        calls = []
+
+        def accept_third(S, y_dual):
+            calls.append(S)
+            return (np.full(12, 7.0), np.full(6, -1.0)) if len(calls) == 3 else None
+
+        res = solve_standard_form(B, y, certify=accept_third)
+        assert res.status == "converged" and len(calls) == 3
+        assert np.array_equal(res.x, np.full(12, 7.0)) and np.array_equal(res.y, np.full(6, -1.0))
+        assert all(0 < S.size < 6 and np.array_equal(S, np.unique(S)) for S in calls)
+
+    def test_single_row_never_calls_the_hook(self):
+        def unreachable(S, y_dual):  # pragma: no cover
+            raise AssertionError("no support with 0 < |S| < m = 1")
+
+        ref = solve_standard_form(np.array([[1.0, 1.0, 0.3]]), np.array([1.0]))
+        res = solve_standard_form(np.array([[1.0, 1.0, 0.3]]), np.array([1.0]),
+                                  certify=unreachable)
+        assert res.x.tobytes() == ref.x.tobytes() and res.status == ref.status
+
+
 def graded_factor(m, seed):
     """The solver's triangular factor for a Gaussian m x 4m B and weights
     spread over e^-20..e^20, as in late interior-point iterations."""

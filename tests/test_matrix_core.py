@@ -8,6 +8,7 @@ from nlcs.matrix_core import (
     as_vector,
     extreme_eigenvalues,
     gaussian_matrix,
+    in_safe_range,
     is_monomial,
     random_sparse_signal,
     rank,
@@ -125,6 +126,40 @@ class TestIsMonomial:
     ])
     def test_one_nonzero_per_row_and_column(self, M, want):
         assert is_monomial(M) is want
+
+
+def safe_range_by_gather(M):
+    """Reference form of ``in_safe_range``: gather the nonzero magnitudes."""
+    nz = np.abs(M[M != 0.0])
+    return bool(nz.size and nz.min() >= 2.0**-400 and nz.max() <= 2.0**400)
+
+
+class TestInSafeRange:
+    @pytest.mark.parametrize("M, expected", [
+        (np.array([[2.0**-400, 1.0]]), True),
+        (np.array([[2.0**400, -1.0]]), True),
+        (np.array([[2.0**-400, 2.0**400]]), True),
+        (np.array([[np.nextafter(2.0**-400, 0.0), 1.0]]), False),
+        (np.array([[-np.nextafter(2.0**400, np.inf)]]), False),
+        (np.zeros((3, 4)), False),
+        (np.array([[-0.0, 0.0], [0.0, -0.0]]), False),
+        (np.array([[-0.0, 0.5], [0.0, -3.0]]), True),
+        (np.array([[5e-324, 1.0]]), False),
+        (np.array([[-1e-310, 0.0, 1.0]]), False),
+        (np.array([[np.finfo(np.float64).tiny, 1.0]]), False),
+        (np.array([[np.nextafter(2.0**400, 0.0), -2.0**-399]]), True),
+    ])
+    def test_boundaries(self, M, expected):
+        assert in_safe_range(M) is expected
+        assert safe_range_by_gather(M) is expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_gather_form(self, seed):
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(7, 9)) * 2.0 ** rng.integers(-420, 420, size=(7, 9))
+        M[rng.random(M.shape) < 0.3] = rng.choice([0.0, -0.0])
+        for A in (M, M * 2.0**-400, np.clip(M, -2.0**399, 2.0**399), M[:1, :1]):
+            assert in_safe_range(A) == safe_range_by_gather(A)
 
 
 class TestGaussianMatrix:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -17,9 +18,14 @@ from nlcs.nonlinear_maps import (
     sine_map,
     square_map,
 )
+from nlcs.lp import solve_standard_form
 from nlcs.recovery import (
+    LP_FEASIBILITY_TOL,
+    LP_OPTIMALITY_TOL,
     basis_pursuit,
+    certify_l1,
     l0_oracle,
+    l1_dual_errors,
     recover_via_linearization,
     support_set,
 )
@@ -171,6 +177,204 @@ class TestRowRankScreen:
         screened = [basis_pursuit(B, y).to_json() for y in ys]
         monkeypatch.setattr(recovery, "_certified_full_row_rank", lambda B: False)
         assert screened == [basis_pursuit(B, y).to_json() for y in ys]
+
+
+def certified_solve(B, y):
+    """The l1 solve of ``basis_pursuit`` with the certificate hook, and the
+    same solve without it."""
+    kw = {"feas_tol": 0.5 * LP_FEASIBILITY_TOL, "opt_tol": LP_OPTIMALITY_TOL}
+
+    def hook(S, y_dual):
+        found = certify_l1(B, y, S, y_dual)
+        return None if found is None else found[:2]
+
+    return solve_standard_form(B, y, certify=hook, **kw), solve_standard_form(B, y, **kw)
+
+
+def exact_corrected_margin(B, S, w, sign):
+    """1 - ||B_S^c' w*||_inf in rational arithmetic, for w* = w - B_S (B_S'B_S)^-1 e
+    and e = B_S' w - sign, the exact correction of w onto {B_S' w = sign}."""
+    m, n = B.shape
+    Bq = [[Fraction(float(v)) for v in row] for row in B]
+    wq = [Fraction(float(v)) for v in w]
+    col = [[Bq[i][j] for i in range(m)] for j in range(n)]
+    dot = lambda a, b: sum(p * q for p, q in zip(a, b))
+    e = [dot(col[j], wq) - int(sg) for j, sg in zip(S, sign)]
+    G = [[dot(col[i], col[j]) for j in S] for i in S]
+    z = solve_exact(G, e)
+    wstar = [wq[i] - sum(col[j][i] * zj for j, zj in zip(S, z)) for i in range(m)]
+    return 1 - max(abs(dot(col[j], wstar)) for j in range(n) if j not in S)
+
+
+def solve_exact(G, r):
+    """Gauss-Jordan elimination in rationals."""
+    k = len(r)
+    M = [row[:] + [r[i]] for i, row in enumerate(G)]
+    for c in range(k):
+        p = next(i for i in range(c, k) if M[i][c] != 0)
+        M[c], M[p] = M[p], M[c]
+        for i in range(k):
+            if i != c and M[i][c] != 0:
+                f = M[i][c] / M[c][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
+    return [M[i][k] / M[i][i] for i in range(k)]
+
+
+class TestL1Certificate:
+    """The certified exit of the l1 solve and its independent checker."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_certified_desk_instances_match_the_hook_free_solve(self, seed):
+        B = gaussian_matrix(64, 128, 300 + seed)
+        y = B @ random_sparse_signal(128, 10, 400 + seed)
+        res, plain = certified_solve(B, y)
+        assert res.status == "converged" and res.iterations < plain.iterations
+        assert l1_dual_errors(B, y, res.x, res.y) == []
+        assert np.abs(res.x - plain.x).max() <= 1e-8 * max(1.0, np.abs(plain.x).max())
+        rep = basis_pursuit(B, y)
+        assert rep.certified and 0.0 < rep.margin < 1.0
+        assert np.array_equal(rep.x_hat, res.x)
+
+    def test_non_unique_lp_is_never_certified(self, monkeypatch):
+        # every (a, 1 - a, 0) with a in [0, 1] is optimal: no certificate may hold
+        calls = []
+        monkeypatch.setattr(recovery, "certify_l1", lambda *a: calls.append(a))
+        rep = basis_pursuit(np.array([[1.0, 1.0, 0.3]]), np.array([1.0]))
+        assert calls == []  # m = 1: no support 0 < |S| < m to try
+        assert not rep.certified and rep.margin is None
+        assert rep.solver_status == "converged"
+        # the output of the solver without the certified exit, bit for bit
+        assert [v.hex() for v in rep.x_hat] == [
+            "0x1.ffffffff00471p-2", "0x1.ffffffff00471p-2", "0x1.aa34301fa2000p-32"]
+
+    def test_non_unique_vertex_is_rejected(self):
+        B = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # columns 0 and 2 are equal
+        x = np.array([1.0, 0.0, 0.0])
+        problems = l1_dual_errors(B, B @ x, x, np.array([1.0, 0.0]))
+        assert len(problems) == 1 and problems[0].startswith("margin")
+
+    def test_accepts_a_valid_certificate(self):
+        B = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])
+        x = np.array([1.0, 0.0, 0.0])
+        assert l1_dual_errors(B, B @ x, x, np.array([1.0, 0.0])) == []
+        assert l1_dual_errors(B, B @ (2 * x), 2 * x, np.array([1.0, 0.0])) == []
+        D, full = np.diag([2.0, 1.0]), np.array([1.0, -1.0])  # S is every column
+        assert l1_dual_errors(D, D @ full, full, np.array([0.5, -1.0])) == []
+
+    def test_rejects_perturbed_duals(self):
+        B = gaussian_matrix(20, 40, 81)
+        y = B @ random_sparse_signal(40, 3, 82)
+        res, _ = certified_solve(B, y)
+        assert l1_dual_errors(B, y, res.x, res.y) == []
+        assert l1_dual_errors(B, y, res.x, -res.y)
+        assert l1_dual_errors(B, y, res.x, 3.0 * res.y)
+        off = np.setdiff1d(np.arange(40), np.flatnonzero(res.x))
+        j = off[np.argmax(np.abs(B[:, off].T @ res.y))]
+        push = B[:, j] / (B[:, j] @ B[:, j]) * (np.sign(B[:, j] @ res.y) - B[:, j] @ res.y)
+        assert l1_dual_errors(B, y, res.x, res.y + 1.01 * push)
+
+    def test_equality_error_counts_against_the_margin(self):
+        # w = (1 - 1e-6, 0) leaves a raw margin of 1e-6, but the exact w* = (1, 0)
+        # has margin 0: the error in B_S'w = sign must void the certificate
+        B = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        x = np.array([1.0, 0.0, 0.0])
+        w = np.array([1.0 - 1e-6, 0.0])
+        assert 1.0 - np.abs(B[:, 1:].T @ w).max() > 0.0
+        assert l1_dual_errors(B, B @ x, x, w)
+
+    def test_rejects_wrong_x_hat(self):
+        B = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])
+        x = np.array([1.0, 0.0, 0.0])
+        w = np.array([1.0, 0.0])
+        assert l1_dual_errors(B, B @ x + 1e-3, x, w)[0].startswith("residual")
+        assert l1_dual_errors(B, B @ x, -x, w)  # the sign of x_hat is wrong for w
+        with pytest.raises(ValueError):
+            l1_dual_errors(B, B @ x, x, np.ones(3))
+
+    def test_dependent_support_has_no_rank_certificate(self):
+        B = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])  # columns 0 and 1 are parallel
+        x = np.array([1.0, 0.5, 0.0])
+        problems = l1_dual_errors(B, B @ x, x, np.array([0.5, 0.0]))
+        assert problems and "column rank" in problems[-1]
+
+    def test_cutoff(self):
+        # margin and bound both scale with the off-support column t e_1; w = (1 + 1e-3, 0)
+        # misses B_S'w = 1, so its bound is far from zero
+        def system(t):
+            return np.array([[1.0, 0.0, t], [0.0, 1.0, 0.0]])
+
+        x, w = np.array([1.0, 0.0, 0.0]), np.array([1.0 + 1e-3, 0.0])
+        lo, hi = 0.5, 1.0
+        assert not l1_dual_errors(system(lo), system(lo) @ x, x, w)
+        assert l1_dual_errors(system(hi), system(hi) @ x, x, w)
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if l1_dual_errors(system(mid), system(mid) @ x, x, w):
+                hi = mid
+            else:
+                lo = mid
+        S, sign = np.array([0]), np.array([1.0])
+        margin_lo, bound_lo = recovery._margin_and_bound(system(lo), S, w, sign)
+        margin_hi, bound_hi = recovery._margin_and_bound(system(hi), S, w, sign)
+        assert margin_lo > bound_lo and margin_hi <= bound_hi
+        assert bound_hi > 1e-3 and margin_hi > 1e-3  # the raw margin alone would pass
+        assert l1_dual_errors(system(hi), system(hi) @ x, x, w)[0].startswith("margin")
+        assert exact_corrected_margin(system(lo), [0], w, sign) > 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_accepted_near_the_cutoff_means_exactly_certified(self, seed):
+        # dual vectors missing B_S'w = sign by 1e-12 .. 1e-3, with off-support columns
+        # scaled so the raw margin sits near the bound: every accepted w must
+        # still have a positive margin after the exact correction
+        rng = np.random.default_rng(500 + seed)
+        B = rng.normal(size=(3, 6))
+        S, sign = [0, 1], rng.choice([-1.0, 1.0], size=2)
+        w = np.linalg.lstsq(B[:, S].T, sign, rcond=None)[0]
+        w = w + 10.0 ** rng.uniform(-12, -3) * rng.normal(size=3)
+        x = np.zeros(6)
+        x[S] = sign * rng.uniform(0.5, 2.0, size=2)
+        raw = np.abs(B[:, 2:].T @ w).max()
+        verdicts = []
+        for target in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0):  # raw margin / bound
+            C = B.copy()
+            for _ in range(4):  # the bound moves with the scale; iterate to the target
+                bound = recovery._margin_and_bound(C, np.array(S), w, sign)[1]
+                C[:, 2:] = B[:, 2:] * ((1.0 - target * bound) / raw)
+            verdicts.append(not l1_dual_errors(C, C @ x, x, w))
+            if verdicts[-1]:
+                assert exact_corrected_margin(C, S, w, sign) > 0
+        assert verdicts == [False, False, False, True, True, True]
+
+    def test_row_reduced_system_is_certified(self):
+        B = gaussian_matrix(12, 24, 83)
+        B[11] = B[0] - 2.0 * B[1]  # rank 11: the solve runs on the reduced rows
+        x = random_sparse_signal(24, 2, 84)
+        assert not recovery._certified_full_row_rank(B)
+        rep = basis_pursuit(B, B @ x)
+        assert rep.certified and rep.solver_status == "converged"
+        assert np.abs(rep.x_hat - x).max() <= 1e-12 * np.abs(x).max()
+
+    def test_failed_certificates_leave_the_solve_unchanged(self, monkeypatch):
+        B = gaussian_matrix(20, 40, 85)
+        y = B @ random_sparse_signal(40, 3, 86)
+        seen = []
+
+        def never(S, y_dual):
+            seen.append((S.copy(), y_dual.copy()))
+            return None
+
+        kw = {"feas_tol": 0.5 * LP_FEASIBILITY_TOL, "opt_tol": LP_OPTIMALITY_TOL}
+        ref = solve_standard_form(B, y, **kw)
+        res = solve_standard_form(B, y, certify=never, **kw)
+        assert seen and all(0 < S.size < 20 for S, _ in seen)
+        assert res.x.tobytes() == ref.x.tobytes() and res.y.tobytes() == ref.y.tobytes()
+        assert (res.status, res.iterations) == (ref.status, ref.iterations)
+        monkeypatch.setattr(recovery, "certify_l1", lambda *a: None)
+        rep = basis_pursuit(B, y)
+        assert not rep.certified and rep.margin is None
+        assert rep.x_hat.tobytes() == ref.x.tobytes()
 
 
 class TestMaxIter:
@@ -614,7 +818,10 @@ class TestRecoverViaLinearization:
             "support_exact",
             "rel_error",
             "solver_status",
+            "certified",
+            "margin",
         }
+        assert payload["certified"] is False and payload["margin"] is None
 
 
 class TestEffectiveMatrix:
