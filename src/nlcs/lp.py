@@ -44,16 +44,23 @@ of this code: if ||B'y||_inf <= 1, every u with B u = b has
 method is deterministic dense numpy.  Basis pursuit with B of full row rank
 is feasible and bounded, so the statuses are "converged" and "max_iter".
 
-Certified exit.  A caller may pass ``certify``, called at every iterate
-with the candidate support S = {i : x+_i/s+_i > tau or x-_i/s-_i > tau}
-(tau = ``_SUPPORT_RATIO``; the primal/dual-slack indicator of El-Bakry,
-Tapia & Zhang, 1994) and the current dual y, whenever 0 < |S| < m.  It
-returns None or a pair (x, y), which the solve returns at once with status
-"converged"; the solver neither reads nor checks the pair, so the caller's
-hook alone answers for it (``recovery.certify_l1`` returns a polished x
-with a dual certificate of its unique optimality).  The hook must not
-modify y: a None then leaves the iterate untouched, and the solve goes on
-bit for bit as without a hook.
+Certified exit.  A caller may pass ``certify``, called with the current
+dual y and the candidate support S = {i : r_i > tau}, where
+r_i = max(x+_i/s+_i, x-_i/s-_i) and tau = ``_SUPPORT_RATIO`` (the
+primal/dual-slack indicator of El-Bakry, Tapia & Zhang, 1994: r_i grows
+without bound on the optimal support and tends to 0 off it).  The call is
+made at each iterate where 0 < |S| < m and the two groups are apart:
+every r_i in S is at least ``_SUPPORT_GAP`` times every r_i outside.
+While some r_i still sit near tau, S is seldom the support, and each
+failed call costs the hook a factorization.  The hook returns None or a
+tuple whose first two entries are an x and a y; the solve then returns
+them at once with status "converged" and keeps the whole tuple as
+``LpResult.certificate``.  The solver neither reads nor checks the tuple,
+so the caller's hook alone answers for it (``recovery.certify_l1``
+returns a polished x, a dual certificate of its unique optimality and
+that certificate's margin).  The hook must not modify y: a None then
+leaves the iterate untouched, and the solve goes on bit for bit as
+without a hook.
 """
 
 from __future__ import annotations
@@ -69,16 +76,20 @@ __all__ = ["LpResult", "solve_standard_form"]
 _BLOCK = 64
 #: support indicator of the certified exit: x_i/s_i above this on either split half
 _SUPPORT_RATIO = 0.1
+#: the certified exit is tried only when every ratio in S is this many times every ratio outside
+_SUPPORT_GAP = 2.0
 
 
 @dataclass
 class LpResult:
-    """x is the l1 minimizer u+ - u- and y the dual solution."""
+    """x is the l1 minimizer u+ - u- and y the dual solution; certificate
+    is the ``certify`` hook's return value when it ended the solve."""
 
     x: np.ndarray
     y: np.ndarray
     status: str  # converged | max_iter
     iterations: int
+    certificate: tuple | None = None
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -164,10 +175,14 @@ def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
             best = (merit, x.copy(), y.copy(), it - 1)
         ratio = x / s
         if certify is not None:
-            S = np.flatnonzero((ratio[:n] > _SUPPORT_RATIO) | (ratio[n:] > _SUPPORT_RATIO))
-            found = certify(S, y) if 0 < S.size < B.shape[0] else None
+            r = np.maximum(ratio[:n], ratio[n:])
+            inside = r > _SUPPORT_RATIO
+            S = np.flatnonzero(inside)
+            found = None
+            if 0 < S.size < B.shape[0] and r[inside].min() >= _SUPPORT_GAP * r[~inside].max():
+                found = certify(S, y)
             if found is not None:
-                return LpResult(*found, "converged", it - 1)
+                return LpResult(found[0], found[1], "converged", it - 1, found)
         if pr <= feas_tol and dr <= feas_tol and mu_rel <= opt_tol:
             return LpResult(x[:n] - x[n:], y, "converged", it - 1)
         if merit > 1e6 * best[0]:

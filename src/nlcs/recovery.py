@@ -27,7 +27,8 @@ explicit input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -74,10 +75,11 @@ class RecoveryReport(JsonReport):
 
     support_exact and rel_error are filled only when ground truth is
     available (None otherwise).  residual is the Euclidean norm of
-    B x_hat - y for the system actually solved.  certified is True when
-    the l1 solve ended on a dual certificate that x_hat is the unique l1
-    minimizer (see ``basis_pursuit``), and margin is then that
-    certificate's 1 - ||B_S^c' w||_inf (None otherwise).
+    B x_hat - y for the system actually solved.  margin is
+    1 - ||B_S^c' w||_inf of the dual certificate w that x_hat is the unique
+    l1 minimizer when the l1 solve ended on one (see ``basis_pursuit``),
+    None otherwise; certified is derived from it (margin is not None), so
+    the two cannot disagree.
     """
 
     x_hat: np.ndarray
@@ -86,8 +88,11 @@ class RecoveryReport(JsonReport):
     support_exact: bool | None
     rel_error: float | None
     solver_status: str  # converged | max_iter | infeasible
-    certified: bool
     margin: float | None
+    certified: bool = field(init=False)
+
+    def __post_init__(self):
+        self.certified = self.margin is not None
 
 
 def support_set(v) -> set[int]:
@@ -110,7 +115,6 @@ def _report(x_hat: np.ndarray, B: np.ndarray, y: np.ndarray, status: str,
         support_exact=None,
         rel_error=None,
         solver_status=status,
-        certified=margin is not None,
         margin=margin,
     )
 
@@ -141,15 +145,14 @@ def _certified_full_row_rank(B: np.ndarray) -> bool:
     return _gram_floor(B, _RANK_FLOOR) > 0.0
 
 
-def _margin_and_bound(B: np.ndarray, S: np.ndarray, w: np.ndarray,
-                      sign: np.ndarray) -> tuple[float, float] | None:
-    """The computed margin 1 - max over j outside S of |b_j' w| and its
-    rounding bound beta, or None when B_S has no certified full column rank
-    (see ``basis_pursuit``)."""
+def _margin_and_bound(B: np.ndarray, S: np.ndarray, w: np.ndarray, sign: np.ndarray,
+                      c: np.ndarray) -> tuple[float, float] | None:
+    """The computed margin 1 - max over j outside S of |c_j|, c = fl(B' w),
+    and its rounding bound beta, or None when B_S has no certified full
+    column rank (see ``basis_pursuit``)."""
     m, n = B.shape
     u = _UNIT_ROUNDOFF
     g = 2.0 * (m + 2) * u
-    c = B.T @ w
     a = np.abs(B).T @ np.abs(w)
     off = np.ones(n, dtype=bool)
     off[S] = False
@@ -183,49 +186,65 @@ def l1_dual_errors(B, b, x_hat, w) -> list[str]:
     m, n = B.shape
     if x.shape[0] != n or w.shape[0] != m:
         raise ValueError(f"x_hat needs {n} entries and w {m}, got {x.shape[0]} and {w.shape[0]}")
+    return _dual_problems(B, bv, x, w, B.T @ w)[0]
+
+
+def _dual_problems(B: np.ndarray, b: np.ndarray, x: np.ndarray, w: np.ndarray,
+                   c: np.ndarray) -> tuple[list[str], float | None]:
+    """``l1_dual_errors`` on validated arrays, with c = fl(B' w) given, and
+    the margin it computed (None when B_S has no certified rank)."""
     problems = []
-    residual = float(np.linalg.norm(B @ x - bv))
-    tol = LP_FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(bv)))
+    residual = float(np.linalg.norm(B @ x - b))
+    tol = LP_FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(b)))
     if not residual <= tol:
         problems.append(f"residual ||B x_hat - b|| = {residual:.3g} exceeds {tol:.3g}")
     S = np.flatnonzero(x)
-    found = _margin_and_bound(B, S, w, np.sign(x[S]))
+    found = _margin_and_bound(B, S, w, np.sign(x[S]), c)
     if found is None:
         problems.append(f"B_S ({S.size} columns) has no certified full column rank")
-    elif not found[0] > found[1]:
+        return problems, None
+    if not found[0] > found[1]:
         problems.append(f"margin {found[0]:.3g} does not exceed its rounding bound {found[1]:.3g}")
-    return problems
+    return problems, found[0]
 
 
 def certify_l1(B, b, S, y) -> tuple[np.ndarray, np.ndarray, float] | None:
     """Polished l1 minimizer on the support S, its dual certificate w and
     margin 1 - ||B_S^c' w||_inf, or None when they fail ``l1_dual_errors``.
 
-    x_S is the least-squares fit of b on B_S = Q R, given up on when its
-    residual exceeds half the feasibility tolerance; w is the dual y
-    projected onto {B_S' w = sign(x_S)}, w = y + Q R^-T (sign(x_S) - B_S' y).
+    One R-only QR of [B_S, b] gives R_S, the factor of B_S, and the
+    least-squares residual |R[k, k]| of b on B_S (k = |S|); the attempt
+    stops there when that residual exceeds half the feasibility tolerance,
+    so a support that cannot fit b costs one QR without Q.  Otherwise
+    x_S = R_S^-1 R[:k, k], and w is the dual y projected onto
+    {B_S' w = sign(x_S)}, w = y + B_S R_S^-1 R_S^-T (sign(x_S) - B_S' y).
     The arguments are only read.
     """
-    BS = B[:, S]
-    Q, R = np.linalg.qr(BS)
-    tol = 0.5 * LP_FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(b)))
+    m, n = B.shape
+    k = S.size
+    A = np.empty((m, k + 1))
+    A[:, :k] = B[:, S]
+    A[:, k] = b
+    R = np.linalg.qr(A, mode="r")
+    if not abs(R[k, k]) <= 0.5 * LP_FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(b))):
+        return None
+    BS, RS = A[:, :k], R[:k, :k]
     try:
-        xs = np.linalg.solve(R, Q.T @ b)
-        if not (float(np.linalg.norm(BS @ xs - b)) <= tol and np.all(xs != 0.0)):
+        xs = np.linalg.solve(RS, R[:k, k])
+        if not np.all(xs != 0.0):
             return None
-        w = y + Q @ np.linalg.solve(R.T, np.sign(xs) - BS.T @ y)
-    except np.linalg.LinAlgError:  # an exactly singular R
+        w = y + BS @ np.linalg.solve(RS, np.linalg.solve(RS.T, np.sign(xs) - BS.T @ y))
+    except np.linalg.LinAlgError:  # an exactly singular R_S
         return None
-    off = np.ones(B.shape[1], dtype=bool)
+    c = B.T @ w
+    off = np.ones(n, dtype=bool)
     off[S] = False
-    margin = 1.0 - float(np.abs((B.T @ w)[off]).max())
-    if not margin > 0.0:
+    if not 1.0 - float(np.abs(c[off]).max()) > 0.0:
         return None
-    x = np.zeros(B.shape[1])
+    x = np.zeros(n)
     x[S] = xs
-    if l1_dual_errors(B, b, x, w):
-        return None
-    return x, w, margin
+    problems, margin = _dual_problems(B, b, x, w, c)
+    return None if problems else (x, w, margin)
 
 
 def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
@@ -269,16 +288,16 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     Certified exit.  The l1 solve stops at the first interior-point
     iterate whose candidate support S (see ``lp``) carries a certificate
     that x_hat is the unique minimizer of ||u||_1 subject to B u = B x_hat.
-    ``certify_l1`` fits x_S by least squares on B_S = Q R, gives up when
-    the residual exceeds half the feasibility tolerance, projects the
-    iterate's dual onto {B_S' w = sign(x_S)} as
-    w = y + Q R^-T (sign(x_S) - B_S' y), and keeps (x_hat, w) only when
-    ``l1_dual_errors`` finds no problem.  The report is then "converged"
-    with certified = True, margin = 1 - ||B_S^c' w||_inf, and the polished
-    fit as x_hat.  On the row-reduced path the certificate is for
-    (U_r' B, U_r' y), whose null space is B's, so it proves the same.  A
-    failed attempt leaves the iterate untouched: a solve that is never
-    certified returns exactly what it returns without the check.
+    ``certify_l1`` fits x_S by least squares through one R-only QR of
+    [B_S, y], gives up when the residual exceeds half the feasibility
+    tolerance, projects the iterate's dual onto {B_S' w = sign(x_S)}, and
+    keeps (x_hat, w) only when ``l1_dual_errors`` finds no problem.  The
+    report is then "converged" with margin = 1 - ||B_S^c' w||_inf, as the
+    checker computed it, certified = True, and the polished fit as x_hat.
+    On the row-reduced path the certificate is for (U_r' B, U_r' y), whose
+    null space is B's, so it proves the same.  A failed attempt leaves the
+    iterate untouched: a solve that is never certified returns exactly
+    what it returns without the check.
 
     Certificate (Zhang, Yin & Cheng, JOTA 2015).  Let S be the support of
     x_hat.  If B_S has full column rank and some w* has
@@ -332,24 +351,15 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     else:
         B_eff, y_eff = B, yv
 
-    margin = None
-
-    def certify(S, y_dual):
-        nonlocal margin
-        found = certify_l1(B_eff, y_eff, S, y_dual)
-        if found is None:
-            return None
-        x_hat, w, margin = found
-        return x_hat, w
-
     res = solve_standard_form(
         B_eff,
         y_eff,
         feas_tol=0.5 * LP_FEASIBILITY_TOL,
         opt_tol=LP_OPTIMALITY_TOL,
         max_iter=max_iter,
-        certify=certify,
+        certify=partial(certify_l1, B_eff, y_eff),
     )
+    margin = None if res.certificate is None else res.certificate[2]
     return _report(res.x, B, yv, res.status, margin)
 
 

@@ -145,7 +145,36 @@ class TestCertifyHook:
         res = solve_standard_form(B, y, certify=accept_third)
         assert res.status == "converged" and len(calls) == 3
         assert np.array_equal(res.x, np.full(12, 7.0)) and np.array_equal(res.y, np.full(6, -1.0))
+        assert res.certificate[0] is res.x and res.certificate[1] is res.y
         assert all(0 < S.size < 6 and np.array_equal(S, np.unique(S)) for S in calls)
+
+    def test_whole_hook_result_is_kept(self):
+        B = np.eye(2, 3)
+        found = (np.zeros(3), np.zeros(2), "extra")
+        res = solve_standard_form(B, np.array([1.0, 0.0]), certify=lambda S, y_dual: found)
+        assert res.certificate is found and res.x is found[0]
+        assert solve_standard_form(B, np.array([1.0, 0.0])).certificate is None
+
+    def test_gap_only_skips_calls(self, monkeypatch):
+        # failed calls leave the iterates alone, so the calls made under the gap
+        # rule are a subsequence of the calls made without it
+        rng = np.random.default_rng(12)
+        B = rng.normal(size=(64, 128))
+        y = B @ np.where(np.arange(128) % 13 == 0, rng.normal(size=128), 0.0)
+
+        def recorder(log):
+            def hook(S, y_dual):
+                log.append((S.tobytes(), y_dual.tobytes()))
+            return hook
+
+        gapped, every = [], []
+        res = solve_standard_form(B, y, certify=recorder(gapped))
+        monkeypatch.setattr(lp, "_SUPPORT_GAP", 0.0)
+        ref = solve_standard_form(B, y, certify=recorder(every))
+        assert res.x.tobytes() == ref.x.tobytes() and res.iterations == ref.iterations
+        rest = iter(every)
+        assert all(call in rest for call in gapped)
+        assert 0 < len(gapped) < len(every)
 
     def test_single_row_never_calls_the_hook(self):
         def unreachable(S, y_dual):  # pragma: no cover

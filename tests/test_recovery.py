@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -183,12 +185,8 @@ def certified_solve(B, y):
     """The l1 solve of ``basis_pursuit`` with the certificate hook, and the
     same solve without it."""
     kw = {"feas_tol": 0.5 * LP_FEASIBILITY_TOL, "opt_tol": LP_OPTIMALITY_TOL}
-
-    def hook(S, y_dual):
-        found = certify_l1(B, y, S, y_dual)
-        return None if found is None else found[:2]
-
-    return solve_standard_form(B, y, certify=hook, **kw), solve_standard_form(B, y, **kw)
+    return (solve_standard_form(B, y, certify=partial(certify_l1, B, y), **kw),
+            solve_standard_form(B, y, **kw))
 
 
 def exact_corrected_margin(B, S, w, sign):
@@ -233,7 +231,17 @@ class TestL1Certificate:
         assert np.abs(res.x - plain.x).max() <= 1e-8 * max(1.0, np.abs(plain.x).max())
         rep = basis_pursuit(B, y)
         assert rep.certified and 0.0 < rep.margin < 1.0
-        assert np.array_equal(rep.x_hat, res.x)
+        assert np.array_equal(rep.x_hat, res.x) and rep.margin == res.certificate[2]
+        # the margin is the one the checker computes from (x_hat, w)
+        assert rep.margin == 1.0 - np.abs(np.delete(B.T @ res.y, np.flatnonzero(res.x))).max()
+
+    def test_certified_follows_the_margin(self):
+        rep = basis_pursuit(np.array([[1.0, 1.0, 0.3]]), np.array([1.0]))
+        assert rep.margin is None and not rep.certified
+        assert replace(rep, margin=0.5).certified
+        assert not replace(replace(rep, margin=0.5), margin=None).certified
+        with pytest.raises(TypeError):
+            recovery.RecoveryReport(rep.x_hat, 0.0, 1.0, None, None, "converged", None, certified=True)
 
     def test_non_unique_lp_is_never_certified(self, monkeypatch):
         # every (a, 1 - a, 0) with a in [0, 1] is optimal: no certificate may hold
@@ -316,8 +324,8 @@ class TestL1Certificate:
             else:
                 lo = mid
         S, sign = np.array([0]), np.array([1.0])
-        margin_lo, bound_lo = recovery._margin_and_bound(system(lo), S, w, sign)
-        margin_hi, bound_hi = recovery._margin_and_bound(system(hi), S, w, sign)
+        margin_lo, bound_lo = recovery._margin_and_bound(system(lo), S, w, sign, system(lo).T @ w)
+        margin_hi, bound_hi = recovery._margin_and_bound(system(hi), S, w, sign, system(hi).T @ w)
         assert margin_lo > bound_lo and margin_hi <= bound_hi
         assert bound_hi > 1e-3 and margin_hi > 1e-3  # the raw margin alone would pass
         assert l1_dual_errors(system(hi), system(hi) @ x, x, w)[0].startswith("margin")
@@ -340,7 +348,7 @@ class TestL1Certificate:
         for target in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0):  # raw margin / bound
             C = B.copy()
             for _ in range(4):  # the bound moves with the scale; iterate to the target
-                bound = recovery._margin_and_bound(C, np.array(S), w, sign)[1]
+                bound = recovery._margin_and_bound(C, np.array(S), w, sign, C.T @ w)[1]
                 C[:, 2:] = B[:, 2:] * ((1.0 - target * bound) / raw)
             verdicts.append(not l1_dual_errors(C, C @ x, x, w))
             if verdicts[-1]:
