@@ -14,11 +14,25 @@ produces:
 
 * the program's matrix E = [B, -B] is never formed: E x and E'y are applied
   in split form, and with d = x/s split as (d+, d-) the normal matrix
-  E diag(d) E' is B diag(d+ + d-) B'.  It is solved through the triangular
-  factor R of a QR factorization of the n x m matrix diag(sqrt(d+ + d-)) B',
-  whose condition number is the square root of the normal matrix's.  R^-1 is
-  formed once per iteration and applied by matrix products, with one pass of
-  iterative refinement on top; the starting point takes the same route;
+  E diag(d) E' is G = X X' with X = B diag(sqrt(d+ + d-)).  It is solved
+  through an upper triangular R with R'R = G: R = L' for the Cholesky factor
+  L of fl(X X') (one symmetric rank-k product).  For the solve G v = r this
+  is as good as the factor R of a QR factorization of X': both are
+  backward stable with an error of order u ||G||, and the QR's smaller
+  condition number (the square root of G's) helps a least-squares problem
+  in X', not a solve with G.  The stopping tests below use true residuals,
+  so the factor can change how many iterations a solve takes, never whether
+  its answer passes; and a certified exit refits x on its support by its own
+  QR, so a certified answer does not depend on the iterates' rounding.
+  Householder QR of X' stays as the one fallback, taken when the Gram
+  overflows or the Cholesky factorization fails, or when L's smallest
+  diagonal entry is below ``_CHOLESKY_FLOOR`` = 1e-4 times its largest.
+  As cond(G) >= (max L_ii / min L_ii)^2, that ratio proves cond(G) > 1e8,
+  past which a solve with G loses more than half the working digits, as on
+  the last iterations of a solve that runs to the stopping tests below;
+* R^-1 is formed once per iteration and applied by matrix products, with
+  one pass of iterative refinement on top; the starting point takes the same
+  route;
 * R^-1 is formed by blocked back substitution: with R = [R11 R12; 0 R22],
   X22 = R22^-1 and X11 = R11^-1 recursively and X12 = -R11^-1 R12 X22 by a
   recursive block triangular solve, rather than by an LU of all of R and a
@@ -36,7 +50,8 @@ produces:
   stays meaningful when cancellation pollutes 1'x - b'y;
 * the best iterate (by the max of those three measures) is tracked, and a
   sharp merit blow-up (a Newton step computed beyond working precision)
-  aborts the loop, returning the best iterate with status "max_iter".
+  aborts the loop, returning the best iterate with status "max_iter"; so
+  does the ``max_iter``-th iterate, before any step is computed from it.
 
 The returned y is the dual solution and certifies the answer independently
 of this code: if ||B'y||_inf <= 1, every u with B u = b has
@@ -78,6 +93,8 @@ _BLOCK = 64
 _SUPPORT_RATIO = 0.1
 #: the certified exit is tried only when every ratio in S is this many times every ratio outside
 _SUPPORT_GAP = 2.0
+#: the Gram's Cholesky factor is used only when min L_ii / max L_ii is at least this
+_CHOLESKY_FLOOR = 1e-4
 
 
 @dataclass
@@ -123,10 +140,33 @@ def _upper_inverse(R: np.ndarray) -> np.ndarray:
     return X
 
 
+def _gram_factor(X: np.ndarray) -> np.ndarray | None:
+    """Upper triangular R = L' with R'R = fl(X X') from a Cholesky
+    factorization, or None when the Gram overflows, the factorization
+    fails, or L's diagonal falls below ``_CHOLESKY_FLOOR`` of its largest
+    entry (see the module docstring)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = X @ X.T
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+    diag = np.diagonal(L)
+    lo, hi = float(diag.min()), float(diag.max())
+    if not (0.0 < lo and hi < np.inf and lo >= _CHOLESKY_FLOOR * hi):
+        return None
+    return L.T
+
+
 def _normal_solver(B: np.ndarray, dsum: np.ndarray):
-    """Solver of (B diag(dsum) B') v = r through R^-1, with R the triangular
-    factor of the n x m matrix diag(sqrt(dsum)) B'."""
-    Rinv = _upper_inverse(np.linalg.qr((B * np.sqrt(dsum)).T, mode="r"))
+    """Solver of (B diag(dsum) B') v = r through R^-1, with R'R the normal
+    matrix: its Gram's Cholesky factor, or the triangular factor of the
+    n x m matrix diag(sqrt(dsum)) B' when ``_gram_factor`` declines."""
+    X = B * np.sqrt(dsum)
+    R = _gram_factor(X)
+    if R is None:
+        R = np.linalg.qr(X.T, mode="r")
+    Rinv = _upper_inverse(R)
     return lambda r: Rinv @ (Rinv.T @ r)
 
 
@@ -187,6 +227,8 @@ def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
             return LpResult(x[:n] - x[n:], y, "converged", it - 1)
         if merit > 1e6 * best[0]:
             break  # the last step was beyond working precision; keep the best iterate
+        if it == max_iter:
+            break  # no step would be evaluated; keep the best iterate
 
         d = np.clip(ratio, 1e-300, 1e300)
         dsum = d[:n] + d[n:]

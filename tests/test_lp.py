@@ -5,6 +5,7 @@ import pytest
 
 from nlcs import lp, recovery
 from nlcs.lp import solve_standard_form
+from nlcs.matrix_core import gaussian_matrix
 
 
 def min_l1_by_basic_solutions(B, y, tol=1e-9):
@@ -72,6 +73,20 @@ class TestSolveStandardForm:
     def test_max_iter_status(self):
         res = solve_standard_form(np.array([[1.0, 1.0, 0.3]]), np.array([1.0]), max_iter=1)
         assert res.status == "max_iter"
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_max_iter_factors_once_per_evaluated_iterate(self, max_iter, monkeypatch):
+        # the starting point and each step to an iterate that is then evaluated
+        # take one factorization; no step is computed after the last evaluation
+        rng = np.random.default_rng(0)
+        B = rng.normal(size=(3, 8))
+        y = B @ np.where(np.arange(8) < 2, rng.normal(size=8), 0.0)
+        calls = []
+        normal_solver = lp._normal_solver
+        monkeypatch.setattr(lp, "_normal_solver", lambda *a: calls.append(1) or normal_solver(*a))
+        res = solve_standard_form(B, y, max_iter=max_iter)
+        assert res.status == "max_iter" and res.iterations < max_iter
+        assert len(calls) == max_iter
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
@@ -186,12 +201,20 @@ class TestCertifyHook:
         assert res.x.tobytes() == ref.x.tobytes() and res.status == ref.status
 
 
-def graded_factor(m, seed):
-    """The solver's triangular factor for a Gaussian m x 4m B and weights
-    spread over e^-20..e^20, as in late interior-point iterations."""
+def graded_system(m, seed):
+    """A Gaussian m x 4m B and weights dsum spread over e^-20..e^20, as in
+    late interior-point iterations."""
     rng = np.random.default_rng(seed)
-    B = rng.normal(size=(m, 4 * m))
-    dsum = np.exp(rng.uniform(-20.0, 20.0, size=4 * m))
+    return rng.normal(size=(m, 4 * m)), np.exp(rng.uniform(-20.0, 20.0, size=4 * m))
+
+
+def graded_factor(m, seed):
+    """The triangular factor that the solver's QR fallback computes for
+    ``graded_system(m, seed)``: the R of diag(sqrt(dsum)) B'.  Its R'R is
+    the normal matrix B diag(dsum) B', as is that of the Cholesky factor
+    the solver prefers, so it exercises ``_upper_inverse`` on the same
+    grading; unlike the Cholesky factor its diagonal has both signs."""
+    B, dsum = graded_system(m, seed)
     return np.linalg.qr((B * np.sqrt(dsum)).T, mode="r")
 
 
@@ -215,3 +238,106 @@ class TestUpperInverse:
         R[zero, zero] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             lp._upper_inverse(R)
+
+
+class TestNormalFactor:
+    """The normal matrix G = X X', X = B diag(sqrt(dsum)), is factored by the
+    Cholesky factorization of its Gram, with Householder QR of X' as the
+    fallback."""
+
+    @pytest.mark.parametrize("m", [7, 64, 160])
+    def test_cholesky_solve_matches_qr_solve_on_graded_weights(self, m, monkeypatch):
+        # both solves have a normwise backward error ||G v - r|| / (||G|| ||v||)
+        # within the Cholesky solve's bound gamma_(3m+1) ~ 3 m u, so they agree
+        # to within cond(G) times that
+        B, dsum = graded_system(m, m)
+        G = (B * dsum) @ B.T
+        r = G @ np.random.default_rng(m).normal(size=m)
+        bound = 3 * m * 2.0**-53
+        assert lp._gram_factor(B * np.sqrt(dsum)) is not None
+        vs = [lp._normal_solver(B, dsum)(r)]
+        monkeypatch.setattr(lp, "_gram_factor", lambda X: None)
+        vs.append(lp._normal_solver(B, dsum)(r))
+        for v in vs:
+            assert np.linalg.norm(G @ v - r) <= bound * np.linalg.norm(G, 2) * np.linalg.norm(v)
+        gap = np.linalg.norm(vs[0] - vs[1]) / np.linalg.norm(vs[1])
+        assert gap <= 2 * bound * np.linalg.cond(G)
+
+    def test_declines_an_overflowing_gram(self):
+        B = 2.0**420 * gaussian_matrix(4, 9, 73)
+        dsum = np.full(9, 1e300)
+        X = B * np.sqrt(dsum)  # entries near 1e276, Gram entries near 1e552
+        assert lp._gram_factor(X) is None
+        v0 = 1e-300 * np.random.default_rng(1).normal(size=4)
+        r = X @ (X.T @ v0)  # G v0 without forming G
+        v = lp._normal_solver(B, dsum)(r)
+        assert np.linalg.norm(v - v0) <= 1e-12 * np.linalg.norm(v0)
+
+    def test_overflowing_gram_solve_converges_on_the_fallback(self, monkeypatch):
+        # at 2^510 the Gram overflows once the support's weights grow
+        B = gaussian_matrix(4, 9, 73)
+        y = B @ np.where(np.arange(9) % 4 == 0, 1.0, 0.0)
+        declined = spy_declines(monkeypatch)
+        ref = solve_standard_form(B, y)
+        res = solve_standard_form(2.0**510 * B, 2.0**510 * y)
+        assert res.status == "converged" and "overflow" in declined
+        assert np.allclose(res.x, ref.x, rtol=0.0, atol=1e-7)
+
+    def test_singular_gram_solve_converges_on_the_fallback(self, monkeypatch):
+        # without the certified exit the solve runs until the weights off the
+        # support vanish; the last Gram is singular to working precision and
+        # its Cholesky factorization fails
+        rng = np.random.default_rng(1001)
+        B = rng.normal(size=(64, 128)) / 8.0
+        x0 = np.zeros(128)
+        x0[rng.choice(128, 10, replace=False)] = rng.normal(size=10)
+        y = B @ x0
+        declined = spy_declines(monkeypatch)
+        res = solve_standard_form(B, y)
+        assert res.status == "converged" and l1_dual_certificate_ok(B, y, res)
+        assert declined[-1] == "singular"
+        X = np.eye(3)
+        X[2] = X[1]
+        assert lp._gram_factor(X) is None
+
+    @pytest.mark.parametrize("side, accepted", [(1 - 1e-3, False), (1 + 1e-3, True)])
+    def test_diagonal_ratio_floor(self, side, accepted, monkeypatch):
+        # at the starting weights dsum = 2 the Gram is 4 diag(1, t^2), so
+        # L's diagonal ratio is t
+        t = side * lp._CHOLESKY_FLOOR
+        B = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, t, 0.0, -t]])
+        assert (lp._gram_factor(B * np.sqrt(2.0)) is not None) == accepted
+        declined = spy_declines(monkeypatch)
+        res = solve_standard_form(B, B @ np.array([1.0, 2.0, 0.0, 0.0]))
+        assert res.status == "converged"
+        assert (declined[0] is None) == accepted
+        assert np.abs(res.x).sum() == pytest.approx(3.0, abs=1e-7)
+
+
+def spy_declines(monkeypatch):
+    """Patch ``lp._gram_factor`` to log, per factorization, None when it was
+    accepted, else why it was declined: "overflow" (the Gram has an entry
+    that is not finite), "singular" (the Cholesky factorization fails) or
+    "ratio"."""
+    log = []
+    gram_factor = lp._gram_factor
+
+    def spy(X):
+        R = gram_factor(X)
+        reason = None
+        if R is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                G = X @ X.T
+            reason = "ratio"
+            if not np.isfinite(G).all():
+                reason = "overflow"
+            else:
+                try:
+                    np.linalg.cholesky(G)
+                except np.linalg.LinAlgError:
+                    reason = "singular"
+        log.append(reason)
+        return R
+
+    monkeypatch.setattr(lp, "_gram_factor", spy)
+    return log

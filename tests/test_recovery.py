@@ -154,10 +154,19 @@ class TestRowRankScreen:
 
     @pytest.mark.parametrize("scale", [2.0**-420, 2.0**420])
     def test_out_of_range_entries_skip_the_screen(self, scale, monkeypatch):
+        # the Cholesky factorization is disabled inside the Gram floor only:
+        # the solver's own normal-matrix factorization may still use it
         def unreachable(*args, **kwargs):  # pragma: no cover
             raise AssertionError("screen ran outside its safe range")
 
-        monkeypatch.setattr(np.linalg, "cholesky", unreachable)
+        gram_floor = recovery._gram_floor
+
+        def guarded(*args, **kwargs):
+            with monkeypatch.context() as mp:
+                mp.setattr(np.linalg, "cholesky", unreachable)
+                return gram_floor(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "_gram_floor", guarded)
         B = gaussian_matrix(4, 9, 73)
         assert not recovery._certified_full_row_rank(scale * B)
         rep = basis_pursuit(scale * B, scale * (B @ random_sparse_signal(9, 2, 74)))
