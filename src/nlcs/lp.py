@@ -30,21 +30,12 @@ produces:
   As cond(G) >= (max L_ii / min L_ii)^2, that ratio proves cond(G) > 1e8,
   past which a solve with G loses more than half the working digits, as on
   the last iterations of a solve that runs to the stopping tests below;
-* R^-1 is formed once per iteration and applied by matrix products, with
-  one pass of iterative refinement on top; the starting point takes the same
-  route;
-* R^-1 is formed by blocked back substitution: with R = [R11 R12; 0 R22],
-  X22 = R22^-1 and X11 = R11^-1 recursively and X12 = -R11^-1 R12 X22 by a
-  recursive block triangular solve, rather than by an LU of all of R and a
-  solve against the identity.  Blocks of order at most 64 go to LAPACK's
-  general ``inv``/``solve``, whose partial pivoting never swaps rows of a
-  triangular block, and an R of order at most 64 is inverted by ``inv``
-  directly.  X12 comes from a triangular solve, not from the product
-  -(R11^-1 R12) R22^-1 of explicitly inverted diagonal blocks: that form is
-  faster but less accurate on the badly graded factors of late iterations,
-  and at the large preset (160 x 512, square/post, config seeds 1-2, 40
-  trials each) it ended 25 of 80 solves at "max_iter", against 6 for both
-  ``inv`` and the solve;
+* R is never inverted whole: a solve G v = r substitutes forward with R' and
+  back with R over its diagonal blocks of order at most ``_BLOCK`` = 64, each
+  inverted once per factorization by LAPACK's ``inv`` (whose partial pivoting
+  never swaps rows of a triangular block).  An iteration makes four solves
+  (predictor and corrector, each refined once); the starting point makes one
+  by LU of the Gram, taking the factored route if the Gram overflows or LU fails;
 * convergence is declared on relative primal/dual residuals plus the
   complementarity measure x's / (1 + |1'x|), the standard gap proxy that
   stays meaningful when cancellation pollutes 1'x - b'y;
@@ -99,13 +90,15 @@ _CHOLESKY_FLOOR = 1e-4
 
 @dataclass
 class LpResult:
-    """x is the l1 minimizer u+ - u- and y the dual solution; certificate
-    is the ``certify`` hook's return value when it ended the solve."""
+    """x is the l1 minimizer u+ - u- and y the dual solution; iterations is the
+    returned iterate's index and steps the number of Newton steps computed, one
+    factorization each; certificate is the ``certify`` hook's return value if it ended the solve."""
 
     x: np.ndarray
     y: np.ndarray
     status: str  # converged | max_iter
     iterations: int
+    steps: int
     certificate: tuple | None = None
 
 
@@ -114,30 +107,6 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     if not neg.any():
         return 1.0
     return float(min(1.0, (-v[neg] / dv[neg]).min()))
-
-
-def _solve_upper(R: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """R^-1 C for upper triangular R, by block back substitution."""
-    m = R.shape[0]
-    if m <= _BLOCK:
-        return np.linalg.solve(R, C)
-    h = m // 2
-    Z2 = _solve_upper(R[h:, h:], C[h:])
-    return np.vstack([_solve_upper(R[:h, :h], C[:h] - R[:h, h:] @ Z2), Z2])
-
-
-def _upper_inverse(R: np.ndarray) -> np.ndarray:
-    """Inverse of the upper triangular R (see the module docstring);
-    ``LinAlgError`` when a diagonal entry is zero."""
-    m = R.shape[0]
-    if m <= _BLOCK:
-        return np.linalg.inv(R)
-    h = m // 2
-    X = np.zeros_like(R)
-    X[h:, h:] = _upper_inverse(R[h:, h:])
-    X[:h, :h] = _upper_inverse(R[:h, :h])
-    X[:h, h:] = _solve_upper(R[:h, :h], -R[:h, h:] @ X[h:, h:])
-    return X
 
 
 def _gram_factor(X: np.ndarray) -> np.ndarray | None:
@@ -158,16 +127,50 @@ def _gram_factor(X: np.ndarray) -> np.ndarray | None:
     return L.T
 
 
+def _factor_solver(R: np.ndarray):
+    """Solver of R'R v = r for the upper triangular R, by block substitution
+    (see the module docstring); ``LinAlgError`` when a diagonal entry is zero."""
+    m = R.shape[0]
+    if m <= _BLOCK:  # one block: two products, without the loops' overhead
+        Rinv = np.linalg.inv(R)
+        return lambda r: Rinv @ (Rinv.T @ r)
+    blocks = [(i, i + _BLOCK, np.linalg.inv(R[i:i + _BLOCK, i:i + _BLOCK]))
+              for i in range(0, m, _BLOCK)]
+
+    def solve(r):
+        w = np.empty(m)
+        for i, j, D in blocks:  # R'w = r
+            w[i:j] = D.T @ (r[i:j] - R[:i, i:j].T @ w[:i])
+        v = np.empty(m)
+        for i, j, D in reversed(blocks):  # R v = w
+            v[i:j] = D @ (w[i:j] - R[i:j, j:] @ v[j:])
+        return v
+
+    return solve
+
+
 def _normal_solver(B: np.ndarray, dsum: np.ndarray):
-    """Solver of (B diag(dsum) B') v = r through R^-1, with R'R the normal
+    """Solver of (B diag(dsum) B') v = r through R with R'R the normal
     matrix: its Gram's Cholesky factor, or the triangular factor of the
     n x m matrix diag(sqrt(dsum)) B' when ``_gram_factor`` declines."""
     X = B * np.sqrt(dsum)
     R = _gram_factor(X)
     if R is None:
         R = np.linalg.qr(X.T, mode="r")
-    Rinv = _upper_inverse(R)
-    return lambda r: Rinv @ (Rinv.T @ r)
+    return _factor_solver(R)
+
+
+def _start_solve(B: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(2 B B')^-1 b by LU with the factored route's Gram, or by that route."""
+    X = B * np.sqrt(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = X @ X.T
+    if np.isfinite(G).all():
+        try:
+            return np.linalg.solve(G, b)
+        except np.linalg.LinAlgError:
+            pass
+    return _normal_solver(B, np.full(B.shape[1], 2.0))(b)
 
 
 def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
@@ -190,7 +193,7 @@ def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
         return np.concatenate([g, -g])
 
     # Mehrotra's heuristic starting point: x = E'(EE')^-1 b, y = (EE')^-1 E1 = 0
-    x = Et(_normal_solver(B, np.full(n, 2.0))(b))
+    x = Et(_start_solve(B, b))
     y = np.zeros(B.shape[0])
     s = np.ones(N)
     x = x + max(-1.5 * float(x.min()), 0.0)
@@ -222,9 +225,9 @@ def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
             if 0 < S.size < B.shape[0] and r[inside].min() >= _SUPPORT_GAP * r[~inside].max():
                 found = certify(S, y)
             if found is not None:
-                return LpResult(found[0], found[1], "converged", it - 1, found)
+                return LpResult(found[0], found[1], "converged", it - 1, it - 1, found)
         if pr <= feas_tol and dr <= feas_tol and mu_rel <= opt_tol:
-            return LpResult(x[:n] - x[n:], y, "converged", it - 1)
+            return LpResult(x[:n] - x[n:], y, "converged", it - 1, it - 1)
         if merit > 1e6 * best[0]:
             break  # the last step was beyond working precision; keep the best iterate
         if it == max_iter:
@@ -264,4 +267,4 @@ def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
         s = s + ad * ds_c
 
     _, bx, by, bit = best
-    return LpResult(bx[:n] - bx[n:], by, "max_iter", bit)
+    return LpResult(bx[:n] - bx[n:], by, "max_iter", bit, it - 1)

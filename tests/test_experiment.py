@@ -253,18 +253,20 @@ def test_paired_seed_draws_are_map_independent(tmp_path):
 
 
 # at k = 10 every trial ends at a certified exit, whose refit hides the solver's
-# own rounding; at k = 30 most trials are not certified and end on the iterate
-@pytest.mark.parametrize("kind, composition, k", [("sign", "pre", 10), ("square", "post", 10),
-                                                  ("sign", "pre", 30)],
-                         ids=["sign-pre", "square-post", "sign-pre-k30"])
-def test_outputs_identical_across_blas_thread_counts(tmp_path, kind, composition, k):
+# own rounding; at k = 30 most trials are not certified and end on the iterate;
+# at m = 80 > 64 the solver substitutes over the normal factor's diagonal blocks
+@pytest.mark.parametrize("kind, composition, k, m, n",
+                         [("sign", "pre", 10, 64, 128), ("square", "post", 10, 64, 128),
+                          ("sign", "pre", 30, 64, 128), ("sign", "pre", 10, 80, 160)],
+                         ids=["sign-pre", "square-post", "sign-pre-k30", "sign-pre-80x160"])
+def test_outputs_identical_across_blas_thread_counts(tmp_path, kind, composition, k, m, n):
     src = str(Path(nlcs.__file__).resolve().parent.parent)
     outputs = []
     for threads in ("1", "2"):
         out_dir = tmp_path / f"threads{threads}"
         cfg_path = tmp_path / f"config{threads}.json"
         cfg_path.write_text(json.dumps({
-            "m": 64, "n": 128, "k": k, "map": {"kind": kind}, "composition": composition,
+            "m": m, "n": n, "k": k, "map": {"kind": kind}, "composition": composition,
             "trials": 10, "seed": 0, "method": "l1", "output_dir": str(out_dir),
         }))
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,

@@ -76,17 +76,23 @@ class TestSolveStandardForm:
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_max_iter_factors_once_per_evaluated_iterate(self, max_iter, monkeypatch):
-        # the starting point and each step to an iterate that is then evaluated
-        # take one factorization; no step is computed after the last evaluation
+        # each step to an iterate that is then evaluated takes one factorization;
+        # the starting point takes none, and no step follows the last evaluation
         rng = np.random.default_rng(0)
         B = rng.normal(size=(3, 8))
         y = B @ np.where(np.arange(8) < 2, rng.normal(size=8), 0.0)
-        calls = []
-        normal_solver = lp._normal_solver
-        monkeypatch.setattr(lp, "_normal_solver", lambda *a: calls.append(1) or normal_solver(*a))
+        calls = spy_factorizations(monkeypatch)
         res = solve_standard_form(B, y, max_iter=max_iter)
         assert res.status == "max_iter" and res.iterations < max_iter
-        assert len(calls) == max_iter
+        assert len(calls) == res.steps == max_iter - 1
+
+    def test_steps_of_a_converged_solve(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        B = rng.normal(size=(4, 10))
+        calls = spy_factorizations(monkeypatch)
+        res = solve_standard_form(B, B @ np.where(np.arange(10) < 2, 1.0, 0.0))
+        assert res.status == "converged" and res.certificate is None
+        assert res.steps == res.iterations == len(calls) > 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
@@ -147,7 +153,7 @@ class TestSolveStandardForm:
 
 
 class TestCertifyHook:
-    def test_accepted_pair_is_returned_as_converged(self):
+    def test_accepted_pair_is_returned_as_converged(self, monkeypatch):
         rng = np.random.default_rng(11)
         B = rng.normal(size=(6, 12))
         y = B @ np.where(np.arange(12) < 2, 1.0, 0.0)
@@ -157,8 +163,10 @@ class TestCertifyHook:
             calls.append(S)
             return (np.full(12, 7.0), np.full(6, -1.0)) if len(calls) == 3 else None
 
+        factorizations = spy_factorizations(monkeypatch)
         res = solve_standard_form(B, y, certify=accept_third)
         assert res.status == "converged" and len(calls) == 3
+        assert res.steps == res.iterations == len(factorizations) > 0
         assert np.array_equal(res.x, np.full(12, 7.0)) and np.array_equal(res.y, np.full(6, -1.0))
         assert res.certificate[0] is res.x and res.certificate[1] is res.y
         assert all(0 < S.size < 6 and np.array_equal(S, np.unique(S)) for S in calls)
@@ -212,32 +220,83 @@ def graded_factor(m, seed):
     """The triangular factor that the solver's QR fallback computes for
     ``graded_system(m, seed)``: the R of diag(sqrt(dsum)) B'.  Its R'R is
     the normal matrix B diag(dsum) B', as is that of the Cholesky factor
-    the solver prefers, so it exercises ``_upper_inverse`` on the same
+    the solver prefers, so it exercises ``_factor_solver`` on the same
     grading; unlike the Cholesky factor its diagonal has both signs."""
     B, dsum = graded_system(m, seed)
     return np.linalg.qr((B * np.sqrt(dsum)).T, mode="r")
 
 
-class TestUpperInverse:
+def factors(m, seed):
+    """The solver's two factors of the normal matrix of ``graded_system(m,
+    seed)``: the Gram's Cholesky factor and the QR fallback's R."""
+    B, dsum = graded_system(m, seed)
+    R = lp._gram_factor(B * np.sqrt(dsum))
+    assert R is not None
+    return {"cholesky": R, "qr": graded_factor(m, seed)}
+
+
+class TestFactorSolver:
+    """R'R v = r is solved by substitution over R's diagonal blocks of order
+    at most 64; only those blocks are inverted."""
+
+    @pytest.mark.parametrize("kind", ["cholesky", "qr"])
     @pytest.mark.parametrize("m", [1, 7, 64])
-    def test_plain_inv_up_to_the_block_order(self, m):
-        R = graded_factor(m, m)
-        assert np.array_equal(lp._upper_inverse(R).view(np.int64), np.linalg.inv(R).view(np.int64))
+    def test_plain_inv_up_to_the_block_order(self, m, kind):
+        R = factors(m, m)[kind]
+        r = np.random.default_rng(m).normal(size=m)
+        Rinv = np.linalg.inv(R)
+        assert lp._factor_solver(R)(r).tobytes() == (Rinv @ (Rinv.T @ r)).tobytes()
 
-    @pytest.mark.parametrize("m", [65, 160, 257])
-    def test_blocked_inverse_is_as_accurate_as_inv(self, m):
-        R = graded_factor(m, m)
-        X = lp._upper_inverse(R)
-        I = np.eye(m)
-        assert np.array_equal(X, np.triu(X))
-        assert np.linalg.norm(X @ R - I) <= 10.0 * np.linalg.norm(np.linalg.inv(R) @ R - I)
+    @pytest.mark.parametrize("kind", ["cholesky", "qr"])
+    @pytest.mark.parametrize("m", [65, 100, 160, 257])
+    def test_backward_error_on_graded_factors(self, m, kind):
+        # within the bound of TestNormalFactor: ||G v - r|| <= 3 m u ||G|| ||v||
+        # for the normal matrix G = B diag(dsum) B' that both factors factor
+        B, dsum = graded_system(m, m)
+        G = (B * dsum) @ B.T
+        r = G @ np.random.default_rng(m).normal(size=m)
+        v = lp._factor_solver(factors(m, m)[kind])(r)
+        bound = 3 * m * 2.0**-53
+        assert np.linalg.norm(G @ v - r) <= bound * np.linalg.norm(G, 2) * np.linalg.norm(v)
 
-    @pytest.mark.parametrize("m, zero", [(64, 10), (65, 0), (160, 79), (160, 80), (257, 256)])
+    @pytest.mark.parametrize("m, zero", [(64, 10), (65, 0), (65, 64), (160, 63), (160, 64),
+                                         (160, 127), (160, 128), (160, 159), (257, 256)])
     def test_zero_diagonal_entry_raises(self, m, zero):
         R = graded_factor(m, m)
         R[zero, zero] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
-            lp._upper_inverse(R)
+            lp._factor_solver(R)
+
+
+class TestStartSolve:
+    """The starting point's one system (2 B B') v = b is an LU solve; the
+    factored route is the fallback."""
+
+    def test_one_lu_solve(self, monkeypatch):
+        B, b = gaussian_matrix(5, 12, 7), np.arange(1.0, 6.0)
+        calls = spy_factorizations(monkeypatch)
+        v = lp._start_solve(B, b)
+        X = B * np.sqrt(2.0)
+        assert v.tobytes() == np.linalg.solve(X @ X.T, b).tobytes() and not calls
+
+    def test_overflowing_gram_takes_the_factored_route(self, monkeypatch):
+        B = 2.0**515 * gaussian_matrix(4, 9, 73)  # 2 B B' near 2^1031
+        v0 = 2.0**-900 * np.random.default_rng(2).normal(size=4)
+        b = 2.0 * (B @ (B.T @ v0))
+        calls = spy_factorizations(monkeypatch)
+        v = lp._start_solve(B, b)
+        assert len(calls) == 1
+        assert np.linalg.norm(v - v0) <= 1e-12 * np.linalg.norm(v0)
+
+    def test_failed_lu_takes_the_factored_route(self, monkeypatch):
+        B, b = gaussian_matrix(5, 12, 7), np.arange(1.0, 6.0)
+        ref = lp._normal_solver(B, np.full(12, 2.0))(b)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        assert lp._start_solve(B, b).tobytes() == ref.tobytes()
 
 
 class TestNormalFactor:
@@ -302,8 +361,9 @@ class TestNormalFactor:
 
     @pytest.mark.parametrize("side, accepted", [(1 - 1e-3, False), (1 + 1e-3, True)])
     def test_diagonal_ratio_floor(self, side, accepted, monkeypatch):
-        # at the starting weights dsum = 2 the Gram is 4 diag(1, t^2), so
-        # L's diagonal ratio is t
+        # at the weights dsum = 2 the Gram is 4 diag(1, t^2), so L's diagonal
+        # ratio is t; the first iteration's weights are uniform too, as
+        # x+ + x- is constant at the starting point
         t = side * lp._CHOLESKY_FLOOR
         B = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, t, 0.0, -t]])
         assert (lp._gram_factor(B * np.sqrt(2.0)) is not None) == accepted
@@ -312,6 +372,14 @@ class TestNormalFactor:
         assert res.status == "converged"
         assert (declined[0] is None) == accepted
         assert np.abs(res.x).sum() == pytest.approx(3.0, abs=1e-7)
+
+
+def spy_factorizations(monkeypatch):
+    """Patch ``lp._normal_solver`` to log each factorization it makes."""
+    calls = []
+    normal_solver = lp._normal_solver
+    monkeypatch.setattr(lp, "_normal_solver", lambda *a: calls.append(1) or normal_solver(*a))
+    return calls
 
 
 def spy_declines(monkeypatch):

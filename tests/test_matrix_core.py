@@ -168,6 +168,12 @@ class TestGaussianMatrix:
         b = gaussian_matrix(2, 3, 7)
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("rows, cols, seed", [(1, 1, 0), (2, 3, 7), (6, 12, 5), (64, 128, 11),
+                                                  (80, 160, 2**64 - 1), (160, 512, 202)])
+    def test_bitwise_equal_to_rng_normal(self, rows, cols, seed):
+        ref = np.random.default_rng(seed).normal(0.0, np.sqrt(1.0 / rows), size=(rows, cols))
+        assert np.array_equal(gaussian_matrix(rows, cols, seed).view(np.int64), ref.view(np.int64))
+
     @pytest.mark.parametrize("seed", [0, 11, 202])
     def test_sample_mean(self, seed):
         A = gaussian_matrix(64, 128, seed)
