@@ -20,22 +20,22 @@ produces:
   is as good as the factor R of a QR factorization of X': both are
   backward stable with an error of order u ||G||, and the QR's smaller
   condition number (the square root of G's) helps a least-squares problem
-  in X', not a solve with G.  The stopping tests below use true residuals,
-  so the factor can change how many iterations a solve takes, never whether
-  its answer passes; and a certified exit refits x on its support by its own
-  QR, so a certified answer does not depend on the iterates' rounding.
-  Householder QR of X' stays as the one fallback, taken when the Gram
-  overflows or the Cholesky factorization fails, or when L's smallest
-  diagonal entry is below ``_CHOLESKY_FLOOR`` = 1e-4 times its largest.
-  As cond(G) >= (max L_ii / min L_ii)^2, that ratio proves cond(G) > 1e8,
-  past which a solve with G loses more than half the working digits, as on
-  the last iterations of a solve that runs to the stopping tests below;
+  in X', not a solve with G.  Cholesky-based normal-equation steps of an
+  interior-point method stay accurate as G grows ill-conditioned near the
+  solution (Wright 1999), so each direction is solved once, without
+  refinement.  The stopping tests below use true residuals, so the factor
+  can change how many iterations a solve takes, never whether its answer
+  passes; and a certified exit refits x on its support by its own QR, so a
+  certified answer depends on the iterates only through the certified
+  support S.  Householder QR of X' stays as the one fallback, taken only
+  when the Gram cannot be factored: it overflows, the Cholesky
+  factorization fails, or a diagonal entry of L is not finite and positive;
 * R is never inverted whole: a solve G v = r substitutes forward with R' and
   back with R over its diagonal blocks of order at most ``_BLOCK`` = 64, each
   inverted once per factorization by LAPACK's ``inv`` (whose partial pivoting
-  never swaps rows of a triangular block).  An iteration makes four solves
-  (predictor and corrector, each refined once); the starting point makes one
-  by LU of the Gram, taking the factored route if the Gram overflows or LU fails;
+  never swaps rows of a triangular block).  An iteration makes two solves,
+  predictor and corrector; the starting point makes one by LU of the Gram,
+  taking the factored route if the Gram overflows or LU fails;
 * convergence is declared on relative primal/dual residuals plus the
   complementarity measure x's / (1 + |1'x|), the standard gap proxy that
   stays meaningful when cancellation pollutes 1'x - b'y;
@@ -84,8 +84,6 @@ _BLOCK = 64
 _SUPPORT_RATIO = 0.1
 #: the certified exit is tried only when every ratio in S is this many times every ratio outside
 _SUPPORT_GAP = 2.0
-#: the Gram's Cholesky factor is used only when min L_ii / max L_ii is at least this
-_CHOLESKY_FLOOR = 1e-4
 
 
 @dataclass
@@ -112,8 +110,7 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
 def _gram_factor(X: np.ndarray) -> np.ndarray | None:
     """Upper triangular R = L' with R'R = fl(X X') from a Cholesky
     factorization, or None when the Gram overflows, the factorization
-    fails, or L's diagonal falls below ``_CHOLESKY_FLOOR`` of its largest
-    entry (see the module docstring)."""
+    fails, or a diagonal entry of L is not finite and positive."""
     with np.errstate(over="ignore", invalid="ignore"):
         G = X @ X.T
     try:
@@ -121,8 +118,7 @@ def _gram_factor(X: np.ndarray) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     diag = np.diagonal(L)
-    lo, hi = float(diag.min()), float(diag.max())
-    if not (0.0 < lo and hi < np.inf and lo >= _CHOLESKY_FLOOR * hi):
+    if not (0.0 < float(diag.min()) and float(diag.max()) < np.inf):
         return None
     return L.T
 
@@ -240,12 +236,8 @@ def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
         except np.linalg.LinAlgError:
             break  # singular factor: no Newton step; keep the best iterate
 
-        def nsolve(rhs):
-            dy = solve(rhs)
-            return dy + solve(rhs - B @ (dsum * (B.T @ dy)))
-
         def newton(rc):
-            dy = nsolve(rp - E((rc - x * rd) / s))
+            dy = solve(rp - E((rc - x * rd) / s))
             ds_ = rd - Et(dy)
             dx_ = (rc - x * ds_) / s
             return dx_, dy, ds_

@@ -94,6 +94,15 @@ class TestSolveStandardForm:
         assert res.status == "converged" and res.certificate is None
         assert res.steps == res.iterations == len(calls) > 0
 
+    @pytest.mark.parametrize("m, n, max_iter", [(4, 10, 200), (3, 8, 3), (64, 128, 200)])
+    def test_each_step_applies_its_factor_twice(self, m, n, max_iter, monkeypatch):
+        # one solve for the predictor and one for the corrector, unrefined
+        B = gaussian_matrix(m, n, m + n)
+        y = B @ np.where(np.arange(n) < max(m // 6, 1), 1.0, 0.0)
+        applies = spy_applies(monkeypatch)
+        res = solve_standard_form(B, y, max_iter=max_iter)
+        assert res.steps > 0 and len(applies) == 2 * res.steps
+
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         B = rng.normal(size=(4, 10))
@@ -359,18 +368,18 @@ class TestNormalFactor:
         X[2] = X[1]
         assert lp._gram_factor(X) is None
 
-    @pytest.mark.parametrize("side, accepted", [(1 - 1e-3, False), (1 + 1e-3, True)])
-    def test_diagonal_ratio_floor(self, side, accepted, monkeypatch):
+    def test_spread_diagonal_is_taken_by_cholesky(self, monkeypatch):
         # at the weights dsum = 2 the Gram is 4 diag(1, t^2), so L's diagonal
         # ratio is t; the first iteration's weights are uniform too, as
         # x+ + x- is constant at the starting point
-        t = side * lp._CHOLESKY_FLOOR
+        t = 1e-6
         B = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, t, 0.0, -t]])
-        assert (lp._gram_factor(B * np.sqrt(2.0)) is not None) == accepted
+        R = lp._gram_factor(B * np.sqrt(2.0))
+        assert R is not None and R[1, 1] / R[0, 0] == pytest.approx(t)
         declined = spy_declines(monkeypatch)
         res = solve_standard_form(B, B @ np.array([1.0, 2.0, 0.0, 0.0]))
         assert res.status == "converged"
-        assert (declined[0] is None) == accepted
+        assert declined == [None] * res.steps
         assert np.abs(res.x).sum() == pytest.approx(3.0, abs=1e-7)
 
 
@@ -382,11 +391,24 @@ def spy_factorizations(monkeypatch):
     return calls
 
 
+def spy_applies(monkeypatch):
+    """Patch ``lp._normal_solver`` so that the solvers it returns log each
+    right-hand side they are applied to."""
+    applies = []
+    normal_solver = lp._normal_solver
+
+    def spy(*args):
+        solve = normal_solver(*args)
+        return lambda r: applies.append(1) or solve(r)
+
+    monkeypatch.setattr(lp, "_normal_solver", spy)
+    return applies
+
+
 def spy_declines(monkeypatch):
     """Patch ``lp._gram_factor`` to log, per factorization, None when it was
     accepted, else why it was declined: "overflow" (the Gram has an entry
-    that is not finite), "singular" (the Cholesky factorization fails) or
-    "ratio"."""
+    that is not finite) or "singular" (the finite Gram cannot be factored)."""
     log = []
     gram_factor = lp._gram_factor
 
@@ -396,14 +418,7 @@ def spy_declines(monkeypatch):
         if R is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 G = X @ X.T
-            reason = "ratio"
-            if not np.isfinite(G).all():
-                reason = "overflow"
-            else:
-                try:
-                    np.linalg.cholesky(G)
-                except np.linalg.LinAlgError:
-                    reason = "singular"
+            reason = "overflow" if not np.isfinite(G).all() else "singular"
         log.append(reason)
         return R
 

@@ -2,6 +2,7 @@
 argument lists and print one line per run.
 
     python3 tools/cli_matrix.py > matrix.txt
+    python3 tools/cli_matrix.py --full > matrix_full.txt
 
 Run it from anywhere inside a source checkout: it imports ``nlcs`` from the
 checkout's ``src`` directory.  Every run happens in-process, in a temporary
@@ -16,11 +17,14 @@ recorded and appended to its stderr as ``Category: message`` lines, so they
 count in the stderr digest.  The "mean trial runtime" figure that
 ``nlcs experiment`` prints to stderr is the one nondeterministic output; it
 is masked before hashing.  Diffing the output of two checkouts shows every
-run whose exit code, output or error changed.
+run whose exit code, output or error changed.  With ``--full`` each digest
+line is followed by the run's stdout, every line indented by four spaces,
+so that the same diff also names the fields that changed.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -30,6 +34,7 @@ import os
 import re
 import sys
 import tempfile
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -264,7 +269,11 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def main_matrix() -> int:
+def main_matrix(args: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="CLI byte-identity matrix")
+    parser.add_argument("--full", action="store_true",
+                        help="print each run's stdout, indented, after its digest line")
+    full = parser.parse_args(args).full
     with tempfile.TemporaryDirectory() as work:
         cwd = os.getcwd()
         os.chdir(work)
@@ -273,6 +282,8 @@ def main_matrix() -> int:
             for argv in runs(configs):
                 code, stdout, stderr = run_one(argv)
                 print(f"{code} {_digest(stdout)} {_digest(stderr)} {json.dumps(argv)}", flush=True)
+                if full and stdout:
+                    print(textwrap.indent(stdout.rstrip("\n"), "    ", lambda _: True), flush=True)
         finally:
             os.chdir(cwd)
     return 0
