@@ -16,7 +16,6 @@ from . import __version__
 from .errors import NspOrderError, RequirementError, RipOrderError
 from .experiment import ExperimentConfig, emit_reports, run_experiment
 from .matrix_core import (
-    extreme_eigenvalues,
     gaussian_matrix,
     random_sparse_signal,
     read_matrix,
@@ -128,10 +127,6 @@ def cmd_selftest(args) -> int:
         rep = rip_constants(np.diag([1.0, 2.0]), 1)
         assert abs(rep.alpha - 1) < 1e-12 and abs(rep.beta - 4) < 1e-12
 
-    def _eigs():
-        lo, hi = extreme_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert abs(lo - 1) < 1e-9 and abs(hi - 3) < 1e-9
-
     def _linearize():
         for seed in range(20):
             A = gaussian_matrix(4, 8, seed)
@@ -169,7 +164,6 @@ def cmd_selftest(args) -> int:
 
     check("spark identity", _spark)
     check("rip diagonal", _rip)
-    check("extreme eigenvalues", _eigs)
     check("diagonal linearization soundness", _linearize)
     check("floor quantizer rejected", _floor_fails)
     check("sign-map recovery", _recover)

@@ -28,14 +28,12 @@ produces:
   passes; and a certified exit refits x on its support by its own QR, so a
   certified answer depends on the iterates only through the certified
   support S.  Householder QR of X' stays as the one fallback, taken only
-  when the Gram cannot be factored: it overflows, the Cholesky
-  factorization fails, or a diagonal entry of L is not finite and positive;
+  when ``_gram_factor`` declines the Gram;
 * R is never inverted whole: a solve G v = r substitutes forward with R' and
   back with R over its diagonal blocks of order at most ``_BLOCK`` = 64, each
   inverted once per factorization by LAPACK's ``inv`` (whose partial pivoting
   never swaps rows of a triangular block).  An iteration makes two solves,
-  predictor and corrector; the starting point makes one by LU of the Gram,
-  taking the factored route if the Gram overflows or LU fails;
+  predictor and corrector; the starting point makes one (``_start_solve``);
 * convergence is declared on relative primal/dual residuals plus the
   complementarity measure x's / (1 + |1'x|), the standard gap proxy that
   stays meaningful when cancellation pollutes 1'x - b'y;
@@ -157,7 +155,8 @@ def _normal_solver(B: np.ndarray, dsum: np.ndarray):
 
 
 def _start_solve(B: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(2 B B')^-1 b by LU with the factored route's Gram, or by that route."""
+    """(2 B B')^-1 b by LU of the factored route's Gram, as one solve needs no
+    factor or block inverses; by that route if the Gram overflows or LU fails."""
     X = B * np.sqrt(2.0)
     with np.errstate(over="ignore", invalid="ignore"):
         G = X @ X.T

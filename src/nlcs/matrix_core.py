@@ -1,6 +1,5 @@
 """Dense linear-algebra kernel: validation, rank, the exact monomial test,
-extreme eigenvalues, column-subset tables, seeded random generation, and
-CSV readers.
+column-subset tables, seeded random generation, and CSV readers.
 
 All operations are pure: inputs are never mutated and all randomness is
 driven by an explicit 64-bit seed (PCG64 via ``numpy.random.default_rng``),
@@ -26,7 +25,6 @@ __all__ = [
     "rank",
     "is_monomial",
     "in_safe_range",
-    "extreme_eigenvalues",
     "column_subsets",
     "gaussian_matrix",
     "random_sparse_signal",
@@ -133,23 +131,6 @@ def in_safe_range(M: np.ndarray) -> bool:
     hi = float(np.max(a, initial=0.0))
     lo = float(np.min(a, where=a != 0.0, initial=np.inf))
     return hi != 0.0 and lo >= 2.0**-400 and hi <= 2.0**400
-
-
-def extreme_eigenvalues(S) -> tuple[float, float]:
-    """Smallest and largest eigenvalues of a symmetric matrix.
-
-    The input must be square and symmetric to a relative tolerance of
-    1e-12; asymmetric or non-square input is rejected.
-    """
-    A = as_matrix(S)
-    n, m = A.shape
-    if n != m:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
-    scale = max(1.0, float(np.abs(A).max()))
-    if float(np.abs(A - A.T).max()) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within tolerance 1e-12")
-    ev = np.linalg.eigvalsh(A)
-    return float(ev[0]), float(ev[-1])
 
 
 def _subset_rows(it, count: int, r: int) -> np.ndarray:

@@ -24,7 +24,8 @@ must give, the domain check and the domain sampler -- is one row of the
 ``_KINDS`` table; the factories, ``map_from_spec``, ``evaluate`` and
 ``sample_domain_points`` all read that row.
 
-A map can be queried, at a point or over sampled points, for the four
+A map can be queried at a point (``check_requirement``), or over sampled
+points (``pointwise_linearization.classify``), for the four
 pointwise-linearization requirements, numbered by the matrix class the
 linearization lives in:
 
@@ -75,7 +76,6 @@ __all__ = [
     "evaluate",
     "requirement_at",
     "check_requirement",
-    "check_requirement_sampled",
     "sample_domain_points",
 ]
 
@@ -343,12 +343,3 @@ def sample_domain_points(F: NonlinearMap, samples: int, seed: int) -> np.ndarray
         pts[i] = z
     return pts
 
-
-def check_requirement_sampled(F: NonlinearMap, rtype: int, samples: int, seed: int) -> RequirementCheck:
-    """Evaluate a requirement at sampled domain points; the first failing
-    point becomes the witness."""
-    for z in sample_domain_points(F, samples, seed):
-        res = check_requirement(F, rtype, z)
-        if not res.holds:
-            return res
-    return RequirementCheck(True, None)

@@ -285,19 +285,9 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     path, so the rank, the row reduction and the "infeasible" answer never
     depend on the screen.
 
-    Certified exit.  The l1 solve stops at the first interior-point
-    iterate whose candidate support S (see ``lp``) carries a certificate
-    that x_hat is the unique minimizer of ||u||_1 subject to B u = B x_hat.
-    ``certify_l1`` fits x_S by least squares through one R-only QR of
-    [B_S, y], gives up when the residual exceeds half the feasibility
-    tolerance, projects the iterate's dual onto {B_S' w = sign(x_S)}, and
-    keeps (x_hat, w) only when ``l1_dual_errors`` finds no problem.  The
-    report is then "converged" with margin = 1 - ||B_S^c' w||_inf, as the
-    checker computed it, certified = True, and the polished fit as x_hat.
-    On the row-reduced path the certificate is for (U_r' B, U_r' y), whose
-    null space is B's, so it proves the same.  A failed attempt leaves the
-    iterate untouched: a solve that is never certified returns exactly
-    what it returns without the check.
+    Certified exit.  The solve ends at the first iterate whose candidate
+    support carries the certificate below, returning the polished fit and
+    the checker's margin (hook in ``lp``, fit and projection in ``certify_l1``).
 
     Certificate (Zhang, Yin & Cheng, JOTA 2015).  Let S be the support of
     x_hat.  If B_S has full column rank and some w* has
@@ -306,6 +296,8 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     ||h_S^c||_1 and sign(x_S)' h_S = w*' B_S h_S = -w*' B_S^c h_S^c, so
     ||x_hat + h||_1 - ||x_hat||_1 >= (1 - ||B_S^c' w*||_inf) ||h_S^c||_1,
     which is positive unless h_S^c = 0, and then B_S h_S = 0 forces h = 0.
+    On the row-reduced path the certificate is for (U_r' B, U_r' y), whose
+    null space is B's, so it proves the same.
 
     Rounding.  ``l1_dual_errors`` proves that such a w* exists from the
     computed w, which meets B_S' w = sign(x_S) only up to rounding.  With

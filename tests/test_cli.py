@@ -346,5 +346,5 @@ def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln.startswith("[")]
-    assert len(lines) == 8
+    assert len(lines) == 7
     assert all(ln.startswith("[PASS]") for ln in lines)

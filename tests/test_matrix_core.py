@@ -6,7 +6,6 @@ from nlcs.matrix_core import (
     as_matrix,
     as_system,
     as_vector,
-    extreme_eigenvalues,
     gaussian_matrix,
     in_safe_range,
     is_monomial,
@@ -68,45 +67,6 @@ class TestRank:
         r = int(rng.integers(1, 5))
         M = rng.normal(size=(6, r)) @ rng.normal(size=(r, 9))
         assert rank(M) == rank(M.T) == r
-
-
-class TestExtremeEigenvalues:
-    def test_identity(self):
-        assert extreme_eigenvalues(np.eye(4)) == (1.0, 1.0)
-
-    def test_diagonal(self):
-        lo, hi = extreme_eigenvalues(np.diag([1.0, 4.0]))
-        assert lo == pytest.approx(1.0) and hi == pytest.approx(4.0)
-
-    def test_two_by_two(self):
-        lo, hi = extreme_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert lo == pytest.approx(1.0, abs=1e-12)
-        assert hi == pytest.approx(3.0, abs=1e-12)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            extreme_eigenvalues(np.ones((2, 3)))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            extreme_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_tridiagonal_closed_form_64(self):
-        # second-difference matrix: eigenvalues 2 - 2 cos(j*pi/(n+1)) exactly
-        n = 64
-        T = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        lo, hi = extreme_eigenvalues(T)
-        expect_lo = 2.0 - 2.0 * np.cos(np.pi / (n + 1))
-        expect_hi = 2.0 - 2.0 * np.cos(n * np.pi / (n + 1))
-        assert lo == pytest.approx(expect_lo, rel=1e-9)
-        assert hi == pytest.approx(expect_hi, rel=1e-9)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gram_matrices_are_psd(self, seed):
-        rng = np.random.default_rng(seed)
-        G = rng.normal(size=(7, 4))
-        lo, _ = extreme_eigenvalues(G.T @ G)
-        assert lo >= -1e-9
 
 
 class TestAsSystem:

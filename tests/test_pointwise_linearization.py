@@ -333,18 +333,22 @@ class TestClassify:
             rep = classify(abs_map(5), comp, samples=100, seed=0)
             assert rep.best_type == 3
             assert rep.qualifies
+        assert classify(abs_map(6), "pre", samples=100, seed=0).best_type == 3
 
     def test_nonzero_random_is_invertible_pre_only(self):
         pre = classify(nonzero_random_map(5, 3), "pre", samples=100, seed=0)
         post = classify(nonzero_random_map(5, 3), "post", samples=100, seed=0)
         assert pre.best_type == 2 and pre.qualifies
         assert post.best_type == 2 and not post.qualifies
+        # a point with a zero entry maps to a fully nonzero vector: 2 holds, 3 fails
+        assert classify(nonzero_random_map(6, 4), "pre", samples=100, seed=0).best_type == 2
 
     def test_floor_qualifies_for_neither(self):
         for comp in ("pre", "post"):
             rep = classify(quantize_floor(5, 1.0), comp, samples=100, seed=0)
             assert rep.best_type == 1
             assert not rep.qualifies
+        assert classify(quantize_floor(6, 1.0), "pre", samples=100, seed=0).best_type == 1
 
     def test_sine_open_is_diagonal(self):
         rep = classify(sine_map(5), "post", samples=100, seed=0)
@@ -353,6 +357,14 @@ class TestClassify:
     def test_quantize_afz_is_diagonal(self):
         rep = classify(quantize_away_from_zero(5, 0.5), "post", samples=100, seed=0)
         assert rep.best_type == 3
+        assert classify(quantize_away_from_zero(6, 1.0), "pre", samples=100, seed=0).best_type == 3
+
+    @pytest.mark.parametrize(
+        "F",
+        [abs_map(6), sign_map(6), quantize_away_from_zero(6, 0.5), sine_map(6), square_map(6)],
+    )
+    def test_type3_family_is_diagonal(self, F):
+        assert classify(F, "pre", samples=100, seed=1).best_type == 3
 
     def test_bad_composition(self):
         with pytest.raises(ValueError):
