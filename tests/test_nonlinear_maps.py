@@ -295,14 +295,23 @@ class TestSampledWitness:
     verdicts themselves are ``classify``'s (test_pointwise_linearization)."""
 
     @staticmethod
-    def floor_witness():
-        F = quantize_floor(6, 1.0)
-        return next(z for z in sample_domain_points(F, 100, 0) if not check_requirement(F, 3, z).holds)
+    def witness(F, t=3):
+        points = sample_domain_points(F, 100, 0)
+        return next((z for z in points if not check_requirement(F, t, z).holds), None)
 
     def test_floor_fails_with_substep_witness(self):
         # some entry of the witness must sit in the flattened interval (0, 1)
-        w = self.floor_witness()
+        w = self.witness(quantize_floor(6, 1.0))
         assert np.any((w > 0.0) & (w < 1.0))
 
+    def test_nonzero_random_witness_has_a_zero_entry(self):
+        # only a zero input entry can break requirement 3 for this map
+        w = self.witness(nonzero_random_map(6, 4))
+        assert w is not None and np.any(w == 0.0)
+
+    def test_abs_has_no_witness(self):
+        assert self.witness(abs_map(6)) is None
+
     def test_deterministic(self):
-        assert np.array_equal(self.floor_witness(), self.floor_witness())
+        F = quantize_floor(6, 1.0)
+        assert np.array_equal(self.witness(F), self.witness(F))

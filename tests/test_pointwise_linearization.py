@@ -333,6 +333,8 @@ class TestClassify:
             rep = classify(abs_map(5), comp, samples=100, seed=0)
             assert rep.best_type == 3
             assert rep.qualifies
+
+    def test_abs_pre_at_six_is_diagonal(self):
         assert classify(abs_map(6), "pre", samples=100, seed=0).best_type == 3
 
     def test_nonzero_random_is_invertible_pre_only(self):
@@ -340,6 +342,8 @@ class TestClassify:
         post = classify(nonzero_random_map(5, 3), "post", samples=100, seed=0)
         assert pre.best_type == 2 and pre.qualifies
         assert post.best_type == 2 and not post.qualifies
+
+    def test_nonzero_random_pre_at_six_is_invertible_not_diagonal(self):
         # a point with a zero entry maps to a fully nonzero vector: 2 holds, 3 fails
         assert classify(nonzero_random_map(6, 4), "pre", samples=100, seed=0).best_type == 2
 
@@ -348,6 +352,8 @@ class TestClassify:
             rep = classify(quantize_floor(5, 1.0), comp, samples=100, seed=0)
             assert rep.best_type == 1
             assert not rep.qualifies
+
+    def test_floor_pre_at_six_is_neither(self):
         assert classify(quantize_floor(6, 1.0), "pre", samples=100, seed=0).best_type == 1
 
     def test_sine_open_is_diagonal(self):
@@ -357,6 +363,8 @@ class TestClassify:
     def test_quantize_afz_is_diagonal(self):
         rep = classify(quantize_away_from_zero(5, 0.5), "post", samples=100, seed=0)
         assert rep.best_type == 3
+
+    def test_quantize_afz_unit_step_pre_is_diagonal(self):
         assert classify(quantize_away_from_zero(6, 1.0), "pre", samples=100, seed=0).best_type == 3
 
     @pytest.mark.parametrize(

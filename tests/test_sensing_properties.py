@@ -396,6 +396,49 @@ class TestRipConstants:
         assert set(json.loads(rep.to_json())) == {"order", "alpha", "beta", "delta", "lambda"}
 
 
+class TestRipFullOrder:
+    """At order k = cols the constants are the extreme eigenvalues of A^T A."""
+
+    def test_identity(self):
+        rep = rip_constants(np.eye(4), 4)
+        assert (rep.alpha, rep.beta, rep.delta) == (1.0, 1.0, 0.0)
+
+    def test_diagonal(self):
+        rep = rip_constants(np.diag([1.0, 2.0]), 2)
+        assert rep.alpha == pytest.approx(1.0) and rep.beta == pytest.approx(4.0)
+
+    def test_two_by_two(self):
+        # A^T A = [[2, 1], [1, 2]], eigenvalues 1 and 3
+        A = np.linalg.cholesky(np.array([[2.0, 1.0], [1.0, 2.0]])).T
+        rep = rip_constants(A, 2)
+        assert rep.alpha == pytest.approx(1.0, abs=1e-12)
+        assert rep.beta == pytest.approx(3.0, abs=1e-12)
+
+    def test_tridiagonal_closed_form_64(self):
+        # D^T D is the second-difference matrix: eigenvalues 2 - 2 cos(j*pi/(n+1))
+        n = 64
+        D = np.eye(n + 1, n) - np.eye(n + 1, n, k=-1)
+        rep = rip_constants(D, n)
+        assert rep.alpha == pytest.approx(2.0 - 2.0 * np.cos(np.pi / (n + 1)), rel=1e-9)
+        assert rep.beta == pytest.approx(2.0 - 2.0 * np.cos(n * np.pi / (n + 1)), rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_eigenvalues_of_every_support(self, seed):
+        G = np.random.default_rng(seed).normal(size=(7, 6))
+        for k in (2, 3, 6):
+            ev = [np.linalg.eigvalsh(G[:, s].T @ G[:, s])
+                  for s in map(list, combinations(range(6), k))]
+            rep = rip_constants(G, k)
+            assert rep.alpha > 0.0
+            assert rep.alpha == pytest.approx(min(e[0] for e in ev), rel=1e-9)
+            assert rep.beta == pytest.approx(max(e[-1] for e in ev), rel=1e-9)
+
+    def test_order_above_rows_fails(self):
+        # any 4 columns of a 3-row matrix are dependent
+        with pytest.raises(RipOrderError):
+            rip_constants(gaussian_matrix(3, 5, 0), 4)
+
+
 class TestNspEstimate:
     def test_trivial_null_space_is_vacuous(self):
         rep = nsp_estimate(np.eye(4), 2, samples=50, seed=0)
