@@ -237,7 +237,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="ignore"):  # an overflow is reported by its error alone
+            return args.fn(args)
     except (ValueError, RipOrderError, OSError) as exc:  # the other package errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1

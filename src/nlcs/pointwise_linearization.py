@@ -1,23 +1,20 @@
 """Pointwise linearization: at a single point z, build a matrix Y with
 F(z) = Y z, packaged as a verifiable certificate.
 
-Four constructions are provided, ordered here by the structure of Y:
+Every Y is stored in one O(n) form, a scaled permutation with at most one
+replaced column: row i holds vals[i] in column perm[i], and then column q,
+when it is set, is replaced by col.  The four constructions:
 
-* type 1, general: row i holds the single entry f_i(z)/z_q at the first
-  nonzero coordinate q of z (the zero matrix when z = 0 and F(z) = 0);
-* type 2, invertible: a two-pivot construction around the first nonzero
-  component p of F(z) and the first nonzero coordinate q of z.  Exchanging
-  rows p and q and eliminating column q reduces Y to a nonsingular diagonal
-  matrix, which is why the construction is always invertible.  When one
-  index has both f_p(z) != 0 and z_p != 0 the single-pivot p = q variant is
-  used;
-* type 3, invertible diagonal: Y = diag(c) with c_i = f_i(z)/z_i on nonzero
-  coordinates; entries at z_i = 0 are free (any nonzero value works since
-  f_i(z) = 0 there) and default to 1;
-* type 4, monomial (permuted invertible diagonal): an order-preserving
-  pairing of the nonzero entries of F(z) with the nonzero coordinates of z,
-  and likewise of the zero entries, gives a bijection sigma with
-  Y[i, sigma(i)] = f_i(z)/z_sigma(i) (or a free nonzero value on zero pairs).
+* type 1, general: the zero matrix with column q, the first nonzero
+  coordinate of z, replaced by F(z)/z_q (no column when z = 0 = F(z));
+* type 2, invertible: the transposition (r q) with column q replaced, where
+  r is the first index with f_r(z) != 0 (r = q when one index has both);
+  row r keeps only f_r/z_q, so det(Y) = -f_r/z_q (f_q/z_q when r = q).
+  It is the identity when z = 0;
+* types 3 and 4, monomial: the order-preserving pairing of the nonzero
+  entries of F(z) with the nonzero coordinates of z, and of the zero ones,
+  with vals[i] = f_i(z)/z_perm(i) (a free nonzero value on zero pairs).
+  Where the zero masks agree (type 3) the pairing is the identity.
 
 Every construction starts from one ``requirement_at`` decision: F is
 evaluated once at z, and the strongest requirement type holding there says
@@ -42,14 +39,12 @@ sampled type, for both the experiment gate and the recovery pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import RequirementError
-from .matrix_core import as_matrix, is_monomial
 from .nonlinear_maps import (
     TYPE_STRENGTH,
     NonlinearMap,
@@ -77,6 +72,8 @@ REQUIRED_TYPE = {"pre": 2, "post": 4}
 #: residual tolerance of a valid certificate: ||Yz - Fz||_inf <= RTOL*(1+||Fz||_inf)
 CERT_RTOL = 1e-9
 
+_FORM = {"json": None}  # the stored form is written to JSON as the dense Y only
+
 
 @dataclass
 class LinearizationCertificate(JsonReport):
@@ -84,131 +81,126 @@ class LinearizationCertificate(JsonReport):
 
     type is 1 (general), 2 (invertible), 3 (invertible diagonal) or
     4 (monomial).  Fz records the map value at construction time so the
-    certificate can be re-verified without re-evaluating the map.
+    certificate can be re-verified without re-evaluating the map.  Y is
+    stored as (perm, vals, q, col), the module's form; ``Y`` builds it.
     """
 
     type: int
-    Y: np.ndarray
     z: np.ndarray
     Fz: np.ndarray
+    perm: np.ndarray = field(metadata=_FORM)
+    vals: np.ndarray = field(metadata=_FORM)
+    q: int | None = field(default=None, metadata=_FORM)
+    col: np.ndarray | None = field(default=None, metadata=_FORM)
 
     @property
     def dim(self) -> int:
         return self.z.shape[0]
 
+    @property
+    def Y(self) -> np.ndarray:
+        n = self.dim
+        Y = np.zeros((n, n))
+        Y[np.arange(n), self.perm] = self.vals
+        if self.q is not None:
+            Y[:, self.q] = self.col
+        return Y
+
     def to_dict(self) -> dict:
-        return {**super().to_dict(), "dim": self.dim}
+        return {**super().to_dict(), "dim": self.dim, "Y": self.Y.ravel().tolist()}
 
 
 def certificate_errors(cert: LinearizationCertificate) -> list[str]:
     """Independent re-verification of a certificate; empty list means valid.
 
-    Checks the residual bound ||Y z - Fz||_inf <= 1e-9 (1 + ||Fz||_inf) and
-    an exact structural rule per type that proves invertibility however
-    small an entry is: for type 2, Y - I is zero outside at most two columns
-    D and det(Y[D, D]) != 0 (-f_p/z_q, or f_q/z_q when p = q, for the pivot
-    construction); type 3 is diagonal with a nonzero diagonal; type 4 is
-    monomial.  A Y with a NaN or infinite entry raises ``ValueError``.
+    Works on the stored form in O(n): perm must be a permutation, and
+    ||Y z - Fz||_inf <= 1e-9 (1 + ||Fz||_inf).  Every column of Y except q
+    holds one entry, so det(Y) = +-col[r] prod_{i != r} vals[i] with
+    perm[r] = q (+-prod(vals) without q).  Types 2-4 need every factor
+    nonzero, an exact test that proves invertibility however small an
+    entry is; types 3 and 4 may have no replaced column, and type 3 needs
+    the identity perm.  A NaN or infinite entry raises ``ValueError``.
     """
     n = cert.dim
-    if cert.Y.shape != (n, n):
-        return [f"Y has shape {cert.Y.shape}, expected ({n}, {n})"]
-    Y = as_matrix(cert.Y)
+    perm, vals, q, col = cert.perm, cert.vals, cert.q, cert.col
+    if perm.shape != (n,) or vals.shape != (n,) or (
+            q is not None and (np.shape(col) != (n,) or not 0 <= q < n)):
+        return [f"perm, vals and col need length {n}, and q must index a column"]
+    in_range = perm.dtype.kind in "iu" and perm.min() >= 0 and perm.max() < n
+    if not (in_range and np.bincount(perm, minlength=n).all()):
+        return [f"perm is not a permutation of 0..{n - 1}"]
+    if not (np.isfinite(vals).all() and (q is None or np.isfinite(col).all())):
+        raise ValueError("certificate entries must be finite (no NaN/Inf)")
     problems = []
-    resid = float(np.abs(Y @ cert.z - cert.Fz).max())
+    Yz = vals * cert.z[perm]
+    zero = vals == 0.0  # the factors of det(Y)
+    if q is not None:
+        r = int(np.flatnonzero(perm == q)[0])
+        Yz[r] = 0.0
+        Yz += col * cert.z[q]
+        zero[r] = col[r] == 0.0
+    resid = float(np.abs(Yz - cert.Fz).max())
     bound = CERT_RTOL * (1.0 + float(np.abs(cert.Fz).max()))
-    if resid > bound:
+    if not resid <= bound:
         problems.append(f"residual {resid:.3e} exceeds bound {bound:.3e}")
-    if cert.type == 2:  # Y - I lives in the columns D, so det(Y) = det(Y[D, D])
-        D = np.flatnonzero((Y != np.eye(n)).any(axis=0))
-        if D.size > 2:
-            problems.append(f"Y differs from the identity in {D.size} columns but type is 2")
-        else:
-            block = np.eye(2)  # Y[D, D] padded with the identity; its det in exact arithmetic
-            block[:D.size, :D.size] = Y[np.ix_(D, D)]
-            a, b, c, d = map(Fraction, block.ravel().tolist())
-            if a * d == b * c:
-                problems.append("Y is not invertible (singular pivot block) but type is 2")
-    if cert.type == 3:
-        off = Y - np.diag(np.diag(Y))
-        if np.any(off != 0.0):
-            problems.append("Y has off-diagonal entries but type is 3")
-        if np.any(np.diag(Y) == 0.0):
-            problems.append("Y has a zero diagonal entry but type is 3")
-    if cert.type == 4 and not is_monomial(Y):
-        problems.append("Y is not monomial (one nonzero per row and column) but type is 4")
+    if cert.type in (3, 4) and q is not None:
+        problems.append(f"Y has a replaced column but type is {cert.type}")
+    if cert.type == 3 and np.any(perm != np.arange(n)):
+        problems.append("Y has off-diagonal entries but type is 3")
+    if cert.type != 1 and zero.any():
+        problems.append(f"Y is not invertible (det(Y) has a zero factor) but type is {cert.type}")
     return problems
 
 
-def _general(p: PointRequirements, free_value: float) -> np.ndarray:
-    """Type 1: every row carried by the first nonzero coordinate."""
+def _general(p: PointRequirements, free_value: float):
+    """Type 1: the zero matrix with column q, the first nonzero coordinate,
+    replaced by F(z)/z_q; the zero matrix when z = 0 (and so F(0) = 0)."""
     n = p.z.shape[0]
-    Y = np.zeros((n, n))
-    nz = np.flatnonzero(p.z_nz)
-    if nz.size:
-        q = int(nz[0])
-        Y[:, q] = p.fz / p.z[q]
-    # else z = 0 and F(0) = 0 (requirement 1): the zero matrix works
-    return Y
+    q = int(np.argmax(p.z_nz)) if p.z_nz.any() else None
+    return np.arange(n), np.zeros(n), q, None if q is None else p.fz / p.z[q]
 
 
-def _invertible_from_pivots(fz: np.ndarray, z: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Invertible Y with fz = Y z given pivots f_p != 0 and z_q != 0."""
-    Y = np.eye(z.shape[0])
-    Y[:, q] = (fz - z) / z[q]  # every other row i: z_i + (f_i - z_i) = f_i
-    Y[p, p] = 0.0
-    Y[p, q] = fz[p] / z[q]
-    if p != q:
-        Y[q, p] = 1.0
-        Y[q, q] = (fz[q] - z[p]) / z[q]
-    return Y
-
-
-def _invertible(p: PointRequirements, free_value: float) -> np.ndarray:
-    """Type 2: the pivot construction at the smallest pivot indices, or the
-    identity when z = 0 (and so F(0) = 0)."""
+def _invertible(p: PointRequirements, free_value: float):
+    """Type 2: the transposition (r q) of the first pivots f_r != 0 and
+    z_q != 0, with column q replaced; the identity when z = 0 = F(z)."""
+    n = p.z.shape[0]
+    perm = np.arange(n)
     if not p.z_nz.any():
-        return np.eye(p.z.shape[0])
-    both = np.flatnonzero(p.z_nz & p.f_nz)
-    if both.size:
-        i = j = int(both[0])
-    else:
-        i = int(np.flatnonzero(p.f_nz)[0])
-        j = int(np.flatnonzero(p.z_nz)[0])
-    return _invertible_from_pivots(p.fz, p.z, i, j)
+        return perm, np.ones(n), None, None
+    both = p.z_nz & p.f_nz  # one pivot index r = q where f_r != 0 and z_r != 0
+    rows, cols = (both, both) if both.any() else (p.f_nz, p.z_nz)
+    r, q = int(np.argmax(rows)), int(np.argmax(cols))
+    perm[[r, q]] = q, r
+    col = (p.fz - p.z[perm]) / p.z[q]  # every other row i: z_perm(i) + col_i z_q = f_i
+    col[r] = p.fz[r] / p.z[q]
+    return perm, np.ones(n), q, col
 
 
-def _diagonal(p: PointRequirements, free_value: float) -> np.ndarray:
-    """Type 3: c_i = f_i(z)/z_i on nonzero coordinates, else ``free_value``."""
-    c = np.full(p.z.shape[0], float(free_value))
-    c[p.z_nz] = p.fz[p.z_nz] / p.z[p.z_nz]
-    return np.diag(c)
-
-
-def _permuted_diagonal(p: PointRequirements, free_value: float) -> np.ndarray:
-    """Type 4: the order-preserving pairing, ``free_value`` on zero pairs;
-    no permutation search is needed."""
-    n = p.z.shape[0]
-    Y = np.zeros((n, n))
+def _monomial(p: PointRequirements, free_value: float):
+    """Types 3 and 4: the order-preserving pairing, ``free_value`` on zero
+    pairs; it is the identity where the zero masks agree."""
+    perm = np.empty(p.z.shape[0], dtype=np.intp)
+    vals = np.full(p.z.shape[0], float(free_value))
     rows, cols = np.flatnonzero(p.f_nz), np.flatnonzero(p.z_nz)
-    Y[rows, cols] = p.fz[rows] / p.z[cols]
-    Y[np.flatnonzero(~p.f_nz), np.flatnonzero(~p.z_nz)] = float(free_value)
-    return Y
+    perm[rows] = cols
+    perm[~p.f_nz] = np.flatnonzero(~p.z_nz)
+    vals[rows] = p.fz[rows] / p.z[cols]
+    return perm, vals, None, None
 
 
-#: certificate type -> builder (evaluated point, free value) -> Y
-_BUILDERS = {1: _general, 2: _invertible, 3: _diagonal, 4: _permuted_diagonal}
+#: certificate type -> builder (evaluated point, free value) -> (perm, vals, q, col)
+_BUILDERS = {1: _general, 2: _invertible, 3: _monomial, 4: _monomial}
 
 
 def _certificate(p: PointRequirements, type: int, free_value) -> LinearizationCertificate:
     with np.errstate(over="ignore"):  # an overflow is rejected below, not warned about
         value = free_value(p)
-        Y = _BUILDERS[type](p, value)
+        perm, vals, q, col = _BUILDERS[type](p, value)
     if value == 0.0:
         raise ValueError("free_value must be nonzero")
-    if not np.isfinite(Y).all():
+    if not (np.isfinite(vals).all() and (col is None or np.isfinite(col).all())):
         raise ValueError("certificate overflows at the given point: some f_i(z)/z_j is not finite")
-    return LinearizationCertificate(type, Y, p.z.copy(), p.fz)
+    return LinearizationCertificate(type, p.z.copy(), p.fz, perm, vals, q, col)
 
 
 def linearize(F: NonlinearMap, z, type: int, *,
@@ -217,11 +209,9 @@ def linearize(F: NonlinearMap, z, type: int, *,
     """Certificate of the given type (1..4) at z, from one evaluation of F;
     ``RequirementError`` when that type's requirement fails there (for type
     3, naming the first index where exactly one of z_i and f_i(z) is zero),
-    ``ValueError`` when some f_i(z)/z_j overflows.  Type 2 is the two-pivot
-    Y: Y - I is zero outside the pivot columns p and q, and det(Y) = -f_p/z_q
-    (f_q/z_q when p = q).  ``free_value`` maps the evaluated point to the
-    nonzero value of the free entries of types 3 and 4 (types 1 and 2 have
-    none)."""
+    ``ValueError`` when some f_i(z)/z_j overflows.  ``free_value`` maps the
+    evaluated point to the nonzero value of the free entries of types 3 and
+    4 (types 1 and 2 have none)."""
     if type not in _BUILDERS:
         raise ValueError(f"certificate type must be in 1..4, got {type!r}")
     p = requirement_at(F, z)

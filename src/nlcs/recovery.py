@@ -471,16 +471,22 @@ def _balanced_free_value(p: PointRequirements) -> float:
 
 
 def _effective_matrix(A: np.ndarray, cert: LinearizationCertificate, composition: str):
-    """Y A for "pre", A Y for "post".  A type-3 Y is diagonal, so its
-    product is a row or column scaling of A: each entry is a sum with one
-    nonzero term, which the dense product rounds once, as the scaling does.
-    Adding 0.0 turns the -0.0 of a zero entry of A times a negative Y_ii
-    into the +0.0 of the dense product, so the two agree bit for bit
-    unless a product underflows to zero."""
-    if cert.type != 3:
+    """Y A for "pre", A Y for "post".  A Y without a replaced column is a
+    scaled permutation, so its product gathers and scales A: each entry is
+    a sum with one nonzero term, which the dense product rounds once, as
+    the scaling does.  Adding 0.0 turns the -0.0 of a zero entry of A times
+    a negative value into the +0.0 of the dense product, so the two agree
+    bit for bit unless a product underflows to zero.  ``take`` keeps B
+    C-ordered like the dense product, so later BLAS calls round alike."""
+    if cert.q is not None:
         return cert.Y @ A if composition == "pre" else A @ cert.Y
-    d = np.diagonal(cert.Y)
-    B = d[:, None] * A if composition == "pre" else A * d
+    if composition == "pre":
+        B = A.take(cert.perm, axis=0)
+        B *= cert.vals[:, None]
+    else:
+        inv = np.argsort(cert.perm)  # column j of A Y is vals[i] A[:, i] with perm[i] = j
+        B = A.take(inv, axis=1)
+        B *= cert.vals[inv]
     B += 0.0
     return B
 
@@ -555,10 +561,11 @@ def recover_via_linearization(
         except RipOrderError:
             pass
 
+    B *= lam  # B is fresh; the measurements may be the certificate's Fz
     if method == "l1":
-        report = basis_pursuit(lam * B, lam * z, max_iter=max_iter)
+        report = basis_pursuit(B, lam * z, max_iter=max_iter)
     else:
-        report = l0_oracle(lam * B, lam * z, k)
+        report = l0_oracle(B, lam * z, k)
 
     xnorm = float(np.linalg.norm(x))
     report = replace(

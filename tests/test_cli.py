@@ -193,6 +193,21 @@ class TestLinearize:
             "error: certificate overflows at the given point: some f_i(z)/z_j is not finite"
         ]
 
+    @pytest.mark.parametrize("spec, kind, z", [
+        ("square", "square", [1e200, 1.0]),
+        ('{"kind": "quantize_floor", "step": 0.5}', "quantize_floor", [1.7e308, 1.0]),
+    ])
+    def test_map_overflow_is_one_error(self, tmp_path, capsys, spec, kind, z):
+        # the map's own output overflows: its error, and no numpy warning ahead of it
+        point = tmp_path / "z.csv"
+        np.savetxt(point, np.array(z), delimiter=",")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "linearize", "--map", spec, "--point", str(point),
+                                     "--type", "3")
+        assert (code, out, caught) == (1, "", [])
+        assert err.splitlines() == [f"error: map {kind!r} produced non-finite output"]
+
     def test_requirement_violation(self, tmp_path, capsys):
         point = tmp_path / "z.csv"
         np.savetxt(point, np.array([0.5, 1.5]), delimiter=",")

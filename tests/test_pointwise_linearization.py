@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,12 @@ from nlcs.pointwise_linearization import (
     linearize_strongest,
     qualified_type,
 )
-from nlcs.pointwise_linearization import _invertible_from_pivots
 from nlcs.sensing_properties import spark
+
+
+def constant_map(fz):
+    """Custom map with the value fz at every point."""
+    return custom_map([lambda z, v=float(v): v for v in fz])
 
 
 def assert_valid(cert):
@@ -55,15 +61,18 @@ class TestLinearizeGeneral:
 
 class TestLinearizeInvertible:
     def test_pivot_template_pattern(self):
-        # generic data exercising the two-pivot template with p=1, q=3
-        # (0-indexed); all nine structural slots must be the only nonzeros
-        z = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        fz = np.array([6.0, 7.0, 8.0, 9.0, 10.0])
-        Y = _invertible_from_pivots(fz, z, p=1, q=3)
-        expected_slots = {(0, 0), (0, 3), (1, 3), (2, 2), (2, 3), (3, 1), (3, 3), (4, 3), (4, 4)}
-        assert {(i, j) for i, j in zip(*np.nonzero(Y))} == expected_slots
-        assert np.allclose(Y @ z, fz)
-        assert rank(Y) == 5
+        # F(z) is nonzero only where z is zero, so the pivots are distinct:
+        # r = 1 (first nonzero f_i) and q = 3 (first nonzero z_i)
+        z = np.array([0.0, 0.0, 0.0, 4.0, 5.0])
+        fz = np.array([0.0, 7.0, 8.0, 0.0, 0.0])
+        cert = linearize(constant_map(fz), z, 2)
+        assert cert.perm.tolist() == [0, 3, 2, 1, 4] and cert.q == 3
+        # the transposition (1 3) with column 3 replaced; row 1 keeps only f_1/z_3
+        expected_slots = {(0, 0), (1, 3), (2, 2), (2, 3), (3, 1), (4, 3), (4, 4)}
+        assert {(i, j) for i, j in zip(*np.nonzero(cert.Y))} == expected_slots
+        assert np.array_equal(cert.Y, self.loop_pivots(fz, z, 1, 3))
+        assert rank(cert.Y) == 5
+        assert_valid(cert)
 
     @staticmethod
     def loop_pivots(fz, z, p, q):
@@ -93,11 +102,22 @@ class TestLinearizeInvertible:
         z, fz = rng.normal(size=n), rng.normal(size=n)
         z[rng.random(n) < 0.3] = 0.0
         fz[rng.random(n) < 0.3] = 0.0
-        p, q = int(rng.integers(n)), int(rng.integers(n))
-        z[q] = z[q] or 1.5
-        Y = _invertible_from_pivots(fz, z, p, q)
-        assert np.array_equal(Y, self.loop_pivots(fz, z, p, q))
-        assert np.array_equal(np.signbit(Y), np.signbit(self.loop_pivots(fz, z, p, q)))
+        k = int(rng.integers(n))
+        z[k] = z[k] or 1.5  # requirement 2: z != 0 and F(z) != 0
+        if seed % 3 == 0 and n > 1:  # distinct pivots: F(z) nonzero only where z is zero
+            j = (k + 1) % n
+            z[j] = 0.0
+            fz[z != 0.0] = 0.0
+            fz[j] = fz[j] or 2.5
+        else:
+            fz[k] = fz[k] or 2.5
+        both = np.flatnonzero((z != 0.0) & (fz != 0.0))
+        p, q = (both[0], both[0]) if both.size else (np.flatnonzero(fz)[0], np.flatnonzero(z)[0])
+        cert = linearize(constant_map(fz), z, 2)
+        want = self.loop_pivots(fz, z, int(p), int(q))
+        assert np.array_equal(cert.Y, want)
+        assert np.array_equal(np.signbit(cert.Y), np.signbit(want))
+        assert_valid(cert)
 
     def test_distinct_pivots_construction(self):
         # force p != q: image nonzero only where the point is zero
@@ -291,40 +311,124 @@ class TestCertificateSerialization:
 
     def test_certificate_errors_flags_bad_residual(self):
         cert = LinearizationCertificate(
-            type=3, Y=np.diag([2.0, 2.0]), z=np.array([1.0, 1.0]), Fz=np.array([1.0, 1.0])
+            type=3, z=np.array([1.0, 1.0]), Fz=np.array([1.0, 1.0]),
+            perm=np.arange(2), vals=np.array([2.0, 2.0]),
         )
         assert any("residual" in p for p in certificate_errors(cert))
 
     def test_certificate_errors_flags_bad_shape(self):
+        # Y = [[0, 1], [2, 0]] is monomial, not diagonal
         cert = LinearizationCertificate(
-            type=3,
-            Y=np.array([[1.0, 0.5], [0.0, 1.0]]),
-            z=np.array([2.0, 0.0]),
-            Fz=np.array([2.0, 0.0]),
+            type=3, z=np.array([2.0, 0.0]), Fz=np.array([0.0, 4.0]),
+            perm=np.array([1, 0]), vals=np.array([1.0, 2.0]),
         )
-        assert any("off-diagonal" in p for p in certificate_errors(cert))
+        assert certificate_errors(cert) == ["Y has off-diagonal entries but type is 3"]
+
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_monomial_types_reject_a_replaced_column(self, t):
+        # Y = [[1, 0.5], [0, 1]]: invertible and exact, but not monomial
+        cert = LinearizationCertificate(
+            type=t, z=np.array([2.0, 0.0]), Fz=np.array([2.0, 0.0]),
+            perm=np.arange(2), vals=np.ones(2), q=1, col=np.array([0.5, 1.0]),
+        )
+        assert certificate_errors(cert) == [f"Y has a replaced column but type is {t}"]
+
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1, 3], [-1, 0, 1], [0.0, 1.0, 2.0]])
+    def test_perm_must_be_a_permutation(self, perm):
+        cert = LinearizationCertificate(
+            type=1, z=np.ones(3), Fz=np.ones(3), perm=np.array(perm), vals=np.ones(3),
+        )
+        assert certificate_errors(cert) == ["perm is not a permutation of 0..2"]
+
+    @pytest.mark.parametrize("q, col", [(3, np.ones(3)), (0, np.ones(2)), (0, None)])
+    def test_form_lengths_must_match_the_point(self, q, col):
+        cert = LinearizationCertificate(
+            type=2, z=np.ones(3), Fz=np.ones(3), perm=np.arange(3), vals=np.ones(3), q=q, col=col,
+        )
+        assert certificate_errors(cert) == ["perm, vals and col need length 3, and q must index a column"]
 
     def test_certificate_errors_flags_rank_deficiency(self):
         cert = LinearizationCertificate(
-            type=2, Y=np.zeros((2, 2)), z=np.zeros(2), Fz=np.zeros(2)
+            type=2, z=np.zeros(2), Fz=np.zeros(2), perm=np.arange(2), vals=np.zeros(2),
         )
         assert any("invertible" in p for p in certificate_errors(cert))
-
-    def test_type2_outside_two_columns_rejected(self):
-        # invertible (unit upper triangular) and exact, but Y - I has three
-        # nonzero columns: not the two-pivot structure type 2 promises
-        Y = np.eye(4) + np.diag([1.0, 1.0, 1.0], k=1)
-        z = np.array([1.0, -2.0, 0.5, 3.0])
-        cert = LinearizationCertificate(type=2, Y=Y, z=z, Fz=Y @ z)
-        assert certificate_errors(cert) == ["Y differs from the identity in 3 columns but type is 2"]
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_certificate_errors_rejects_nonfinite_for_every_type(self, t):
         cert = LinearizationCertificate(
-            type=t, Y=np.diag([np.inf, 1.0]), z=np.array([1.0, 1.0]), Fz=np.array([np.inf, 1.0])
+            type=t, z=np.array([1.0, 1.0]), Fz=np.array([np.inf, 1.0]),
+            perm=np.arange(2), vals=np.array([np.inf, 1.0]),
         )
         with pytest.raises(ValueError, match="finite"):
             certificate_errors(cert)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_certificate_errors_rejects_nonfinite_column(self, t):
+        cert = LinearizationCertificate(
+            type=t, z=np.array([1.0, 1.0]), Fz=np.array([np.nan, 1.0]),
+            perm=np.arange(2), vals=np.ones(2), q=0, col=np.array([np.nan, 0.0]),
+        )
+        with pytest.raises(ValueError, match="finite"):
+            certificate_errors(cert)
+
+
+def laplace_det(M):
+    """Exact determinant of a list-of-lists matrix by cofactor expansion
+    along the first row."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * M[0][j] * laplace_det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+class TestDeterminantRule:
+    """det(Y) = +-col[r] * prod_{i != r} vals[i] with perm[r] = q: types 2-4
+    need each factor nonzero, however small."""
+
+    def test_zero_replaced_pivot_rejected(self):
+        # Y = [[3, 1], [0, 0]]: the transposition (0 1) with column 0 replaced;
+        # every vals entry is 1, and col[r] = 0 at r = 1 is the only zero factor
+        form = dict(perm=np.array([1, 0]), vals=np.ones(2), q=0)
+        z = np.array([1.0, 2.0])
+        bad = LinearizationCertificate(type=2, z=z, Fz=np.array([5.0, 0.0]),
+                                       col=np.array([3.0, 0.0]), **form)
+        assert certificate_errors(bad) == ["Y is not invertible (det(Y) has a zero factor) but type is 2"]
+        good = LinearizationCertificate(type=2, z=z, Fz=np.array([5.0, 2.0]),
+                                        col=np.array([3.0, 2.0]), **form)
+        assert_valid(good)
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_tiny_factors_pass(self, t):
+        n = 4
+        perm = np.arange(n) if t == 3 else np.array([2, 0, 3, 1])
+        vals = np.full(n, 1e-300)
+        q = col = None
+        if t == 2:
+            q, col = 1, np.full(n, 1e-300)  # r = 3, so col[3] is a factor
+        cert = LinearizationCertificate(type=t, z=np.ones(n), Fz=np.zeros(n),
+                                        perm=perm, vals=vals, q=q, col=col)
+        cert.Fz = cert.Y @ cert.z
+        assert np.linalg.det(cert.Y) == 0.0  # the float product underflows
+        assert_valid(cert)
+
+    def test_rule_matches_exact_laplace_determinant(self):
+        rng = np.random.default_rng(7)
+        verdicts = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            vals = rng.normal(size=n) * (rng.random(n) < 0.85)
+            q = col = None
+            if rng.random() < 0.7:
+                q, col = int(rng.integers(n)), rng.normal(size=n) * (rng.random(n) < 0.7)
+            cert = LinearizationCertificate(type=2, z=rng.normal(size=n), Fz=np.zeros(n),
+                                            perm=rng.permutation(n), vals=vals, q=q, col=col)
+            Y = cert.Y
+            cert.Fz = Y @ cert.z
+            exact = laplace_det([[Fraction(v) for v in row] for row in Y.tolist()])
+            singular = any("invertible" in p for p in certificate_errors(cert))
+            assert singular == (exact == 0), (cert, exact)
+            verdicts.add(singular)
+        assert verdicts == {True, False}
 
 
 class TestClassify:

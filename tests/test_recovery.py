@@ -13,7 +13,9 @@ from nlcs.matrix_core import (as_system, gaussian_matrix, random_sparse_signal,
                               rank_of_singular_values)
 from nlcs.nonlinear_maps import (
     abs_map,
+    custom_map,
     identity_map,
+    map_from_spec,
     nonzero_random_map,
     quantize_floor,
     sign_map,
@@ -31,7 +33,7 @@ from nlcs.recovery import (
     recover_via_linearization,
     support_set,
 )
-from nlcs.pointwise_linearization import linearize
+from nlcs.pointwise_linearization import LinearizationCertificate, linearize
 from nlcs.sensing_properties import rip_constants, spark
 
 SQRT2_MINUS_1 = np.sqrt(2.0) - 1.0
@@ -843,8 +845,16 @@ class TestRecoverViaLinearization:
         assert payload["certified"] is False and payload["margin"] is None
 
 
+def permutation_map(dim, rng):
+    """F(z)_i = c_i z_perm(i): zero patterns move, so type-4 certificates occur."""
+    perm = rng.permutation(dim)
+    scale = rng.uniform(0.5, 2.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
+    return custom_map([lambda v, j=int(perm[i]), c=float(scale[i]): c * v[j] for i in range(dim)])
+
+
 class TestEffectiveMatrix:
-    """A type-3 certificate's product is a row or column scaling of A."""
+    """Without a replaced column Y is a scaled permutation, and its product
+    gathers and scales A; the result equals the dense product bit for bit."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_scaling_equals_the_dense_product(self, seed):
@@ -857,17 +867,32 @@ class TestEffectiveMatrix:
             # sign and abs certificates are +-1/|z_i|, here near 1e300 and 1e-300
             wide = z * 10.0 ** rng.choice([-300, -150, 0, 150, 300], size=dim)
             certs = [linearize(sign_map(dim), wide, 3), linearize(abs_map(dim), wide, 3),
-                     linearize(square_map(dim), z, 3)]
+                     linearize(square_map(dim), z, 3),
+                     linearize(permutation_map(dim, rng), wide, 4),
+                     linearize(nonzero_random_map(dim, 5), wide, 2),
+                     linearize(nonzero_random_map(dim, 5), np.zeros(dim), 2)]  # the identity
+            assert [c.q is None for c in certs] == [True, True, True, True, False, True]
             for cert in certs:
                 dense = cert.Y @ A if composition == "pre" else A @ cert.Y
                 B = recovery._effective_matrix(A, cert, composition)
+                assert B.flags.c_contiguous
                 assert np.array_equal(B, dense)
                 assert np.array_equal(B.view(np.int64), dense.view(np.int64))
 
-    def test_other_types_use_the_dense_product(self):
-        A = gaussian_matrix(4, 8, 97)
-        cert = linearize(nonzero_random_map(4, 5), A @ random_sparse_signal(8, 2, 98), 2)
-        assert np.array_equal(recovery._effective_matrix(A, cert, "pre"), cert.Y @ A)
+    @pytest.mark.parametrize("composition", ["pre", "post"])
+    def test_nominal_type3_maps_never_build_the_dense_y(self, monkeypatch, composition):
+        def dense(self):
+            raise AssertionError("the dense Y was built")
+
+        monkeypatch.setattr(LinearizationCertificate, "Y", property(dense))
+        A = gaussian_matrix(6, 12, 5)
+        x = 0.1 * random_sparse_signal(12, 2, 6)  # keeps A x inside the sine domain
+        kinds = [k for k, row in nonlinear_maps._KINDS.items() if row.nominal_type == 3]
+        assert len(kinds) == 6
+        for kind in kinds:
+            F = map_from_spec({"kind": kind, "step": 0.5}, 6 if composition == "pre" else 12)
+            out = recover_via_linearization(A, F, composition, x, "l1")
+            assert out.certificate.type == 3
 
 
 def test_support_set_threshold():

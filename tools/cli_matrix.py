@@ -105,6 +105,8 @@ POINTS = {
     "p_sub308.csv": [1e-308, 1.0],
     "p_sub.csv": [1e-310, 1.0],
     "p_subneg.csv": [-5e-324, 0.3, 0.0],
+    "p_big.csv": [1e200, 1.0],  # square overflows
+    "p_max.csv": [1.7e308, 1.0],  # the quantizers' division by the step overflows
 }
 
 SIGNALS = {
