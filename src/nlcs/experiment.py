@@ -220,9 +220,9 @@ def emit_reports(records, summary, output_dir, signals) -> list[str]:
 
     for i, (x_true, x_hat) in enumerate(signals):
         sig_path = out / f"signal_{i}.csv"
+        # repr of a Python float is what _fmt writes
+        rows = map("{},{!r},{!r}\n".format, range(len(x_true)), x_true.tolist(), x_hat.tolist())
         with open(sig_path, "w", encoding="utf-8") as fh:
-            fh.write("index,true_value,recovered_value\n")
-            for j in range(len(x_true)):
-                fh.write(f"{j},{_fmt(x_true[j])},{_fmt(x_hat[j])}\n")
+            fh.write("index,true_value,recovered_value\n" + "".join(rows))
         written.append(str(sig_path))
     return written

@@ -55,7 +55,7 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"matrix must be nonempty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
 
@@ -67,7 +67,7 @@ def as_vector(a) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got ndim={v.ndim}")
     if v.size < 1:
         raise ValueError("vector must be nonempty")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite (no NaN/Inf)")
     return v
 
@@ -119,7 +119,7 @@ def is_monomial(M: np.ndarray) -> bool:
     that is, M is a permuted invertible diagonal matrix.  The zero test is
     exact, so a True answer proves invertibility however small an entry is."""
     nz = M != 0.0
-    return bool(np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1))
+    return bool((nz.sum(axis=0) == 1).all() and (nz.sum(axis=1) == 1).all())
 
 
 def in_safe_range(M: np.ndarray) -> bool:

@@ -35,8 +35,10 @@ linearization lives in:
 4. a permuted invertible diagonal Y exists (zero counts of F(z) and z match).
 
 Requirement 3 implies 4 implies 2 implies 1 at every point, so the strongest
-type holding says which of them hold; ``requirement_at`` decides it, with
-one evaluation of F, for every check and certificate.
+type holding says which of them hold; ``requirement_at`` decides it for
+every check and certificate, validating z once and evaluating F once
+(``evaluate`` validates, then runs ``_evaluate``).  Equal zero counts of z
+and F(z) give type 3 or 4 by one mask compare; unequal ones give 2, 1 or 0.
 
 Zero tests are tolerance-based.  Discrete-valued kinds test outputs
 exactly (0.0) and count an input as zero up to the smallest normal float,
@@ -91,10 +93,10 @@ TYPE_STRENGTH = {0: -1, 1: 0, 2: 1, 4: 2, 3: 3}
 
 
 def _nonzero_random(F: NonlinearMap, z: np.ndarray) -> np.ndarray:
-    if np.all(z == 0.0):
+    if not z.any():
         return np.zeros(F.dim)
-    # fold -0.0 into +0.0 so the value is a function of the numeric input
-    bits = np.ascontiguousarray(np.where(z == 0.0, 0.0, z), dtype=np.float64).tobytes()
+    # z + 0.0 folds -0.0 into +0.0 so the value is a function of the numeric input
+    bits = (z + 0.0).tobytes()
     digest = hashlib.sha256()
     digest.update(int(F.seed).to_bytes(8, "little"))
     digest.update(bits)
@@ -103,7 +105,7 @@ def _nonzero_random(F: NonlinearMap, z: np.ndarray) -> np.ndarray:
 
 
 def _check_sine_domain(F: NonlinearMap, z: np.ndarray) -> None:
-    inside = np.all(np.abs(z) < np.pi) if F.open_domain else np.all(np.abs(z) <= np.pi)
+    inside = (np.abs(z) < np.pi).all() if F.open_domain else (np.abs(z) <= np.pi).all()
     if not inside:
         side = "open" if F.open_domain else "closed"
         raise MapDomainError(
@@ -261,14 +263,18 @@ def map_from_spec(spec: dict, dim: int) -> NonlinearMap:
 
 def evaluate(F: NonlinearMap, z) -> np.ndarray:
     """Apply the map to a point of its domain."""
-    v = as_vector(z)
+    return _evaluate(F, as_vector(z))
+
+
+def _evaluate(F: NonlinearMap, v: np.ndarray) -> np.ndarray:
+    """``evaluate`` at a vector that ``as_vector`` has already validated."""
     if v.shape[0] != F.dim:
         raise ValueError(f"dimension mismatch: map has dim {F.dim}, input has dim {v.shape[0]}")
     row = _ROWS[F.kind]
     if row.check_domain is not None:
         row.check_domain(F, v)
     out = row.f(F, v)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"map {F.kind!r} produced non-finite output")
     return out
 
@@ -301,17 +307,15 @@ def requirement_at(F: NonlinearMap, z) -> PointRequirements:
     F(z) are both zero or both nonzero, 1 when z != 0 or F(z) = 0.
     """
     v = as_vector(z)
-    fz = evaluate(F, v)
+    fz = _evaluate(F, v)
     z_nz, f_nz = np.abs(v) > F.zero_tol_in, np.abs(fz) > F.zero_tol_out
-    z_any = bool(z_nz.any())
-    if np.array_equal(z_nz, f_nz):
-        rtype = 3
-    elif z_nz.sum() == f_nz.sum():
-        rtype = 4
-    elif z_any == bool(f_nz.any()):
+    z_count, f_count = np.count_nonzero(z_nz), np.count_nonzero(f_nz)
+    if z_count == f_count:
+        rtype = 3 if (z_nz == f_nz).all() else 4
+    elif z_count and f_count:
         rtype = 2
     else:
-        rtype = 1 if z_any else 0
+        rtype = 1 if z_count else 0
     return PointRequirements(v, fz, z_nz, f_nz, rtype)
 
 

@@ -135,7 +135,7 @@ def certificate_errors(cert: LinearizationCertificate) -> list[str]:
     Yz = vals * cert.z[perm]
     zero = vals == 0.0  # the factors of det(Y)
     if q is not None:
-        r = int(np.flatnonzero(perm == q)[0])
+        r = int((perm == q).argmax())
         Yz[r] = 0.0
         Yz += col * cert.z[q]
         zero[r] = col[r] == 0.0
@@ -145,7 +145,7 @@ def certificate_errors(cert: LinearizationCertificate) -> list[str]:
         problems.append(f"residual {resid:.3e} exceeds bound {bound:.3e}")
     if cert.type in (3, 4) and q is not None:
         problems.append(f"Y has a replaced column but type is {cert.type}")
-    if cert.type == 3 and np.any(perm != np.arange(n)):
+    if cert.type == 3 and (perm != np.arange(n)).any():
         problems.append("Y has off-diagonal entries but type is 3")
     if cert.type != 1 and zero.any():
         problems.append(f"Y is not invertible (det(Y) has a zero factor) but type is {cert.type}")
@@ -156,7 +156,7 @@ def _general(p: PointRequirements, free_value: float):
     """Type 1: the zero matrix with column q, the first nonzero coordinate,
     replaced by F(z)/z_q; the zero matrix when z = 0 (and so F(0) = 0)."""
     n = p.z.shape[0]
-    q = int(np.argmax(p.z_nz)) if p.z_nz.any() else None
+    q = int(p.z_nz.argmax()) if p.z_nz.any() else None
     return np.arange(n), np.zeros(n), q, None if q is None else p.fz / p.z[q]
 
 
@@ -169,7 +169,7 @@ def _invertible(p: PointRequirements, free_value: float):
         return perm, np.ones(n), None, None
     both = p.z_nz & p.f_nz  # one pivot index r = q where f_r != 0 and z_r != 0
     rows, cols = (both, both) if both.any() else (p.f_nz, p.z_nz)
-    r, q = int(np.argmax(rows)), int(np.argmax(cols))
+    r, q = int(rows.argmax()), int(cols.argmax())
     perm[[r, q]] = q, r
     col = (p.fz - p.z[perm]) / p.z[q]  # every other row i: z_perm(i) + col_i z_q = f_i
     col[r] = p.fz[r] / p.z[q]
@@ -181,9 +181,9 @@ def _monomial(p: PointRequirements, free_value: float):
     pairs; it is the identity where the zero masks agree."""
     perm = np.empty(p.z.shape[0], dtype=np.intp)
     vals = np.full(p.z.shape[0], float(free_value))
-    rows, cols = np.flatnonzero(p.f_nz), np.flatnonzero(p.z_nz)
+    rows, cols = p.f_nz.nonzero()[0], p.z_nz.nonzero()[0]
     perm[rows] = cols
-    perm[~p.f_nz] = np.flatnonzero(~p.z_nz)
+    perm[~p.f_nz] = (~p.z_nz).nonzero()[0]
     vals[rows] = p.fz[rows] / p.z[cols]
     return perm, vals, None, None
 

@@ -234,6 +234,19 @@ class TestEmitReports:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
 
+    def test_signal_overlay_matches_per_line_writer(self, tmp_path):
+        # the one-write overlay against the per-line _fmt writer, on signed
+        # zeros, subnormals and values whose repr switches to exponent form
+        special = [-0.0, 5e-324, -1.5e-310, 1e-05, 1e+16, 1e+22, 0.1 + 0.2]
+        x_true = np.array(special + [0.0, -2.5, 1.0 / 3.0])
+        x_hat = np.array(special[::-1] + [-0.0, 7.0, np.nextafter(1.0, 2.0)])
+        result = run_experiment(make_config(tmp_path, trials=1))
+        emit_reports(result.records, result.summary, str(tmp_path / "out"), [(x_true, x_hat)])
+        want = "index,true_value,recovered_value\n" + "".join(
+            f"{j},{nlcs.experiment._fmt(x_true[j])},{nlcs.experiment._fmt(x_hat[j])}\n"
+            for j in range(len(x_true)))
+        assert (tmp_path / "out" / "signal_0.csv").read_bytes() == want.encode("utf-8")
+
     def test_summary_json_keys(self, tmp_path):
         summary = run_experiment(make_config(tmp_path, trials=2)).summary
         assert summary.mean_runtime_s > 0.0

@@ -1,8 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nlcs.nonlinear_maps as maps
 from nlcs.errors import MapDomainError
+from nlcs.matrix_core import as_vector, nonzero_normals
 from nlcs.nonlinear_maps import (
+    _TINY,
+    _TOL,
     abs_map,
     check_requirement,
     custom_map,
@@ -12,6 +20,7 @@ from nlcs.nonlinear_maps import (
     nonzero_random_map,
     quantize_away_from_zero,
     quantize_floor,
+    requirement_at,
     sample_domain_points,
     sign_map,
     sine_map,
@@ -315,3 +324,142 @@ class TestSampledWitness:
     def test_deterministic(self):
         F = quantize_floor(6, 1.0)
         assert np.array_equal(self.witness(F), self.witness(F))
+
+
+def reference_type(F, z):
+    """The requirement ladder written out: equal zero masks give 3, equal
+    zero counts 4, z and F(z) both zero or both nonzero 2, else 1 or 0."""
+    v = np.asarray(z, dtype=np.float64)
+    fz = evaluate(F, v)
+    z_nz, f_nz = np.abs(v) > F.zero_tol_in, np.abs(fz) > F.zero_tol_out
+    if np.array_equal(z_nz, f_nz):
+        return 3
+    if z_nz.sum() == f_nz.sum():
+        return 4
+    if z_nz.any() == f_nz.any():
+        return 2
+    return 1 if z_nz.any() else 0
+
+
+def _shift(dim):
+    # F(z)_i = z_{i+1 mod dim}, and 1 in place of z_1 when z_0 = 0: zeros
+    # move between coordinates, and F(0) != 0 when dim > 1
+    return custom_map([lambda v: v[1 % dim] if v[0] != 0.0 else 1.0]
+                      + [lambda v, i=i: v[(i + 1) % dim] for i in range(1, dim)])
+
+
+DECISION_MAPS = {
+    "identity": identity_map,
+    "abs": abs_map,
+    "sign": sign_map,
+    "quantize_afz": lambda d: quantize_away_from_zero(d, 0.5),
+    "quantize_floor": lambda d: quantize_floor(d, 0.5),
+    "sine": sine_map,
+    "sine_closed": lambda d: sine_map(d, open_domain=False),
+    "square": square_map,
+    "nonzero_random": lambda d: nonzero_random_map(d, 31),
+    "custom": _shift,
+}
+
+#: signed zeros, the zero tolerances and their float neighbours, subnormals
+SPECIAL = [0.0, -0.0, _TOL, -_TOL, np.nextafter(_TOL, 0.0), np.nextafter(_TOL, 1.0),
+           _TOL**2, np.nextafter(_TOL**2, 1.0), _TINY, -_TINY, np.nextafter(_TINY, 0.0),
+           5e-324, -1e-310, 0.5, -0.25]
+
+
+@st.composite
+def decision_case(draw):
+    kind = draw(st.sampled_from(sorted(DECISION_MAPS)))
+    dim = draw(st.integers(1, 7))
+    entry = st.one_of(st.sampled_from(SPECIAL), st.floats(-3.0, 3.0))
+    z = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)), dtype=np.float64)
+    planted = np.array(draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
+    z[planted] = draw(st.sampled_from([0.0, -0.0]))
+    return DECISION_MAPS[kind](dim), z
+
+
+class TestRequirementDecision:
+    """``requirement_at`` decides the type from the two zero counts; the
+    reference ladder above compares the masks first."""
+
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None)
+    @given(decision_case())
+    def test_type_matches_reference_ladder(self, case):
+        F, z = case
+        assert requirement_at(F, z).type == reference_type(F, z), (F.kind, z)
+
+    @pytest.mark.parametrize("F, z, want", [
+        (abs_map(3), [1.0, -0.0, -2.0], 3),
+        (_shift(3), [1.0, 0.0, 2.0], 4),
+        (quantize_floor(3, 0.5), [0.3, 1.0, -0.0], 2),
+        (quantize_floor(2, 0.5), [0.3, 0.0], 1),
+        (_shift(3), [-0.0, 0.0, -0.0], 0),
+    ], ids=["type3", "type4", "type2", "type1", "type0"])
+    def test_each_type(self, F, z, want):
+        assert requirement_at(F, z).type == reference_type(F, z) == want
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+
+        def spy(a):
+            calls.append(a)
+            return as_vector(a)
+
+        monkeypatch.setattr(maps, "as_vector", spy)
+        for F in (abs_map(3), sine_map(3), custom_map([lambda v: v[0]] * 3)):
+            calls.clear()
+            requirement_at(F, [1.0, 0.0, -2.0])
+            assert len(calls) == 1, F.kind
+
+    @pytest.mark.parametrize("call", [evaluate, requirement_at], ids=["evaluate", "requirement_at"])
+    @pytest.mark.parametrize("F, z, error, message", [
+        (abs_map(2), [1.0, np.nan], ValueError, r"^vector entries must be finite \(no NaN/Inf\)$"),
+        (abs_map(3), [1.0, 2.0], ValueError, r"^dimension mismatch: map has dim 3, input has dim 2$"),
+        (sine_map(2), [3.5, 0.0], MapDomainError,
+         r"^sine input outside the open interval \(-pi, pi\): max \|z_i\| = 3\.5$"),
+        (custom_map([lambda v: np.inf, lambda v: v[1]]), [1.0, 2.0], ValueError,
+         r"^map 'custom' produced non-finite output$"),
+    ], ids=["non_finite_input", "dimension", "sine_domain", "non_finite_output"])
+    def test_errors(self, call, F, z, error, message):
+        with pytest.raises(error, match=message):
+            call(F, z)
+
+
+def reference_nonzero_random(F, z):
+    """The nonzero_random value with -0.0 folded by ``np.where``."""
+    z = np.asarray(z, dtype=np.float64)
+    if np.all(z == 0.0):
+        return np.zeros(F.dim)
+    bits = np.ascontiguousarray(np.where(z == 0.0, 0.0, z), dtype=np.float64).tobytes()
+    digest = hashlib.sha256()
+    digest.update(int(F.seed).to_bytes(8, "little"))
+    digest.update(bits)
+    return nonzero_normals(np.random.default_rng(int.from_bytes(digest.digest()[:8], "little")),
+                           F.dim)
+
+
+class TestNonzeroRandomBits:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_signed_zero_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 9))
+        z = rng.normal(size=dim)
+        z[rng.random(dim) < 0.4] = -0.0
+        z[rng.random(dim) < 0.2] = 0.0
+        F = nonzero_random_map(dim, int(rng.integers(2**63)))
+        assert evaluate(F, z).tobytes() == reference_nonzero_random(F, z).tobytes()
+
+    def test_all_negative_zero_input(self):
+        F = nonzero_random_map(5, 8)
+        out = evaluate(F, np.full(5, -0.0))
+        assert out.tobytes() == reference_nonzero_random(F, np.full(5, -0.0)).tobytes()
+        assert out.tobytes() == np.zeros(5).tobytes()
+
+    def test_non_contiguous_view(self):
+        z = np.random.default_rng(3).normal(size=12)
+        z[[0, 4, 5]] = -0.0
+        view = z[::2]
+        assert not view.flags.c_contiguous
+        F = nonzero_random_map(6, 77)
+        assert evaluate(F, view).tobytes() == reference_nonzero_random(F, view).tobytes()
+        assert evaluate(F, view).tobytes() == evaluate(F, view.copy()).tobytes()
