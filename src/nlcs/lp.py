@@ -14,33 +14,40 @@ produces:
 
 * the program's matrix E = [B, -B] is never formed: E x and E'y are applied
   in split form, and with d = x/s split as (d+, d-) the normal matrix
-  E diag(d) E' is G = X X' with X = B diag(sqrt(d+ + d-)).  It is solved
-  through an upper triangular R with R'R = G: R = L' for the Cholesky factor
-  L of fl(X X') (one symmetric rank-k product).  For the solve G v = r this
-  is as good as the factor R of a QR factorization of X': both are
-  backward stable with an error of order u ||G||, and the QR's smaller
-  condition number (the square root of G's) helps a least-squares problem
-  in X', not a solve with G.  Cholesky-based normal-equation steps of an
+  E diag(d) E' is G = X X' with X = B diag(sqrt(d+ + d-)), formed as
+  fl(X X') (one symmetric rank-k product);
+* the Cholesky factorization G = L L' decides the route.  If it fails, or
+  L's diagonal is not finite and positive, Householder QR of X' gives the
+  fallback factor R with R'R = G; else R = L'.  Where L is accepted and G
+  has order at most ``_BLOCK`` = 64, G v = r is solved by LU of G: solving
+  with a matrix beats forming an inverse (Higham, Accuracy and Stability
+  of Numerical Algorithms, ch. 14).  Every other solve substitutes forward
+  with R' and back with R over R's diagonal blocks of order at most
+  ``_BLOCK``, each inverted once per factorization by LAPACK's ``inv``
+  (whose partial pivoting never swaps rows of a triangular block).  An
+  iteration makes two solves, predictor and corrector; the starting point
+  makes one, by LU of G at every order (``_start_solve``).  Measured, LU
+  of every Gram with no Cholesky test takes more Newton steps, and LU
+  loses to block substitution at orders 128 and 160 (it still wins at 96);
+  the cutoff reuses ``_BLOCK`` rather than add a constant;
+* accuracy: the LU solve and substitution with either R are backward
+  stable, with an error of order u ||G||; the QR's smaller condition
+  number (the square root of G's) helps a least-squares problem in X', not
+  a solve with G.  Cholesky-based normal-equation steps of an
   interior-point method stay accurate as G grows ill-conditioned near the
   solution (Wright 1999), so each direction is solved once, without
-  refinement.  The stopping tests below use true residuals, so the factor
+  refinement.  The stopping tests below use true residuals, so the route
   can change how many iterations a solve takes, never whether its answer
-  passes; and a certified exit refits x on its support by its own QR, so a
-  certified answer depends on the iterates only through the certified
-  support S.  Householder QR of X' stays as the one fallback, taken only
-  when ``_gram_factor`` declines the Gram;
-* R is never inverted whole: a solve G v = r substitutes forward with R' and
-  back with R over its diagonal blocks of order at most ``_BLOCK`` = 64, each
-  inverted once per factorization by LAPACK's ``inv`` (whose partial pivoting
-  never swaps rows of a triangular block).  An iteration makes two solves,
-  predictor and corrector; the starting point makes one (``_start_solve``);
+  passes; and a certified exit refits x on its support by its own QR, so
+  a certified answer depends on the iterates only through its support S;
 * convergence is declared on relative primal/dual residuals plus the
   complementarity measure x's / (1 + |1'x|), the standard gap proxy that
   stays meaningful when cancellation pollutes 1'x - b'y;
 * the best iterate (by the max of those three measures) is tracked, and a
   sharp merit blow-up (a Newton step computed beyond working precision)
   aborts the loop, returning the best iterate with status "max_iter"; so
-  does the ``max_iter``-th iterate, before any step is computed from it.
+  do a singular factor or LU pivot, and the ``max_iter``-th iterate,
+  before any step is computed from it.
 
 The returned y is the dual solution and certifies the answer independently
 of this code: if ||B'y||_inf <= 1, every u with B u = b has
@@ -76,7 +83,7 @@ import numpy as np
 
 __all__ = ["LpResult", "solve_standard_form"]
 
-#: triangular blocks of at most this order go to LAPACK whole
+#: accepted Grams of at most this order are solved by LU; longer factors by blocks of this order
 _BLOCK = 64
 #: support indicator of the certified exit: x_i/s_i above this on either split half
 _SUPPORT_RATIO = 0.1
@@ -100,15 +107,14 @@ class LpResult:
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0
-    if not neg.any():
-        return 1.0
-    return float(min(1.0, (-v[neg] / dv[neg]).min()))
+    q = v[neg] / dv[neg]
+    return min(1.0, -float(q.max())) if q.size else 1.0
 
 
-def _gram_factor(X: np.ndarray) -> np.ndarray | None:
-    """Upper triangular R = L' with R'R = fl(X X') from a Cholesky
-    factorization, or None when the Gram overflows, the factorization
-    fails, or a diagonal entry of L is not finite and positive."""
+def _gram_factor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The Gram G = fl(X X') and the upper triangular R = L' with R'R = G
+    from its Cholesky factorization, or None when G overflows, the
+    factorization fails, or a diagonal entry of L is not finite and positive."""
     with np.errstate(over="ignore", invalid="ignore"):
         G = X @ X.T
     try:
@@ -118,16 +124,13 @@ def _gram_factor(X: np.ndarray) -> np.ndarray | None:
     diag = np.diagonal(L)
     if not (0.0 < float(diag.min()) and float(diag.max()) < np.inf):
         return None
-    return L.T
+    return G, L.T
 
 
 def _factor_solver(R: np.ndarray):
     """Solver of R'R v = r for the upper triangular R, by block substitution
     (see the module docstring); ``LinAlgError`` when a diagonal entry is zero."""
     m = R.shape[0]
-    if m <= _BLOCK:  # one block: two products, without the loops' overhead
-        Rinv = np.linalg.inv(R)
-        return lambda r: Rinv @ (Rinv.T @ r)
     blocks = [(i, i + _BLOCK, np.linalg.inv(R[i:i + _BLOCK, i:i + _BLOCK]))
               for i in range(0, m, _BLOCK)]
 
@@ -144,19 +147,22 @@ def _factor_solver(R: np.ndarray):
 
 
 def _normal_solver(B: np.ndarray, dsum: np.ndarray):
-    """Solver of (B diag(dsum) B') v = r through R with R'R the normal
-    matrix: its Gram's Cholesky factor, or the triangular factor of the
-    n x m matrix diag(sqrt(dsum)) B' when ``_gram_factor`` declines."""
+    """Solver of (B diag(dsum) B') v = r by the route of the module
+    docstring; the LU route raises ``LinAlgError`` at a zero pivot."""
     X = B * np.sqrt(dsum)
-    R = _gram_factor(X)
-    if R is None:
-        R = np.linalg.qr(X.T, mode="r")
+    found = _gram_factor(X)
+    if found is None:
+        return _factor_solver(np.linalg.qr(X.T, mode="r"))
+    G, R = found
+    if G.shape[0] <= _BLOCK:
+        return lambda r: np.linalg.solve(G, r)
     return _factor_solver(R)
 
 
 def _start_solve(B: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(2 B B')^-1 b by LU of the factored route's Gram, as one solve needs no
-    factor or block inverses; by that route if the Gram overflows or LU fails."""
+    """(2 B B')^-1 b by LU of the Gram at every order, as one solve needs no
+    factor or block inverses; by the QR fallback's block substitution if the
+    Gram overflows or LU fails."""
     X = B * np.sqrt(2.0)
     with np.errstate(over="ignore", invalid="ignore"):
         G = X @ X.T
@@ -165,7 +171,7 @@ def _start_solve(B: np.ndarray, b: np.ndarray) -> np.ndarray:
             return np.linalg.solve(G, b)
         except np.linalg.LinAlgError:
             pass
-    return _normal_solver(B, np.full(B.shape[1], 2.0))(b)
+    return _factor_solver(np.linalg.qr(X.T, mode="r"))(b)
 
 
 def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
@@ -200,7 +206,7 @@ def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
 
     bn = 1.0 + float(np.linalg.norm(b))
     cn = 1.0 + float(np.sqrt(N))
-    best = None  # (merit, x, y, iteration)
+    best = None  # (merit, x, y, iteration); x and y are rebound each step, never written
     for it in range(1, max_iter + 1):
         rp = b - E(x)
         rd = 1.0 - Et(y) - s
@@ -210,12 +216,12 @@ def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
         mu_rel = float(x @ s) / (1.0 + abs(float(x.sum())))
         merit = max(pr, dr, mu_rel)
         if best is None or merit < best[0]:
-            best = (merit, x.copy(), y.copy(), it - 1)
+            best = (merit, x, y, it - 1)
         ratio = x / s
         if certify is not None:
             r = np.maximum(ratio[:n], ratio[n:])
             inside = r > _SUPPORT_RATIO
-            S = np.flatnonzero(inside)
+            S = inside.nonzero()[0]
             found = None
             if 0 < S.size < B.shape[0] and r[inside].min() >= _SUPPORT_GAP * r[~inside].max():
                 found = certify(S, y)
@@ -228,12 +234,8 @@ def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
         if it == max_iter:
             break  # no step would be evaluated; keep the best iterate
 
-        d = np.clip(ratio, 1e-300, 1e300)
+        d = np.minimum(np.maximum(ratio, 1e-300), 1e300)
         dsum = d[:n] + d[n:]
-        try:
-            solve = _normal_solver(B, dsum)
-        except np.linalg.LinAlgError:
-            break  # singular factor: no Newton step; keep the best iterate
 
         def newton(rc):
             dy = solve(rp - E((rc - x * rd) / s))
@@ -241,15 +243,19 @@ def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
             dx_ = (rc - x * ds_) / s
             return dx_, dy, ds_
 
-        # predictor (affine scaling)
-        dx_a, _, ds_a = newton(-x * s)
-        ap = _max_step(x, dx_a)
-        ad = _max_step(s, ds_a)
-        mu_aff = float((x + ap * dx_a) @ (s + ad * ds_a)) / N
-        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
+        try:
+            solve = _normal_solver(B, dsum)
+            # predictor (affine scaling)
+            dx_a, _, ds_a = newton(-x * s)
+            ap = _max_step(x, dx_a)
+            ad = _max_step(s, ds_a)
+            mu_aff = float((x + ap * dx_a) @ (s + ad * ds_a)) / N
+            sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
-        # corrector with centering
-        dx_c, dy_c, ds_c = newton(-x * s - dx_a * ds_a + sigma * mu)
+            # corrector with centering
+            dx_c, dy_c, ds_c = newton(-x * s - dx_a * ds_a + sigma * mu)
+        except np.linalg.LinAlgError:
+            break  # a singular factor or LU pivot: no Newton step; keep the best iterate
         eta = 0.9995
         ap = min(1.0, eta * _max_step(x, dx_c))
         ad = min(1.0, eta * _max_step(s, ds_c))

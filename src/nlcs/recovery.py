@@ -198,7 +198,7 @@ def _dual_problems(B: np.ndarray, b: np.ndarray, x: np.ndarray, w: np.ndarray,
     tol = LP_FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(b)))
     if not residual <= tol:
         problems.append(f"residual ||B x_hat - b|| = {residual:.3g} exceeds {tol:.3g}")
-    S = np.flatnonzero(x)
+    S = x.nonzero()[0]
     found = _margin_and_bound(B, S, w, np.sign(x[S]), c)
     if found is None:
         problems.append(f"B_S ({S.size} columns) has no certified full column rank")

@@ -239,9 +239,9 @@ def factors(m, seed):
     """The solver's two factors of the normal matrix of ``graded_system(m,
     seed)``: the Gram's Cholesky factor and the QR fallback's R."""
     B, dsum = graded_system(m, seed)
-    R = lp._gram_factor(B * np.sqrt(dsum))
-    assert R is not None
-    return {"cholesky": R, "qr": graded_factor(m, seed)}
+    found = lp._gram_factor(B * np.sqrt(dsum))
+    assert found is not None
+    return {"cholesky": found[1], "qr": graded_factor(m, seed)}
 
 
 class TestFactorSolver:
@@ -251,6 +251,7 @@ class TestFactorSolver:
     @pytest.mark.parametrize("kind", ["cholesky", "qr"])
     @pytest.mark.parametrize("m", [1, 7, 64])
     def test_plain_inv_up_to_the_block_order(self, m, kind):
+        # one block: w = D'(r - 0) and v = D(w - 0) are the bits of the two products
         R = factors(m, m)[kind]
         r = np.random.default_rng(m).normal(size=m)
         Rinv = np.linalg.inv(R)
@@ -278,12 +279,12 @@ class TestFactorSolver:
 
 
 class TestStartSolve:
-    """The starting point's one system (2 B B') v = b is an LU solve; the
-    factored route is the fallback."""
+    """The starting point's one system (2 B B') v = b is an LU solve; block
+    substitution with the QR fallback's factor is the fallback."""
 
     def test_one_lu_solve(self, monkeypatch):
         B, b = gaussian_matrix(5, 12, 7), np.arange(1.0, 6.0)
-        calls = spy_factorizations(monkeypatch)
+        calls = spy_factor_solvers(monkeypatch)
         v = lp._start_solve(B, b)
         X = B * np.sqrt(2.0)
         assert v.tobytes() == np.linalg.solve(X @ X.T, b).tobytes() and not calls
@@ -292,20 +293,95 @@ class TestStartSolve:
         B = 2.0**515 * gaussian_matrix(4, 9, 73)  # 2 B B' near 2^1031
         v0 = 2.0**-900 * np.random.default_rng(2).normal(size=4)
         b = 2.0 * (B @ (B.T @ v0))
-        calls = spy_factorizations(monkeypatch)
+        ref = qr_route(B, b)
+        calls = spy_factor_solvers(monkeypatch)
         v = lp._start_solve(B, b)
-        assert len(calls) == 1
+        assert len(calls) == 1 and v.tobytes() == ref.tobytes()
         assert np.linalg.norm(v - v0) <= 1e-12 * np.linalg.norm(v0)
 
     def test_failed_lu_takes_the_factored_route(self, monkeypatch):
+        # the reference makes no LU solve, so the patch cannot reach it
         B, b = gaussian_matrix(5, 12, 7), np.arange(1.0, 6.0)
-        ref = lp._normal_solver(B, np.full(12, 2.0))(b)
+        ref = qr_route(B, b)
 
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
         assert lp._start_solve(B, b).tobytes() == ref.tobytes()
+
+
+def qr_route(B, b):
+    """(2 B B')^-1 b by block substitution with the R of sqrt(2) B'."""
+    return lp._factor_solver(np.linalg.qr((B * np.sqrt(2.0)).T, mode="r"))(b)
+
+
+class TestNormalSolver:
+    """A Gram that Cholesky accepts is solved by LU up to order 64 and by
+    block substitution with its Cholesky factor above; a declined Gram
+    takes the QR fallback's factor and block substitution at every order."""
+
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    def test_accepted_gram_is_solved_by_lu(self, m):
+        B, dsum = graded_system(m, m)
+        G = lp._gram_factor(B * np.sqrt(dsum))[0]
+        r = np.random.default_rng(m).normal(size=m)
+        assert lp._normal_solver(B, dsum)(r).tobytes() == np.linalg.solve(G, r).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 33, 64])
+    def test_lu_backward_error_on_graded_systems(self, m):
+        # LU with partial pivoting: ||G v - r|| <= 3 m u ||G|| ||v|| for the
+        # Gram G the solver forms, the Cholesky solve's bound of TestNormalFactor
+        # (measured at most 0.6 m u over 20 seeds per order); the distance
+        # from fl(X X') to B diag(dsum) B' is the Gram's own rounding, not the solve's
+        B, dsum = graded_system(m, m)
+        G = lp._gram_factor(B * np.sqrt(dsum))[0]
+        r = G @ np.random.default_rng(m).normal(size=m)
+        v = lp._normal_solver(B, dsum)(r)
+        bound = 3 * m * 2.0**-53
+        assert np.linalg.norm(G @ v - r) <= bound * np.linalg.norm(G, 2) * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("m", [65, 100])
+    def test_accepted_gram_above_the_block_order_is_substituted(self, m):
+        B, dsum = graded_system(m, m)
+        R = lp._gram_factor(B * np.sqrt(dsum))[1]
+        r = np.random.default_rng(m).normal(size=m)
+        assert lp._normal_solver(B, dsum)(r).tobytes() == lp._factor_solver(R)(r).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    def test_declined_gram_takes_qr_and_block_substitution(self, m):
+        # the Gram overflows, so Cholesky declines it; one block substitution
+        # is the same bits as the product with R's inverse and its transpose
+        B = 2.0**420 * gaussian_matrix(m, 2 * m, m)
+        dsum = np.full(2 * m, 1e300)
+        X = B * np.sqrt(dsum)
+        assert lp._gram_factor(X) is None
+        Rinv = np.linalg.inv(np.linalg.qr(X.T, mode="r"))
+        r = np.random.default_rng(m).normal(size=m)
+        assert lp._normal_solver(B, dsum)(r).tobytes() == (Rinv @ (Rinv.T @ r)).tobytes()
+
+    def test_singular_lu_pivot_ends_the_solve_at_the_best_iterate(self, monkeypatch):
+        # a LinAlgError at apply time ends the solve as a singular factor
+        # does: the third step fails, so the solve returns what max_iter = 3 returns
+        B = gaussian_matrix(6, 14, 5)
+        y = B @ np.where(np.arange(14) < 2, 1.0, 0.0)
+        ref = solve_standard_form(B, y, max_iter=3)
+        normal_solver, calls = lp._normal_solver, []
+
+        def failing_third(*args):
+            calls.append(1)
+            if len(calls) < 3:
+                return normal_solver(*args)
+
+            def singular(r):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return singular
+
+        monkeypatch.setattr(lp, "_normal_solver", failing_third)
+        res = solve_standard_form(B, y)
+        assert res.status == ref.status == "max_iter" and len(calls) == 3
+        assert (res.iterations, res.steps) == (ref.iterations, ref.steps)
+        assert res.x.tobytes() == ref.x.tobytes() and res.y.tobytes() == ref.y.tobytes()
 
 
 class TestNormalFactor:
@@ -374,8 +450,8 @@ class TestNormalFactor:
         # x+ + x- is constant at the starting point
         t = 1e-6
         B = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, t, 0.0, -t]])
-        R = lp._gram_factor(B * np.sqrt(2.0))
-        assert R is not None and R[1, 1] / R[0, 0] == pytest.approx(t)
+        found = lp._gram_factor(B * np.sqrt(2.0))
+        assert found is not None and found[1][1, 1] / found[1][0, 0] == pytest.approx(t)
         declined = spy_declines(monkeypatch)
         res = solve_standard_form(B, B @ np.array([1.0, 2.0, 0.0, 0.0]))
         assert res.status == "converged"
@@ -388,6 +464,14 @@ def spy_factorizations(monkeypatch):
     calls = []
     normal_solver = lp._normal_solver
     monkeypatch.setattr(lp, "_normal_solver", lambda *a: calls.append(1) or normal_solver(*a))
+    return calls
+
+
+def spy_factor_solvers(monkeypatch):
+    """Patch ``lp._factor_solver`` to log each triangular factor it is given."""
+    calls = []
+    factor_solver = lp._factor_solver
+    monkeypatch.setattr(lp, "_factor_solver", lambda R: calls.append(R) or factor_solver(R))
     return calls
 
 
@@ -413,14 +497,14 @@ def spy_declines(monkeypatch):
     gram_factor = lp._gram_factor
 
     def spy(X):
-        R = gram_factor(X)
+        found = gram_factor(X)
         reason = None
-        if R is None:
+        if found is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 G = X @ X.T
             reason = "overflow" if not np.isfinite(G).all() else "singular"
         log.append(reason)
-        return R
+        return found
 
     monkeypatch.setattr(lp, "_gram_factor", spy)
     return log

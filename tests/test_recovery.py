@@ -266,7 +266,7 @@ class TestL1Certificate:
         ref = solve_standard_form(np.array([[1.0, 1.0, 0.3]]), np.array([1.0]))
         assert rep.x_hat.tobytes() == ref.x.tobytes()
         assert [v.hex() for v in rep.x_hat] == [
-            "0x1.ffffffff0046dp-2", "0x1.ffffffff0046dp-2", "0x1.aa34301fa2000p-32"]
+            "0x1.ffffffff00470p-2", "0x1.ffffffff00470p-2", "0x1.aa34301fa2000p-32"]
 
     def test_non_unique_vertex_is_rejected(self):
         B = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # columns 0 and 2 are equal

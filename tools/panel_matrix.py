@@ -19,7 +19,11 @@ with each digest cut to 16 hex digits.  The file digest covers every file
 collected from outside the package by wrapping, at their module globals,
 ``experiment.recover_via_linearization`` (the trial count),
 ``recovery.solve_standard_form``, ``recovery.certify_l1`` and
-``lp._gram_factor``, whose None return is a Householder QR fallback.
+``lp._gram_factor``, called once per Newton step: it returns the Gram and
+its Cholesky factor, or None when the step takes the Householder QR
+fallback, so counting None returns counts those fallbacks exactly.  The
+starting point's own QR fallback (when 2 B B' overflows or its LU fails)
+is not counted; no panel here takes it.
 Diffing the output of two checkouts shows every panel whose files or
 solver path changed; with ``--full`` each panel line is followed by its
 records, indented by four spaces, so that the same diff names the trials
@@ -118,9 +122,9 @@ class Recorder:
 
     def _factor(self, fn):
         def wrapped(*args, **kwargs):
-            R = fn(*args, **kwargs)
-            self.fallbacks += R is None
-            return R
+            found = fn(*args, **kwargs)
+            self.fallbacks += found is None
+            return found
         return wrapped
 
 
