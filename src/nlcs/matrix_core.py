@@ -9,7 +9,8 @@ so results are reproducible bit for bit across runs.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from bisect import bisect_right
+from collections import OrderedDict
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "is_monomial",
     "in_safe_range",
     "column_subsets",
+    "minor_tables",
     "gaussian_matrix",
     "random_sparse_signal",
     "read_matrix",
@@ -42,10 +44,10 @@ _UNIT_ROUNDOFF = 2.0**-53
 _CHUNK = 4096
 #: floats one batched gather of a chunk's columns may hold (16 MiB)
 _GATHER_FLOATS = _CHUNK * 64 * 8
-#: a one-chunk level is cached when its table holds at most this many indices
+#: a one-chunk level's tables are cached when one holds at most this many indices
 _CACHE_ENTRIES = 8 * _CHUNK
-#: number of cached level tables
-_CACHE_LEVELS = 32
+#: bytes the cached tables may hold together (8 MiB)
+_CACHE_BYTES = 8 * 2**20
 
 
 def as_matrix(a) -> np.ndarray:
@@ -139,19 +141,37 @@ def _subset_rows(it, count: int, r: int) -> np.ndarray:
     return flat.reshape(count, r)
 
 
-@lru_cache(maxsize=_CACHE_LEVELS)
-def _level_table(n: int, r: int) -> np.ndarray:
-    table = _subset_rows(combinations(range(n), r), math.comb(n, r), r)
-    table.flags.writeable = False
-    return table
+class _TableCache(OrderedDict):
+    """Read-only index tables by key, holding at most ``_CACHE_BYTES``
+    together; the least recently used go first."""
+
+    nbytes = 0
+
+    def table(self, key, build):
+        table = self.pop(key, None)
+        if table is None:
+            table = build()
+            table.flags.writeable = False
+            self.nbytes += table.nbytes
+        self[key] = table
+        while self.nbytes > _CACHE_BYTES:
+            self.nbytes -= self.popitem(last=False)[1].nbytes
+        return table
+
+
+_TABLES = _TableCache()
+
+
+def _cacheable(n: int, r: int) -> bool:
+    total = math.comb(n, r)
+    return 0 < total <= _CHUNK and total * r <= _CACHE_ENTRIES
 
 
 def _level_chunks(n: int, r: int):
-    total = math.comb(n, r)
-    if 0 < total <= _CHUNK and total * r <= _CACHE_ENTRIES:
-        yield _level_table(n, r)
+    it, total = combinations(range(n), r), math.comb(n, r)
+    if _cacheable(n, r):
+        yield _TABLES.table(("subsets", n, r), lambda: _subset_rows(it, total, r))
         return
-    it = combinations(range(n), r)
     for start in range(0, total, _CHUNK):
         yield _subset_rows(it, min(_CHUNK, total - start), r)
 
@@ -165,9 +185,9 @@ def column_subsets(n: int, r: int, floats_per_subset: int = 0):
     ``_GATHER_FLOATS // floats_per_subset`` rows (at least one), so that one
     gather holds at most 16 MiB whatever the row count.  A level that fits
     in one chunk and holds at most ``_CACHE_ENTRIES`` indices is built once
-    and then served from a cache of the last ``_CACHE_LEVELS`` such tables
-    used; those arrays are read-only.  The cache holds at most
-    32 * 32,768 indices, 8 MiB.  Larger levels are built chunk by chunk as
+    and then served read-only from a cache shared with ``minor_tables``,
+    which drops the least recently used tables while they hold more than
+    ``_CACHE_BYTES`` (8 MiB).  Larger levels are built chunk by chunk as
     they are consumed.
     """
     step = _CHUNK
@@ -178,6 +198,53 @@ def column_subsets(n: int, r: int, floats_per_subset: int = 0):
             yield chunk
         else:
             yield from (chunk[i:i + step] for i in range(0, len(chunk), step))
+
+
+def _minor_rows(prev: np.ndarray, r: int, start: int, stop: int, dtype=np.intp) -> np.ndarray:
+    """Rows start..stop-1 of level r's table from level r-1's: in colex
+    order, rows C(j, r)..C(j+1, r)-1 are the first C(j, r-1) subsets of
+    level r-1 (those of range(j)), each followed by j."""
+    out = np.empty((2, r, stop - start), dtype=dtype)
+    at = start  # in block j, the first with C(j+1, r) > start
+    j = r - 1 + bisect_right(range(r - 1, start + r), start, key=lambda j: math.comb(j + 1, r))
+    while at < stop:
+        lo, hi = at - math.comb(j, r), min(stop, math.comb(j + 1, r)) - math.comb(j, r)
+        dst = slice(at - start, at - start + hi - lo)
+        out[:, :r - 1, dst] = prev[:, :, lo:hi]
+        out[1, :r - 1, dst] += math.comb(j, r - 1)
+        out[0, r - 1, dst] = j if r % 2 else ~j
+        out[1, r - 1, dst] = np.arange(lo, hi)
+        at, j = at + hi - lo, j + 1
+    return out
+
+
+def _minor_table(n: int, r: int) -> np.ndarray:
+    """Level r's whole table over range(n); one too large to cache is only
+    read while the next level streams, so it is built in int32."""
+    if r == 1:
+        return np.stack([np.arange(n), np.zeros(n, dtype=np.intp)])[:, None]
+    if _cacheable(n, r):
+        return _TABLES.table(("minors", n, r), lambda: _minor_rows(
+            _minor_table(n - 1, r - 1), r, 0, math.comb(n, r)))
+    return _minor_rows(_minor_table(n - 1, r - 1), r, 0, math.comb(n, r), np.int32)
+
+
+def minor_tables(n: int, r: int):
+    """Yield, for every r-subset S of range(n) in colex order, what the
+    Laplace expansion along row r-1, det M[:r, S] = (-1)^(r-1) sum_p
+    (-1)^p M[r-1, s_p] det M[:r-1, S - s_p], reads: (2, r, rows) intp
+    chunks of at most ``_CHUNK`` subsets, the last subsets first (r >= 2).
+    Row p of ``[0]`` holds s_p, or -1 - s_p for odd p, to index
+    [M[r-1], reversed(-M[r-1])]; row p of ``[1]`` holds the colex index of
+    S - s_p.  Small levels are cached as in ``column_subsets``; a larger one
+    is cut from level r-1 over range(n-1).
+    """
+    if _cacheable(n, r):
+        yield _minor_table(n, r)
+        return
+    prev = _minor_table(n - 1, r - 1)
+    for stop in range(math.comb(n, r), 0, -_CHUNK):
+        yield _minor_rows(prev, r, max(0, stop - _CHUNK), stop)
 
 
 def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:

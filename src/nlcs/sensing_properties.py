@@ -5,9 +5,10 @@ Three properties are covered:
 * spark -- the smallest number of linearly dependent columns.  Level
   min(rows, cols) is probed first: when all its column subsets are
   independent, so are all smaller ones, and the spark is settled without
-  visiting them.  Square probe subsets are first screened by a batched
-  determinant bound with a margin for LU rounding, and only those it cannot
-  clear reach the SVD.  A dependent probe subset falls back to the
+  visiting them.  Square probe subsets are first screened by a certified
+  determinant bound, from one Laplace recursion over column-subset minors
+  (or, on near-square shapes, batched LU), and only those it cannot clear
+  reach the SVD.  A dependent probe subset falls back to the
   exhaustive upward scan in lexicographic order, so the witness is the
   first dependent subset at the spark level;
 * RIP -- asymmetric restricted-isometry constants (alpha, beta) of a given
@@ -28,10 +29,10 @@ factor passes ``matrix_core.is_monomial``, as a type-4 certificate must.
 Enumeration guards are fixed limits on the number of column subsets
 visited (``MAX_SPARK_SUBSETS``, ``MAX_RIP_SUPPORTS``); exceeding them raises
 ``GuardError`` rather than silently truncating.  Subsets come from
-``matrix_core.column_subsets``, which builds a small level's table once
-and serves it from a cache, and cuts chunks so that a batched gather of a
-tall matrix's columns stays within a fixed number of floats.  Every rank
-decision uses ``matrix_core.RANK_TOL``.
+``matrix_core.column_subsets`` and the recursion's index tables from
+``matrix_core.minor_tables``; both build a small level's table once and
+serve it from one cache, and cut larger levels into bounded chunks.
+Every rank decision uses ``matrix_core.RANK_TOL``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import GuardError, NspOrderError, RipOrderError
 from .matrix_core import (RANK_TOL, _UNIT_ROUNDOFF, as_matrix, column_subsets, in_safe_range,
-                          is_monomial, rank, rank_of_singular_values, seeded_rng)
+                          is_monomial, minor_tables, rank, rank_of_singular_values, seeded_rng)
 from .report import JsonReport
 
 __all__ = [
@@ -113,40 +114,81 @@ def _spark_worst_case(n: int, t: int) -> int:
     return math.comb(n, t) + sum(math.comb(n, r) for r in range(1, t + 1))
 
 
-def _screen_inputs(M: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Squared column norms and the spectral norm of M for the determinant
-    screen, or None when M is outside ``in_safe_range``."""
-    if not in_safe_range(M):
-        return None
-    return (M * M).sum(axis=0), float(np.linalg.norm(M, 2))
+def _base_level(n: int, t: int) -> int:
+    """The level where ``spark``'s screen starts its minors: t, or 1 when
+    the recursion's products over levels 2..t are fewer than the t^2 C(n, t)
+    entries that LU reads."""
+    lu, products = t * t * math.comb(n, t), 0
+    for r in range(2, t + 1):
+        products += r * math.comb(n, r)
+        if products >= lu:
+            return t
+    return 1
 
 
-def _cleared(M: np.ndarray, subs: np.ndarray, screen: tuple[np.ndarray, float]) -> np.ndarray:
-    """For each row of ``subs`` (square subsets, ``screen`` from
-    ``_screen_inputs(M)``): does the determinant bound prove that those
-    columns of M pass the ``RANK_TOL`` test?"""
-    colsq, norm2 = screen
-    r = subs.shape[1]
-    # 1e3 * RANK_TOL plus twice the worst-case LU backward error (see spark)
-    floor = 1e3 * RANK_TOL + 2.0 * r**3 * 2.0 ** (r - 1) * _UNIT_ROUNDOFF
-    sign, logdet = np.linalg.slogdet(np.moveaxis(M[:, subs], 1, 0))
-    s_hat = (1.0 + 1e-12) * np.minimum(np.sqrt(colsq[subs].sum(axis=1)), norm2)
-    cleared = sign != 0.0  # a nonzero determinant, so s_hat > 0
-    cleared[cleared] = logdet[cleared] - r * np.log(s_hat[cleared]) > math.log(floor)
-    return cleared
+def _minors(M: np.ndarray):
+    """Yield chunks (subs, D, err) covering every t-subset S of the columns
+    of M (t x n, entries below 1), by the recursion of ``spark``'s screen:
+    S as a row of column indices, D = +-det M[:, S] with one sign for all
+    S, and err >= |D -+ det M[:, S]|."""
+    t, n = M.shape
+    ku = t * (t + 1) // 2 * _UNIT_ROUNDOFF
+    gamma, eta = ku / (1.0 - ku), math.ldexp(math.factorial(t), -1072)
+    # the recursion runs on the reversed columns in colex order, so that the
+    # probe meets the subsets roughly in lexicographic order, as the scan does
+    rows = np.empty((t, 2, n), dtype=complex)  # [M[r, ::-1], -M[r]] + i |.|
+    rows.real[:, 0], rows.real[:, 1] = M[:, ::-1], -M
+    rows.imag[:, 0], rows.imag[:, 1] = np.abs(M[:, ::-1]), np.abs(M)
+    V = rows[0, 0].real + 1j * (gamma * rows[0, 0].imag)
+
+    def level(r: int):  # reads V, which holds level r-1 until level r is complete
+        row = rows[r - 1].ravel()
+        for cols, child in minor_tables(n, r):
+            g = V[child]
+            np.multiply(g.view(np.float64), row[cols].view(np.float64), out=g.view(np.float64))
+            yield cols, g.sum(axis=0)
+
+    chunks = [(np.arange(n)[None], V)]
+    for r in range(2, t + 1):
+        chunks = level(r)
+        if r < t:
+            out, at = np.empty(math.comb(n, r), dtype=complex), math.comb(n, r)
+            for _, part in chunks:
+                out[at - len(part):at], at = part, at - len(part)
+            V = out
+    for cols, part in chunks:  # undo the reversal and the sign encoding
+        subs = np.where(cols < 0, n + cols, n - 1 - cols).T
+        yield subs, part.real, (part.imag + eta) / (1.0 - gamma) + eta
 
 
-def _dependent(M: np.ndarray, subs: np.ndarray, screen=None) -> np.ndarray:
+def _uncleared(M: np.ndarray):
+    """Yield, chunk by chunk, the subsets of a square probe (M is t x n,
+    inside ``in_safe_range``) that ``spark``'s screen cannot clear."""
+    t, n = M.shape
+    margin = 0.0  # LU: its backward-error margin 2d (the recursion subtracts err instead)
+    if _base_level(n, t) > 1:
+        margin = 2.0 * t**3 * 2.0 ** (t - 1) * _UNIT_ROUNDOFF
+        chunks = ((subs, np.linalg.slogdet(np.moveaxis(M[:, subs], 1, 0))[1])
+                  for subs in column_subsets(n, t, t * t))
+    else:
+        M = M * 2.0 ** -math.frexp(float(np.abs(M).max()))[1]
+        chunks = ((subs, np.log(np.abs(D) - err, where=np.abs(D) > err,
+                                out=np.full(len(D), -np.inf))) for subs, D, err in _minors(M))
+    colsq, norm2 = (M * M).sum(axis=0), np.linalg.norm(M, 2)
+    for subs, log_det in chunks:
+        s_hat = (1.0 + 1e-12) * np.minimum(np.sqrt(colsq[subs].sum(axis=1)), norm2)
+        cleared = log_det > -np.inf
+        cleared[cleared] = (log_det[cleared] - t * np.log(s_hat[cleared])
+                            > math.log(1e3 * RANK_TOL + margin))
+        if not cleared.all():
+            yield subs[~cleared]
+
+
+def _dependent(M: np.ndarray, subs: np.ndarray) -> np.ndarray:
     """For each row of ``subs``: do those columns of M fail the ``RANK_TOL``
-    test?  With ``screen`` (square subsets only) the determinant bound
-    clears subsets first, and only the rest reach the SVD."""
-    r = subs.shape[1]
-    todo = np.ones(len(subs), dtype=bool) if screen is None else ~_cleared(M, subs, screen)
-    dep = np.zeros(len(subs), dtype=bool)
-    if todo.any():
-        stacks = np.moveaxis(M[:, subs[todo]], 1, 0)  # (count, m, r)
-        dep[todo] = rank_of_singular_values(np.linalg.svd(stacks, compute_uv=False)) < r
-    return dep
+    test?"""
+    stacks = np.moveaxis(M[:, subs], 1, 0)  # (count, m, r)
+    return rank_of_singular_values(np.linalg.svd(stacks, compute_uv=False)) < subs.shape[1]
 
 
 def spark(A) -> SparkReport:
@@ -177,21 +219,37 @@ def spark(A) -> SparkReport:
     (about eps * s_max in s_min) of the cutoff.
 
     Screen.  When t = rows the probe's subsets A_S are square, and
-    |det A_S| <= s_min * s_max^(t-1) gives
-    s_min/s_max >= |det A_S| / s_hat^t for any s_hat >= s_max; here
-    s_hat = (1 + 1e-12) * min(||A_S||_F, ||A||_2).  Batched ``slogdet`` is
-    several times cheaper than the SVD.  It factors A_S by partial-pivoting
-    LU, so it returns the determinant of A_S + E with
-    ||E|| <= d ||A_S||, d = t^3 * 2^(t-1) * u (u = 2^-53; at most 2.0e-7 for
-    the t <= 19 that the guard allows, 3.9e-10 at t = 12).  Then the
-    computed bound is at most (s_min/s_max + d)(1 + d)^(t-1), so a subset
-    is cleared only when the bound exceeds 1e3 * RANK_TOL + 2d, which
-    leaves its true ratio above 900 * RANK_TOL, far from the SVD's cutoff.
-    Every subset not cleared goes to the same SVD test as in the scan, so
-    the answer never depends on the screen.  The screen is skipped when a
-    nonzero entry lies outside [2^-400, 2^400], where underflow or overflow
-    could void this bound.  Tall probes (cols < rows) and the upward scan
-    use the SVD alone.
+    |det A_S| <= s_min s_max^(t-1) gives rho = s_min/s_max >= |det A_S| /
+    s_hat^t for s_hat = (1 + 1e-12) min(||A_S||_F, ||A||_2) >= s_max.  A
+    subset is cleared when a computed D and err give (|D| - err) / s_hat^t >
+    1e3 RANK_TOL, which leaves rho > 900 RANK_TOL, far from the SVD's
+    cutoff; every other subset goes to the same SVD test as the scan, so the
+    answer never depends on the screen.  D comes by whichever route reads
+    fewer entries, r per product at each level r = 2..t or t^2 per LU (no
+    start in between reads fewer on any shape the guard admits):
+    - wide shapes (10x20, 2x1000, the benchmark's): one recursion over the
+      minors D_r(S) = det A[:r, S] of every r-subset, level by level,
+      D_r(S) = sum_p (-1)^(r-1+p) A[r-1, s_p] D_(r-1)(S - s_p) from
+      D_1 = A[0] (``matrix_core.minor_tables``; its C(n, 1) + ... + C(n, t)
+      minors fit in the guard's worst case), on A scaled by a power of two
+      to entries below 1 (exact; no ratio changes).  Each level adds one
+      product and r - 1 additions to every term of the expansion, so each
+      term of D takes fewer than k = t(t+1)/2 roundings (Higham, Accuracy
+      and Stability of Numerical Algorithms, 3.1): |D - det A_S| <= gamma P,
+      with gamma = ku / (1 - ku), u = 2^-53 and P the sum of the terms'
+      magnitudes.  The imaginary part of the same pass, run on gamma |A[0]|
+      and |A|, is W >= (1 - gamma) gamma P - eta, so err = (W + eta) /
+      (1 - gamma) + eta >= |D - det A_S| and rho >= (|D| - err) / s_hat^t.
+      Here eta = t! 2^-1072 covers underflow: at most 2^-1075 per product,
+      never amplified by entries below 1, and a level-r value sums r terms;
+    - near-square shapes (14x18, 19x19): batched ``slogdet`` of every A_S,
+      the screen as before, with err = 2d s_hat^t, d = t^3 2^(t-1) u (at
+      most 2.0e-7 for t <= 19).  Partial-pivoting LU gives det(A_S + E) with
+      ||E|| <= d ||A_S||, so |D| / s_hat^t <= (rho + d)(1 + d)^(t-1), and
+      clearing bounds rho directly.
+    The screen is skipped when a nonzero entry lies outside [2^-400, 2^400]
+    (``in_safe_range``), where underflow or overflow could void these
+    bounds.  Tall probes (cols < rows) and the upward scan use the SVD alone.
     """
     M = as_matrix(A)
     m, n = M.shape
@@ -202,8 +260,8 @@ def spark(A) -> SparkReport:
             f"spark enumeration guard exceeded: C({n},{t}) + C({n},1) + ... + C({n},{t})={worst}"
             f" > max_subsets={MAX_SPARK_SUBSETS}"
         )
-    screen = _screen_inputs(M) if t == m else None
-    if not any(_dependent(M, subs, screen).any() for subs in column_subsets(n, t, m * t)):
+    probe = _uncleared(M) if t == m and in_safe_range(M) else column_subsets(n, t, m * t)
+    if not any(_dependent(M, subs).any() for subs in probe):
         return SparkReport(spark=t + 1, witness=list(range(t + 1)) if t < n else [])
     for r in range(1, min(m + 1, n) + 1):
         if r > m:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -142,8 +144,17 @@ class TestSparkMatchesUpwardScan:
             return chunks(n, r, *rest)
 
         monkeypatch.setattr(sensing_properties, "column_subsets", recording)
+        tested = []
+        dependent = sensing_properties._dependent
+
+        def recording_svd(M, subs):
+            tested.append(subs.shape[1])
+            return dependent(M, subs)
+
+        monkeypatch.setattr(sensing_properties, "_dependent", recording_svd)
         assert spark(gaussian_matrix(6, 12, 5)).spark == 7
-        assert levels == [6]
+        assert levels == []  # the screen's recursion draws no subsets; no scan runs
+        assert set(tested) <= {6}
 
 
 class TestColumnSubsets:
@@ -183,6 +194,58 @@ class TestColumnSubsets:
         assert all(len(c) == 1 or len(c) * floats <= matrix_core._GATHER_FLOATS for c in chunks)
 
 
+def colex_subsets(n, r):
+    return sorted(combinations(range(n), r), key=lambda c: c[::-1])
+
+
+class TestMinorTables:
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_tables_index_the_laplace_expansion(self, stream, monkeypatch):
+        if stream:  # nothing cached, chunks of 7 subsets
+            monkeypatch.setattr(matrix_core, "_CACHE_ENTRIES", 0)
+            monkeypatch.setattr(matrix_core, "_CHUNK", 7)
+        for n in range(2, 11):
+            for r in range(2, n + 1):
+                chunks = list(matrix_core.minor_tables(n, r))
+                assert all(c.dtype == np.intp and 1 <= c.shape[2] <= matrix_core._CHUNK
+                           for c in chunks)
+                cols, child = np.concatenate(chunks[::-1], axis=2)
+                prev = {S: i for i, S in enumerate(colex_subsets(n, r - 1))}
+                for i, S in enumerate(colex_subsets(n, r)):
+                    decoded = [c if p % 2 == 0 else -1 - c for p, c in enumerate(cols[:, i])]
+                    assert decoded == list(S)
+                    assert child[:, i].tolist() == [prev[S[:p] + S[p + 1:]] for p in range(r)]
+
+    def test_streamed_level_allocates_nothing_large(self):
+        # C(22, 8) = 319,770 subsets: chunks are cut from level 7 over range(21),
+        # and the level's whole table (41 MB as intp) is never held
+        tracemalloc.start()
+        try:
+            sizes = [c.shape[2] for c in matrix_core.minor_tables(22, 8)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(sizes) == math.comb(22, 8) and max(sizes) == matrix_core._CHUNK
+        assert peak < 2 * 8 * math.comb(22, 8) * 8 / 4
+
+    def test_cache_holds_a_whole_brute_pass(self, monkeypatch, tmp_path):
+        from perfbench.workloads import BruteCertify
+
+        monkeypatch.setattr(matrix_core, "_TABLES", matrix_core._TableCache())
+        brute = BruteCertify(0, tmp_path)
+        assert [brute.run_group(g).failed for g in brute.groups] == [0] * len(brute.groups)
+        builds = []
+        for name in ("_minor_rows", "_subset_rows"):
+            def counted(*args, _build=getattr(matrix_core, name), _name=name):
+                builds.append((_name, args[-2:]))
+                return _build(*args)
+
+            monkeypatch.setattr(matrix_core, name, counted)
+        assert [brute.run_group(g).failed for g in brute.groups] == [0] * len(brute.groups)
+        assert builds == []
+        assert 0 < matrix_core._TABLES.nbytes <= matrix_core._CACHE_BYTES
+
+
 class TestBoundedGathers:
     """Cutting chunks for tall matrices leaves every answer bit-identical."""
 
@@ -212,25 +275,65 @@ class TestBoundedGathers:
         assert_matches_reference(A)
 
 
+def exact_det(A):
+    """Determinant of a small float matrix in exact rational arithmetic."""
+    rows = [[Fraction(float(x)) for x in row] for row in A]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+def scaled(A):
+    """A times the power of two that the screen applies."""
+    return np.ldexp(A, -np.frexp(np.abs(A).max())[1])
+
+
+@pytest.fixture(params=["recursion", "lu"])
+def route(request, monkeypatch):
+    """Force the screen's minors onto one route: the recursion from level 1
+    or the batched LU of every t-subset."""
+    base = (lambda n, t: 1) if request.param == "recursion" else (lambda n, t: t)
+    monkeypatch.setattr(sensing_properties, "_base_level", base)
+    return request.param
+
+
+def cleared_mask(A):
+    """Which probe subsets of A (t x n, t <= n) the screen clears."""
+    t, n = A.shape
+    subs = np.array(list(combinations(range(n), t)), dtype=np.intp)
+    sent = {tuple(sorted(int(j) for j in row))
+            for c in sensing_properties._uncleared(A) for row in c}
+    return subs, np.array([tuple(int(j) for j in row) not in sent for row in subs])
+
+
 class TestDeterminantScreen:
     """The screen may clear a square subset only when the SVD test would pass it."""
 
     @pytest.mark.parametrize("m", [2, 4, 6, 7])
     @pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
-    def test_ratio_at_the_cutoff(self, m, side):
+    def test_ratio_at_the_cutoff(self, m, side, route):
         rng = np.random.default_rng(m)
         s = np.linspace(1.0, 0.2, m)
         s[-1] = RANK_TOL * side
         B = with_singular_values(s, rng)
-        subs = np.arange(m)[None, :]
-        assert not sensing_properties._cleared(B, subs, sensing_properties._screen_inputs(B))[0]
+        assert not cleared_mask(B)[1][0]
         svd = np.linalg.svd(B, compute_uv=False)
         assert (svd[-1] <= RANK_TOL * svd[0]) == (side < 1.0)
         for A in (B, np.hstack([B, gaussian_matrix(m, m, m)])):
             assert_matches_reference(A)
         assert spark(B).spark == (m if side < 1.0 else m + 1)
 
-    def test_cleared_subsets_are_far_from_the_cutoff(self):
+    def test_cleared_subsets_are_far_from_the_cutoff(self, route):
         # ratios from far below RANK_TOL to well above the clearing floor
         rng = np.random.default_rng(7)
         cleared_any = False
@@ -239,19 +342,105 @@ class TestDeterminantScreen:
                 s = np.sort(rng.uniform(0.3, 1.0, size=m))[::-1]
                 s[-1] = ratio * s[0]
                 A = np.hstack([with_singular_values(s, rng), rng.normal(size=(m, 3))])
-                subs = np.array(list(combinations(range(m + 3), m)), dtype=np.intp)
-                cleared = sensing_properties._cleared(A, subs, sensing_properties._screen_inputs(A))
+                subs, cleared = cleared_mask(A)
                 sv = np.linalg.svd(np.moveaxis(A[:, subs], 1, 0), compute_uv=False)
                 assert (sv[cleared, -1] > 900 * RANK_TOL * sv[cleared, 0]).all()
                 cleared_any |= bool(cleared[0])
                 assert_matches_reference(A)
         assert cleared_any
 
-    def test_screen_skipped_outside_safe_range(self):
+    @pytest.mark.parametrize("t, n", [(1, 4), (2, 5), (3, 6), (4, 7), (5, 7), (6, 8)])
+    def test_error_bound_holds_exactly(self, t, n):
+        # against rational determinants: |D - det| <= err, one sign for all
+        # subsets, for the recursion; for batched LU, the premise of its margin
+        # (det(A_S + E) with ||E|| <= d ||A_S||, formed as exp of a log sum,
+        # off by a relative tau), as |D - det| <= ((1 + tau)(1 + d)^t - 1) s_hat^t
+        rng = np.random.default_rng(10 * t + n)
+        shapes = [rng.normal(size=(t, n)),
+                  rng.integers(-3, 4, size=(t, n)) / 4.0,  # exact cancellations
+                  np.round(rng.normal(size=(t, n)) * 2**40) / 2**40 + 1.0,  # nearly equal columns
+                  with_singular_values(np.r_[np.ones(t - 1), 1e-9], rng) @ rng.normal(size=(t, n)),
+                  rng.normal(size=(t, n)) * 2.0 ** rng.integers(-300, 1, size=(t, 1)),
+                  rng.normal(size=(t, n)) * 2.0 ** np.r_[0, [-250] * (t - 1)][:, None],  # underflow
+                  rng.normal(size=(t, n)) * 2.0 ** np.r_[0, [-205] * (t - 1)][:, None]]  # subnormal
+        d, tau = t**3 * 2.0 ** (t - 1) * 2.0**-53, 1e3 * t * (t + 1) * 2.0**-53
+        for A in shapes:
+            M = scaled(A)
+            chunks = list(sensing_properties._minors(M))
+            subs = np.concatenate([c[0] for c in chunks])
+            D, err = (np.concatenate([c[i] for c in chunks]) for i in (1, 2))
+            covered = sorted(tuple(sorted(S)) for S in subs.tolist())
+            assert covered == list(combinations(range(n), t))
+            dets = [exact_det(M[:, S]) for S in subs.tolist()]
+            assert any(all(abs(Fraction(float(x)) - sign * e) <= Fraction(float(b))
+                           for x, e, b in zip(D, dets, err)) for sign in (1, -1))
+            for S in combinations(range(n), t):
+                B = M[:, S]
+                s_hat = min(np.linalg.norm(B), np.linalg.norm(M, 2))
+                lu = Fraction(float(np.linalg.det(B))) - exact_det(B)
+                bound = math.expm1(math.log1p(tau) + t * math.log1p(d)) * s_hat**t
+                assert abs(lu) <= Fraction(float(bound)) + Fraction(2)**-1074
+
+    @pytest.mark.parametrize("above", [1.003, 1.01])
+    def test_lu_keeps_its_margin(self, above, monkeypatch):
+        # one 12x12 subset with |det| / s_hat^12 = 1e-7 * above; the LU's
+        # margin 2d = 7.8e-10 keeps 1.003e-7 uncleared, the recursion's err does not
+        s = np.ones(12)
+        s[-1] = 1e3 * RANK_TOL * above
+        B = with_singular_values(s, np.random.default_rng(12))
+        assert sensing_properties._base_level(12, 12) == 12
+        assert cleared_mask(B)[1][0] == (above > 1.0078)
+        monkeypatch.setattr(sensing_properties, "_base_level", lambda n, t: 1)
+        assert cleared_mask(B)[1][0]
+
+    def test_one_row(self):
+        # t = 1: the entries themselves; nonzero ones are cleared, zeros reach the SVD
+        A = np.array([[0.5, 0.0, -3.0, 0.25, 0.0]])
+        assert sorted(j for c in sensing_properties._uncleared(A) for j in c.ravel()) == [1, 4]
+        rep = spark(A)
+        assert (rep.spark, rep.witness) == (1, [1]) == reference_spark(A)
+
+    def test_scaled_by_powers_of_two_inside_the_safe_range(self, route):
+        rng = np.random.default_rng(3)
+        A = rng.uniform(0.5, 1.0, size=(5, 9)) * rng.choice([-1.0, 1.0], size=(5, 9))
+        A[2, 4] = 0.0
+        A[:, 8] = -2.0 * A[:, 0]  # some dependent probe subsets
+        base = [c.tolist() for c in sensing_properties._uncleared(A)]
+        assert base
+        for scale in (2.0**-399, 2.0**399):
+            assert matrix_core.in_safe_range(scale * A)
+            assert [c.tolist() for c in sensing_properties._uncleared(scale * A)] == base
+            assert_matches_reference(scale * A)
+
+    def test_screen_skipped_outside_safe_range(self, monkeypatch):
+        def no_screen(M):
+            raise AssertionError("screened outside the safe range")
+
+        monkeypatch.setattr(sensing_properties, "_uncleared", no_screen)
         for scale in (2.0**-420, 2.0**420):
-            assert sensing_properties._screen_inputs(scale * np.eye(3)) is None
+            assert not matrix_core.in_safe_range(scale * np.eye(3))
             assert_matches_reference(scale * gaussian_matrix(3, 6, 1))
-        assert sensing_properties._screen_inputs(np.zeros((2, 2))) is None
+        assert_matches_reference(np.zeros((2, 2)))
+
+    def test_base_level_is_an_end_on_every_admitted_shape(self):
+        # the cheapest start over all levels 1..t, counting entries read, is
+        # level 1 or level t wherever the guard admits a square probe
+        worst, limit = sensing_properties._spark_worst_case, sensing_properties.MAX_SPARK_SUBSETS
+        for t in range(2, 20):
+            n = t
+            while worst(n, t) <= limit:
+                def cost(b):
+                    return b * b * math.comb(n, b) + sum(r * math.comb(n, r)
+                                                         for r in range(b + 1, t + 1))
+                best = min(range(1, t + 1), key=cost)
+                assert best in (1, t)
+                assert cost(sensing_properties._base_level(n, t)) == cost(best)
+                n += 1
+        for m, n in ((10, 20), (11, 20), (9, 21), (8, 22), (2, 1000), (5, 10), (6, 12), (7, 12),
+                     (6, 13), (7, 13), (6, 14), (7, 14), (8, 14)):
+            assert sensing_properties._base_level(n, m) == 1
+        for m, n in ((19, 19), (17, 19), (14, 18), (12, 16), (15, 16)):
+            assert sensing_properties._base_level(n, m) == m
 
 
 class TestSpark:
@@ -294,7 +483,8 @@ class TestSpark:
             assert worst(n, min(m, n)) <= sensing_properties.MAX_SPARK_SUBSETS
 
     def test_guard_keeps_the_screen_below_t_20(self):
-        # the determinant screen's rounding bound is derived for t <= 19
+        # the determinant screen's rounding bound (its LU term and the
+        # underflow term t! 2^-1072) is derived for t <= 19
         admitted = [min(m, n) for m in range(1, 41) for n in range(1, 41)
                     if sensing_properties._spark_worst_case(n, min(m, n))
                     <= sensing_properties.MAX_SPARK_SUBSETS]
