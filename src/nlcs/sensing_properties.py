@@ -275,13 +275,66 @@ def spark(A) -> SparkReport:
     return SparkReport(spark=n + 1, witness=[])
 
 
+def _rip_screens(N: int, k: int) -> bool:
+    """Does ``rip_constants`` screen a chunk of N supports of order k?  Where its
+    ten numpy calls a pivot are repaid (break-even N: 300 at k = 2, 100 at 3..12)."""
+    return 2 <= k <= 12 and N * k >= 600
+
+
+def _extremes(grams: np.ndarray, alpha: float, beta: float) -> tuple[float, float]:
+    ev = np.linalg.eigvalsh(grams)
+    return min(alpha, float(ev[:, 0].min())), max(beta, float(ev[:, -1].max()))
+
+
+def _screened_extremes(G: np.ndarray, alpha: float, beta: float) -> tuple[float, float]:
+    """``_extremes`` of the Grams G (N x k x k), with ``eigvalsh`` run only on
+    the seeds and the supports the screen cannot clear (see ``rip_constants``)."""
+    N, k = G.shape[:2]
+    H = np.moveaxis(np.concatenate([G, -G]), 0, -1).copy()  # the batch innermost
+    diag = H.reshape(k * k, 2 * N)[::k + 1]
+    rows = np.abs(H[:, :, :N]).sum(axis=1)  # Gershgorin: eigenvalues lie in diag -+ (rows - diag)
+    seeds = np.concatenate([np.argpartition(proxy, 8)[:8] for proxy in (
+        (2.0 * diag[:, :N] - rows).min(axis=0), -rows.max(axis=0))])
+    a, b = _extremes(G[seeds], alpha, beta)
+    d = 1e-8 * (diag[:, :N].sum(axis=0) + k * b) + 2.0**-1000
+    diag -= np.concatenate([max(a, 0.0) + d, d - b])  # G - sI and (b - d)I - G
+    with np.errstate(all="ignore"):  # an overflow gives a NaN or -inf pivot, which fails
+        for j in range(k):  # Cholesky, outer-product form: the pivots stay on the diagonal
+            r = H[j + 1:, j] / np.sqrt(H[j, j])
+            H[j + 1:, j + 1:] -= r[:, None] * r
+    sent = ~(diag > 0.0).reshape(k, 2, N).all(axis=(0, 1))
+    sent[seeds] = False
+    return _extremes(G[sent], a, b) if sent.any() else (a, b)
+
+
 def rip_constants(A, k: int) -> RipReport:
     """Brute-force asymmetric RIP constants of order k.
 
-    alpha is the smallest and beta the largest eigenvalue of the Gram matrix
-    of any k columns.  Raises ``RipOrderError`` when alpha is zero to
-    numerical precision (some k columns are dependent, so the RIP of order k
-    fails), and ``GuardError`` when the number of supports exceeds the guard.
+    alpha is the smallest and beta the largest ``eigvalsh`` eigenvalue of
+    the Gram matrix of any k columns.  Raises ``RipOrderError`` when alpha
+    is zero to numerical precision (some k columns are dependent, so the
+    RIP of order k fails), ``GuardError`` when the number of supports
+    exceeds the guard, and ``ValueError`` when alpha, beta or lambda is not
+    a normal float.  A matrix with largest entry outside [2^-500, 2^500] is
+    first scaled by a power of two to entries below 1, and alpha and beta
+    back by its inverse square.
+
+    Screen.  In a chunk of N supports with ``_rip_screens(N, k)``, the 8
+    with the smallest Gershgorin lower bound and the 8 with the largest
+    upper bound go to ``eigvalsh`` first.  Then a support S is skipped when
+    Cholesky factors both G_S - sI, s = max(alpha, 0) + d, and (beta - d)I
+    - G_S, with d = 1e-8 (tr G_S + k beta) + 2^-1000; the rest go to the
+    same ``eigvalsh``, which treats each matrix of a batch alone, so alpha
+    and beta keep their bits.  Proof: the factorization, with the
+    subtraction of sI, is exact for a perturbation of norm at most 1.01
+    (k + 2) u (tr G_S + k s), u = 2^-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3), and its positive pivots give 0 < k s <
+    tr G_S; ``eigvalsh`` (LAPACK syevd) is backward stable, off by at most
+    p(k) u ||G_S||_2 <= 1.01 p(k) u tr G_S, p a modest polynomial.  So S's
+    smallest computed eigenvalue exceeds alpha + d - 2.1 (k + 2 + p(k)) u
+    (tr G_S + k beta) > alpha for any p(k) < 4e7 (12^7 = 3.6e7); the mirror
+    case, with shift in (0, beta], is alike.  2^-1000 covers underflow and
+    the roundings of d and s, and an overflow fails a pivot.
     """
     M = as_matrix(A)
     n = M.shape[1]
@@ -293,20 +346,25 @@ def rip_constants(A, k: int) -> RipReport:
             f"RIP enumeration guard exceeded: C({n},{k})={total}"
             f" > max_supports={MAX_RIP_SUPPORTS}"
         )
-    alpha = np.inf
-    beta = -np.inf
+    top = float(np.abs(M).max())
+    scale = 0 if 2.0**-500 <= top <= 2.0**500 else -math.frexp(top)[1]  # frexp(0) is (0, 0)
+    M = np.ldexp(M, scale)
+    alpha, beta = np.inf, -np.inf
     for subs in column_subsets(n, k, M.shape[0] * k):
         stacks = np.moveaxis(M[:, subs], 1, 0)  # (chunk, m, k)
         grams = stacks.transpose(0, 2, 1) @ stacks
-        ev = np.linalg.eigvalsh(grams)
-        alpha = min(alpha, float(ev[:, 0].min()))
-        beta = max(beta, float(ev[:, -1].max()))
+        extremes = _screened_extremes if _rip_screens(len(subs), k) else _extremes
+        alpha, beta = extremes(grams, alpha, beta)
+    scaled = f" of A scaled by 2^{scale}" if scale else ""
     if alpha <= _DEPENDENT_TOL * beta:
-        raise RipOrderError(
-            f"RIP of order {k} fails: alpha={alpha:.3e} is zero to numerical precision"
-        )
-    return RipReport(order=k, alpha=alpha, beta=beta, delta=(beta - alpha) / (beta + alpha),
-                     lam=math.sqrt(2.0 / (beta + alpha)))
+        raise RipOrderError(f"RIP of order {k} fails: alpha={alpha:.3e}{scaled}"
+                            " is zero to numerical precision")
+    shifts = ((alpha, -2 * scale), (beta, -2 * scale), (math.sqrt(2.0 / (beta + alpha)), scale))
+    if not all(-1021 <= math.frexp(v)[1] + e <= 1024 for v, e in shifts):  # normal once shifted
+        raise ValueError(f"RIP constants of order {k} are outside float64's range: alpha={alpha:.3e}"
+                         f" and beta={beta:.3e}{scaled}")
+    return RipReport(k, *(math.ldexp(v, e) for v, e in shifts[:2]),
+                     delta=(beta - alpha) / (beta + alpha), lam=math.ldexp(*shifts[2]))
 
 
 def null_space_basis(A) -> np.ndarray:

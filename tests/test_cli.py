@@ -58,6 +58,14 @@ class TestRip:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("scale, k", [(2.0**600, 2), (2.0**-600, 2), (1e300, 1)])
+    def test_constants_outside_float_range(self, tmp_path, capsys, scale, k):
+        path = tmp_path / "big.csv"
+        np.savetxt(path, scale * gaussian_matrix(4, 8, 1), delimiter=",")
+        code, out, err = run_cli(capsys, "rip", str(path), "--k", str(k))
+        assert (code, out) == (1, "")
+        assert "outside float64's range" in err and "scaled by 2^" in err
+
 
 class TestNsp:
     def test_estimate(self, matrix_file, capsys):

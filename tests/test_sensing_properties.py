@@ -11,6 +11,7 @@ from nlcs.errors import GuardError, RipOrderError
 from nlcs.matrix_core import (RANK_TOL, column_subsets, gaussian_matrix, random_sparse_signal,
                               rank_of_singular_values)
 from nlcs.sensing_properties import (
+    RipReport,
     check_invariance_rip_order,
     check_invariance_spark,
     nsp_estimate,
@@ -51,6 +52,30 @@ def reference_spark(A):
             if dep.any():
                 return r, [int(j) for j in block[int(np.argmax(dep))]]
     return n + 1, []
+
+
+def reference_rip(A, k):
+    """``rip_constants`` without its screen: ``eigvalsh`` on the Gram of every
+    support, gathered in the same chunks; the report's JSON or the
+    ``RipOrderError`` message."""
+    M = np.asarray(A, dtype=np.float64)
+    alpha, beta = np.inf, -np.inf
+    for subs in column_subsets(M.shape[1], k, M.shape[0] * k):
+        stacks = np.moveaxis(M[:, subs], 1, 0)
+        ev = np.linalg.eigvalsh(stacks.transpose(0, 2, 1) @ stacks)
+        alpha, beta = min(alpha, float(ev[:, 0].min())), max(beta, float(ev[:, -1].max()))
+    if alpha <= 1e-10 * beta:
+        return f"RIP of order {k} fails: alpha={alpha:.3e} is zero to numerical precision"
+    return RipReport(order=k, alpha=alpha, beta=beta, delta=(beta - alpha) / (beta + alpha),
+                     lam=math.sqrt(2.0 / (beta + alpha))).to_json()
+
+
+def rip_answer(A, k):
+    """``rip_constants``' report JSON or ``RipOrderError`` message."""
+    try:
+        return rip_constants(A, k).to_json()
+    except RipOrderError as exc:
+        return str(exc)
 
 
 def plant_dependency(A, level, rng):
@@ -254,19 +279,20 @@ class TestBoundedGathers:
         # in pieces of _GATHER_FLOATS // 6,000 = 349 supports
         A = gaussian_matrix(1000, 13, 1)
         batches = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recording(a):
-            batches.append(a.shape)
-            return eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        screens = sensing_properties._rip_screens
+        monkeypatch.setattr(sensing_properties, "_rip_screens",
+                            lambda N, k: batches.append(N) or screens(N, k))
         cut = rip_constants(A, 6).to_json()
-        assert [b[0] for b in batches] == [349] * 4 + [320]
+        assert batches == [349] * 4 + [320]
+        assert cut == reference_rip(A, 6)
         monkeypatch.setattr(matrix_core, "_GATHER_FLOATS", 10**12)
         batches.clear()
         assert rip_constants(A, 6).to_json() == cut
-        assert [b[0] for b in batches] == [1716]
+        assert batches == [1716]
+        monkeypatch.setattr(matrix_core, "_GATHER_FLOATS", 6000)  # one support per chunk
+        batches.clear()
+        assert rip_constants(A, 6).to_json() == cut
+        assert batches == [1] * 1716
 
     def test_spark_of_a_tall_matrix(self):
         rng = np.random.default_rng(95)
@@ -584,6 +610,118 @@ class TestRipConstants:
 
         rep = rip_constants(np.eye(3), 1)
         assert set(json.loads(rep.to_json())) == {"order", "alpha", "beta", "delta", "lambda"}
+
+
+BRUTE_SHAPES = ((5, 10), (6, 12), (7, 12), (6, 13), (7, 13), (6, 14), (7, 14), (8, 14))
+
+
+@pytest.fixture
+def eigvalsh_rows(monkeypatch):
+    """The number of matrices each ``eigvalsh`` call receives, in order."""
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        rows.append(a.shape[0])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return rows
+
+
+class TestRipScreen:
+    """The screen sends to ``eigvalsh`` only what can set alpha or beta, so
+    every report and error equals the reference's, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_brute_shapes_at_every_order(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        for m, n in BRUTE_SHAPES:
+            A = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))
+            for k in range(1, 7):
+                assert rip_answer(A, k) == reference_rip(A, k), (m, n, k)
+
+    def test_screen_clears_most_supports(self, eigvalsh_rows):
+        rng = np.random.default_rng(7)
+        supports = 0
+        for m, n in BRUTE_SHAPES:
+            rip_constants(rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n)), 4)
+            supports += math.comb(n, 4)
+        assert sum(eigvalsh_rows) < supports / 4
+
+    def test_level_of_more_than_one_chunk(self):
+        A = gaussian_matrix(6, 20, 4)
+        assert len(list(column_subsets(20, 4, 24))) == 2  # 4,096 + 749 supports
+        assert rip_answer(A, 4) == reference_rip(A, 4)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_tied_supports(self, k):
+        Q, _ = np.linalg.qr(np.random.default_rng(k).normal(size=(30, 30)))
+        for A in (np.eye(30), Q):  # every eigenvalue is 1, exactly or to rounding
+            assert rip_answer(A, k) == reference_rip(A, k)
+
+    @pytest.mark.parametrize("plant", ["duplicate", "zero"])
+    def test_dependent_column(self, plant):
+        A = gaussian_matrix(8, 14, 2)
+        A[:, 9] = A[:, 4] if plant == "duplicate" else 0.0  # zero: alpha is exactly 0.0
+        for k in (2, 3, 4):
+            answer = rip_answer(A, k)
+            assert answer.startswith(f"RIP of order {k} fails") and answer == reference_rip(A, k)
+
+    def test_routing_boundary(self):
+        assert not sensing_properties._rip_screens(276, 2) and sensing_properties._rip_screens(300, 2)
+        assert sensing_properties._rip_screens(1820, 12) and not sensing_properties._rip_screens(560, 13)
+        assert not sensing_properties._rip_screens(4096, 1)
+        for A, k in ((gaussian_matrix(5, 24, 1), 2), (gaussian_matrix(5, 25, 1), 2),
+                     (gaussian_matrix(14, 16, 3), 12), (gaussian_matrix(14, 16, 3), 13)):
+            assert rip_answer(A, k) == reference_rip(A, k)
+
+    @staticmethod
+    def diagonal_grams(lows):
+        """diag(low, 2) for each low, with a first support diag(1, 3) that sets beta."""
+        G = np.zeros((len(lows) + 1, 2, 2))
+        G[:, 0, 0], G[:, 1, 1] = np.concatenate([[1.0], lows]), 2.0
+        G[0, 1, 1] = 3.0
+        return G
+
+    def test_supports_within_the_slack_reach_eigvalsh(self, eigvalsh_rows):
+        # lambda_min 1 + i 1e-12 lies within the slack d = 1e-8 (tr G + 2 beta)
+        # of alpha = 1, so no support may be cleared on the alpha side
+        G = self.diagonal_grams(1.0 + 1e-12 * np.arange(1, 300))
+        assert sensing_properties._screened_extremes(G, np.inf, -np.inf) == (1.0, 3.0)
+        assert len(eigvalsh_rows) == 2 and sum(eigvalsh_rows) >= 300  # seeds may repeat
+
+    def test_supports_beyond_the_slack_are_cleared(self, eigvalsh_rows):
+        G = self.diagonal_grams(1.0 + 1e-6 * np.arange(1, 300))
+        assert sensing_properties._screened_extremes(G, np.inf, -np.inf) == (1.0, 3.0)
+        assert sum(eigvalsh_rows) == 16  # 8 seeds a side
+
+
+class TestRipScaling:
+    """alpha and beta scale with the square of a power-of-two factor, and
+    constants outside float64's normal range raise a clean error."""
+
+    @pytest.mark.parametrize("p", [300, -300, 505, -505])
+    def test_powers_of_two(self, p):
+        A = gaussian_matrix(6, 12, 11)
+        rep, big = rip_constants(A, 4), rip_constants(np.ldexp(A, p), 4)
+        assert big.alpha == pytest.approx(math.ldexp(rep.alpha, 2 * p), rel=1e-12)
+        assert big.beta == pytest.approx(math.ldexp(rep.beta, 2 * p), rel=1e-12)
+        assert big.lam == pytest.approx(math.ldexp(rep.lam, -p), rel=1e-12)
+        assert big.delta == pytest.approx(rep.delta, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [600, -600])
+    def test_outside_the_normal_range(self, p):
+        A = gaussian_matrix(6, 12, 11)
+        with pytest.raises(ValueError, match=r"outside float64's range.*scaled by 2\^"):
+            rip_constants(np.ldexp(A, p), 4)
+        A[:, 7] = A[:, 2]  # the verdict does not depend on the scale
+        with pytest.raises(RipOrderError, match=r"scaled by 2\^"):
+            rip_constants(np.ldexp(A, p), 2)
+
+    def test_order_one_near_overflow(self):
+        with pytest.raises(ValueError, match="outside float64's range"):
+            rip_constants(1e300 * gaussian_matrix(3, 5, 2), 1)
 
 
 class TestRipFullOrder:

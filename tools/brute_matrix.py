@@ -21,14 +21,17 @@ With ``--full`` each line also gives ``b``, the level where the spark
 screen starts its minors, and ``cleared`` and ``svd``, how many probe
 subsets of A the screen clears and how many it sends to the SVD (``b=-``
 when the probe is not screened: a tall A, or one outside
-``in_safe_range``).  These fields read ``sensing_properties._base_level``
-and ``_uncleared``, so they need a checkout that has them; the digests do
-not.
+``in_safe_range``); then, for ``rip_constants(A, 4)``, ``rip_screened``,
+the supports in chunks that the RIP screen runs on, and ``rip_eigvalsh``,
+the supports sent to ``eigvalsh`` (seeds, uncleared supports and every
+support of an unscreened chunk).  These fields read
+``sensing_properties._base_level``, ``_uncleared``, ``_rip_screens`` and
+``_extremes``, so they need a checkout that has them; the digests do not.
 
 The instances: the eight brute_certify shapes at benchmark seeds 0-2; the
 same matrices with a dependency planted at level 3 and at level rows;
-the 6x12 matrix scaled by 2^300, 2^-300 and 2^420; and the near-square
-shapes 10x14, 12x16, 14x18, 15x16, 17x19 and 19x19.
+the 6x12 matrix scaled by 2^300, 2^-300, 2^420, 2^600 and 2^-600; and the
+near-square shapes 10x14, 12x16, 14x18, 15x16, 17x19 and 19x19.
 """
 
 from __future__ import annotations
@@ -92,11 +95,32 @@ def screen_fields(A: np.ndarray) -> str:
     return f"b={props._base_level(n, m)} cleared={math.comb(n, m) - sent} svd={sent}"
 
 
+def rip_fields(A: np.ndarray) -> str:
+    counts = {"screened": 0, "eigvalsh": 0}
+    screens, extremes = props._rip_screens, props._extremes
+
+    def screening(N, k):
+        chosen = screens(N, k)
+        counts["screened"] += N * chosen
+        return chosen
+
+    def counting(grams, alpha, beta):
+        counts["eigvalsh"] += len(grams)
+        return extremes(grams, alpha, beta)
+
+    props._rip_screens, props._extremes = screening, counting
+    try:
+        attempt(lambda: props.rip_constants(A, 4))
+    finally:
+        props._rip_screens, props._extremes = screens, extremes
+    return f"rip_screened={counts['screened']} rip_eigvalsh={counts['eigvalsh']}"
+
+
 def run(label: str, A: np.ndarray, full: bool, inst=None) -> str:
     rep = props.spark(A)
     digest = hashlib.sha256("\n".join(reports(A, inst)).encode()).hexdigest()[:16]
     line = f"{label} {A.shape[0]}x{A.shape[1]} spark={rep.spark} witness={rep.witness} {digest}"
-    return f"{line} {screen_fields(A)}" if full else line
+    return f"{line} {screen_fields(A)} {rip_fields(A)}" if full else line
 
 
 def instances():
@@ -109,7 +133,7 @@ def instances():
             for i, inst in enumerate(groups):
                 for level in (3, inst.A.shape[0]):
                     yield f"seed{seed}/{i}/dep{level}", planted(inst.A, level), None
-            for power in (300, -300, 420):
+            for power in (300, -300, 420, 600, -600):
                 yield f"seed{seed}/A6*2^{power}", inst.A6 * 2.0**power, None
     for i, (m, n) in enumerate(NEAR_SQUARE):
         yield f"near/{i}", gaussian_matrix(m, n, 100 + i), None
@@ -118,7 +142,7 @@ def instances():
 def main_matrix(args: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="brute-force certificate identity matrix")
     parser.add_argument("--full", action="store_true",
-                        help="add the spark screen's base level and subset counts to each line")
+                        help="add the spark and RIP screens' counts to each line")
     full = parser.parse_args(args).full
     for label, A, inst in instances():
         print(run(label, A, full, inst), flush=True)
