@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
-__all__ = ["GuardError", "RipOrderError", "NspOrderError", "MapDomainError", "RequirementError"]
+__all__ = ["GuardError", "RipOrderError", "RipRangeError", "NspOrderError", "MapDomainError",
+           "RequirementError"]
 
 
 class GuardError(ValueError):
@@ -9,6 +10,10 @@ class GuardError(ValueError):
 
 class RipOrderError(RuntimeError):
     """The restricted isometry property of the requested order does not hold."""
+
+
+class RipRangeError(ValueError):
+    """RIP constants that lie outside float64's normal range."""
 
 
 class NspOrderError(RuntimeError):

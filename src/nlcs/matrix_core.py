@@ -135,6 +135,19 @@ def in_safe_range(M: np.ndarray) -> bool:
     return hi != 0.0 and lo >= 2.0**-400 and hi <= 2.0**400
 
 
+# ``rip_constants`` scales M only outside [2^-500, 2^500): there the largest Gram
+# entry is normal for m < 2^23 rows and ``eigvalsh`` rescales the rest, so those
+# matrices keep their unscaled bits.  The screens need ``in_safe_range``.
+_RIP_EXPONENT = 500
+
+
+def _unit_exponent(M: np.ndarray, keep: int = 0) -> int:
+    """The e with 2^e M's largest entry in [1/2, 1) (0 for a zero M), or 0 when
+    that entry lies in [2^-keep, 2^keep)."""
+    e = -math.frexp(float(np.abs(M).max()))[1]
+    return 0 if -keep <= e < keep else e
+
+
 def _subset_rows(it, count: int, r: int) -> np.ndarray:
     """The next ``count`` r-subsets of ``it`` as a (count, r) intp array."""
     flat = np.fromiter(chain.from_iterable(islice(it, count)), dtype=np.intp, count=count * r)

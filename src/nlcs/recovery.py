@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import GuardError, RipOrderError
+from .errors import GuardError, RipOrderError, RipRangeError
 from .lp import solve_standard_form
 from .matrix_core import (RANK_TOL, _UNIT_ROUNDOFF, as_matrix, as_system, as_vector,
                           column_subsets, in_safe_range, rank_of_singular_values)
@@ -558,7 +558,7 @@ def recover_via_linearization(
         try:
             rep = rip_constants(B, order)
             lam, delta = rep.lam, rep.delta
-        except RipOrderError:
+        except (RipOrderError, RipRangeError):  # lam 1: the decoder scales B itself
             pass
 
     B *= lam  # B is fresh; the measurements may be the certificate's Fz

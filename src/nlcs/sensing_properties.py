@@ -42,9 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GuardError, NspOrderError, RipOrderError
-from .matrix_core import (RANK_TOL, _UNIT_ROUNDOFF, as_matrix, column_subsets, in_safe_range,
-                          is_monomial, minor_tables, rank, rank_of_singular_values, seeded_rng)
+from .errors import GuardError, NspOrderError, RipOrderError, RipRangeError
+from .matrix_core import (RANK_TOL, _RIP_EXPONENT, _UNIT_ROUNDOFF, _unit_exponent, as_matrix,
+                          column_subsets, in_safe_range, is_monomial, minor_tables, rank,
+                          rank_of_singular_values, seeded_rng)
 from .report import JsonReport
 
 __all__ = [
@@ -171,7 +172,7 @@ def _uncleared(M: np.ndarray):
         chunks = ((subs, np.linalg.slogdet(np.moveaxis(M[:, subs], 1, 0))[1])
                   for subs in column_subsets(n, t, t * t))
     else:
-        M = M * 2.0 ** -math.frexp(float(np.abs(M).max()))[1]
+        M = M * 2.0 ** _unit_exponent(M)
         chunks = ((subs, np.log(np.abs(D) - err, where=np.abs(D) > err,
                                 out=np.full(len(D), -np.inf))) for subs, D, err in _minors(M))
     colsq, norm2 = (M * M).sum(axis=0), np.linalg.norm(M, 2)
@@ -276,9 +277,9 @@ def spark(A) -> SparkReport:
 
 
 def _rip_screens(N: int, k: int) -> bool:
-    """Does ``rip_constants`` screen a chunk of N supports of order k?  Where its
-    ten numpy calls a pivot are repaid (break-even N: 300 at k = 2, 100 at 3..12)."""
-    return 2 <= k <= 12 and N * k >= 600
+    """Is a chunk of N supports of order k screened?  The measured break-evens, N about 330
+    at k = 2, 110 at 3 and 60-85 at 4..13, rounded; the screen's proof needs k <= 12."""
+    return 2 <= k <= 12 and N >= (300 if k == 2 else 100)
 
 
 def _extremes(grams: np.ndarray, alpha: float, beta: float) -> tuple[float, float]:
@@ -287,8 +288,18 @@ def _extremes(grams: np.ndarray, alpha: float, beta: float) -> tuple[float, floa
 
 
 def _screened_extremes(G: np.ndarray, alpha: float, beta: float) -> tuple[float, float]:
-    """``_extremes`` of the Grams G (N x k x k), with ``eigvalsh`` run only on
-    the seeds and the supports the screen cannot clear (see ``rip_constants``)."""
+    """``_extremes`` of the Grams G (N x k x k), bit for bit: ``eigvalsh`` runs
+    on 16 seeds (the 8 smallest Gershgorin lower and 8 largest upper bounds),
+    then only on the supports S whose Cholesky fails on G_S - sI, s = max(alpha,
+    0) + d, or on (beta - d)I - G_S, with d = 1e-8 (tr G_S + k beta) + 2^-1000.
+    Proof: that Cholesky is exact for a perturbation of norm at most 1.01 (k +
+    2) u (tr G_S + k s), u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3), and positive pivots give k s < tr G_S; batched
+    ``eigvalsh`` (LAPACK syevd) is backward stable per matrix, off by at most
+    p(k) u tr G_S.  So S's computed eigenvalues exceed alpha + d - 2.1 (k + 2 +
+    p(k)) u (tr G_S + k beta) > alpha for any p(k) < 4e7 (12^7 = 3.6e7), and
+    the mirror case is alike; 2^-1000 covers underflow and the roundings of d
+    and s, and an overflow fails a pivot."""
     N, k = G.shape[:2]
     H = np.moveaxis(np.concatenate([G, -G]), 0, -1).copy()  # the batch innermost
     diag = H.reshape(k * k, 2 * N)[::k + 1]
@@ -310,31 +321,12 @@ def _screened_extremes(G: np.ndarray, alpha: float, beta: float) -> tuple[float,
 def rip_constants(A, k: int) -> RipReport:
     """Brute-force asymmetric RIP constants of order k.
 
-    alpha is the smallest and beta the largest ``eigvalsh`` eigenvalue of
-    the Gram matrix of any k columns.  Raises ``RipOrderError`` when alpha
-    is zero to numerical precision (some k columns are dependent, so the
-    RIP of order k fails), ``GuardError`` when the number of supports
-    exceeds the guard, and ``ValueError`` when alpha, beta or lambda is not
-    a normal float.  A matrix with largest entry outside [2^-500, 2^500] is
-    first scaled by a power of two to entries below 1, and alpha and beta
-    back by its inverse square.
-
-    Screen.  In a chunk of N supports with ``_rip_screens(N, k)``, the 8
-    with the smallest Gershgorin lower bound and the 8 with the largest
-    upper bound go to ``eigvalsh`` first.  Then a support S is skipped when
-    Cholesky factors both G_S - sI, s = max(alpha, 0) + d, and (beta - d)I
-    - G_S, with d = 1e-8 (tr G_S + k beta) + 2^-1000; the rest go to the
-    same ``eigvalsh``, which treats each matrix of a batch alone, so alpha
-    and beta keep their bits.  Proof: the factorization, with the
-    subtraction of sI, is exact for a perturbation of norm at most 1.01
-    (k + 2) u (tr G_S + k s), u = 2^-53 (Higham, Accuracy and Stability of
-    Numerical Algorithms, Thm 10.3), and its positive pivots give 0 < k s <
-    tr G_S; ``eigvalsh`` (LAPACK syevd) is backward stable, off by at most
-    p(k) u ||G_S||_2 <= 1.01 p(k) u tr G_S, p a modest polynomial.  So S's
-    smallest computed eigenvalue exceeds alpha + d - 2.1 (k + 2 + p(k)) u
-    (tr G_S + k beta) > alpha for any p(k) < 4e7 (12^7 = 3.6e7); the mirror
-    case, with shift in (0, beta], is alike.  2^-1000 covers underflow and
-    the roundings of d and s, and an overflow fails a pivot.
+    alpha is the smallest and beta the largest eigenvalue of the Gram matrix
+    of any k columns.  Raises ``RipOrderError`` when alpha is zero to
+    numerical precision (some k columns are dependent, so the RIP of order k
+    fails), ``GuardError`` when the number of supports exceeds the guard, and
+    ``RipRangeError`` when alpha or beta is not a normal float (A is scaled
+    by a power of two outside ``matrix_core._RIP_EXPONENT``'s range).
     """
     M = as_matrix(A)
     n = M.shape[1]
@@ -346,8 +338,7 @@ def rip_constants(A, k: int) -> RipReport:
             f"RIP enumeration guard exceeded: C({n},{k})={total}"
             f" > max_supports={MAX_RIP_SUPPORTS}"
         )
-    top = float(np.abs(M).max())
-    scale = 0 if 2.0**-500 <= top <= 2.0**500 else -math.frexp(top)[1]  # frexp(0) is (0, 0)
+    scale = _unit_exponent(M, _RIP_EXPONENT)
     M = np.ldexp(M, scale)
     alpha, beta = np.inf, -np.inf
     for subs in column_subsets(n, k, M.shape[0] * k):
@@ -359,12 +350,12 @@ def rip_constants(A, k: int) -> RipReport:
     if alpha <= _DEPENDENT_TOL * beta:
         raise RipOrderError(f"RIP of order {k} fails: alpha={alpha:.3e}{scaled}"
                             " is zero to numerical precision")
-    shifts = ((alpha, -2 * scale), (beta, -2 * scale), (math.sqrt(2.0 / (beta + alpha)), scale))
-    if not all(-1021 <= math.frexp(v)[1] + e <= 1024 for v, e in shifts):  # normal once shifted
-        raise ValueError(f"RIP constants of order {k} are outside float64's range: alpha={alpha:.3e}"
-                         f" and beta={beta:.3e}{scaled}")
-    return RipReport(k, *(math.ldexp(v, e) for v, e in shifts[:2]),
-                     delta=(beta - alpha) / (beta + alpha), lam=math.ldexp(*shifts[2]))
+    if math.frexp(alpha)[1] - 2 * scale < -1021 or math.frexp(beta)[1] - 2 * scale > 1024:
+        raise RipRangeError(f"RIP constants of order {k} are outside float64's range:"
+                            f" alpha={alpha:.3e} and beta={beta:.3e}{scaled}")
+    lam = math.ldexp(math.sqrt(2.0 / (beta + alpha)), scale)
+    return RipReport(k, math.ldexp(alpha, -2 * scale), math.ldexp(beta, -2 * scale),
+                     (beta - alpha) / (beta + alpha), lam)
 
 
 def null_space_basis(A) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nlcs import matrix_core, nonlinear_maps, recovery
-from nlcs.errors import GuardError, RequirementError, RipOrderError
+from nlcs.errors import GuardError, RequirementError, RipOrderError, RipRangeError
 from nlcs.matrix_core import (as_system, gaussian_matrix, random_sparse_signal,
                               rank_of_singular_values)
 from nlcs.nonlinear_maps import (
@@ -817,6 +817,20 @@ class TestRecoverViaLinearization:
         assert out.scale == 1.0
         assert out.delta_2k is None
         assert math.comb(64, 16) > 200_000
+
+    def test_effective_matrix_outside_the_float_range_keeps_scale_one(self):
+        # z = A x near 1e200 puts B = Y A near 1e-200, whose RIP constants are
+        # below float64's normal range; the decoder then scales B itself
+        A = gaussian_matrix(6, 12, 0)
+        x = np.zeros(12)
+        x[[2, 7]] = [1e200, -3e200]
+        with np.errstate(over="ignore"):  # rel_error's norm of x overflows
+            out = recover_via_linearization(A, sign_map(6), "pre", x, "l0")
+        with pytest.raises(RipRangeError, match=r"scaled by 2\^"):
+            rip_constants(out.certificate.Y @ A, 4)
+        assert (out.scale, out.delta_2k) == (1.0, None)
+        assert out.report.support_exact
+        assert np.allclose(out.report.x_hat, x, rtol=1e-12, atol=0.0)
 
     def test_full_density_square_invertible(self):
         rng = np.random.default_rng(5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nlcs import matrix_core, sensing_properties
-from nlcs.errors import GuardError, RipOrderError
+from nlcs.errors import GuardError, RipOrderError, RipRangeError
 from nlcs.matrix_core import (RANK_TOL, column_subsets, gaussian_matrix, random_sparse_signal,
                               rank_of_singular_values)
 from nlcs.sensing_properties import (
@@ -669,10 +669,12 @@ class TestRipScreen:
             assert answer.startswith(f"RIP of order {k} fails") and answer == reference_rip(A, k)
 
     def test_routing_boundary(self):
-        assert not sensing_properties._rip_screens(276, 2) and sensing_properties._rip_screens(300, 2)
-        assert sensing_properties._rip_screens(1820, 12) and not sensing_properties._rip_screens(560, 13)
-        assert not sensing_properties._rip_screens(4096, 1)
+        screens = sensing_properties._rip_screens
+        assert not screens(276, 2) and screens(300, 2)
+        assert not screens(99, 3) and screens(100, 3) and not screens(99, 12)
+        assert screens(1820, 12) and not screens(560, 13) and not screens(4096, 1)
         for A, k in ((gaussian_matrix(5, 24, 1), 2), (gaussian_matrix(5, 25, 1), 2),
+                     (gaussian_matrix(6, 9, 2), 3), (gaussian_matrix(6, 10, 2), 3),
                      (gaussian_matrix(14, 16, 3), 12), (gaussian_matrix(14, 16, 3), 13)):
             assert rip_answer(A, k) == reference_rip(A, k)
 
@@ -713,15 +715,23 @@ class TestRipScaling:
     @pytest.mark.parametrize("p", [600, -600])
     def test_outside_the_normal_range(self, p):
         A = gaussian_matrix(6, 12, 11)
-        with pytest.raises(ValueError, match=r"outside float64's range.*scaled by 2\^"):
+        with pytest.raises(RipRangeError, match=r"outside float64's range.*scaled by 2\^"):
             rip_constants(np.ldexp(A, p), 4)
         A[:, 7] = A[:, 2]  # the verdict does not depend on the scale
         with pytest.raises(RipOrderError, match=r"scaled by 2\^"):
             rip_constants(np.ldexp(A, p), 2)
 
     def test_order_one_near_overflow(self):
-        with pytest.raises(ValueError, match="outside float64's range"):
+        with pytest.raises(RipRangeError, match="outside float64's range"):
             rip_constants(1e300 * gaussian_matrix(3, 5, 2), 1)
+
+    def test_unscaled_range(self):
+        # largest entries in [2^-500, 2^500) keep the unscaled path; a zero matrix too
+        for top, scale in ((2.0**-500, 0), (math.ldexp(1.0 - 2.0**-53, 500), 0), (0.0, 0),
+                           (2.0**500, -501), (2.0**-501, 500), (1.0, -1)):
+            M = np.array([[top, -0.5 * top]])
+            keep = 0 if top == 1.0 else matrix_core._RIP_EXPONENT  # keep 0: always to [1/2, 1)
+            assert matrix_core._unit_exponent(M, keep) == scale, top
 
 
 class TestRipFullOrder:
