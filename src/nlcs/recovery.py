@@ -34,12 +34,12 @@ import numpy as np
 
 from .errors import GuardError, RipOrderError, RipRangeError
 from .lp import solve_standard_form
-from .matrix_core import (RANK_TOL, _UNIT_ROUNDOFF, as_matrix, as_system, as_vector,
-                          column_subsets, in_safe_range, rank_of_singular_values)
+from .matrix_core import (RANK_TOL, _UNIT_ROUNDOFF, _unit_exponent, as_matrix, as_system,
+                          as_vector, column_subsets, in_safe_range, rank_of_singular_values)
 from .nonlinear_maps import NonlinearMap, PointRequirements
 from .pointwise_linearization import LinearizationCertificate, linearize, qualified_type
 from .report import JsonReport
-from .sensing_properties import MAX_RIP_SUPPORTS, rip_constants
+from .sensing_properties import MAX_RIP_SUPPORTS, _require_rip_order, rip_constants
 
 __all__ = [
     "RecoveryReport",
@@ -119,13 +119,13 @@ def _report(x_hat: np.ndarray, B: np.ndarray, y: np.ndarray, status: str,
     )
 
 
-def _gram_floor(M: np.ndarray, phi: float | None = None) -> float:
+def _gram_floor(M: np.ndarray, phi: float | None = None, safe: bool | None = None) -> float:
     """Certified lower bound phi F / 2 on lambda_min(M M'), F = trace(fl(M M')),
     from a Cholesky factorization of M M' - tau I, or 0.0 when it fails or
-    M is outside ``matrix_core.in_safe_range`` (see ``basis_pursuit``).
+    M is outside ``matrix_core.in_safe_range`` (``safe``, when the caller knows).
     Without ``phi``, phi is half the computed smallest eigenvalue over F,
     kept within [``_RANK_FLOOR``, 1/2]."""
-    if not in_safe_range(M):
+    if not (in_safe_range(M) if safe is None else safe):
         return 0.0
     m, n = M.shape
     G = M @ M.T
@@ -139,10 +139,10 @@ def _gram_floor(M: np.ndarray, phi: float | None = None) -> float:
     return phi * F / 2.0
 
 
-def _certified_full_row_rank(B: np.ndarray) -> bool:
+def _certified_full_row_rank(B: np.ndarray, safe: bool | None = None) -> bool:
     """Does the Gram floor prove that B's SVD counts rank m?  (See
     ``basis_pursuit``.)"""
-    return _gram_floor(B, _RANK_FLOOR) > 0.0
+    return _gram_floor(B, _RANK_FLOOR, safe) > 0.0
 
 
 def _margin_and_bound(B: np.ndarray, S: np.ndarray, w: np.ndarray, sign: np.ndarray,
@@ -255,6 +255,10 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     comes back with solver_status "infeasible" and x_hat = 0.  The solver
     stops after ``max_iter`` iterations with status "max_iter".
 
+    Range.  B or y outside ``matrix_core.in_safe_range`` is scaled by 2^p or
+    2^q to a largest entry in [1/2, 1); x_hat = 2^(p - q) u is exact for the
+    solution u, and the margin is B's, as 2^p B' w = B' (2^p w).
+
     Gram floor.  For a p x q matrix M inside ``matrix_core.in_safe_range``
     and (1e3 RANK_TOL)^2 <= phi <= 1/2, let u = 2^-53,
     gamma_k = k u / (1 - k u), F the trace of fl(M M') (within
@@ -323,21 +327,24 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     ||B_S^c' w*||_inf < 1.
     """
     _check_max_iter(max_iter)
-    B, yv = as_system(B, y)
+    B0, y0 = B, yv = as_system(B, y)
     m, n = B.shape
-    ynorm = float(np.linalg.norm(yv))
-    if ynorm == 0.0:
+    if not yv.any():
         return _report(np.zeros(n), B, yv, "converged")
+    safe, p, q = in_safe_range(B), 0, 0
+    if not (safe and in_safe_range(yv)):  # solve 2^p B u = 2^q y; then x = 2^(p - q) u
+        p, q = _unit_exponent(B), _unit_exponent(yv)
+        B, yv, safe = np.ldexp(B, p), np.ldexp(yv, q), None
 
     # reduce to a full-row-rank system; budget half the feasibility
     # tolerance for the out-of-span component and half for the LP residual
-    r = m if _certified_full_row_rank(B) else int(
+    r = m if _certified_full_row_rank(B, safe) else int(
         rank_of_singular_values(np.linalg.svd(B, compute_uv=False)))
     if r < m:
         Ur = np.linalg.svd(B, full_matrices=False)[0][:, :r]
         out_of_span = float(np.linalg.norm(yv - Ur @ (Ur.T @ yv)))
-        if out_of_span > 0.5 * LP_FEASIBILITY_TOL * (1.0 + ynorm):
-            return _report(np.zeros(n), B, yv, "infeasible")
+        if out_of_span > 0.5 * LP_FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(yv))):
+            return _report(np.zeros(n), B0, y0, "infeasible")
         B_eff = Ur.T @ B
         y_eff = Ur.T @ yv
     else:
@@ -352,7 +359,7 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
         certify=partial(certify_l1, B_eff, y_eff),
     )
     margin = None if res.certificate is None else res.certificate[2]
-    return _report(res.x, B, yv, res.status, margin)
+    return _report(np.ldexp(res.x, p - q), B0, y0, res.status, margin)
 
 
 def _may_fit(By: np.ndarray, subs: np.ndarray, thr: float, gamma: float) -> np.ndarray:
@@ -541,7 +548,7 @@ def recover_via_linearization(
     order = min(2 * k, n)
     measurable = math.comb(n, order) <= MAX_RIP_SUPPORTS
     if measurable:
-        rip_constants(A, order)  # RipOrderError on failure
+        _require_rip_order(A, order)  # RipOrderError on failure
 
     # the certificate has exactly the map's type, even where a stronger one
     # exists; the measurements reuse its one evaluation of F
@@ -567,10 +574,11 @@ def recover_via_linearization(
     else:
         report = l0_oracle(B, lam * z, k)
 
-    xnorm = float(np.linalg.norm(x))
+    e = _unit_exponent(x)  # one power of two on both norms: exact, and neither overflows
+    error, xnorm = (np.linalg.norm(np.ldexp(v, e)) for v in (report.x_hat - x, x))
     report = replace(
         report,
         support_exact=support_set(report.x_hat) == {int(i) for i in np.flatnonzero(x)},
-        rel_error=float(np.linalg.norm(report.x_hat - x)) / xnorm,
+        rel_error=float(error / xnorm),
     )
     return PipelineResult(report=report, certificate=cert, delta_2k=delta, scale=lam)

@@ -282,40 +282,68 @@ def _rip_screens(N: int, k: int) -> bool:
     return 2 <= k <= 12 and N >= (300 if k == 2 else 100)
 
 
-def _extremes(grams: np.ndarray, alpha: float, beta: float) -> tuple[float, float]:
-    ev = np.linalg.eigvalsh(grams)
+def _extremes(M: np.ndarray, subs: np.ndarray, alpha: float, beta: float) -> tuple[float, float]:
+    stacks = np.moveaxis(M[:, subs], 1, 0)  # (N, m, k): each support's own Gram fl(M_S' M_S)
+    ev = np.linalg.eigvalsh(stacks.transpose(0, 2, 1) @ stacks)
     return min(alpha, float(ev[:, 0].min())), max(beta, float(ev[:, -1].max()))
 
 
-def _screened_extremes(G: np.ndarray, alpha: float, beta: float) -> tuple[float, float]:
-    """``_extremes`` of the Grams G (N x k x k), bit for bit: ``eigvalsh`` runs
-    on 16 seeds (the 8 smallest Gershgorin lower and 8 largest upper bounds),
-    then only on the supports S whose Cholesky fails on G_S - sI, s = max(alpha,
-    0) + d, or on (beta - d)I - G_S, with d = 1e-8 (tr G_S + k beta) + 2^-1000.
-    Proof: that Cholesky is exact for a perturbation of norm at most 1.01 (k +
-    2) u (tr G_S + k s), u = 2^-53 (Higham, Accuracy and Stability of Numerical
-    Algorithms, Thm 10.3), and positive pivots give k s < tr G_S; batched
-    ``eigvalsh`` (LAPACK syevd) is backward stable per matrix, off by at most
-    p(k) u tr G_S.  So S's computed eigenvalues exceed alpha + d - 2.1 (k + 2 +
-    p(k)) u (tr G_S + k beta) > alpha for any p(k) < 4e7 (12^7 = 3.6e7), and
-    the mirror case is alike; 2^-1000 covers underflow and the roundings of d
-    and s, and an overflow fails a pivot."""
-    N, k = G.shape[:2]
-    H = np.moveaxis(np.concatenate([G, -G]), 0, -1).copy()  # the batch innermost
-    diag = H.reshape(k * k, 2 * N)[::k + 1]
-    rows = np.abs(H[:, :, :N]).sum(axis=1)  # Gershgorin: eigenvalues lie in diag -+ (rows - diag)
-    seeds = np.concatenate([np.argpartition(proxy, 8)[:8] for proxy in (
-        (2.0 * diag[:, :N] - rows).min(axis=0), -rows.max(axis=0))])
-    a, b = _extremes(G[seeds], alpha, beta)
-    d = 1e-8 * (diag[:, :N].sum(axis=0) + k * b) + 2.0**-1000
-    diag -= np.concatenate([max(a, 0.0) + d, d - b])  # G - sI and (b - d)I - G
-    with np.errstate(all="ignore"):  # an overflow gives a NaN or -inf pivot, which fails
-        for j in range(k):  # Cholesky, outer-product form: the pivots stay on the diagonal
+def _blocks(G: np.ndarray, subs: np.ndarray, sides: int) -> np.ndarray:
+    """(k, k, sides N), the batch innermost: the first N hold the blocks G_S of
+    the supports, gathered from G; the rest are left to the caller."""
+    N, k = subs.shape
+    H = np.empty((k, k, sides * N))
+    H[:, :, :N] = G[subs.T[:, None], subs.T]
+    return H
+
+
+def _positive_definite(H: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Cholesky of every H[:, :, s] - shift[s] I, outer-product form, in place:
+    are its pivots all positive?  An overflow gives a NaN or -inf pivot: no."""
+    k = H.shape[0]
+    diag = H.reshape(k * k, -1)[::k + 1]
+    diag -= shift
+    with np.errstate(all="ignore"):
+        for j in range(k):  # the pivots stay on the diagonal
             r = H[j + 1:, j] / np.sqrt(H[j, j])
             H[j + 1:, j + 1:] -= r[:, None] * r
-    sent = ~(diag > 0.0).reshape(k, 2, N).all(axis=(0, 1))
+    return (diag > 0.0).all(axis=0)
+
+
+def _screened_extremes(M: np.ndarray, G: np.ndarray, subs: np.ndarray, alpha: float,
+                       beta: float) -> tuple[float, float]:
+    """``_extremes(M, subs, alpha, beta)`` bit for bit, from the blocks G_S of
+    G = fl(M' M): ``eigvalsh`` runs on 16 seeds (the 8 smallest Gershgorin
+    lower and 8 largest upper bounds), then only on the S whose Cholesky fails
+    on G_S - sI, s = max(alpha, 0) + d, or on (beta - d)I - G_S, with d =
+    1e-8 (tr G_S + k beta) + 2^-1000.  Proof: that Cholesky is exact for a
+    perturbation of norm <= 1.01 (k + 2) u (tr G_S + k s), u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3), and positive
+    pivots give k s < tr G_S; G_S and S's own Gram, m-term dot products within
+    gamma_m |M_S|'|M_S|, differ by <= 2 gamma_m tr G_S; batched ``eigvalsh``
+    (LAPACK syevd) is backward stable per matrix, off by <= p(k) u tr G_S.  So
+    S's computed eigenvalues exceed alpha + d - 2.1 (k + 2 + m + p(k)) u (tr
+    G_S + k beta) > alpha, and the mirror case is alike, as p(k) <= 12^7 and
+    m < 1.1e4 (N >= 100 supports of m k floats fit one 2^21-float gather).
+    2^-1000 covers underflow and the roundings of d and s."""
+    N, k = subs.shape
+    H = _blocks(G, subs, 2)
+    diag = H.reshape(k * k, 2 * N)[::k + 1, :N]
+    rows = np.abs(H[:, :, :N], out=H[:, :, N:]).sum(axis=1)  # Gershgorin: diag -+ (rows - diag)
+    seeds = np.concatenate([np.argpartition(proxy, 8)[:8] for proxy in (
+        (2.0 * diag - rows).min(axis=0), -rows.max(axis=0))])
+    a, b = _extremes(M, subs[seeds], alpha, beta)
+    np.negative(H[:, :, :N], out=H[:, :, N:])
+    d = 1e-8 * (diag.sum(axis=0) + k * b) + 2.0**-1000
+    shift = np.concatenate([max(a, 0.0) + d, d - b])  # G_S - sI and (b - d)I - G_S
+    sent = ~_positive_definite(H, shift).reshape(2, N).all(axis=0)
     sent[seeds] = False
-    return _extremes(G[sent], a, b) if sent.any() else (a, b)
+    return _extremes(M, subs[sent], a, b) if sent.any() else (a, b)
+
+
+def _in_range(alpha: float, beta: float, scale: int) -> bool:
+    """Are alpha and beta, computed on A scaled by 2^scale, normal floats once unscaled?"""
+    return math.frexp(alpha)[1] - 2 * scale >= -1021 and math.frexp(beta)[1] - 2 * scale <= 1024
 
 
 def rip_constants(A, k: int) -> RipReport:
@@ -341,21 +369,47 @@ def rip_constants(A, k: int) -> RipReport:
     scale = _unit_exponent(M, _RIP_EXPONENT)
     M = np.ldexp(M, scale)
     alpha, beta = np.inf, -np.inf
+    G = M.T @ M if 2 <= k <= 12 else None  # the screen's; the guard keeps n <= 632 here
     for subs in column_subsets(n, k, M.shape[0] * k):
-        stacks = np.moveaxis(M[:, subs], 1, 0)  # (chunk, m, k)
-        grams = stacks.transpose(0, 2, 1) @ stacks
-        extremes = _screened_extremes if _rip_screens(len(subs), k) else _extremes
-        alpha, beta = extremes(grams, alpha, beta)
+        alpha, beta = (_screened_extremes(M, G, subs, alpha, beta) if _rip_screens(len(subs), k)
+                       else _extremes(M, subs, alpha, beta))
     scaled = f" of A scaled by 2^{scale}" if scale else ""
     if alpha <= _DEPENDENT_TOL * beta:
         raise RipOrderError(f"RIP of order {k} fails: alpha={alpha:.3e}{scaled}"
                             " is zero to numerical precision")
-    if math.frexp(alpha)[1] - 2 * scale < -1021 or math.frexp(beta)[1] - 2 * scale > 1024:
+    if not _in_range(alpha, beta, scale):
         raise RipRangeError(f"RIP constants of order {k} are outside float64's range:"
                             f" alpha={alpha:.3e} and beta={beta:.3e}{scaled}")
     lam = math.ldexp(math.sqrt(2.0 / (beta + alpha)), scale)
     return RipReport(k, math.ldexp(alpha, -2 * scale), math.ldexp(beta, -2 * scale),
                      (beta - alpha) / (beta + alpha), lam)
+
+
+def _require_rip_order(A, k: int) -> None:
+    """Raise what ``rip_constants(A, k)`` raises; return nothing otherwise.
+
+    Proof, for 2 <= k <= 12, m < 4e6 and the guard, on M = A scaled as by
+    ``rip_constants`` and G = fl(M' M): S's computed eigenvalues are within
+    (2 gamma_m + p(k) u) tr G_S of M_S'M_S's, in [0, tr G_S], so beta_hi =
+    1.001 (sum of G's k largest diagonal entries, one >= 2^-1000) bounds every
+    computed beta.  If every Cholesky of G_S - (tau + d)I, tau = fl(1e-10
+    beta_hi), d = 1e-8 tr G_S + 2^-1000, has positive pivots, the proof of
+    ``_screened_extremes`` (perturbation now <= 2.02 (k + 2) u tr G_S) gives
+    alpha > tau >= fl(1e-10 beta); if tau and beta_hi are normal once unscaled,
+    so are alpha and beta.  Any other case goes to ``rip_constants``."""
+    M = as_matrix(A)
+    m, n = M.shape
+    if 2 <= k <= min(n, 12) and math.comb(n, k) <= MAX_RIP_SUPPORTS and m < 4e6:
+        scale = _unit_exponent(M, _RIP_EXPONENT)
+        M = np.ldexp(M, scale)
+        G = M.T @ M
+        beta_hi = 1.001 * float(np.sort(G.diagonal())[-k:].sum())
+        tau = 1e-10 * beta_hi
+        blocks = (_blocks(G, subs, 1) for subs in column_subsets(n, k, m * k))
+        if _in_range(tau, beta_hi, scale) and all(
+                _positive_definite(H, tau + 1e-8 * np.trace(H) + 2.0**-1000).all() for H in blocks):
+            return
+    rip_constants(A, k)
 
 
 def null_space_basis(A) -> np.ndarray:
@@ -404,12 +458,10 @@ def nsp_estimate(A, k: int, samples: int, seed: int) -> NspEstimate:
     if H.shape[0] == 0:
         return NspEstimate(order=k, c_lower=0.0, samples=0)
     absH = np.abs(H)
-    # stable descending sort so ties break deterministically
-    order = np.argsort(-absH, axis=1, kind="stable")
-    top = order[:, :k]
-    h_top = np.take_along_axis(H, top, axis=1)
-    num = np.sqrt(k) * np.linalg.norm(h_top, axis=1)
-    den = absH.sum(axis=1) - np.abs(h_top).sum(axis=1)
+    # the k largest magnitudes in descending order, as a full stable sort lists them
+    top = -np.sort(np.partition(-absH, k - 1, axis=1)[:, :k], axis=1)
+    num = np.sqrt(k) * np.linalg.norm(top, axis=1)
+    den = absH.sum(axis=1) - top.sum(axis=1)
     if (den == 0.0).any():
         bad = int(np.argmax(den == 0.0))
         raise NspOrderError(
@@ -455,10 +507,10 @@ def check_invariance_rip_order(A, k: int, M_I, M_D) -> bool:
     asserted to be preserved.
     """
     M, L, R = _validate_factors(A, M_I, M_D)
-    rip_constants(M, k)  # precondition on A
+    _require_rip_order(M, k)  # precondition on A
     try:
-        rip_constants(L @ M, k)
-        rip_constants(M @ R, k)
+        _require_rip_order(L @ M, k)
+        _require_rip_order(M @ R, k)
     except RipOrderError:
         return False
     return True

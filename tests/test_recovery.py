@@ -9,7 +9,7 @@ import pytest
 
 from nlcs import matrix_core, nonlinear_maps, recovery
 from nlcs.errors import GuardError, RequirementError, RipOrderError, RipRangeError
-from nlcs.matrix_core import (as_system, gaussian_matrix, random_sparse_signal,
+from nlcs.matrix_core import (as_system, gaussian_matrix, in_safe_range, random_sparse_signal,
                               rank_of_singular_values)
 from nlcs.nonlinear_maps import (
     abs_map,
@@ -156,23 +156,28 @@ class TestRowRankScreen:
 
     @pytest.mark.parametrize("scale", [2.0**-420, 2.0**420])
     def test_out_of_range_entries_skip_the_screen(self, scale, monkeypatch):
-        # the Cholesky factorization is disabled inside the Gram floor only:
-        # the solver's own normal-matrix factorization may still use it
+        # the Cholesky factorization is disabled inside the Gram floor only, and
+        # only for a matrix outside the safe range: ``basis_pursuit`` screens the
+        # system it scaled into range, and the solver's own normal-matrix
+        # factorization may still use it
         def unreachable(*args, **kwargs):  # pragma: no cover
             raise AssertionError("screen ran outside its safe range")
 
         gram_floor = recovery._gram_floor
 
-        def guarded(*args, **kwargs):
+        def guarded(M, *args, **kwargs):
             with monkeypatch.context() as mp:
-                mp.setattr(np.linalg, "cholesky", unreachable)
-                return gram_floor(*args, **kwargs)
+                if not in_safe_range(M):
+                    mp.setattr(np.linalg, "cholesky", unreachable)
+                return gram_floor(M, *args, **kwargs)
 
         monkeypatch.setattr(recovery, "_gram_floor", guarded)
         B = gaussian_matrix(4, 9, 73)
         assert not recovery._certified_full_row_rank(scale * B)
-        rep = basis_pursuit(scale * B, scale * (B @ random_sparse_signal(9, 2, 74)))
+        x = random_sparse_signal(9, 2, 74)
+        rep = basis_pursuit(scale * B, scale * (B @ x))
         assert rep.solver_status == "converged"
+        assert np.abs(rep.x_hat - basis_pursuit(B, B @ x).x_hat).max() <= 1e-9  # scaled back
 
     def test_cleared_system_skips_the_svd(self, monkeypatch):
         def unreachable(*args, **kwargs):  # pragma: no cover
@@ -188,7 +193,7 @@ class TestRowRankScreen:
         B = with_singular_values(np.geomspace(1.0, ratio, 8), 16, 77)
         ys = [B @ random_sparse_signal(16, 2, 78), np.random.default_rng(79).normal(size=8)]
         screened = [basis_pursuit(B, y).to_json() for y in ys]
-        monkeypatch.setattr(recovery, "_certified_full_row_rank", lambda B: False)
+        monkeypatch.setattr(recovery, "_certified_full_row_rank", lambda B, safe: False)
         assert screened == [basis_pursuit(B, y).to_json() for y in ys]
 
 
@@ -795,6 +800,7 @@ class TestRecoverViaLinearization:
             raise AssertionError("the RIP gate ran")
 
         monkeypatch.setattr("nlcs.recovery.rip_constants", rip_gate_reached)
+        monkeypatch.setattr("nlcs.recovery._require_rip_order", rip_gate_reached)
         x = np.zeros(12)
         x[3], x[7] = 1.5, 1e-310
         F = sign_map(10 if composition == "pre" else 12)
@@ -824,13 +830,26 @@ class TestRecoverViaLinearization:
         A = gaussian_matrix(6, 12, 0)
         x = np.zeros(12)
         x[[2, 7]] = [1e200, -3e200]
-        with np.errstate(over="ignore"):  # rel_error's norm of x overflows
-            out = recover_via_linearization(A, sign_map(6), "pre", x, "l0")
+        out = recover_via_linearization(A, sign_map(6), "pre", x, "l0")
         with pytest.raises(RipRangeError, match=r"scaled by 2\^"):
             rip_constants(out.certificate.Y @ A, 4)
         assert (out.scale, out.delta_2k) == (1.0, None)
         assert out.report.support_exact
         assert np.allclose(out.report.x_hat, x, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("c", [1e154, 1e155, 1e160, 1e200])
+    def test_signals_beyond_the_safe_range(self, c):
+        # B = Y A is near 1/c: l1 solves the system scaled into range, and
+        # rel_error scales both norms, which would overflow near 1.3e154
+        A = gaussian_matrix(6, 12, 0)
+        x = np.zeros(12)
+        x[[2, 7]] = [c, -3.0 * c]
+        for method in ("l1", "l0"):
+            rep = recover_via_linearization(A, sign_map(6), "pre", x, method).report
+            assert rep.solver_status == "converged" and rep.support_exact, method
+            assert rep.rel_error == pytest.approx(
+                math.hypot(*(rep.x_hat - x)) / math.hypot(*x), rel=1e-12, abs=0.0)
+            assert rep.rel_error <= 1e-14
 
     def test_full_density_square_invertible(self):
         rng = np.random.default_rng(5)

@@ -6,8 +6,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from nlcs import matrix_core, sensing_properties
-from nlcs.errors import GuardError, RipOrderError, RipRangeError
+from nlcs import matrix_core, recovery, sensing_properties
+from nlcs.errors import GuardError, NspOrderError, RipOrderError, RipRangeError
+from nlcs.nonlinear_maps import sign_map
 from nlcs.matrix_core import (RANK_TOL, column_subsets, gaussian_matrix, random_sparse_signal,
                               rank_of_singular_values)
 from nlcs.sensing_properties import (
@@ -68,6 +69,24 @@ def reference_rip(A, k):
         return f"RIP of order {k} fails: alpha={alpha:.3e} is zero to numerical precision"
     return RipReport(order=k, alpha=alpha, beta=beta, delta=(beta - alpha) / (beta + alpha),
                      lam=math.sqrt(2.0 / (beta + alpha))).to_json()
+
+
+def reference_nsp(A, k, samples, seed):
+    """``nsp_estimate``'s c_lower by a stable descending argsort of every
+    sample's magnitudes, or the ``NspOrderError`` message."""
+    H = sensing_properties.sample_null_vectors(A, samples, seed)
+    h_top = np.take_along_axis(H, np.argsort(-np.abs(H), axis=1, kind="stable")[:, :k], axis=1)
+    den = np.abs(H).sum(axis=1) - np.abs(h_top).sum(axis=1)
+    if (den == 0.0).any():
+        return f"NSP of order {k} fails: sampled null vector {int(np.argmax(den == 0.0))} is {k}-sparse"
+    return float((np.sqrt(k) * np.linalg.norm(h_top, axis=1) / den).max())
+
+
+def nsp_answer(A, k, samples, seed):
+    try:
+        return nsp_estimate(A, k, samples, seed).c_lower
+    except NspOrderError as exc:
+        return str(exc)
 
 
 def rip_answer(A, k):
@@ -680,22 +699,26 @@ class TestRipScreen:
 
     @staticmethod
     def diagonal_grams(lows):
-        """diag(low, 2) for each low, with a first support diag(1, 3) that sets beta."""
-        G = np.zeros((len(lows) + 1, 2, 2))
-        G[:, 0, 0], G[:, 1, 1] = np.concatenate([[1.0], lows]), 2.0
-        G[0, 1, 1] = 3.0
-        return G
+        """(M, M'M, supports) for M'M = diag(1, 3, 2, lows) up to the lows'
+        roundings: support {0, 1} is diag(1, 3), which sets beta, and {i, 2}
+        is diag(low, 2) for each low."""
+        p = len(lows)
+        M = np.zeros((6 + p, 3 + p))
+        M[0, 0], M[1:4, 1], M[4:6, 2] = 1.0, 1.0, 1.0  # squared norms 1, 3 and 2, exactly
+        M[6 + np.arange(p), 3 + np.arange(p)] = np.sqrt(lows)
+        subs = np.array([[0, 1]] + [[3 + i, 2] for i in range(p)])
+        return M, M.T @ M, subs
 
     def test_supports_within_the_slack_reach_eigvalsh(self, eigvalsh_rows):
         # lambda_min 1 + i 1e-12 lies within the slack d = 1e-8 (tr G + 2 beta)
         # of alpha = 1, so no support may be cleared on the alpha side
-        G = self.diagonal_grams(1.0 + 1e-12 * np.arange(1, 300))
-        assert sensing_properties._screened_extremes(G, np.inf, -np.inf) == (1.0, 3.0)
+        M, G, subs = self.diagonal_grams(1.0 + 1e-12 * np.arange(1, 300))
+        assert sensing_properties._screened_extremes(M, G, subs, np.inf, -np.inf) == (1.0, 3.0)
         assert len(eigvalsh_rows) == 2 and sum(eigvalsh_rows) >= 300  # seeds may repeat
 
     def test_supports_beyond_the_slack_are_cleared(self, eigvalsh_rows):
-        G = self.diagonal_grams(1.0 + 1e-6 * np.arange(1, 300))
-        assert sensing_properties._screened_extremes(G, np.inf, -np.inf) == (1.0, 3.0)
+        M, G, subs = self.diagonal_grams(1.0 + 1e-6 * np.arange(1, 300))
+        assert sensing_properties._screened_extremes(M, G, subs, np.inf, -np.inf) == (1.0, 3.0)
         assert sum(eigvalsh_rows) == 16  # 8 seeds a side
 
 
@@ -732,6 +755,135 @@ class TestRipScaling:
             M = np.array([[top, -0.5 * top]])
             keep = 0 if top == 1.0 else matrix_core._RIP_EXPONENT  # keep 0: always to [1/2, 1)
             assert matrix_core._unit_exponent(M, keep) == scale, top
+
+
+def outcome(call, *args):
+    """None, or the class and message of the error ``call(*args)`` raises."""
+    try:
+        call(*args)
+    except (GuardError, RipOrderError, RipRangeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def reference_invariance(A, k, M_I, M_D):
+    """``check_invariance_rip_order`` by three ``rip_constants`` calls."""
+    rip_constants(A, k)
+    try:
+        rip_constants(M_I @ A, k)
+        rip_constants(A @ M_D, k)
+    except RipOrderError:
+        return False
+    return True
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The orders of the ``rip_constants`` calls made by the gate."""
+    calls = []
+    rip = sensing_properties.rip_constants
+
+    def counting(A, k):
+        calls.append(k)
+        return rip(A, k)
+
+    monkeypatch.setattr(sensing_properties, "rip_constants", counting)
+    return calls
+
+
+def gate_matrix(low, tiny):
+    """8 x 12: ten unit Gaussian columns in rows 0-5, and columns 10 and 11 of
+    squared norm ``tiny`` in rows 6 and 7, whose 2 x 2 Gram has smallest
+    eigenvalue ``low``; every other support of order 2 is far from singular."""
+    A = np.zeros((8, 12))
+    B = gaussian_matrix(6, 10, 5)
+    A[:6, :10] = B / np.linalg.norm(B, axis=0)
+    c = 1.0 - low / tiny
+    A[6, 10], A[6:, 11] = 1.0, (c, math.sqrt(1.0 - c * c))
+    A[:, 10:] *= math.sqrt(tiny)
+    return A
+
+
+class TestRipGate:
+    """``_require_rip_order`` raises exactly what ``rip_constants`` raises, and
+    proves only what lies outside its slack."""
+
+    @staticmethod
+    def variants(A):
+        yield A
+        for plant in ("duplicate", "zero", "near"):
+            B = A.copy()
+            B[:, -1] = {"duplicate": A[:, 1], "zero": 0.0, "near": A[:, 1] * (1.0 + 1e-9)}[plant]
+            yield B
+        for p in (505, -505, 600, -600):
+            yield np.ldexp(A, p)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_brute_shapes(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        for m, n in BRUTE_SHAPES:
+            A = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))
+            for k in range(1, 7):
+                for B in self.variants(A):
+                    expected = outcome(rip_constants, B, k)
+                    assert outcome(sensing_properties._require_rip_order, B, k) == expected, (m, n, k)
+
+    def test_fallback_orders_and_guards(self, fallbacks):
+        A = gaussian_matrix(14, 16, 3)
+        for k in (1, 13, 17):  # k = 13 has 560 supports; 17 > cols
+            assert outcome(sensing_properties._require_rip_order, A, k) == outcome(rip_constants, A, k)
+        assert outcome(sensing_properties._require_rip_order, gaussian_matrix(3, 40, 1), 6) \
+            == outcome(rip_constants, gaussian_matrix(3, 40, 1), 6)
+        assert fallbacks == [1, 13, 17, 6]
+        assert sensing_properties._require_rip_order(A, 12) is None and fallbacks[4:] == []
+
+    def test_invariance_and_pipeline(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        M_I, M_D = random_invertible(6, rng), random_permuted_diagonal(12, rng)
+        x = random_sparse_signal(12, 2, 78)
+        for A in self.variants(gaussian_matrix(6, 12, 79)):
+            for k in (1, 2, 3, 4, 13):
+                verdicts = []
+                for check in (check_invariance_rip_order, reference_invariance):
+                    try:
+                        verdicts.append(check(A, k, M_I, M_D))
+                    except (RipOrderError, RipRangeError, ValueError) as exc:
+                        verdicts.append(f"{type(exc).__name__}: {exc}")
+                assert verdicts[0] == verdicts[1], k
+            pipeline = []
+            for gate in (sensing_properties._require_rip_order, rip_constants):
+                monkeypatch.setattr(recovery, "_require_rip_order", gate)
+                try:
+                    with np.errstate(all="ignore"):
+                        out = recovery.recover_via_linearization(A, sign_map(6), "pre", x, "l0")
+                    pipeline.append(out.report.to_json())
+                except (RipOrderError, RipRangeError) as exc:
+                    pipeline.append(str(exc))
+            assert pipeline[0] == pipeline[1]
+
+    @pytest.mark.parametrize("low, tiny, route", [
+        (1e-6, 1.0, "proved"),
+        (1e-8, 1.0, "fallback"),  # between tau = 2e-10 and tau + d = 2e-8: within the slack d
+        (1e-10, 1e-6, "fallback"),  # below tau, while d = 2e-14: RipOrderError
+    ])
+    def test_slack(self, low, tiny, route, fallbacks):
+        A = gate_matrix(low, tiny)
+        assert outcome(sensing_properties._require_rip_order, A, 2) == outcome(rip_constants, A, 2)
+        assert ("fallback" if fallbacks else "proved") == route
+
+    @pytest.mark.parametrize("above, route", [(1.0005, "fallback"), (1.002, "proved")])
+    def test_beta_hi_margin(self, above, route, fallbacks):
+        # alpha just above 1e-10 times the two largest diagonal entries: inside
+        # beta_hi's 0.1 % margin it is left to rip_constants, which returns; the
+        # slack d of the tiny pair, 2e-15, is far inside that margin
+        tiny = 1e-7
+        A = gate_matrix(1e-10, tiny)
+        top = float(np.sort(np.diag(A.T @ A))[-2:].sum())
+        A = gate_matrix(above * 1e-10 * top, tiny)
+        assert sensing_properties._require_rip_order(A, 2) is None
+        assert ("fallback" if fallbacks else "proved") == route
+        rep = rip_constants(A, 2)
+        assert 1e-10 * rep.beta < rep.alpha < 1.01e-10 * top
 
 
 class TestRipFullOrder:
@@ -802,6 +954,28 @@ class TestNspEstimate:
                 den = np.abs(np.delete(h, list(sub))).sum()
                 best = max(best, num / den)
         assert rep.c_lower == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_the_stable_sort(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        for m, n in BRUTE_SHAPES:
+            A = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))
+            for k in (1, 2, 3, n - m, n):
+                assert nsp_answer(A, k, 300, seed) == reference_nsp(A, k, 300, seed), (m, n, k)
+
+    def test_tied_magnitudes(self, monkeypatch):
+        # samples with few distinct magnitudes, so the top k cuts through ties,
+        # and one 3-sparse sample, which fails order 3 and above
+        H = np.random.default_rng(41).integers(-3, 4, size=(500, 12)).astype(float)
+        H[0] = 0.0
+        H[0, [1, 5, 9]] = 2.0
+        H /= np.linalg.norm(H, axis=1)[:, None]
+        monkeypatch.setattr(sensing_properties, "sample_null_vectors", lambda A, samples, seed: H)
+        A = np.zeros((1, 12))
+        for k in range(1, 13):
+            answer = nsp_answer(A, k, 500, 0)
+            assert answer == reference_nsp(A, k, 500, 0), k
+            assert isinstance(answer, float) == (k < 3), k
 
     def test_full_order_always_fails_on_nontrivial_null_space(self):
         # with k = n the complement of the worst support is empty

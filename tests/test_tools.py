@@ -2,8 +2,9 @@
 and one instance or argument list goes through the function that makes
 its line, with and without what ``--full`` adds.  The tools read private
 names of the package (``sensing_properties._uncleared``, ``_base_level``,
-``_rip_screens``, ``_extremes``; ``lp._gram_factor``), so a rename breaks
-them here rather than at the next identity run."""
+``_rip_screens``, ``_extremes``, ``_require_rip_order``;
+``lp._gram_factor``), so a rename breaks them here rather than at the next
+identity run."""
 
 import importlib.util
 import json
@@ -29,8 +30,11 @@ def test_brute_matrix(tmp_path):
     assert re.fullmatch(r"seed0/1 6x12 spark=7 witness=\[0, 1, 2, 3, 4, 5, 6\] [0-9a-f]{16}", line)
     full = tool.run("seed0/1", inst.A, True, inst)
     assert re.fullmatch(re.escape(line) + r" b=1 cleared=\d+ svd=\d+ rip_screened=495"
-                        r" rip_eigvalsh=\d+", full)
-    assert tool.run("small", inst.A[:, :6], True).endswith(" rip_screened=0 rip_eigvalsh=15")
+                        r" rip_eigvalsh=\d+ rip_gate=proved,proved,proved,proved", full)
+    assert tool.run("small", inst.A[:, :6], True).endswith(
+        " rip_screened=0 rip_eigvalsh=15 rip_gate=-")
+    inst.A6[:, 5] = inst.A6[:, 3]  # the gate on A cannot prove it; the pipeline then fails
+    assert tool.gate_field(inst) == "rip_gate=fallback,fallback"
 
 
 def test_cert_matrix(tmp_path):

@@ -24,9 +24,13 @@ when the probe is not screened: a tall A, or one outside
 ``in_safe_range``); then, for ``rip_constants(A, 4)``, ``rip_screened``,
 the supports in chunks that the RIP screen runs on, and ``rip_eigvalsh``,
 the supports sent to ``eigvalsh`` (seeds, uncleared supports and every
-support of an unscreened chunk).  These fields read
-``sensing_properties._base_level``, ``_uncleared``, ``_rip_screens`` and
-``_extremes``, so they need a checkout that has them; the digests do not.
+support of an unscreened chunk); last, for a brute_certify instance,
+``rip_gate``, the route of each call of the RIP-order gate, first the l0
+pipeline's on its 6x12 matrix, then the invariance triple's: ``proved`` by
+the gate's own test, or ``fallback`` to ``rip_constants`` (``rip_gate=-``
+on the other lines).  These fields read ``sensing_properties._base_level``,
+``_uncleared``, ``_rip_screens``, ``_extremes`` and ``_require_rip_order``,
+so they need a checkout that has them; the digests do not.
 
 The instances: the eight brute_certify shapes at benchmark seeds 0-2; the
 same matrices with a dependency planted at level 3 and at level rows;
@@ -104,9 +108,9 @@ def rip_fields(A: np.ndarray) -> str:
         counts["screened"] += N * chosen
         return chosen
 
-    def counting(grams, alpha, beta):
-        counts["eigvalsh"] += len(grams)
-        return extremes(grams, alpha, beta)
+    def counting(M, subs, alpha, beta):
+        counts["eigvalsh"] += len(subs)
+        return extremes(M, subs, alpha, beta)
 
     props._rip_screens, props._extremes = screening, counting
     try:
@@ -116,11 +120,38 @@ def rip_fields(A: np.ndarray) -> str:
     return f"rip_screened={counts['screened']} rip_eigvalsh={counts['eigvalsh']}"
 
 
+def gate_field(inst) -> str:
+    """The route of each RIP-order gate call of the l0 pipeline, then of the
+    invariance triple: proved, or fallback to ``rip_constants``."""
+    if inst is None:
+        return "rip_gate=-"
+    routes = []
+    gate, rip = props._require_rip_order, props.rip_constants
+
+    def routing(A, k):
+        routes.append("proved")
+        return gate(A, k)
+
+    def falling_back(A, k):
+        routes[-1] = "fallback"
+        return rip(A, k)
+
+    props._require_rip_order = nlcs.recovery._require_rip_order = routing
+    props.rip_constants = falling_back
+    try:
+        attempt(lambda: nlcs.recovery.recover_via_linearization(inst.A6, inst.F, "pre", inst.x, "l0"))
+        attempt(lambda: props.check_invariance_rip_order(inst.A6, 2, inst.M_I, inst.M_D))
+    finally:
+        props._require_rip_order = nlcs.recovery._require_rip_order = gate
+        props.rip_constants = rip
+    return f"rip_gate={','.join(routes)}"
+
+
 def run(label: str, A: np.ndarray, full: bool, inst=None) -> str:
     rep = props.spark(A)
     digest = hashlib.sha256("\n".join(reports(A, inst)).encode()).hexdigest()[:16]
     line = f"{label} {A.shape[0]}x{A.shape[1]} spark={rep.spark} witness={rep.witness} {digest}"
-    return f"{line} {screen_fields(A)} {rip_fields(A)}" if full else line
+    return f"{line} {screen_fields(A)} {rip_fields(A)} {gate_field(inst)}" if full else line
 
 
 def instances():
