@@ -458,8 +458,8 @@ def nsp_estimate(A, k: int, samples: int, seed: int) -> NspEstimate:
     if H.shape[0] == 0:
         return NspEstimate(order=k, c_lower=0.0, samples=0)
     absH = np.abs(H)
-    # the k largest magnitudes in descending order, as a full stable sort lists them
-    top = -np.sort(np.partition(-absH, k - 1, axis=1)[:, :k], axis=1)
+    # the k largest magnitudes in the descending order a stable argsort gives them
+    top = -np.sort(-absH, axis=1)[:, :k]
     num = np.sqrt(k) * np.linalg.norm(top, axis=1)
     den = absH.sum(axis=1) - top.sum(axis=1)
     if (den == 0.0).any():
