@@ -5,12 +5,11 @@ Three properties are covered:
 * spark -- the smallest number of linearly dependent columns.  Level
   min(rows, cols) is probed first: when all its column subsets are
   independent, so are all smaller ones, and the spark is settled without
-  visiting them.  Square probe subsets are first screened by a certified
-  determinant bound, from one Laplace recursion over column-subset minors
-  (or, on near-square shapes, batched LU), and only those it cannot clear
-  reach the SVD.  A dependent probe subset falls back to the
-  exhaustive upward scan in lexicographic order, so the witness is the
-  first dependent subset at the spark level;
+  visiting them.  Certified screens (a Laplace recursion's determinants on
+  wide shapes, then the RIP-order gate's Cholesky floor test) clear most
+  square probe subsets before the SVD.  A dependent probe subset falls back
+  to the exhaustive upward scan in lexicographic order, so the witness is
+  the first dependent subset at the spark level;
 * RIP -- asymmetric restricted-isometry constants (alpha, beta) of a given
   order k, obtained by brute force over all size-k column supports, together
   with the rescale factor lambda = sqrt(2/(beta+alpha)) that symmetrizes the
@@ -118,13 +117,9 @@ def _spark_worst_case(n: int, t: int) -> int:
 def _base_level(n: int, t: int) -> int:
     """The level where ``spark``'s screen starts its minors: t, or 1 when
     the recursion's products over levels 2..t are fewer than the t^2 C(n, t)
-    entries that LU reads."""
-    lu, products = t * t * math.comb(n, t), 0
-    for r in range(2, t + 1):
-        products += r * math.comb(n, r)
-        if products >= lu:
-            return t
-    return 1
+    entries that the floor test gathers."""
+    products = sum(r * math.comb(n, r) for r in range(2, t + 1))
+    return t if products >= t * t * math.comb(n, t) else 1
 
 
 def _minors(M: np.ndarray):
@@ -166,23 +161,20 @@ def _uncleared(M: np.ndarray):
     """Yield, chunk by chunk, the subsets of a square probe (M is t x n,
     inside ``in_safe_range``) that ``spark``'s screen cannot clear."""
     t, n = M.shape
-    margin = 0.0  # LU: its backward-error margin 2d (the recursion subtracts err instead)
+    M, G = M * 2.0 ** _unit_exponent(M), None
     if _base_level(n, t) > 1:
-        margin = 2.0 * t**3 * 2.0 ** (t - 1) * _UNIT_ROUNDOFF
-        chunks = ((subs, np.linalg.slogdet(np.moveaxis(M[:, subs], 1, 0))[1])
-                  for subs in column_subsets(n, t, t * t))
-    else:
-        M = M * 2.0 ** _unit_exponent(M)
-        chunks = ((subs, np.log(np.abs(D) - err, where=np.abs(D) > err,
-                                out=np.full(len(D), -np.inf))) for subs, D, err in _minors(M))
-    colsq, norm2 = (M * M).sum(axis=0), np.linalg.norm(M, 2)
-    for subs, log_det in chunks:
-        s_hat = (1.0 + 1e-12) * np.minimum(np.sqrt(colsq[subs].sum(axis=1)), norm2)
-        cleared = log_det > -np.inf
-        cleared[cleared] = (log_det[cleared] - t * np.log(s_hat[cleared])
-                            > math.log(1e3 * RANK_TOL + margin))
-        if not cleared.all():
-            yield subs[~cleared]
+        chunks = column_subsets(n, t, t * t)
+    else:  # the recursion's bound first, in logs as s_hat^t may underflow; 2^-1074 keeps log(0) out
+        colsq, norm2 = (M * M).sum(axis=0), np.linalg.norm(M, 2)
+        chunks = (subs[np.log(np.abs(D) - err, where=np.abs(D) > err, out=np.full(len(D), -np.inf))
+                       - t * np.log(np.maximum(np.minimum(np.sqrt(colsq[subs].sum(axis=1)), norm2),
+                                               2.0**-1074) * (1.0 + 1e-12))
+                       <= math.log(1e3 * RANK_TOL)] for subs, D, err in _minors(M))
+    for subs in chunks:
+        if len(subs):
+            G = M.T @ M if G is None else G  # not formed when the recursion clears all
+            if not (cleared := _floor_cleared(G, subs, 0.0)).all():
+                yield subs[~cleared]
 
 
 def _dependent(M: np.ndarray, subs: np.ndarray) -> np.ndarray:
@@ -219,35 +211,32 @@ def spark(A) -> SparkReport:
     the scan only for a subset whose ratio lies within the SVD's rounding
     (about eps * s_max in s_min) of the cutoff.
 
-    Screen.  When t = rows the probe's subsets A_S are square, and
-    |det A_S| <= s_min s_max^(t-1) gives rho = s_min/s_max >= |det A_S| /
-    s_hat^t for s_hat = (1 + 1e-12) min(||A_S||_F, ||A||_2) >= s_max.  A
-    subset is cleared when a computed D and err give (|D| - err) / s_hat^t >
-    1e3 RANK_TOL, which leaves rho > 900 RANK_TOL, far from the SVD's
-    cutoff; every other subset goes to the same SVD test as the scan, so the
-    answer never depends on the screen.  D comes by whichever route reads
-    fewer entries, r per product at each level r = 2..t or t^2 per LU (no
-    start in between reads fewer on any shape the guard admits):
-    - wide shapes (10x20, 2x1000, the benchmark's): one recursion over the
-      minors D_r(S) = det A[:r, S] of every r-subset, level by level,
-      D_r(S) = sum_p (-1)^(r-1+p) A[r-1, s_p] D_(r-1)(S - s_p) from
-      D_1 = A[0] (``matrix_core.minor_tables``; its C(n, 1) + ... + C(n, t)
-      minors fit in the guard's worst case), on A scaled by a power of two
-      to entries below 1 (exact; no ratio changes).  Each level adds one
-      product and r - 1 additions to every term of the expansion, so each
-      term of D takes fewer than k = t(t+1)/2 roundings (Higham, Accuracy
-      and Stability of Numerical Algorithms, 3.1): |D - det A_S| <= gamma P,
-      with gamma = ku / (1 - ku), u = 2^-53 and P the sum of the terms'
-      magnitudes.  The imaginary part of the same pass, run on gamma |A[0]|
-      and |A|, is W >= (1 - gamma) gamma P - eta, so err = (W + eta) /
-      (1 - gamma) + eta >= |D - det A_S| and rho >= (|D| - err) / s_hat^t.
-      Here eta = t! 2^-1072 covers underflow: at most 2^-1075 per product,
-      never amplified by entries below 1, and a level-r value sums r terms;
-    - near-square shapes (14x18, 19x19): batched ``slogdet`` of every A_S,
-      the screen as before, with err = 2d s_hat^t, d = t^3 2^(t-1) u (at
-      most 2.0e-7 for t <= 19).  Partial-pivoting LU gives det(A_S + E) with
-      ||E|| <= d ||A_S||, so |D| / s_hat^t <= (rho + d)(1 + d)^(t-1), and
-      clearing bounds rho directly.
+    Screen.  When t = rows the probe's subsets A_S are square.  A subset is
+    cleared only when a stage below proves rho = s_min/s_max > 900 RANK_TOL
+    (the floor test: rho > 9.9e-5), far from the SVD's cutoff; every other
+    subset goes to the same SVD test as the scan, so the answer never depends
+    on the screen.  Both stages run on A scaled by a power of two to entries
+    below 1 (exact; no ratio changes):
+    - on wide shapes (10x20, 2x1000, the benchmark's), where r products per
+      r-subset at levels 2..t read fewer entries than t^2 per t-subset (no
+      start in between reads fewer on any shape the guard admits), first a
+      determinant bound.  One recursion forms the minors D_r(S) = det A[:r,
+      S] of every r-subset, level by level, D_r(S) = sum_p (-1)^(r-1+p)
+      A[r-1, s_p] D_(r-1)(S - s_p) from D_1 = A[0] (``minor_tables``; its
+      C(n, 1) + ... + C(n, t) minors fit in the guard's worst case).  Each
+      level adds one product and r - 1 additions to every term, so each term
+      of D takes fewer than k = t(t+1)/2 roundings (Higham, Accuracy and
+      Stability of Numerical Algorithms, 3.1): |D - det A_S| <= gamma P, with
+      gamma = ku / (1 - ku), u = 2^-53 and P the sum of the terms'
+      magnitudes.  The same pass, run on gamma |A[0]| and |A| in the
+      imaginary part, gives W >= (1 - gamma) gamma P - eta, so err = (W +
+      eta) / (1 - gamma) + eta >= |D - det A_S|; eta = t! 2^-1072 covers
+      underflow (2^-1075 per product, never amplified by entries below 1, r
+      terms per level-r value).  |det A_S| <= s_min s_max^(t-1), so S is
+      cleared when (|D| - err) / s_hat^t > 1e3 RANK_TOL, s_hat = (1 + 1e-12)
+      min(||A_S||_F, ||A||_2) >= s_max;
+    - then ``_floor_cleared(G, S, 0)``, G = fl(A'A): at k = m = t <= 19 its
+      bound gives s_min^2 > 0.99e-8 tr G_S >= 0.99e-8 (1 - gamma_t) s_max^2.
     The screen is skipped when a nonzero entry lies outside [2^-400, 2^400]
     (``in_safe_range``), where underflow or overflow could void these
     bounds.  Tall probes (cols < rows) and the upward scan use the SVD alone.
@@ -293,7 +282,8 @@ def _blocks(G: np.ndarray, subs: np.ndarray, sides: int) -> np.ndarray:
     the supports, gathered from G; the rest are left to the caller."""
     N, k = subs.shape
     H = np.empty((k, k, sides * N))
-    H[:, :, :N] = G[subs.T[:, None], subs.T]
+    S = subs.T.copy()  # one flat index into G: numpy's fast single-array gather
+    H[:, :, :N] = G.ravel()[(S * len(G))[:, None] + S]
     return H
 
 
@@ -304,10 +294,24 @@ def _positive_definite(H: np.ndarray, shift: np.ndarray) -> np.ndarray:
     diag = H.reshape(k * k, -1)[::k + 1]
     diag -= shift
     with np.errstate(all="ignore"):
-        for j in range(k):  # the pivots stay on the diagonal
+        for j in range(k - 1):  # the pivots stay on the diagonal; the last needs no step
             r = H[j + 1:, j] / np.sqrt(H[j, j])
             H[j + 1:, j + 1:] -= r[:, None] * r
     return (diag > 0.0).all(axis=0)
+
+
+def _floor_cleared(G: np.ndarray, subs: np.ndarray, tau: float) -> np.ndarray:
+    """For each row S of ``subs``: has the Cholesky of G_S - sI, s = tau + d,
+    d = 1e-8 tr G_S + 2^-1000, positive pivots?  G_S, of order k, is gathered
+    from G = fl(M' M), M of m rows.  A yes gives lambda_min(M_S'M_S) > tau +
+    (1e-8 - e) tr G_S, e = 2.02 (k + 2) u + 2 gamma_m, u = 2^-53.  Proof: that
+    Cholesky is exact for a perturbation of norm <= 1.01 (k + 2) u (tr G_S + k
+    s) (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3), and
+    positive pivots give k s < tr G_S; G_S and M_S'M_S, m-term dot products
+    within gamma_m |M_S|'|M_S|, differ by <= 2 gamma_m tr G_S.  2^-1000 covers
+    underflow and the roundings of d and s."""
+    H = _blocks(G, subs, 1)
+    return _positive_definite(H, tau + 1e-8 * np.trace(H) + 2.0**-1000)
 
 
 def _screened_extremes(M: np.ndarray, G: np.ndarray, subs: np.ndarray, alpha: float,
@@ -316,16 +320,13 @@ def _screened_extremes(M: np.ndarray, G: np.ndarray, subs: np.ndarray, alpha: fl
     G = fl(M' M): ``eigvalsh`` runs on 16 seeds (the 8 smallest Gershgorin
     lower and 8 largest upper bounds), then only on the S whose Cholesky fails
     on G_S - sI, s = max(alpha, 0) + d, or on (beta - d)I - G_S, with d =
-    1e-8 (tr G_S + k beta) + 2^-1000.  Proof: that Cholesky is exact for a
-    perturbation of norm <= 1.01 (k + 2) u (tr G_S + k s), u = 2^-53 (Higham,
-    Accuracy and Stability of Numerical Algorithms, Thm 10.3), and positive
-    pivots give k s < tr G_S; G_S and S's own Gram, m-term dot products within
-    gamma_m |M_S|'|M_S|, differ by <= 2 gamma_m tr G_S; batched ``eigvalsh``
-    (LAPACK syevd) is backward stable per matrix, off by <= p(k) u tr G_S.  So
-    S's computed eigenvalues exceed alpha + d - 2.1 (k + 2 + m + p(k)) u (tr
-    G_S + k beta) > alpha, and the mirror case is alike, as p(k) <= 12^7 and
-    m < 1.1e4 (N >= 100 supports of m k floats fit one 2^21-float gather).
-    2^-1000 covers underflow and the roundings of d and s."""
+    1e-8 (tr G_S + k beta) + 2^-1000.  Proof: the steps of ``_floor_cleared``
+    (Cholesky perturbations <= 2.02 (k + 2) u (tr G_S + k beta) for both
+    shifts) and batched ``eigvalsh`` (LAPACK syevd), backward stable per
+    matrix and off by <= p(k) u tr G_S, leave S's computed eigenvalues above
+    alpha + d - 2.1 (k + 2 + m + p(k)) u (tr G_S + k beta) > alpha; the mirror
+    case is alike, as p(k) <= 12^7 and m < 1.1e4 (N >= 100 supports of m k
+    floats fit one 2^21-float gather)."""
     N, k = subs.shape
     H = _blocks(G, subs, 2)
     diag = H.reshape(k * k, 2 * N)[::k + 1, :N]
@@ -390,13 +391,13 @@ def _require_rip_order(A, k: int) -> None:
 
     Proof, for 2 <= k <= 12, m < 4e6 and the guard, on M = A scaled as by
     ``rip_constants`` and G = fl(M' M): S's computed eigenvalues are within
-    (2 gamma_m + p(k) u) tr G_S of M_S'M_S's, in [0, tr G_S], so beta_hi =
-    1.001 (sum of G's k largest diagonal entries, one >= 2^-1000) bounds every
-    computed beta.  If every Cholesky of G_S - (tau + d)I, tau = fl(1e-10
-    beta_hi), d = 1e-8 tr G_S + 2^-1000, has positive pivots, the proof of
-    ``_screened_extremes`` (perturbation now <= 2.02 (k + 2) u tr G_S) gives
-    alpha > tau >= fl(1e-10 beta); if tau and beta_hi are normal once unscaled,
-    so are alpha and beta.  Any other case goes to ``rip_constants``."""
+    (2 gamma_m + p(k) u) tr G_S of M_S'M_S's (p(k) <= 12^7, as in
+    ``_screened_extremes``), in [0, tr G_S], so beta_hi = 1.001 (sum of G's k
+    largest diagonal entries, one >= 2^-1000) bounds every computed beta.  If
+    ``_floor_cleared`` clears every S at tau = fl(1e-10 beta_hi), its bound,
+    with e + 2 gamma_m + p(k) u < 1e-8, gives alpha > tau >= fl(1e-10 beta);
+    if tau and beta_hi are normal once unscaled, so are alpha and beta.  Any
+    other case goes to ``rip_constants``."""
     M = as_matrix(A)
     m, n = M.shape
     if 2 <= k <= min(n, 12) and math.comb(n, k) <= MAX_RIP_SUPPORTS and m < 4e6:
@@ -405,9 +406,8 @@ def _require_rip_order(A, k: int) -> None:
         G = M.T @ M
         beta_hi = 1.001 * float(np.sort(G.diagonal())[-k:].sum())
         tau = 1e-10 * beta_hi
-        blocks = (_blocks(G, subs, 1) for subs in column_subsets(n, k, m * k))
         if _in_range(tau, beta_hi, scale) and all(
-                _positive_definite(H, tau + 1e-8 * np.trace(H) + 2.0**-1000).all() for H in blocks):
+                _floor_cleared(G, subs, tau).all() for subs in column_subsets(n, k, m * k)):
             return
     rip_constants(A, k)
 

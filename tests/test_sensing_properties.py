@@ -343,10 +343,10 @@ def scaled(A):
     return np.ldexp(A, -np.frexp(np.abs(A).max())[1])
 
 
-@pytest.fixture(params=["recursion", "lu"])
+@pytest.fixture(params=["recursion", "square"])
 def route(request, monkeypatch):
-    """Force the screen's minors onto one route: the recursion from level 1
-    or the batched LU of every t-subset."""
+    """Force the screen onto one route: the recursion from level 1, then the
+    floor test, or the floor test alone on every t-subset."""
     base = (lambda n, t: 1) if request.param == "recursion" else (lambda n, t: t)
     monkeypatch.setattr(sensing_properties, "_base_level", base)
     return request.param
@@ -396,10 +396,8 @@ class TestDeterminantScreen:
 
     @pytest.mark.parametrize("t, n", [(1, 4), (2, 5), (3, 6), (4, 7), (5, 7), (6, 8)])
     def test_error_bound_holds_exactly(self, t, n):
-        # against rational determinants: |D - det| <= err, one sign for all
-        # subsets, for the recursion; for batched LU, the premise of its margin
-        # (det(A_S + E) with ||E|| <= d ||A_S||, formed as exp of a log sum,
-        # off by a relative tau), as |D - det| <= ((1 + tau)(1 + d)^t - 1) s_hat^t
+        # the recursion against rational determinants: |D - det| <= err, one
+        # sign for all subsets
         rng = np.random.default_rng(10 * t + n)
         shapes = [rng.normal(size=(t, n)),
                   rng.integers(-3, 4, size=(t, n)) / 4.0,  # exact cancellations
@@ -408,7 +406,6 @@ class TestDeterminantScreen:
                   rng.normal(size=(t, n)) * 2.0 ** rng.integers(-300, 1, size=(t, 1)),
                   rng.normal(size=(t, n)) * 2.0 ** np.r_[0, [-250] * (t - 1)][:, None],  # underflow
                   rng.normal(size=(t, n)) * 2.0 ** np.r_[0, [-205] * (t - 1)][:, None]]  # subnormal
-        d, tau = t**3 * 2.0 ** (t - 1) * 2.0**-53, 1e3 * t * (t + 1) * 2.0**-53
         for A in shapes:
             M = scaled(A)
             chunks = list(sensing_properties._minors(M))
@@ -419,24 +416,16 @@ class TestDeterminantScreen:
             dets = [exact_det(M[:, S]) for S in subs.tolist()]
             assert any(all(abs(Fraction(float(x)) - sign * e) <= Fraction(float(b))
                            for x, e, b in zip(D, dets, err)) for sign in (1, -1))
-            for S in combinations(range(n), t):
-                B = M[:, S]
-                s_hat = min(np.linalg.norm(B), np.linalg.norm(M, 2))
-                lu = Fraction(float(np.linalg.det(B))) - exact_det(B)
-                bound = math.expm1(math.log1p(tau) + t * math.log1p(d)) * s_hat**t
-                assert abs(lu) <= Fraction(float(bound)) + Fraction(2)**-1074
 
-    @pytest.mark.parametrize("above", [1.003, 1.01])
-    def test_lu_keeps_its_margin(self, above, monkeypatch):
-        # one 12x12 subset with |det| / s_hat^12 = 1e-7 * above; the LU's
-        # margin 2d = 7.8e-10 keeps 1.003e-7 uncleared, the recursion's err does not
-        s = np.ones(12)
-        s[-1] = 1e3 * RANK_TOL * above
-        B = with_singular_values(s, np.random.default_rng(12))
-        assert sensing_properties._base_level(12, 12) == 12
-        assert cleared_mask(B)[1][0] == (above > 1.0078)
-        monkeypatch.setattr(sensing_properties, "_base_level", lambda n, t: 1)
-        assert cleared_mask(B)[1][0]
+    @pytest.mark.parametrize("ratio", [1e-3, 1.01e-4, 0.99e-4, 1e-6])
+    def test_floor_cutoff(self, ratio, route):
+        # one 12x12 subset with singular values 1 and 11 times ratio: its
+        # determinant, ratio^11, is far below the recursion's 1e-7, so the floor
+        # test decides on both routes, clearing it iff lambda_min = ratio^2
+        # exceeds d = 1e-8 tr = 1e-8 (1 + 11 ratio^2); the rest reach the SVD
+        B = with_singular_values(np.r_[1.0, np.full(11, ratio)], np.random.default_rng(12))
+        assert cleared_mask(B)[1][0] == (ratio > 1e-4)
+        assert spark(B).spark == 13
 
     def test_one_row(self):
         # t = 1: the entries themselves; nonzero ones are cleared, zeros reach the SVD
@@ -488,6 +477,62 @@ class TestDeterminantScreen:
             assert sensing_properties._base_level(n, m) == m
 
 
+#: near-square shapes of tools/brute_matrix.py whose upward scan fits the suite, and 13x17
+FLOOR_SHAPES = [(10, 14), (12, 16), (13, 17), (15, 16)]
+
+
+def ill_conditioned(m, cond, rng):
+    """An m x m left factor with condition number ``cond``."""
+    return with_singular_values(np.logspace(0.0, -np.log10(cond), m), rng)
+
+
+class TestFloorStageAnswers:
+    """The floor test changes no answer on the inputs it sees: near-square
+    probes, planted dependencies and ill-conditioned left factors."""
+
+    @pytest.mark.parametrize("m, n", FLOOR_SHAPES)
+    def test_near_square_gaussians(self, m, n):
+        assert_matches_reference(gaussian_matrix(m, n, 100 + m))
+
+    @pytest.mark.parametrize("m, n, level", [(m, n, 3) for m, n in FLOOR_SHAPES]
+                             + [(10, 14, 10), (6, 12, 3), (6, 12, 6)])
+    def test_planted_at_level_3_and_t(self, m, n, level):
+        A = plant_dependency(gaussian_matrix(m, n, 200 + m), level, np.random.default_rng(level))
+        assert_matches_reference(A)
+        assert spark(A).spark <= level
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("m, n", [(6, 12), (7, 12), (10, 14)])
+    def test_left_factors(self, m, n, cond):
+        rng = np.random.default_rng(int(np.log10(cond)) + m)
+        A = gaussian_matrix(m, n, 300 + m)
+        assert_matches_reference(ill_conditioned(m, cond, rng) @ A)
+
+    @pytest.mark.parametrize("m, n", [(14, 18), (17, 19), (19, 19)])
+    def test_large_near_square_probes(self, m, n):
+        # too slow for the upward scan: every probe subset the screen clears
+        # passes the SVD test far above the cutoff
+        rng = np.random.default_rng(n)
+        A = gaussian_matrix(m, n, 100 + m)
+        for cond in (1.0, 1e2, 1e4, 1e6):
+            B = ill_conditioned(m, cond, rng) @ A
+            subs, cleared = cleared_mask(B)
+            sv = np.linalg.svd(np.moveaxis(B[:, subs], 1, 0), compute_uv=False)
+            assert (sv[cleared, -1] > 9.9e-5 * sv[cleared, 0]).all()
+        assert spark(A).spark == m + 1
+
+    def test_brute_left_factor_count(self, tmp_path):
+        # the seed-0 7x12 group's M_I A6 (cond(M_I) = 88): the floor test leaves
+        # 11 of its 924 probe subsets for the SVD, where the recursion alone left 272
+        from perfbench.workloads import BruteCertify
+
+        inst = BruteCertify(0, tmp_path).groups[2]
+        assert inst.A.shape == (7, 12)
+        B = inst.M_I @ inst.A6
+        assert sum(len(c) for c in sensing_properties._uncleared(B)) == 11
+        assert_matches_reference(B)
+
+
 class TestSpark:
     def test_identity(self):
         rep = spark(np.eye(3))
@@ -528,8 +573,8 @@ class TestSpark:
             assert worst(n, min(m, n)) <= sensing_properties.MAX_SPARK_SUBSETS
 
     def test_guard_keeps_the_screen_below_t_20(self):
-        # the determinant screen's rounding bound (its LU term and the
-        # underflow term t! 2^-1072) is derived for t <= 19
+        # the screen's rounding bounds (the recursion's underflow term
+        # t! 2^-1072, the floor test's rho > 9.9e-5) are derived for t <= 19
         admitted = [min(m, n) for m in range(1, 41) for n in range(1, 41)
                     if sensing_properties._spark_worst_case(n, min(m, n))
                     <= sensing_properties.MAX_SPARK_SUBSETS]

@@ -2,12 +2,13 @@
 and one instance or argument list goes through the function that makes
 its line, with and without what ``--full`` adds.  The tools read private
 names of the package (``sensing_properties._uncleared``, ``_base_level``,
-``_rip_screens``, ``_extremes``, ``_require_rip_order``;
+``_floor_cleared``, ``_rip_screens``, ``_extremes``, ``_require_rip_order``;
 ``lp._gram_factor``), so a rename breaks them here rather than at the next
 identity run."""
 
 import importlib.util
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -29,12 +30,25 @@ def test_brute_matrix(tmp_path):
     line = tool.run("seed0/1", inst.A, False, inst)
     assert re.fullmatch(r"seed0/1 6x12 spark=7 witness=\[0, 1, 2, 3, 4, 5, 6\] [0-9a-f]{16}", line)
     full = tool.run("seed0/1", inst.A, True, inst)
-    assert re.fullmatch(re.escape(line) + r" b=1 cleared=\d+ svd=\d+ rip_screened=495"
-                        r" rip_eigvalsh=\d+ rip_gate=proved,proved,proved,proved", full)
+    assert re.fullmatch(re.escape(line) + r" b=1 det_cleared=\d+ floor_cleared=\d+ svd=\d+"
+                        r" rip_screened=495 rip_eigvalsh=\d+ rip_gate=proved,proved,proved,proved",
+                        full)
     assert tool.run("small", inst.A[:, :6], True).endswith(
         " rip_screened=0 rip_eigvalsh=15 rip_gate=-")
     inst.A6[:, 5] = inst.A6[:, 3]  # the gate on A cannot prove it; the pipeline then fails
     assert tool.gate_field(inst) == "rip_gate=fallback,fallback"
+
+
+def test_brute_matrix_stages_cover_the_probe():
+    tool = load("brute_matrix")
+    routes = set()
+    for _, A, _ in tool.instances():
+        fields = dict(field.split("=") for field in tool.screen_fields(A).split())
+        if fields["b"] != "-":
+            stages = [int(fields[name]) for name in ("det_cleared", "floor_cleared", "svd")]
+            assert sum(stages) == math.comb(A.shape[1], A.shape[0])
+            routes.add((fields["b"] == "1", stages[0] > 0))
+    assert routes == {(True, True), (False, False)}  # only the recursion clears by determinant
 
 
 def test_cert_matrix(tmp_path):

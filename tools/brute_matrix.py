@@ -18,19 +18,22 @@ raises contributes the error's class and message instead.  Diffing the
 output of two checkouts shows every instance whose answers changed.
 
 With ``--full`` each line also gives ``b``, the level where the spark
-screen starts its minors, and ``cleared`` and ``svd``, how many probe
-subsets of A the screen clears and how many it sends to the SVD (``b=-``
-when the probe is not screened: a tall A, or one outside
-``in_safe_range``); then, for ``rip_constants(A, 4)``, ``rip_screened``,
-the supports in chunks that the RIP screen runs on, and ``rip_eigvalsh``,
-the supports sent to ``eigvalsh`` (seeds, uncleared supports and every
-support of an unscreened chunk); last, for a brute_certify instance,
-``rip_gate``, the route of each call of the RIP-order gate, first the l0
-pipeline's on its 6x12 matrix, then the invariance triple's: ``proved`` by
-the gate's own test, or ``fallback`` to ``rip_constants`` (``rip_gate=-``
-on the other lines).  These fields read ``sensing_properties._base_level``,
-``_uncleared``, ``_rip_screens``, ``_extremes`` and ``_require_rip_order``,
-so they need a checkout that has them; the digests do not.
+screen starts its minors, and how many probe subsets of A each stage
+takes: ``det_cleared`` cleared by the recursion's determinant bound,
+``floor_cleared`` by the Cholesky floor test, and ``svd`` sent on to the
+SVD; the three sum to C(cols, rows) (``b=-`` when the probe is not
+screened: a tall A, or one outside ``in_safe_range``); then, for
+``rip_constants(A, 4)``, ``rip_screened``, the supports in chunks that the
+RIP screen runs on, and ``rip_eigvalsh``, the supports sent to
+``eigvalsh`` (seeds, uncleared supports and every support of an
+unscreened chunk); last, for a brute_certify instance, ``rip_gate``, the
+route of each call of the RIP-order gate, first the l0 pipeline's on its
+6x12 matrix, then the invariance triple's: ``proved`` by the gate's own
+test, or ``fallback`` to ``rip_constants`` (``rip_gate=-`` on the other
+lines).  These fields read ``sensing_properties._base_level``,
+``_uncleared``, ``_floor_cleared``, ``_rip_screens``, ``_extremes`` and
+``_require_rip_order``, so they need a checkout that has them; the
+digests do not.
 
 The instances: the eight brute_certify shapes at benchmark seeds 0-2; the
 same matrices with a dependency planted at level 3 and at level rows;
@@ -94,9 +97,20 @@ def reports(A: np.ndarray, inst=None) -> list[str]:
 def screen_fields(A: np.ndarray) -> str:
     m, n = A.shape
     if m > n or not in_safe_range(A):
-        return "b=- cleared=0 svd=-"
-    sent = sum(len(chunk) for chunk in props._uncleared(A))
-    return f"b={props._base_level(n, m)} cleared={math.comb(n, m) - sent} svd={sent}"
+        return "b=- det_cleared=0 floor_cleared=0 svd=-"
+    floor, reached = props._floor_cleared, []
+
+    def counting(G, subs, tau):
+        reached.append(len(subs))
+        return floor(G, subs, tau)
+
+    props._floor_cleared = counting
+    try:
+        sent = sum(len(chunk) for chunk in props._uncleared(A))
+    finally:
+        props._floor_cleared = floor
+    return (f"b={props._base_level(n, m)} det_cleared={math.comb(n, m) - sum(reached)}"
+            f" floor_cleared={sum(reached) - sent} svd={sent}")
 
 
 def rip_fields(A: np.ndarray) -> str:
