@@ -40,6 +40,27 @@ MAX_SEED = 2**64
 RANK_TOL = 1e-10
 #: unit roundoff u of float64, in the error bounds of the certified screens and certificates
 _UNIT_ROUNDOFF = 2.0**-53
+# Gram-floor lemma, the one proof behind every shifted-Cholesky screen.  Let X be a
+# symmetric k x k float matrix, s a float, gamma_j = j u / (1 - j u), and let a
+# Cholesky factorization of the finite fl(X - sI) (X's diagonal minus s, each
+# entry rounded once) end with k positive pivots, its computed R exact for
+# fl(X - sI) + E, |E| <= c |R'| |R|, c <= 0.005.  Higham (Accuracy and Stability of
+# Numerical Algorithms, Thm 10.3) gives c = gamma_(k+1) whatever the order of the
+# operations: for LAPACK's blocked Cholesky and an outer-product loop alike.
+# (1) Every x_ii > s, and lambda_min(X) > s - (c (1 + u) / (1 - c) + u) P, P = tr X
+# - k s; that is s - 1.01 (k + 2) u P for c = gamma_(k+1), (k + 1) u <= 0.004.
+# Proof: R'R is positive definite, and its diagonal ||R e_i||^2 is within
+# c ||R e_i||^2 of fl(x_ii - s), which is thus positive: each rounding of the shift
+# is <= u P, and ||R||_F^2 = tr(R'R) <= (1 + u) P + c ||R||_F^2 bounds ||E||_2 <=
+# c ||R||_F^2.  Underflow adds at most k^2 2^-1074 (2^-1075 per product); a
+# quotient r_ij that underflows moves r_jj r_ij by 2^-1075 r_jj < 2^-537 P, inside
+# the 1.01.  (2) If X = G_S, the block on the columns S of G = fl(N'N) for an N of
+# l rows, l u <= 0.005, its l-term dot products put it within gamma_l |N_S|'|N_S| +
+# l 2^-1075 of N_S'N_S, so within 1.01 gamma_l tr G_S + k l 2^-1074 in the 2-norm,
+# and for s >= 0 (P <= tr G_S) lambda_min(N_S'N_S) > s - (1.01 (k + 2) u +
+# 1.01 gamma_l) tr G_S - k (k + l) 2^-1074.  The mirror X = -G_S bounds
+# lambda_max(N_S'N_S) alike.
+
 #: rows per chunk of ``column_subsets`` (memory control for the batched kernels)
 _CHUNK = 4096
 #: floats one batched gather of a chunk's columns may hold (16 MiB)
@@ -135,9 +156,9 @@ def in_safe_range(M: np.ndarray) -> bool:
     return hi != 0.0 and lo >= 2.0**-400 and hi <= 2.0**400
 
 
-# ``rip_constants`` scales M only outside [2^-500, 2^500): there the largest Gram
-# entry is normal for m < 2^23 rows and ``eigvalsh`` rescales the rest, so those
-# matrices keep their unscaled bits.  The screens need ``in_safe_range``.
+# ``rip_constants`` scales M only outside [2^-500, 2^500), where the largest Gram entry is
+# normal for m < 2^23 and ``eigvalsh`` rescales the rest: those matrices keep their bits.
+# Its screen and gate need no ``in_safe_range``: their 2^-1000 covers underflow.
 _RIP_EXPONENT = 500
 
 

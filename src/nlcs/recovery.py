@@ -120,11 +120,11 @@ def _report(x_hat: np.ndarray, B: np.ndarray, y: np.ndarray, status: str,
 
 
 def _gram_floor(M: np.ndarray, phi: float | None = None, safe: bool | None = None) -> float:
-    """Certified lower bound phi F / 2 on lambda_min(M M'), F = trace(fl(M M')),
-    from a Cholesky factorization of M M' - tau I, or 0.0 when it fails or
-    M is outside ``matrix_core.in_safe_range`` (``safe``, when the caller knows).
-    Without ``phi``, phi is half the computed smallest eigenvalue over F,
-    kept within [``_RANK_FLOOR``, 1/2]."""
+    """Certified lower bound phi F / 2 on lambda_min(M M'), F = trace(fl(M M')), from a
+    Cholesky factorization of fl(M M') - sI, or 0.0 when it fails or M is outside
+    ``matrix_core.in_safe_range`` (``safe``, when the caller knows).  Without ``phi``,
+    phi is half the computed smallest eigenvalue over F, kept within [``_RANK_FLOOR``,
+    1/2].  Proof: the Gram-floor lemma of ``matrix_core``, as ``basis_pursuit`` applies it."""
     if not (in_safe_range(M) if safe is None else safe):
         return 0.0
     m, n = M.shape
@@ -137,12 +137,6 @@ def _gram_floor(M: np.ndarray, phi: float | None = None, safe: bool | None = Non
     except np.linalg.LinAlgError:
         return 0.0
     return phi * F / 2.0
-
-
-def _certified_full_row_rank(B: np.ndarray, safe: bool | None = None) -> bool:
-    """Does the Gram floor prove that B's SVD counts rank m?  (See
-    ``basis_pursuit``.)"""
-    return _gram_floor(B, _RANK_FLOOR, safe) > 0.0
 
 
 def _margin_and_bound(B: np.ndarray, S: np.ndarray, w: np.ndarray, sign: np.ndarray,
@@ -259,25 +253,14 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     2^q to a largest entry in [1/2, 1); x_hat = 2^(p - q) u is exact for the
     solution u, and the margin is B's, as 2^p B' w = B' (2^p w).
 
-    Gram floor.  For a p x q matrix M inside ``matrix_core.in_safe_range``
-    and (1e3 RANK_TOL)^2 <= phi <= 1/2, let u = 2^-53,
-    gamma_k = k u / (1 - k u), F the trace of fl(M M') (within
-    gamma_(p+q) of ||M||_F^2) and tau = (phi + 4 (p + q) u) F.  Suppose the
-    Cholesky factorization of H = fl(fl(M M') - tau I) succeeds.  Three
-    errors separate H + tau I from M M' in the 2-norm: the Gram matrix
-    (|fl(M M') - M M'| <= gamma_q |M| |M'| entrywise, so at most
-    gamma_q ||M||_F^2), the diagonal subtraction (at most
-    u (1.01 F + tau) <= 1.52 u F), and the factorization, blocked or not,
-    which is exact for H + dH with |dH| <= gamma_(p+1) |R'| |R| (Higham,
-    Accuracy and Stability of Numerical Algorithms, Thm 10.3), so that
-    ||dH||_2 <= gamma_(p+1) ||R||_F^2 <= gamma_(p+1) trace(H) /
-    (1 - gamma_(p+1)).  R'R = H + dH is positive definite, so
-    lambda_min(M M') exceeds tau minus these terms.  For (p + q + 2) u <=
-    0.01, true of any M that fits in memory, they sum to at most
-    (1.12 (p + q) + 2.8) u F, and with the rounding of tau that leaves
-    lambda_min(M M') > 0.99 phi F; ``_gram_floor`` returns phi F / 2.
-    Inside the safe range F >= 2^-800, so tau is a normal float and
-    underflow cannot void the bound.
+    Gram floor.  Let u = 2^-53, gamma_j = j u / (1 - j u), M a p x q matrix inside
+    ``matrix_core.in_safe_range``, (1e3 RANK_TOL)^2 <= phi <= 1/2 and (p + q + 2) u <=
+    0.004, true of any M that fits in memory.  ``_gram_floor`` factors fl(M M') - sI, s
+    the float (phi + 4 (p + q) u) F, F = fl(tr fl(M M')) >= 2^-800, so s is normal and
+    within a relative (p + 1.01) u of (phi + 4 (p + q) u) tr fl(M M').  If that
+    succeeds, the Gram-floor lemma (``matrix_core``; N = M', l = q, k = p) gives
+    lambda_min(M M') > s - (1.01 (p + 2) u + 1.01 gamma_q) tr fl(M M') - p (p + q)
+    2^-1074 > phi tr fl(M M') > 0.99 phi F; it returns phi F / 2.
 
     Row-rank screen.  The row rank r is the ``RANK_TOL`` count of B's
     singular values; the SVD that computes it is skipped when the Gram
@@ -309,10 +292,8 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     |c_j - b_j' w| <= g a_j (the dot-product bound gamma_m |b_j|' |w| with
     |b_j|' |w| <= a_j / (1 - gamma_m); underflow adds at most m 2^-1074,
     far below the 2u of step 3).
-    (1) Rank: the Gram floor with M = B_S' (p = k, q = m) and phi half the
-    computed smallest eigenvalue of fl(B_S' B_S) over F, kept within
-    [(1e3 RANK_TOL)^2, 1/2], must hold; then sigma_min(B_S) > s_lo =
-    sqrt(phi F / 2).
+    (1) Rank: ``_gram_floor(B_S')``, the Gram floor with M = B_S' (p = k, q = m) and
+    the phi it picks, must be positive; then sigma_min(B_S) > s_lo = sqrt(phi F / 2).
     (2) Equality: e = B_S' w - sign(x_S) has |e_i| <= 1.01 |r_i| + g a_i
     for the computed r = c_S - sign(x_S), so ||e||_2 <= eps =
     1.05 fl(|| |r| + g a_S ||_2).  Then w* = w - B_S (B_S' B_S)^-1 e meets
@@ -336,9 +317,9 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
         p, q = _unit_exponent(B), _unit_exponent(yv)
         B, yv, safe = np.ldexp(B, p), np.ldexp(yv, q), None
 
-    # reduce to a full-row-rank system; budget half the feasibility
-    # tolerance for the out-of-span component and half for the LP residual
-    r = m if _certified_full_row_rank(B, safe) else int(
+    # rank m when the Gram floor proves the SVD would count it ("Row-rank screen"); budget
+    # half the feasibility tolerance for the out-of-span component and half for the LP residual
+    r = m if _gram_floor(B, _RANK_FLOOR, safe) > 0.0 else int(
         rank_of_singular_values(np.linalg.svd(B, compute_uv=False)))
     if r < m:
         Ur = np.linalg.svd(B, full_matrices=False)[0][:, :r]

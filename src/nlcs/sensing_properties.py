@@ -236,7 +236,7 @@ def spark(A) -> SparkReport:
       cleared when (|D| - err) / s_hat^t > 1e3 RANK_TOL, s_hat = (1 + 1e-12)
       min(||A_S||_F, ||A||_2) >= s_max;
     - then ``_floor_cleared(G, S, 0)``, G = fl(A'A): at k = m = t <= 19 its
-      bound gives s_min^2 > 0.99e-8 tr G_S >= 0.99e-8 (1 - gamma_t) s_max^2.
+      Gram-floor bound gives s_min^2 > 0.99e-8 tr G_S >= 0.99e-8 (1 - gamma_t) s_max^2.
     The screen is skipped when a nonzero entry lies outside [2^-400, 2^400]
     (``in_safe_range``), where underflow or overflow could void these
     bounds.  Tall probes (cols < rows) and the upward scan use the SVD alone.
@@ -303,13 +303,11 @@ def _positive_definite(H: np.ndarray, shift: np.ndarray) -> np.ndarray:
 def _floor_cleared(G: np.ndarray, subs: np.ndarray, tau: float) -> np.ndarray:
     """For each row S of ``subs``: has the Cholesky of G_S - sI, s = tau + d,
     d = 1e-8 tr G_S + 2^-1000, positive pivots?  G_S, of order k, is gathered
-    from G = fl(M' M), M of m rows.  A yes gives lambda_min(M_S'M_S) > tau +
-    (1e-8 - e) tr G_S, e = 2.02 (k + 2) u + 2 gamma_m, u = 2^-53.  Proof: that
-    Cholesky is exact for a perturbation of norm <= 1.01 (k + 2) u (tr G_S + k
-    s) (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3), and
-    positive pivots give k s < tr G_S; G_S and M_S'M_S, m-term dot products
-    within gamma_m |M_S|'|M_S|, differ by <= 2 gamma_m tr G_S.  2^-1000 covers
-    underflow and the roundings of d and s."""
+    from G = fl(M' M), M of m rows, and tau >= 0.  A yes gives
+    lambda_min(M_S'M_S) > tau + (1e-8 - e) tr G_S, e = 2.02 (k + 2) u + 2 gamma_m,
+    by the Gram-floor lemma (``matrix_core``; l = m): tau <= s < tr G_S / k, the
+    roundings of s lose at most 2.01 u (tau + 2^-1000) + 1.01e-8 (k + 3) u tr G_S
+    + 2^-1075, and 2^-1000 covers that 2^-1075 and the lemma's k (k + m) 2^-1074."""
     H = _blocks(G, subs, 1)
     return _positive_definite(H, tau + 1e-8 * np.trace(H) + 2.0**-1000)
 
@@ -320,13 +318,12 @@ def _screened_extremes(M: np.ndarray, G: np.ndarray, subs: np.ndarray, alpha: fl
     G = fl(M' M): ``eigvalsh`` runs on 16 seeds (the 8 smallest Gershgorin
     lower and 8 largest upper bounds), then only on the S whose Cholesky fails
     on G_S - sI, s = max(alpha, 0) + d, or on (beta - d)I - G_S, with d =
-    1e-8 (tr G_S + k beta) + 2^-1000.  Proof: the steps of ``_floor_cleared``
-    (Cholesky perturbations <= 2.02 (k + 2) u (tr G_S + k beta) for both
-    shifts) and batched ``eigvalsh`` (LAPACK syevd), backward stable per
-    matrix and off by <= p(k) u tr G_S, leave S's computed eigenvalues above
-    alpha + d - 2.1 (k + 2 + m + p(k)) u (tr G_S + k beta) > alpha; the mirror
-    case is alike, as p(k) <= 12^7 and m < 1.1e4 (N >= 100 supports of m k
-    floats fit one 2^21-float gather)."""
+    1e-8 (tr G_S + k beta) + 2^-1000.  Proof: the Gram-floor lemma (``matrix_core``;
+    P <= tr G_S + k beta for both shifts, the mirror on -G_S) and batched ``eigvalsh``
+    (LAPACK syevd), backward stable per matrix and off by <= p(k) u tr G_S, leave S's
+    computed eigenvalues above alpha + d - 2.1 (k + 2 + m + p(k)) u (tr G_S + k beta)
+    > alpha; the mirror case is alike, as p(k) <= 12^7 and m < 1.1e4 (N >= 100
+    supports of m k floats fit one 2^21-float gather)."""
     N, k = subs.shape
     H = _blocks(G, subs, 2)
     diag = H.reshape(k * k, 2 * N)[::k + 1, :N]
@@ -394,8 +391,8 @@ def _require_rip_order(A, k: int) -> None:
     (2 gamma_m + p(k) u) tr G_S of M_S'M_S's (p(k) <= 12^7, as in
     ``_screened_extremes``), in [0, tr G_S], so beta_hi = 1.001 (sum of G's k
     largest diagonal entries, one >= 2^-1000) bounds every computed beta.  If
-    ``_floor_cleared`` clears every S at tau = fl(1e-10 beta_hi), its bound,
-    with e + 2 gamma_m + p(k) u < 1e-8, gives alpha > tau >= fl(1e-10 beta);
+    ``_floor_cleared`` clears every S at tau = fl(1e-10 beta_hi), its Gram-floor
+    bound, with e + 2 gamma_m + p(k) u < 1e-8, gives alpha > tau >= fl(1e-10 beta);
     if tau and beta_hi are normal once unscaled, so are alpha and beta.  Any
     other case goes to ``rip_constants``."""
     M = as_matrix(A)

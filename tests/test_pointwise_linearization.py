@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -25,6 +23,7 @@ from nlcs.pointwise_linearization import (
     qualified_type,
 )
 from nlcs.sensing_properties import spark
+from tests.exact import det
 
 
 def constant_map(fz):
@@ -372,15 +371,6 @@ class TestCertificateSerialization:
             certificate_errors(cert)
 
 
-def laplace_det(M):
-    """Exact determinant of a list-of-lists matrix by cofactor expansion
-    along the first row."""
-    if len(M) == 1:
-        return M[0][0]
-    return sum((-1) ** j * M[0][j] * laplace_det([row[:j] + row[j + 1:] for row in M[1:]])
-               for j in range(len(M)) if M[0][j])
-
-
 class TestDeterminantRule:
     """det(Y) = +-col[r] * prod_{i != r} vals[i] with perm[r] = q: types 2-4
     need each factor nonzero, however small."""
@@ -424,7 +414,7 @@ class TestDeterminantRule:
                                             perm=rng.permutation(n), vals=vals, q=q, col=col)
             Y = cert.Y
             cert.Fz = Y @ cert.z
-            exact = laplace_det([[Fraction(v) for v in row] for row in Y.tolist()])
+            exact = det(Y)
             singular = any("invertible" in p for p in certificate_errors(cert))
             assert singular == (exact == 0), (cert, exact)
             verdicts.add(singular)

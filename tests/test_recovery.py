@@ -35,6 +35,7 @@ from nlcs.recovery import (
 )
 from nlcs.pointwise_linearization import LinearizationCertificate, linearize
 from nlcs.sensing_properties import rip_constants, spark
+from tests.exact import gram, rationals, solve
 
 SQRT2_MINUS_1 = np.sqrt(2.0) - 1.0
 
@@ -138,21 +139,21 @@ class TestRowRankScreen:
     def test_cleared_only_at_full_svd_rank(self, ratio, m, n):
         B = with_singular_values(np.geomspace(1.0, ratio, m), n, m + n)
         svd_rank = int(rank_of_singular_values(np.linalg.svd(B, compute_uv=False)))
-        if recovery._certified_full_row_rank(B):
+        if recovery._gram_floor(B, recovery._RANK_FLOOR) > 0.0:
             assert svd_rank == m
         if ratio < 1e-7:
-            assert not recovery._certified_full_row_rank(B)
+            assert not recovery._gram_floor(B, recovery._RANK_FLOOR) > 0.0
 
     def test_clears_well_conditioned_systems(self):
         for m, n in [(1, 1), (1, 4), (4, 4), (64, 128), (160, 512)]:
-            assert recovery._certified_full_row_rank(gaussian_matrix(m, n, m + n))
+            assert recovery._gram_floor(gaussian_matrix(m, n, m + n), recovery._RANK_FLOOR) > 0.0
 
     def test_zero_rows_and_tall_matrices_are_not_cleared(self):
         B = gaussian_matrix(6, 12, 71)
         B[2] = 0.0
-        assert not recovery._certified_full_row_rank(B)
-        assert not recovery._certified_full_row_rank(gaussian_matrix(8, 5, 72))
-        assert not recovery._certified_full_row_rank(np.zeros((3, 4)))
+        assert not recovery._gram_floor(B, recovery._RANK_FLOOR) > 0.0
+        assert not recovery._gram_floor(gaussian_matrix(8, 5, 72), recovery._RANK_FLOOR) > 0.0
+        assert not recovery._gram_floor(np.zeros((3, 4)), recovery._RANK_FLOOR) > 0.0
 
     @pytest.mark.parametrize("scale", [2.0**-420, 2.0**420])
     def test_out_of_range_entries_skip_the_screen(self, scale, monkeypatch):
@@ -173,7 +174,7 @@ class TestRowRankScreen:
 
         monkeypatch.setattr(recovery, "_gram_floor", guarded)
         B = gaussian_matrix(4, 9, 73)
-        assert not recovery._certified_full_row_rank(scale * B)
+        assert not recovery._gram_floor(scale * B, recovery._RANK_FLOOR) > 0.0
         x = random_sparse_signal(9, 2, 74)
         rep = basis_pursuit(scale * B, scale * (B @ x))
         assert rep.solver_status == "converged"
@@ -193,7 +194,9 @@ class TestRowRankScreen:
         B = with_singular_values(np.geomspace(1.0, ratio, 8), 16, 77)
         ys = [B @ random_sparse_signal(16, 2, 78), np.random.default_rng(79).normal(size=8)]
         screened = [basis_pursuit(B, y).to_json() for y in ys]
-        monkeypatch.setattr(recovery, "_certified_full_row_rank", lambda B, safe: False)
+        gram_floor = recovery._gram_floor  # off for the row-rank screen only
+        monkeypatch.setattr(recovery, "_gram_floor", lambda M, phi=None, safe=None: (
+            0.0 if phi == recovery._RANK_FLOOR else gram_floor(M, phi, safe)))
         assert screened == [basis_pursuit(B, y).to_json() for y in ys]
 
 
@@ -209,29 +212,13 @@ def exact_corrected_margin(B, S, w, sign):
     """1 - ||B_S^c' w*||_inf in rational arithmetic, for w* = w - B_S (B_S'B_S)^-1 e
     and e = B_S' w - sign, the exact correction of w onto {B_S' w = sign}."""
     m, n = B.shape
-    Bq = [[Fraction(float(v)) for v in row] for row in B]
     wq = [Fraction(float(v)) for v in w]
-    col = [[Bq[i][j] for i in range(m)] for j in range(n)]
+    col = [list(c) for c in zip(*rationals(B))]
     dot = lambda a, b: sum(p * q for p, q in zip(a, b))
     e = [dot(col[j], wq) - int(sg) for j, sg in zip(S, sign)]
-    G = [[dot(col[i], col[j]) for j in S] for i in S]
-    z = solve_exact(G, e)
+    z = solve(gram(B, S), e)
     wstar = [wq[i] - sum(col[j][i] * zj for j, zj in zip(S, z)) for i in range(m)]
     return 1 - max(abs(dot(col[j], wstar)) for j in range(n) if j not in S)
-
-
-def solve_exact(G, r):
-    """Gauss-Jordan elimination in rationals."""
-    k = len(r)
-    M = [row[:] + [r[i]] for i, row in enumerate(G)]
-    for c in range(k):
-        p = next(i for i in range(c, k) if M[i][c] != 0)
-        M[c], M[p] = M[p], M[c]
-        for i in range(k):
-            if i != c and M[i][c] != 0:
-                f = M[i][c] / M[c][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return [M[i][k] / M[i][i] for i in range(k)]
 
 
 class TestL1Certificate:
@@ -377,7 +364,7 @@ class TestL1Certificate:
         B = gaussian_matrix(12, 24, 83)
         B[11] = B[0] - 2.0 * B[1]  # rank 11: the solve runs on the reduced rows
         x = random_sparse_signal(24, 2, 84)
-        assert not recovery._certified_full_row_rank(B)
+        assert not recovery._gram_floor(B, recovery._RANK_FLOOR) > 0.0
         rep = basis_pursuit(B, B @ x)
         assert rep.certified and rep.solver_status == "converged"
         assert np.abs(rep.x_hat - x).max() <= 1e-12 * np.abs(x).max()

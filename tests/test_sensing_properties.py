@@ -21,6 +21,7 @@ from nlcs.sensing_properties import (
     sample_null_vectors,
     spark,
 )
+from tests.exact import det
 
 
 def random_permuted_diagonal(n, rng):
@@ -320,24 +321,6 @@ class TestBoundedGathers:
         assert_matches_reference(A)
 
 
-def exact_det(A):
-    """Determinant of a small float matrix in exact rational arithmetic."""
-    rows = [[Fraction(float(x)) for x in row] for row in A]
-    det = Fraction(1)
-    for c in range(len(rows)):
-        pivot = next((r for r in range(c, len(rows)) if rows[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        for r in range(c + 1, len(rows)):
-            f = rows[r][c] / rows[c][c]
-            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return det
-
-
 def scaled(A):
     """A times the power of two that the screen applies."""
     return np.ldexp(A, -np.frexp(np.abs(A).max())[1])
@@ -413,7 +396,7 @@ class TestDeterminantScreen:
             D, err = (np.concatenate([c[i] for c in chunks]) for i in (1, 2))
             covered = sorted(tuple(sorted(S)) for S in subs.tolist())
             assert covered == list(combinations(range(n), t))
-            dets = [exact_det(M[:, S]) for S in subs.tolist()]
+            dets = [det(M[:, S]) for S in subs.tolist()]
             assert any(all(abs(Fraction(float(x)) - sign * e) <= Fraction(float(b))
                            for x, e, b in zip(D, dets, err)) for sign in (1, -1))
 
