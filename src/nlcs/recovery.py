@@ -98,11 +98,11 @@ class RecoveryReport(JsonReport):
 def support_set(v) -> set[int]:
     """Indices of the significant entries of a recovered vector.
 
-    The threshold 1e-6 * max(1, ||v||_inf) separates true support values
-    from decoder noise on the scales this package works at.
+    The threshold 1e-6 * ||v||_inf separates true support values from
+    decoder noise at any scale of v.
     """
     x = as_vector(v)
-    threshold = 1e-6 * max(1.0, float(np.abs(x).max()))
+    threshold = 1e-6 * float(np.abs(x).max())
     return {int(i) for i in np.flatnonzero(np.abs(x) > threshold)}
 
 
@@ -364,10 +364,10 @@ def l0_oracle(B, y, k_max: int) -> RecoveryReport:
     """Sparsest solution of B u = y by exhaustive support enumeration.
 
     For each k = 0..k_max, supports are tried in lexicographic order and
-    the first least-squares fit with residual <= thr = 1e-8 (1 + ||y||_2)
-    wins, which also fixes the tie-breaking within a sparsity level.  When
-    no support of size <= k_max fits, the report carries solver_status
-    "infeasible" (nothing found) and x_hat = 0.
+    the first least-squares fit with residual <= thr = 1e-8 ||y||_2 wins,
+    which also fixes the tie-breaking within a sparsity level; the empty
+    support fits only y = 0.  When no support of size <= k_max fits, the
+    report carries solver_status "infeasible" (nothing found) and x_hat = 0.
 
     Screen.  Each level is taken in chunks of ``matrix_core.column_subsets``
     and, for k < m, screened before ``lstsq`` runs.  One batched
@@ -413,9 +413,9 @@ def l0_oracle(B, y, k_max: int) -> RecoveryReport:
             f"l0 enumeration guard exceeded: C({n},1) + ... + C({n},{k_max})={total}"
             f" > max_supports={MAX_L0_SUPPORTS}"
         )
-    thr = 1e-8 * (1.0 + float(np.linalg.norm(yv)))
-    if float(np.linalg.norm(yv)) <= thr:
+    if not yv.any():
         return _report(np.zeros(n), B, yv, "converged")
+    thr = 1e-8 * float(np.linalg.norm(yv))
     By = np.column_stack([B, yv])
     screenable = in_safe_range(By)
     for k in range(1, k_max + 1):

@@ -126,6 +126,22 @@ def test_gram_floor_bound_holds_exactly(phi):
         assert cleared == [ratio > cut for ratio in ratios for _ in range(4)], (p, q)
 
 
+#: seeds whose 2 x 500 plant at 0.98 ``_RANK_FLOOR`` passes a Cholesky test shifted
+#: by phi F alone: the rounding of fl(M M') (about q u F, q = 500) exceeds the gap
+#: to the floor there, so only the 4 (p + q) u F term of the shift rejects them
+#: (51 of seeds 0-999 pass without it, none with it)
+WIDE_SEEDS = (30, 61, 72, 94, 102)
+
+
+def test_gram_floor_shift_covers_wide_products():
+    phi = recovery._RANK_FLOOR
+    for seed in WIDE_SEEDS:
+        M = planted_rows(2, 500, 0.98 * phi, np.random.default_rng(seed))
+        r = phi * float(np.trace(M @ M.T)) / 2.0  # what a pass would return
+        assert not definite(gram(M.T), Fraction(198, 100) * Fraction(r)), seed
+        assert assert_gram_floor_bound(M, phi) == 0.0, seed
+
+
 def test_gram_floor_is_off_where_products_underflow():
     # rows (1, 3/4) 2^-537 and 3/4 of it: M M' is singular, but each product
     # rounds to a whole multiple of 2^-1074, to [[100, 50], [50, 50]] 2^-1074,

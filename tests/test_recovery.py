@@ -471,9 +471,9 @@ def reference_l0(B, y, k_max):
     for bit: every support in lexicographic order through ``lstsq``."""
     B, yv = as_system(B, y)
     n = B.shape[1]
-    thr = 1e-8 * (1.0 + float(np.linalg.norm(yv)))
-    if float(np.linalg.norm(yv)) <= thr:
+    if not yv.any():
         return recovery._report(np.zeros(n), B, yv, "converged")
+    thr = 1e-8 * float(np.linalg.norm(yv))
     for k in range(1, k_max + 1):
         for sup in combinations(range(n), k):
             cols = B[:, sup]
@@ -497,7 +497,7 @@ def with_residual(B, support, coef, factor):
     y0 = B[:, support] @ coef
     Q, _ = np.linalg.qr(B[:, support], mode="complete")
     e = Q[:, len(support)]
-    return y0 + factor * 1e-8 * (1.0 + np.linalg.norm(y0)) * e
+    return y0 + factor * 1e-8 * np.linalg.norm(y0) * e
 
 
 class TestL0Screen:
@@ -918,3 +918,18 @@ class TestEffectiveMatrix:
 def test_support_set_threshold():
     v = np.array([1.0, 1e-9, -2.0, 0.0])
     assert support_set(v) == {0, 2}
+    assert support_set(np.zeros(3)) == set()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-100])
+def test_l0_and_support_are_scale_invariant(scale):
+    # both thresholds are relative: at 1e-9 an absolute 1e-8 fit threshold let the
+    # empty support fit, and an absolute 1e-6 support threshold counted no entry
+    A, x = gaussian_matrix(6, 12, 3), scale * random_sparse_signal(12, 2, 4)
+    assert support_set(x) == {7, 11}
+    rep = l0_oracle(A, A @ x, 2)
+    assert rep.solver_status == "converged" and support_set(rep.x_hat) == {7, 11}
+    assert rep.to_json() == reference_l0(A, A @ x, 2).to_json()
+    out = recover_via_linearization(A, identity_map(6), "pre", x, "l0").report
+    assert out.support_exact and out.rel_error < 1e-12
+    assert l0_oracle(A, np.zeros(6), 2).solver_status == "converged"

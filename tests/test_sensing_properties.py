@@ -460,7 +460,7 @@ class TestDeterminantScreen:
             assert sensing_properties._base_level(n, m) == m
 
 
-#: near-square shapes of tools/brute_matrix.py whose upward scan fits the suite, and 13x17
+#: near-square shapes of the brute identity matrix whose upward scan fits the suite, and 13x17
 FLOOR_SHAPES = [(10, 14), (12, 16), (13, 17), (15, 16)]
 
 

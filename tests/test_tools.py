@@ -1,8 +1,9 @@
-"""Smoke tests of the four identity tools in ``tools/``: each one imports,
-and one instance or argument list goes through the function that makes
-its line, with and without what ``--full`` adds.  The tools read private
-names of the package (``sensing_properties._uncleared``, ``_base_level``,
-``_floor_cleared``, ``_rip_screens``, ``_extremes``, ``_require_rip_order``;
+"""Smoke tests of ``tools/identity.py``: it imports, one instance or
+argument list of each matrix goes through the function that makes its
+line, with and without what ``--full`` adds, and the diff against a
+revision reports what moved.  The tool reads private names of the package
+(``sensing_properties._uncleared``, ``_base_level``, ``_floor_cleared``,
+``_rip_screens``, ``_extremes``, ``_require_rip_order``;
 ``lp._gram_factor``), so a rename breaks them here rather than at the next
 identity run."""
 
@@ -10,14 +11,17 @@ import importlib.util
 import json
 import math
 import re
+import subprocess
 import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def load(name):
-    spec = importlib.util.spec_from_file_location(f"tools_{name}", TOOLS / f"{name}.py")
+def load():
+    spec = importlib.util.spec_from_file_location("tools_identity", ROOT / "tools" / "identity.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
@@ -25,24 +29,24 @@ def load(name):
 
 
 def test_brute_matrix(tmp_path):
-    tool = load("brute_matrix")
+    tool = load()
     inst = tool.BruteCertify(0, tmp_path).groups[1]
-    line = tool.run("seed0/1", inst.A, False, inst)
+    line = tool.run_brute("seed0/1", inst.A, False, inst)
     assert re.fullmatch(r"seed0/1 6x12 spark=7 witness=\[0, 1, 2, 3, 4, 5, 6\] [0-9a-f]{16}", line)
-    full = tool.run("seed0/1", inst.A, True, inst)
+    full = tool.run_brute("seed0/1", inst.A, True, inst)
     assert re.fullmatch(re.escape(line) + r" b=1 det_cleared=\d+ floor_cleared=\d+ svd=\d+"
                         r" rip_screened=495 rip_eigvalsh=\d+ rip_gate=proved,proved,proved,proved",
                         full)
-    assert tool.run("small", inst.A[:, :6], True).endswith(
+    assert tool.run_brute("small", inst.A[:, :6], True).endswith(
         " rip_screened=0 rip_eigvalsh=15 rip_gate=-")
     inst.A6[:, 5] = inst.A6[:, 3]  # the gate on A cannot prove it; the pipeline then fails
     assert tool.gate_field(inst) == "rip_gate=fallback,fallback"
 
 
-def test_brute_matrix_stages_cover_the_probe():
-    tool = load("brute_matrix")
+def test_brute_matrix_stages_cover_the_probe(tmp_path):
+    tool = load()
     routes = set()
-    for _, A, _ in tool.instances():
+    for _, A, _ in tool.instances(tmp_path):
         fields = dict(field.split("=") for field in tool.screen_fields(A).split())
         if fields["b"] != "-":
             stages = [int(fields[name]) for name in ("det_cleared", "floor_cleared", "svd")]
@@ -52,7 +56,7 @@ def test_brute_matrix_stages_cover_the_probe():
 
 
 def test_cert_matrix(tmp_path):
-    tool = load("cert_matrix")
+    tool = load()
     F, z = tool.CertSweep(0, tmp_path).groups[0]
     line, fields = tool.run_pair("seed0/000", F, z)
     assert line.startswith(f"seed0/000 {F.kind} dim{z.shape[0]} holds=")
@@ -60,7 +64,7 @@ def test_cert_matrix(tmp_path):
 
 
 def test_panel_matrix(tmp_path):
-    tool = load("panel_matrix")
+    tool = load()
     sizes = {"m": 12, "n": 24, "k": 2, "trials": 3}
     line, records = tool.run_panel("smoke/sign_pre", sizes, {"kind": "sign"}, "pre", 0, tmp_path)
     assert re.fullmatch(r"smoke/sign_pre [0-9a-f]{16} [0-9a-f]{16} solves=3 steps=\d+", line)
@@ -68,12 +72,49 @@ def test_panel_matrix(tmp_path):
 
 
 def test_cli_matrix(tmp_path, monkeypatch):
-    tool = load("cli_matrix")
+    tool = load()
     monkeypatch.chdir(tmp_path)
     configs = tool._write_inputs()
     assert all(Path(c).exists() for c in configs if c != "missing.json")
-    code, stdout, stderr = tool.run_one(["rip", "g6x12.csv", "--k", "2"])
+    code, stdout, stderr = tool.run_cli(["rip", "g6x12.csv", "--k", "2"])
     assert (code, stderr) == (0, "") and json.loads(stdout)["order"] == 2
-    code, stdout, stderr = tool.run_one(["spark", "missing.csv"])
+    code, stdout, stderr = tool.run_cli(["spark", "missing.csv"])
     assert code == 1 and stdout == "" and stderr.startswith("error:")
 
+
+OUTPUT = "".join(f"== {name} ==\n{name} line 1\n    {name} detail\n{name} line 2\n"
+                 for name in ("cli", "panel", "cert", "brute"))
+
+
+def test_report_of_identical_outputs(capsys):
+    tool = load()
+    assert tool.report("REV", OUTPUT, OUTPUT) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: 3 lines compared, 0 differ" for name in ("cli", "panel", "cert", "brute")]
+
+
+def test_report_names_a_planted_change(capsys):
+    tool = load()
+    planted = OUTPUT.replace("panel line 2", "panel line 2 moved")
+    assert tool.report("REV", OUTPUT, planted) == 1
+    out = capsys.readouterr().out
+    assert "panel: 3 lines compared, 1 differ\n    @@ -3 +3 @@\n    -panel line 2\n" \
+           "    +panel line 2 moved\ncert: " in out
+    assert out.count(" 0 differ") == 3
+
+
+def test_diff_fails_on_an_unknown_revision(capsys):
+    assert load().diff("no-such-revision", False) == 2
+    assert "no-such-revision" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
+def test_tree_imports_its_own_package(tmp_path):
+    tree = tmp_path / "tree"
+    load().build_tree("HEAD", tree)
+    assert sorted(p.name for p in tree.iterdir()) == ["perfbench", "src", "tools"]
+    script = (f"import runpy; runpy.run_path({str(tree / 'tools' / 'identity.py')!r}); "
+              "import nlcs; print(nlcs.__file__)")
+    found = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True).stdout.strip()
+    assert Path(found) == tree / "src" / "nlcs" / "__init__.py"
