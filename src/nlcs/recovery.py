@@ -4,8 +4,9 @@ Two decoders are provided:
 
 * ``basis_pursuit`` -- l1-norm minimization subject to B u = y, solved by
   the in-repo interior-point core for the split form u = u+ - u-, which
-  stops at the first iterate whose support carries a dual certificate of
-  unique optimality (``certify_l1``, checked by ``l1_dual_errors``);
+  stops at the first iterate whose support, or the pipeline's guess supp(x),
+  carries a dual certificate of unique optimality (``certify_l1``, checked
+  by ``l1_dual_errors``);
 * ``l0_oracle`` -- exhaustive minimum-support search: for k = 0, 1, ... all
   size-k supports are tried in lexicographic order and the first one whose
   least-squares fit reproduces the measurements is returned.  Each level
@@ -132,8 +133,9 @@ def _gram_floor(M: np.ndarray, phi: float | None = None, safe: bool | None = Non
     F = float(np.trace(G))
     if phi is None:
         phi = min(max(float(np.linalg.eigvalsh(G)[0]) / (2.0 * F), _RANK_FLOOR), 0.5)
+    G.flat[::m + 1] -= (phi + 4.0 * (m + n) * _UNIT_ROUNDOFF) * F  # G - sI, in place
     try:
-        np.linalg.cholesky(G - (phi + 4.0 * (m + n) * _UNIT_ROUNDOFF) * F * np.eye(m))
+        np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         return 0.0
     return phi * F / 2.0
@@ -202,18 +204,15 @@ def _dual_problems(B: np.ndarray, b: np.ndarray, x: np.ndarray, w: np.ndarray,
     return problems, found[0]
 
 
-def certify_l1(B, b, S, y) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Polished l1 minimizer on the support S, its dual certificate w and
-    margin 1 - ||B_S^c' w||_inf, or None when they fail ``l1_dual_errors``.
-
-    One R-only QR of [B_S, b] gives R_S, the factor of B_S, and the
-    least-squares residual |R[k, k]| of b on B_S (k = |S|); the attempt
-    stops there when that residual exceeds half the feasibility tolerance,
-    so a support that cannot fit b costs one QR without Q.  Otherwise
-    x_S = R_S^-1 R[:k, k], and w is the dual y projected onto
-    {B_S' w = sign(x_S)}, w = y + B_S R_S^-1 R_S^-T (sign(x_S) - B_S' y).
-    The arguments are only read.
-    """
+def _support_certifier(B: np.ndarray, b: np.ndarray, S: np.ndarray, guess: bool = False):
+    """The per-support half of ``certify_l1``: None when no certificate can hold
+    on S, else the per-dual test y -> ``certify_l1(B, b, S, y)``.  A ``guess``
+    (see ``basis_pursuit``) also needs every fitted entry to count in
+    ``support_set``, so an extra index, fit by rounding noise, proves nothing,
+    and its test first screens y at a tenth of the cost: for Q = B_S R_S^-1,
+    M = B_off' (I - Q Q') and c0 = B_off' Q R_S^-T sign(x_S), M y + c0 is B_off' w
+    for the exact projection w of y, and a value >= 1 returns None.  Rounding
+    can make the screen reject a y the test would pass, never certify one."""
     m, n = B.shape
     k = S.size
     A = np.empty((m, k + 1))
@@ -225,20 +224,52 @@ def certify_l1(B, b, S, y) -> tuple[np.ndarray, np.ndarray, float] | None:
     BS, RS = A[:, :k], R[:k, :k]
     try:
         xs = np.linalg.solve(RS, R[:k, k])
-        if not np.all(xs != 0.0):
-            return None
-        w = y + BS @ np.linalg.solve(RS, np.linalg.solve(RS.T, np.sign(xs) - BS.T @ y))
     except np.linalg.LinAlgError:  # an exactly singular R_S
         return None
-    c = B.T @ w
+    a = np.abs(xs)
+    if not a.min() > (1e-6 * a.max() if guess else 0.0):
+        return None
+    sign = np.sign(xs)
     off = np.ones(n, dtype=bool)
     off[S] = False
-    if not 1.0 - float(np.abs(c[off]).max()) > 0.0:
-        return None
-    x = np.zeros(n)
-    x[S] = xs
-    problems, margin = _dual_problems(B, b, x, w, c)
-    return None if problems else (x, w, margin)
+    if guess:
+        Ri = np.linalg.inv(RS)
+        Bt, Q = B[:, off].T, BS @ Ri
+        Z = Bt @ Q
+        M, c0 = Bt - Z @ Q.T, Z @ (sign @ Ri)
+
+    def test(y):
+        if guess and not float(np.abs(M @ y + c0).max()) < 1.0:
+            return None
+        try:
+            w = y + BS @ np.linalg.solve(RS, np.linalg.solve(RS.T, sign - BS.T @ y))
+        except np.linalg.LinAlgError:
+            return None
+        c = B.T @ w
+        if not 1.0 - float(np.abs(c[off]).max()) > 0.0:
+            return None
+        x = np.zeros(n)
+        x[S] = xs
+        problems, margin = _dual_problems(B, b, x, w, c)
+        return None if problems else (x, w, margin)
+
+    return test
+
+
+def certify_l1(B, b, S, y) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Polished l1 minimizer on the support S, its dual certificate w and
+    margin 1 - ||B_S^c' w||_inf, or None when they fail ``l1_dual_errors``.
+
+    One R-only QR of [B_S, b] gives R_S, the factor of B_S, and the
+    least-squares residual |R[k, k]| of b on B_S (k = |S|); the attempt
+    stops there when that residual exceeds half the feasibility tolerance,
+    so a support that cannot fit b costs one QR without Q.  Otherwise
+    x_S = R_S^-1 R[:k, k], and w is the dual y projected onto
+    {B_S' w = sign(x_S)}, w = y + B_S R_S^-1 R_S^-T (sign(x_S) - B_S' y).
+    The arguments are only read; ``_support_certifier`` does the work.
+    """
+    test = _support_certifier(B, b, S)
+    return None if test is None else test(y)
 
 
 def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
@@ -276,6 +307,15 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     support carries the certificate below, returning the polished fit and
     the checker's margin (hook in ``lp``, fit and projection in ``certify_l1``).
 
+    Support guess.  The pipeline, which knows x, decodes through ``_decode_l1``
+    with S* = supp(x) as a guess: one setup on the scaled, unreduced (B, y)
+    tests the dual 0 (Fuchs' least-norm certificate, IEEE TIT 2004) before the
+    row-rank screen and the start solve, then each later iterate's dual y_r
+    before the hook, as U_r y_r on the reduced path.  The proof below needs
+    only B_S's full column rank and B h = 0, and the residual test bounds
+    ||B x_hat - y|| on B itself, so it holds for a row-rank-deficient B.  A
+    proven x_hat depends only on S*; for B of full row rank it has the hook's bits.
+
     Certificate (Zhang, Yin & Cheng, JOTA 2015).  Let S be the support of
     x_hat.  If B_S has full column rank and some w* has
     B_S' w* = sign(x_S) and ||B_S^c' w*||_inf < 1, then every h != 0 with
@@ -308,6 +348,11 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     ||B_S^c' w*||_inf < 1.
     """
     _check_max_iter(max_iter)
+    return _decode_l1(B, y, max_iter)
+
+
+def _decode_l1(B, y, max_iter: int, support: np.ndarray | None = None) -> RecoveryReport:
+    """``basis_pursuit`` with ``support`` as the guess of its docstring (None: no guess)."""
     B0, y0 = B, yv = as_system(B, y)
     m, n = B.shape
     if not yv.any():
@@ -316,6 +361,12 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     if not (safe and in_safe_range(yv)):  # solve 2^p B u = 2^q y; then x = 2^(p - q) u
         p, q = _unit_exponent(B), _unit_exponent(yv)
         B, yv, safe = np.ldexp(B, p), np.ldexp(yv, q), None
+    test = None
+    if support is not None and support.size < m:
+        test = _support_certifier(B, yv, support, guess=True)
+    found = None if test is None else test(np.zeros(m))
+    if found is not None:
+        return _report(np.ldexp(found[0], p - q), B0, y0, "converged", found[2])
 
     # rank m when the Gram floor proves the SVD would count it ("Row-rank screen"); budget
     # half the feasibility tolerance for the out-of-span component and half for the LP residual
@@ -338,6 +389,7 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
         opt_tol=LP_OPTIMALITY_TOL,
         max_iter=max_iter,
         certify=partial(certify_l1, B_eff, y_eff),
+        guess=test if test is None or r == m else lambda w: test(Ur @ w),
     )
     margin = None if res.certificate is None else res.certificate[2]
     return _report(np.ldexp(res.x, p - q), B0, y0, res.status, margin)
@@ -368,6 +420,8 @@ def l0_oracle(B, y, k_max: int) -> RecoveryReport:
     which also fixes the tie-breaking within a sparsity level; the empty
     support fits only y = 0.  When no support of size <= k_max fits, the
     report carries solver_status "infeasible" (nothing found) and x_hat = 0.
+    A B or y outside ``matrix_core.in_safe_range`` is first scaled by 2^p or 2^q
+    (as in ``basis_pursuit``), so that no norm loses its squares to underflow.
 
     Screen.  Each level is taken in chunks of ``matrix_core.column_subsets``
     and, for k < m, screened before ``lstsq`` runs.  One batched
@@ -415,9 +469,15 @@ def l0_oracle(B, y, k_max: int) -> RecoveryReport:
         )
     if not yv.any():
         return _report(np.zeros(n), B, yv, "converged")
-    thr = 1e-8 * float(np.linalg.norm(yv))
     By = np.column_stack([B, yv])
     screenable = in_safe_range(By)
+    B0, y0, p, q = B, yv, 0, 0
+    if not screenable:  # search 2^p B u = 2^q y; then x = 2^(p - q) u
+        p, q = (0 if in_safe_range(M) else _unit_exponent(M) for M in (B, yv))
+        B, yv = np.ldexp(B, p), np.ldexp(yv, q)
+        By = np.column_stack([B, yv])
+        screenable = in_safe_range(By)
+    thr = 1e-8 * float(np.linalg.norm(yv))
     for k in range(1, k_max + 1):
         gamma = 64.0 * m * k * k * _UNIT_ROUNDOFF
         screen = screenable and k < m
@@ -430,8 +490,8 @@ def l0_oracle(B, y, k_max: int) -> RecoveryReport:
                 if float(np.linalg.norm(cols @ coef - yv)) <= thr:
                     u = np.zeros(n)
                     u[sup] = coef
-                    return _report(u, B, yv, "converged")
-    return _report(np.zeros(n), B, yv, "infeasible")
+                    return _report(np.ldexp(u, p - q), B0, y0, "converged")
+    return _report(np.zeros(n), B0, y0, "infeasible")
 
 
 @dataclass
@@ -505,8 +565,9 @@ def recover_via_linearization(
     is within the guard, and asserted by the caller otherwise.  The
     effective matrix is rescaled to symmetric RIP bounds when its constants
     are measurable (again within the guard); rescaling never changes the
-    recovered support.  ``max_iter`` caps the l1 solver's
-    iterations; it is validated for either method.
+    recovered support.  The l1 decode takes supp(x) as its support guess
+    (see ``basis_pursuit``); ``max_iter`` caps its solver's iterations and is
+    validated for either method.
     """
     _check_max_iter(max_iter)
     A = as_matrix(A)
@@ -551,7 +612,7 @@ def recover_via_linearization(
 
     B *= lam  # B is fresh; the measurements may be the certificate's Fz
     if method == "l1":
-        report = basis_pursuit(B, lam * z, max_iter=max_iter)
+        report = _decode_l1(B, lam * z, max_iter, np.flatnonzero(x))
     else:
         report = l0_oracle(B, lam * z, k)
 

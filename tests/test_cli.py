@@ -234,9 +234,9 @@ class TestLinearize:
 
 
 class TestRecover:
-    def _write_instance(self, tmp_path):
+    def _write_instance(self, tmp_path, signal_seed=6):
         A = gaussian_matrix(6, 12, 5)
-        x = random_sparse_signal(12, 2, 6)
+        x = random_sparse_signal(12, 2, signal_seed)
         apath, xpath = tmp_path / "A.csv", tmp_path / "x.csv"
         np.savetxt(apath, A, delimiter=",")
         np.savetxt(xpath, x, delimiter=",")
@@ -261,7 +261,9 @@ class TestRecover:
         assert payload["certificate_type"] == 3
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
-        apath, xpath = self._write_instance(tmp_path)
+        # x is not the l1 minimizer of this abs/pre system (l1 decodes another
+        # vector), so no certificate on supp(x) can end the solve before its cap
+        apath, xpath = self._write_instance(tmp_path, signal_seed=7)
         code, out, _ = run_cli(
             capsys,
             "recover",

@@ -296,14 +296,14 @@ def test_uncertified_desk_solves_converge(tmp_path, monkeypatch):
     # sign/pre at the desk scale with k = 30, past the l1 recovery threshold:
     # most solves are not certified and run to the solver's own stopping tests
     reports = []
-    basis_pursuit = recovery.basis_pursuit
+    decode = recovery._decode_l1  # the pipeline's l1 decode, with the support guess
 
-    def logged(B, y, **kwargs):
-        rep = basis_pursuit(B, y, **kwargs)
+    def logged(B, y, *args):
+        rep = decode(B, y, *args)
         reports.append((rep, float(np.linalg.norm(y))))
         return rep
 
-    monkeypatch.setattr(recovery, "basis_pursuit", logged)
+    monkeypatch.setattr(recovery, "_decode_l1", logged)
     cfg = make_config(tmp_path, m=64, n=128, k=30, map_spec={"kind": "sign"}, trials=100, seed=0)
     run_experiment(cfg)
     assert len(reports) == 100

@@ -559,14 +559,23 @@ class TestL0Screen:
         rep = assert_l0_matches_reference(B, np.array([0.0, 0.0, 0.0, 1.0]), 3)
         assert rep.solver_status == "infeasible"
 
-    def test_out_of_range_entries_skip_the_screen(self, monkeypatch):
-        def unreachable(*args, **kwargs):  # pragma: no cover
-            raise AssertionError("screen ran outside its safe range")
+    def test_out_of_range_systems_are_scaled_before_the_screen(self, monkeypatch):
+        # a system outside the safe range is scaled by powers of two first, so
+        # the screen sees [B, y] only inside it; one whose entries still spread
+        # past it after scaling skips the screen
+        may_fit = recovery._may_fit
 
-        monkeypatch.setattr(recovery, "_may_fit", unreachable)
+        def guarded(By, *args):
+            assert in_safe_range(By), "screen ran outside its safe range"
+            return may_fit(By, *args)
+
+        monkeypatch.setattr(recovery, "_may_fit", guarded)
         B = gaussian_matrix(5, 8, 67)
         for scale in (2.0**-420, 2.0**420):
             assert_l0_matches_reference(scale * B, scale * (B[:, 2] - B[:, 6]), 2)
+        B[0, 0] = 2.0**-420
+        assert_l0_matches_reference(B, B[:, 2] - B[:, 6], 2)
+        assert not in_safe_range(np.ldexp(B, matrix_core._unit_exponent(B)))
 
     def test_level_beyond_one_chunk(self, monkeypatch):
         # C(20, 4) = 4,845 supports: level 4 is screened in two chunks, and
@@ -933,3 +942,183 @@ def test_l0_and_support_are_scale_invariant(scale):
     out = recover_via_linearization(A, identity_map(6), "pre", x, "l0").report
     assert out.support_exact and out.rel_error < 1e-12
     assert l0_oracle(A, np.zeros(6), 2).solver_status == "converged"
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-300])
+def test_l0_scales_systems_below_the_safe_range(scale):
+    # squaring entries below about 1e-154 underflows, so ||y|| and the residual
+    # norms lost their precision and the support [0] passed; y is scaled by 2^q
+    A, x = gaussian_matrix(6, 12, 3), scale * random_sparse_signal(12, 2, 4)
+    y = A @ x
+    rep = l0_oracle(A, y, 2)
+    assert rep.solver_status == "converged" and support_set(rep.x_hat) == {7, 11}
+    q = matrix_core._unit_exponent(y)
+    assert np.array_equal(rep.x_hat, np.ldexp(reference_l0(A, np.ldexp(y, q), 2).x_hat, -q))
+    out = recover_via_linearization(A, identity_map(6), "pre", x, "l0").report
+    assert out.support_exact and out.rel_error < 1e-12
+
+
+def reference_certify_l1(B, b, S, y):
+    """``certify_l1`` as one function, before its setup and test were split."""
+    m, n = B.shape
+    k = S.size
+    A = np.empty((m, k + 1))
+    A[:, :k] = B[:, S]
+    A[:, k] = b
+    R = np.linalg.qr(A, mode="r")
+    if not abs(R[k, k]) <= 0.5 * LP_FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(b))):
+        return None
+    BS, RS = A[:, :k], R[:k, :k]
+    try:
+        xs = np.linalg.solve(RS, R[:k, k])
+        if not np.all(xs != 0.0):
+            return None
+        w = y + BS @ np.linalg.solve(RS, np.linalg.solve(RS.T, np.sign(xs) - BS.T @ y))
+    except np.linalg.LinAlgError:
+        return None
+    c = B.T @ w
+    off = np.ones(n, dtype=bool)
+    off[S] = False
+    if not 1.0 - float(np.abs(c[off]).max()) > 0.0:
+        return None
+    x = np.zeros(n)
+    x[S] = xs
+    problems, margin = recovery._dual_problems(B, b, x, w, c)
+    return None if problems else (x, w, margin)
+
+
+class GuessSpy:
+    """Wraps ``recovery._decode_l1`` and the guess tests of
+    ``recovery._support_certifier``: records each decode as [B, y, support,
+    report, proof] and checks every proof with ``l1_dual_errors`` on the system
+    it was made for."""
+
+    def __init__(self, monkeypatch):
+        self.decodes = []
+        setup, decode = recovery._support_certifier, recovery._decode_l1
+
+        def spied_setup(B, b, S, guess=False):
+            test = setup(B, b, S, guess=guess)
+            if test is None or not guess:
+                return test
+
+            def checked(y):
+                found = test(y)
+                if found is not None:
+                    assert l1_dual_errors(B, b, found[0], found[1]) == []
+                    self.decodes[-1][4] = found
+                return found
+            return checked
+
+        def spied_decode(B, y, max_iter, support=None):
+            self.decodes.append([B, y, support, None, None])
+            self.decodes[-1][3] = decode(B, y, max_iter, support)
+            return self.decodes[-1][3]
+
+        monkeypatch.setattr(recovery, "_support_certifier", spied_setup)
+        monkeypatch.setattr(recovery, "_decode_l1", spied_decode)
+
+
+class TestSupportGuess:
+    """The pipeline's l1 decode tests supp(x) as a support guess first."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_certify_l1_keeps_the_bits_of_the_unsplit_formula(self, seed):
+        B = gaussian_matrix(64, 128, 700 + seed)
+        x = random_sparse_signal(128, 10, 800 + seed)
+        b = B @ x
+        S = np.flatnonzero(x)
+        extra = np.sort(np.append(S, np.setdiff1d(np.arange(128), S)[seed]))
+        duals = [np.zeros(64)]
+        solve_standard_form(B, b, guess=lambda y: duals.append(y))  # every iterate's dual
+        proofs = 0
+        for support in (S, S[1:], extra):
+            for y in duals:
+                got, ref = certify_l1(B, b, support, y), reference_certify_l1(B, b, support, y)
+                assert (got is None) == (ref is None)
+                if got is not None:
+                    proofs += 1
+                    assert got[0].tobytes() == ref[0].tobytes()
+                    assert got[1].tobytes() == ref[1].tobytes() and got[2] == ref[2]
+        assert proofs > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wrong_guess_never_proves(self, seed, monkeypatch):
+        # one index missing: b does not fit; one extra: its fitted entry is
+        # rounding noise, which is not support.  Either way the decode is the
+        # guess-free one, bit for bit
+        B = gaussian_matrix(64, 128, 710 + seed)
+        x = random_sparse_signal(128, 10, 810 + seed)
+        b = B @ x
+        S = np.flatnonzero(x)
+        plain = basis_pursuit(B, b)
+        spy = GuessSpy(monkeypatch)
+        extra = np.sort(np.append(S, np.setdiff1d(np.arange(128), S)[7 * seed]))
+        for support in (S[1:], S[:-1], extra):
+            rep = recovery._decode_l1(B, b, 200, support)
+            assert spy.decodes[-1][4] is None
+            assert rep.x_hat.tobytes() == plain.x_hat.tobytes() and rep.to_json() == plain.to_json()
+        recovery._decode_l1(B, b, 200, S)
+        assert spy.decodes[-1][4] is not None  # the right guess proves
+
+    def test_square_post_is_proven_before_the_solve(self, monkeypatch):
+        def unreachable(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("a Newton step was computed")
+
+        spy = GuessSpy(monkeypatch)
+        monkeypatch.setattr(recovery, "solve_standard_form", unreachable)
+        for seed in range(3):
+            A, x = gaussian_matrix(64, 128, 720 + seed), random_sparse_signal(128, 10, 820 + seed)
+            rep = recover_via_linearization(A, square_map(128), "post", x, "l1").report
+            assert rep.certified and rep.support_exact and rep.rel_error < 1e-12
+            assert np.array_equal(spy.decodes[-1][4][0] != 0.0, x != 0.0)
+
+    def test_every_proof_passes_the_checker(self, monkeypatch):
+        spy = GuessSpy(monkeypatch)
+        for seed in range(10):
+            A, x = gaussian_matrix(64, 128, 730 + seed), random_sparse_signal(128, 10, 830 + seed)
+            maps = ((identity_map(64), "pre"), (sign_map(64), "pre"), (sine_map(128), "post"))
+            for F, comp in maps:
+                rep = recover_via_linearization(A, F, comp, x, "l1").report
+                assert rep.certified and rep.support_exact
+        assert sum(d[4] is not None for d in spy.decodes) == len(spy.decodes) == 30
+
+    def test_past_the_threshold_it_proves_only_certified_recoveries(self, monkeypatch):
+        # desk sign/pre at k = 30: l1 recovers x on about one trial in ten.
+        # The guess proves only trials whose guess-free decode is certified too,
+        # with x_hat within rounding; on every other trial the decode is the
+        # guess-free one, bit for bit
+        spy = GuessSpy(monkeypatch)
+        for seed in range(30):
+            A, x = gaussian_matrix(64, 128, 740 + seed), random_sparse_signal(128, 30, 840 + seed)
+            recover_via_linearization(A, sign_map(64), "pre", x, "l1")
+        decodes, proven = list(spy.decodes), 0
+        monkeypatch.undo()
+        for B, y, support, rep, proof in decodes:
+            plain = basis_pursuit(B, y)
+            if proof is None:
+                assert rep.to_json() == plain.to_json()
+            else:
+                proven += 1
+                assert plain.certified and set(support.tolist()) <= support_set(plain.x_hat)
+                assert np.abs(rep.x_hat - plain.x_hat).max() <= 1e-14 * np.abs(rep.x_hat).max()
+        assert 0 < proven < 10
+
+    def test_row_rank_deficient_system_is_proven_on_its_unreduced_form(self, monkeypatch):
+        # B repeats three of its rows, so the solver runs on the row-reduced
+        # system, and the guess tests each iterate's dual y_r as U_r y_r
+        B = gaussian_matrix(12, 24, 50)
+        B = np.vstack([B, B[:3]])
+        x = random_sparse_signal(24, 4, 60)
+        spy = GuessSpy(monkeypatch)  # checks each proof on the unreduced (B, y)
+        shapes = []
+        solve = recovery.solve_standard_form
+
+        def recorded(B_eff, *args, **kwargs):
+            shapes.append(B_eff.shape)
+            return solve(B_eff, *args, **kwargs)
+
+        monkeypatch.setattr(recovery, "solve_standard_form", recorded)
+        rep = recovery._decode_l1(B, B @ x, 200, np.flatnonzero(x))
+        assert shapes == [(12, 24)] and spy.decodes[-1][4][1].shape == (15,)
+        assert rep.certified and np.abs(rep.x_hat - x).max() <= 1e-14

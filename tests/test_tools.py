@@ -4,8 +4,8 @@ line, with and without what ``--full`` adds, and the diff against a
 revision reports what moved.  The tool reads private names of the package
 (``sensing_properties._uncleared``, ``_base_level``, ``_floor_cleared``,
 ``_rip_screens``, ``_extremes``, ``_require_rip_order``;
-``lp._gram_factor``), so a rename breaks them here rather than at the next
-identity run."""
+``lp._gram_factor``; ``recovery._support_certifier``), so a rename breaks
+them here rather than at the next identity run."""
 
 import importlib.util
 import json
@@ -69,6 +69,33 @@ def test_panel_matrix(tmp_path):
     line, records = tool.run_panel("smoke/sign_pre", sizes, {"kind": "sign"}, "pre", 0, tmp_path)
     assert re.fullmatch(r"smoke/sign_pre [0-9a-f]{16} [0-9a-f]{16} solves=3 steps=\d+", line)
     assert [r.split()[0] for r in records] == ["0", "1", "2"]
+    for record in records:  # the guess proved at the iterate the solve returned
+        steps, iterate, guess = record.split()[1], record.split()[2], record.split()[-1]
+        assert guess == f"guess={int(steps) + 1}:{iterate}"
+    # square/post: the guess proves trials 0 and 2 at the dual 0, before any solve
+    line, records = tool.run_panel("smoke/square_post", sizes, {"kind": "square"}, "post", 0,
+                                   tmp_path)
+    assert line.endswith(" solves=1 steps=1")
+    assert records == ["0 - - converged True 0 0 guess=1:0", "1 1 1 converged True 0 0 guess=2:1",
+                       "2 - - converged True 0 0 guess=1:0"]
+
+
+def test_panel_matrix_without_the_guess(tmp_path, monkeypatch):
+    # a package without the support guess, as at the parent of the change
+    # that added it: the matrix still runs, and records guess=0:-
+    from nlcs import recovery
+    setup, decode = recovery._support_certifier, recovery._decode_l1
+    monkeypatch.setattr(recovery, "_decode_l1",
+                        lambda B, y, max_iter, support: decode(B, y, max_iter))
+    monkeypatch.setattr(recovery, "certify_l1",
+                        lambda B, b, S, y: (lambda t: t and t(y))(setup(B, b, S)))
+    monkeypatch.delattr(recovery, "_support_certifier")
+    tool = load()
+    sizes = {"m": 12, "n": 24, "k": 2, "trials": 3}
+    line, records = tool.run_panel("smoke/square_post", sizes, {"kind": "square"}, "post", 0,
+                                   tmp_path)
+    assert line.endswith(" solves=3 steps=" + str(sum(int(r.split()[1]) for r in records)))
+    assert [r.split()[-1] for r in records] == ["guess=0:-"] * 3
 
 
 def test_cli_matrix(tmp_path, monkeypatch):

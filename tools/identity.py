@@ -331,13 +331,14 @@ def cli_matrix(work: Path, full: bool):
 # ---------------------------------------------------------------------------
 # panel: seeded l1 experiment panels.  A line is
 #
-#     <label> <digest of the output files> <digest of the solve records> solves=<n> steps=<total>
+#     <label> <digest of the output files> <digest of the records> solves=<n> steps=<total>
 #
 # The file digest covers every file ``emit_reports`` writes (``trials.csv``,
 # ``summary.json`` and the ``signal_<i>.csv`` overlays), in name order.  A
 # solve record, one detail line each, is
 #
-#     <trial> <Newton steps> <returned iterate> <status> <certified> <certify_l1 calls> <QR fallbacks>
+#     <trial> <Newton steps> <returned iterate> <status> <certified> <certify_l1 calls>
+#         <QR fallbacks> guess=<tests>:<proof>
 #
 # collected from outside the package by wrapping, at their module globals,
 # ``experiment.recover_via_linearization`` (the trial count),
@@ -346,7 +347,13 @@ def cli_matrix(work: Path, full: bool):
 # its Cholesky factor, or None when the step takes the Householder QR
 # fallback, so counting None returns counts those fallbacks exactly.  The
 # starting point's own QR fallback (when 2 B B' overflows or its LU fails) is
-# not counted; no panel here takes it.
+# not counted; no panel here takes it.  ``guess`` counts the tests of the
+# support guess, the tests that ``recovery._support_certifier(..., guess=True)``
+# returns, and names the one that proved the answer (``-`` when none did):
+# test 0 takes the dual 0 before the solve and test i the dual of iterate
+# i.  A trial proven by test 0 makes no solve; its record reads
+# ``<trial> - - converged True 0 0 guess=1:0``.  A package without
+# ``_support_certifier`` records ``guess=0:-``.
 #
 # The panels: the six desk panels (64x128, k = 10, 100 trials) at config seed
 # 0 with the benchmark's map specs; the large sign/pre and square/post panels
@@ -372,25 +379,33 @@ LARGE_MAPS = [
 
 
 class Recorder:
-    """One record per solve, from wrappers installed at module globals."""
+    """One record per solve or per trial proven before its solve, from
+    wrappers installed at module globals."""
 
     def __init__(self):
         self.records: list[tuple] = []
         self.trial = -1
-        self.calls = self.fallbacks = 0
+        self.calls = self.fallbacks = self.tests = 0
+        self.proof = "-"
 
     def installed(self):
         wrappers = ((experiment, "recover_via_linearization", self._trial),
                     (nlcs.recovery, "solve_standard_form", self._solve),
                     (nlcs.recovery, "certify_l1", self._certify),
+                    (nlcs.recovery, "_support_certifier", self._guess),
                     (lp, "_gram_factor", self._factor))
         return swapped(*((module, name, wrap(getattr(module, name)))
-                         for module, name, wrap in wrappers))
+                         for module, name, wrap in wrappers if hasattr(module, name)))
 
     def _trial(self, fn):
         def wrapped(*args, **kwargs):
             self.trial += 1
-            return fn(*args, **kwargs)
+            self.tests, self.proof = 0, "-"
+            out = fn(*args, **kwargs)
+            if self.proof == 0:  # proven before the solve
+                self.records.append((self.trial, "-", "-", "converged", True, 0, 0,
+                                     f"guess={self.tests}:0"))
+            return out
         return wrapped
 
     def _solve(self, fn):
@@ -398,7 +413,8 @@ class Recorder:
             self.calls = self.fallbacks = 0
             res = fn(*args, **kwargs)
             self.records.append((self.trial, res.steps, res.iterations, res.status,
-                                 res.certificate is not None, self.calls, self.fallbacks))
+                                 res.certificate is not None, self.calls, self.fallbacks,
+                                 f"guess={self.tests}:{self.proof}"))
             return res
         return wrapped
 
@@ -406,6 +422,21 @@ class Recorder:
         def wrapped(*args, **kwargs):
             self.calls += 1
             return fn(*args, **kwargs)
+        return wrapped
+
+    def _guess(self, fn):
+        def wrapped(*args, **kwargs):
+            test = fn(*args, **kwargs)
+            if test is None or not kwargs.get("guess"):
+                return test
+
+            def counted(y):
+                found = test(y)
+                if found is not None:
+                    self.proof = self.tests
+                self.tests += 1
+                return found
+            return counted
         return wrapped
 
     def _factor(self, fn):
@@ -432,8 +463,9 @@ def run_panel(label: str, sizes: dict, spec: dict, composition: str, seed: int,
         files += [f"{path.name}\n{len(data)}\n", data]
     records = [" ".join(map(str, r)) for r in recorder.records]
     record_digest = digest("\n".join(records))
-    steps = sum(r[1] for r in recorder.records)
-    return f"{label} {digest(*files)} {record_digest} solves={len(records)} steps={steps}", records
+    solved = [r[1] for r in recorder.records if r[1] != "-"]
+    return (f"{label} {digest(*files)} {record_digest} solves={len(solved)} steps={sum(solved)}",
+            records)
 
 
 def panel_matrix(work: Path, full: bool):
