@@ -149,11 +149,12 @@ def in_safe_range(M: np.ndarray) -> bool:
     """True iff M has a nonzero entry and every nonzero entry lies in
     [2^-400, 2^400] in magnitude, where the batched screens' rounding bounds
     hold: their products can neither overflow nor lose accuracy to
-    underflow."""
+    underflow.  One temporary |M|, whose zeros become inf before its min."""
     a = np.abs(M)
-    hi = float(np.max(a, initial=0.0))
-    lo = float(np.min(a, where=a != 0.0, initial=np.inf))
-    return hi != 0.0 and lo >= 2.0**-400 and hi <= 2.0**400
+    if not 0.0 < float(a.max(initial=0.0)) <= 2.0**400:
+        return False
+    a[a == 0.0] = np.inf
+    return float(a.min()) >= 2.0**-400
 
 
 # ``rip_constants`` scales M only outside [2^-500, 2^500), where the largest Gram entry is

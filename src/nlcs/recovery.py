@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -60,6 +61,8 @@ _RANK_FLOOR = (1e3 * RANK_TOL) ** 2
 #: l1 decoder tolerances: the residual ||B u - y|| and the relative duality gap
 LP_FEASIBILITY_TOL = 1e-8
 LP_OPTIMALITY_TOL = 1e-8
+#: least-squares dual candidates the support guess tries before the solve (``_ls_duals``)
+_LS_ROUNDS = 4
 
 
 def _check_max_iter(max_iter) -> None:
@@ -77,10 +80,10 @@ class RecoveryReport(JsonReport):
     support_exact and rel_error are filled only when ground truth is
     available (None otherwise).  residual is the Euclidean norm of
     B x_hat - y for the system actually solved.  margin is
-    1 - ||B_S^c' w||_inf of the dual certificate w that x_hat is the unique
-    l1 minimizer when the l1 solve ended on one (see ``basis_pursuit``),
-    None otherwise; certified is derived from it (margin is not None), so
-    the two cannot disagree.
+    1 - ||B_S^c' w||_inf of the first dual certificate w found that x_hat is
+    the unique l1 minimizer, when the l1 decode ended on one (see
+    ``basis_pursuit``), None otherwise; certified is derived from it (margin
+    is not None), so the two cannot disagree.
     """
 
     x_hat: np.ndarray
@@ -207,10 +210,10 @@ def _dual_problems(B: np.ndarray, b: np.ndarray, x: np.ndarray, w: np.ndarray,
 def _support_certifier(B: np.ndarray, b: np.ndarray, S: np.ndarray, guess: bool = False):
     """The per-support half of ``certify_l1``: None when no certificate can hold
     on S, else the per-dual test y -> ``certify_l1(B, b, S, y)``.  A ``guess``
-    (see ``basis_pursuit``) also needs every fitted entry to count in
-    ``support_set``, so an extra index, fit by rounding noise, proves nothing,
-    and its test first screens y at a tenth of the cost: for Q = B_S R_S^-1,
-    M = B_off' (I - Q Q') and c0 = B_off' Q R_S^-T sign(x_S), M y + c0 is B_off' w
+    (see ``basis_pursuit``) returns the test with its lazy ``_ls_duals``, also
+    needs every fitted entry to count in ``support_set``, so an extra index, fit
+    by rounding noise, proves nothing, and its test first screens y: for
+    Q = B_S R_S^-1 and t = R_S^-T sign(x_S), B_off' (y + Q (t - Q' y)) is B_off' w
     for the exact projection w of y, and a value >= 1 returns None.  Rounding
     can make the screen reject a y the test would pass, never certify one."""
     m, n = B.shape
@@ -234,12 +237,10 @@ def _support_certifier(B: np.ndarray, b: np.ndarray, S: np.ndarray, guess: bool 
     off[S] = False
     if guess:
         Ri = np.linalg.inv(RS)
-        Bt, Q = B[:, off].T, BS @ Ri
-        Z = Bt @ Q
-        M, c0 = Bt - Z @ Q.T, Z @ (sign @ Ri)
+        Q, t = BS @ Ri, sign @ Ri
 
     def test(y):
-        if guess and not float(np.abs(M @ y + c0).max()) < 1.0:
+        if guess and not float(np.abs((y + Q @ (t - y @ Q)) @ B)[off].max()) < 1.0:
             return None
         try:
             w = y + BS @ np.linalg.solve(RS, np.linalg.solve(RS.T, sign - BS.T @ y))
@@ -253,7 +254,37 @@ def _support_certifier(B: np.ndarray, b: np.ndarray, S: np.ndarray, guess: bool 
         problems, margin = _dual_problems(B, b, x, w, c)
         return None if problems else (x, w, margin)
 
-    return test
+    return (test, _ls_duals(B, BS, sign, off)) if guess else test
+
+
+def _ls_duals(B: np.ndarray, BS: np.ndarray, sign: np.ndarray, off: np.ndarray):
+    """The support guess's least-squares duals (see ``basis_pursuit``): with
+    G = B_off D B_off' and Z = G^-1 B_S, w = Z (B_S' Z)^-1 sign for D = I, then for
+    Lawson's D <- D |B_off' w| / max, one buffer holding B D^1/2.  None when
+    n - k < m (G singular); no more once a solve fails, w is not finite, or the
+    last w's weighted mean of (b_j' w)^2 (the least over the set, so a lower bound
+    on every squared ||B_off' w||_inf there) reaches 1."""
+    if np.count_nonzero(off) < B.shape[0]:
+        return
+    d = off.astype(float)
+    X = np.empty_like(B)
+    for r in range(_LS_ROUNDS):
+        with np.errstate(all="ignore"):  # overflow or 0/0 ends in LinAlgError or a non-finite w
+            if r:
+                c = np.abs(w @ B)
+                if d @ (c * c) >= d.sum():  # no w on the set has ||B_off' w||_inf < 1
+                    return
+                d *= c
+                d /= d.max()
+            np.multiply(B, np.sqrt(d), out=X)
+            try:
+                Z = np.linalg.solve(X @ X.T, BS)
+                w = Z @ np.linalg.solve(BS.T @ Z, sign)
+            except np.linalg.LinAlgError:
+                return
+        if not np.isfinite(w).all():
+            return
+        yield w
 
 
 def certify_l1(B, b, S, y) -> tuple[np.ndarray, np.ndarray, float] | None:
@@ -309,12 +340,17 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
 
     Support guess.  The pipeline, which knows x, decodes through ``_decode_l1``
     with S* = supp(x) as a guess: one setup on the scaled, unreduced (B, y)
-    tests the dual 0 (Fuchs' least-norm certificate, IEEE TIT 2004) before the
-    row-rank screen and the start solve, then each later iterate's dual y_r
-    before the hook, as U_r y_r on the reduced path.  The proof below needs
-    only B_S's full column rank and B h = 0, and the residual test bounds
-    ||B x_hat - y|| on B itself, so it holds for a row-rank-deficient B.  A
-    proven x_hat depends only on S*; for B of full row rank it has the hook's bits.
+    tests, before the row-rank screen and the start solve, the dual 0 (Fuchs'
+    least-norm certificate, IEEE TIT 2004), then up to ``_LS_ROUNDS`` duals
+    w = argmin ||D^1/2 B_off' w||_2 over {B_S' w = sign(x_S)}, D = I and then
+    Lawson's (1961) reweightings D <- D |B_off' w|, which push ||B_off' w||_inf
+    toward its least value over that set; if all fail, each later iterate's dual
+    y_r before the hook, as U_r y_r on the reduced path.  A candidate is only a
+    dual y: it takes the same test as an iterate's, so it needs no proof of its
+    own.  The proof below needs only B_S's full column rank and B h = 0, and
+    the residual test bounds ||B x_hat - y|| on B itself, so it holds for a
+    row-rank-deficient B.  A proven x_hat depends only on S*; for B of full row
+    rank it has the hook's bits, and the margin is that of the first proof.
 
     Certificate (Zhang, Yin & Cheng, JOTA 2015).  Let S be the support of
     x_hat.  If B_S has full column rank and some w* has
@@ -361,10 +397,10 @@ def _decode_l1(B, y, max_iter: int, support: np.ndarray | None = None) -> Recove
     if not (safe and in_safe_range(yv)):  # solve 2^p B u = 2^q y; then x = 2^(p - q) u
         p, q = _unit_exponent(B), _unit_exponent(yv)
         B, yv, safe = np.ldexp(B, p), np.ldexp(yv, q), None
-    test = None
+    test, duals = None, ()
     if support is not None and support.size < m:
-        test = _support_certifier(B, yv, support, guess=True)
-    found = None if test is None else test(np.zeros(m))
+        test, duals = _support_certifier(B, yv, support, guess=True) or (None, ())
+    found = test and next(filter(None, map(test, chain([np.zeros(m)], duals))), None)
     if found is not None:
         return _report(np.ldexp(found[0], p - q), B0, y0, "converged", found[2])
 

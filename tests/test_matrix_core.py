@@ -121,6 +121,30 @@ class TestInSafeRange:
         for A in (M, M * 2.0**-400, np.clip(M, -2.0**399, 2.0**399), M[:1, :1]):
             assert in_safe_range(A) == safe_range_by_gather(A)
 
+    @pytest.mark.parametrize("entry, expected", [
+        (2.0**-400, True),
+        (np.nextafter(2.0**-400, 0.0), False),
+        (2.0**400, True),
+        (np.nextafter(2.0**400, np.inf), False),
+        (np.finfo(np.float64).tiny / 2.0, False),  # subnormal
+        (5e-324, False),
+        (0.0, True),
+        (np.inf, False),
+        (np.nan, False),
+    ])
+    def test_one_planted_entry(self, entry, expected):
+        M = gaussian_matrix(160, 512, 3)
+        M[:, ::7] = 0.0
+        M[17, 301] = -entry
+        before = M.copy()
+        assert in_safe_range(M) is expected
+        assert M.tobytes() == before.tobytes()  # only its temporary is written
+
+    def test_all_zero(self):
+        M = np.zeros((160, 512))
+        M[::3] = -0.0
+        assert in_safe_range(M) is False and in_safe_range(np.zeros((0, 4))) is False
+
 
 class TestGaussianMatrix:
     def test_deterministic(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -991,16 +992,17 @@ class GuessSpy:
     """Wraps ``recovery._decode_l1`` and the guess tests of
     ``recovery._support_certifier``: records each decode as [B, y, support,
     report, proof] and checks every proof with ``l1_dual_errors`` on the system
-    it was made for."""
+    it was made for.  The guess's dual candidates pass through unchanged."""
 
     def __init__(self, monkeypatch):
         self.decodes = []
         setup, decode = recovery._support_certifier, recovery._decode_l1
 
         def spied_setup(B, b, S, guess=False):
-            test = setup(B, b, S, guess=guess)
-            if test is None or not guess:
-                return test
+            found = setup(B, b, S, guess=guess)
+            if found is None or not guess:
+                return found
+            test, duals = found
 
             def checked(y):
                 found = test(y)
@@ -1008,7 +1010,7 @@ class GuessSpy:
                     assert l1_dual_errors(B, b, found[0], found[1]) == []
                     self.decodes[-1][4] = found
                 return found
-            return checked
+            return checked, duals
 
         def spied_decode(B, y, max_iter, support=None):
             self.decodes.append([B, y, support, None, None])
@@ -1106,11 +1108,13 @@ class TestSupportGuess:
 
     def test_row_rank_deficient_system_is_proven_on_its_unreduced_form(self, monkeypatch):
         # B repeats three of its rows, so the solver runs on the row-reduced
-        # system, and the guess tests each iterate's dual y_r as U_r y_r
+        # system, and the guess tests each iterate's dual y_r as U_r y_r; with
+        # no dual candidates, the dual 0 alone comes before the solve
         B = gaussian_matrix(12, 24, 50)
         B = np.vstack([B, B[:3]])
         x = random_sparse_signal(24, 4, 60)
         spy = GuessSpy(monkeypatch)  # checks each proof on the unreduced (B, y)
+        monkeypatch.setattr(recovery, "_ls_duals", lambda *args: iter(()))
         shapes = []
         solve = recovery.solve_standard_form
 
@@ -1122,3 +1126,95 @@ class TestSupportGuess:
         rep = recovery._decode_l1(B, B @ x, 200, np.flatnonzero(x))
         assert shapes == [(12, 24)] and spy.decodes[-1][4][1].shape == (15,)
         assert rep.certified and np.abs(rep.x_hat - x).max() <= 1e-14
+
+
+def without_candidates(monkeypatch):
+    """Make the support guess's least-squares dual candidates yield nothing."""
+    monkeypatch.setattr(recovery, "_ls_duals", lambda *args: iter(()))
+
+
+class TestLsDuals:
+    """The support guess's least-squares dual candidates, tried after the dual 0
+    and before the solve."""
+
+    def test_desk_sign_pre_is_proven_without_a_solve(self, monkeypatch):
+        def unreachable(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("the interior-point solver ran")
+
+        spy = GuessSpy(monkeypatch)  # checks every proof with l1_dual_errors
+        monkeypatch.setattr(recovery, "solve_standard_form", unreachable)
+        for seed in range(3):
+            A, x = gaussian_matrix(64, 128, 900 + seed), random_sparse_signal(128, 10, 950 + seed)
+            rep = recover_via_linearization(A, sign_map(64), "pre", x, "l1").report
+            B, y, S, _, (x_hat, w, margin) = spy.decodes[-1]
+            assert rep.certified and rep.support_exact and rep.margin == margin
+            assert rep.x_hat.tobytes() == x_hat.tobytes()
+            assert l1_dual_errors(B, y, x_hat, w) == []
+            # the dual 0 fails here, so a candidate made the proof
+            assert certify_l1(B, y, S, np.zeros(64)) is None
+
+    @pytest.mark.parametrize("seed, rounds", [(1, 4), (3, 2)])
+    def test_uncertified_trial_fails_every_candidate_and_keeps_the_fallback_bits(
+            self, seed, rounds, monkeypatch):
+        # desk sign/pre at k = 30, past the l1 recovery threshold.  Seed 1 tries
+        # all four rounds; at seed 3 the second w's weighted mean of (b_j' w)^2
+        # passes 1, which proves that no dual on S can certify, so the rounds stop
+        A = gaussian_matrix(64, 128, 1000 + seed)
+        x = random_sparse_signal(128, 30, 2000 + seed)
+        drawn, ls_duals = [], recovery._ls_duals
+        monkeypatch.setattr(recovery, "_ls_duals",
+                            lambda *args: (drawn.append(w) or w for w in ls_duals(*args)))
+        rep = recover_via_linearization(A, sign_map(64), "pre", x, "l1").report
+        assert len(drawn) == rounds and not rep.certified
+        without_candidates(monkeypatch)
+        plain = recover_via_linearization(A, sign_map(64), "pre", x, "l1").report
+        assert rep.x_hat.tobytes() == plain.x_hat.tobytes() and rep.to_json() == plain.to_json()
+
+    @pytest.mark.parametrize("shape, duplicated", [((12, 14), False), ((12, 15), True)])
+    def test_a_singular_gram_is_handled_cleanly(self, shape, duplicated, monkeypatch):
+        # n - k < m: no candidate.  n - k = m with a duplicated off-support
+        # column: B_off D B_off' is singular, and whatever the step yields
+        # must still pass the checker; the x_hat is the fallback's either way
+        m, n = shape
+        B = gaussian_matrix(m, n, 70)
+        S = np.array([1, 4, 8])
+        off = np.setdiff1d(np.arange(n), S)
+        if duplicated:
+            B[:, off[5]] = B[:, off[2]]
+        x = np.zeros(n)
+        x[S] = [1.0, -2.0, 0.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            test, duals = recovery._support_certifier(B, B @ x, S, guess=True)
+            candidates = list(duals)
+            assert len(candidates) == (recovery._LS_ROUNDS if duplicated else 0)
+            assert all(np.isfinite(w).all() for w in candidates)
+            spy = GuessSpy(monkeypatch)
+            rep = recovery._decode_l1(B, B @ x, 200, S)
+        assert spy.decodes[-1][4] is not None
+        without_candidates(monkeypatch)
+        plain = recovery._decode_l1(B, B @ x, 200, S)
+        assert rep.x_hat.tobytes() == plain.x_hat.tobytes() and rep.certified
+
+    def test_a_flipped_sign_or_a_perturbed_dual_is_rejected(self):
+        B, x = gaussian_matrix(64, 128, 900), random_sparse_signal(128, 10, 950)
+        y, S = B @ x, np.flatnonzero(x)
+        test, duals = recovery._support_certifier(B, y, S, guess=True)
+        x_hat, w, _ = next(filter(None, map(test, duals)))
+        assert l1_dual_errors(B, y, x_hat, w) == []
+        off = np.ones(128, dtype=bool)
+        off[S] = False
+        flipped = np.sign(x_hat[S])
+        flipped[3] = -flipped[3]
+        for w_flip in recovery._ls_duals(B, B[:, S], flipped, off):  # built for the wrong sign
+            assert l1_dual_errors(B, y, x_hat, w_flip) != []
+        x_flip = x_hat.copy()
+        x_flip[S[3]] = -x_flip[S[3]]
+        assert l1_dual_errors(B, B @ x_flip, x_flip, w) != []
+        # move w within {B_S' w = sign} until one off-support |b_j' w| exceeds 1
+        c = B.T @ w
+        j = np.flatnonzero(off)[np.argmax(np.abs(c[off]))]
+        r = B[:, j] - B[:, S] @ np.linalg.lstsq(B[:, S], B[:, j], rcond=None)[0]
+        w_bad = w + 2.0 * (1.0 - abs(c[j])) * np.sign(c[j]) / (r @ B[:, j]) * r
+        assert abs(B[:, j] @ w_bad) > 1.0
+        assert test(w_bad) is None and l1_dual_errors(B, y, x_hat, w_bad) != []

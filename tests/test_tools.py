@@ -66,6 +66,25 @@ def test_cert_matrix(tmp_path):
 def test_panel_matrix(tmp_path):
     tool = load()
     sizes = {"m": 12, "n": 24, "k": 2, "trials": 3}
+    # a least-squares dual candidate proves every sign/pre trial before a solve
+    line, records = tool.run_panel("smoke/sign_pre", sizes, {"kind": "sign"}, "pre", 0, tmp_path)
+    assert re.fullmatch(r"smoke/sign_pre [0-9a-f]{16} [0-9a-f]{16} solves=0 steps=0", line)
+    assert records == [f"{t} - - converged True 0 0 guess=2:ls1" for t in range(3)]
+    # square/post: the dual 0 proves trials 0 and 2, the first candidate trial 1
+    line, records = tool.run_panel("smoke/square_post", sizes, {"kind": "square"}, "post", 0,
+                                   tmp_path)
+    assert line.endswith(" solves=0 steps=0")
+    assert records == ["0 - - converged True 0 0 guess=1:dual0",
+                       "1 - - converged True 0 0 guess=2:ls1",
+                       "2 - - converged True 0 0 guess=1:dual0"]
+
+
+def test_panel_matrix_without_the_candidates(tmp_path, monkeypatch):
+    # with no dual candidates the solves run, and the guess proves at iterates
+    from nlcs import recovery
+    monkeypatch.setattr(recovery, "_ls_duals", lambda *args: iter(()))
+    tool = load()
+    sizes = {"m": 12, "n": 24, "k": 2, "trials": 3}
     line, records = tool.run_panel("smoke/sign_pre", sizes, {"kind": "sign"}, "pre", 0, tmp_path)
     assert re.fullmatch(r"smoke/sign_pre [0-9a-f]{16} [0-9a-f]{16} solves=3 steps=\d+", line)
     assert [r.split()[0] for r in records] == ["0", "1", "2"]
@@ -76,8 +95,9 @@ def test_panel_matrix(tmp_path):
     line, records = tool.run_panel("smoke/square_post", sizes, {"kind": "square"}, "post", 0,
                                    tmp_path)
     assert line.endswith(" solves=1 steps=1")
-    assert records == ["0 - - converged True 0 0 guess=1:0", "1 1 1 converged True 0 0 guess=2:1",
-                       "2 - - converged True 0 0 guess=1:0"]
+    assert records == ["0 - - converged True 0 0 guess=1:dual0",
+                       "1 1 1 converged True 0 0 guess=2:1",
+                       "2 - - converged True 0 0 guess=1:dual0"]
 
 
 def test_panel_matrix_without_the_guess(tmp_path, monkeypatch):

@@ -349,11 +349,13 @@ def cli_matrix(work: Path, full: bool):
 # starting point's own QR fallback (when 2 B B' overflows or its LU fails) is
 # not counted; no panel here takes it.  ``guess`` counts the tests of the
 # support guess, the tests that ``recovery._support_certifier(..., guess=True)``
-# returns, and names the one that proved the answer (``-`` when none did):
-# test 0 takes the dual 0 before the solve and test i the dual of iterate
-# i.  A trial proven by test 0 makes no solve; its record reads
-# ``<trial> - - converged True 0 0 guess=1:0``.  A package without
-# ``_support_certifier`` records ``guess=0:-``.
+# returns, and names the proof that ended the trial (``-`` when none did):
+# ``dual0`` for the dual 0 and ``ls<r>`` for the r-th least-squares dual
+# candidate, both before the solve, or i for the dual of iterate i.  A trial
+# proven before the solve makes none; its record reads
+# ``<trial> - - converged True 0 0 guess=<tests>:<proof>``.  A package whose
+# guess has no candidates (its setup returns the test alone) never names an
+# ``ls<r>``, and one without ``_support_certifier`` records ``guess=0:-``.
 #
 # The panels: the six desk panels (64x128, k = 10, 100 trials) at config seed
 # 0 with the benchmark's map specs; the large sign/pre and square/post panels
@@ -385,8 +387,8 @@ class Recorder:
     def __init__(self):
         self.records: list[tuple] = []
         self.trial = -1
-        self.calls = self.fallbacks = self.tests = 0
-        self.proof = "-"
+        self.calls = self.fallbacks = self.tests = self.drawn = 0
+        self.proof, self.solved = "-", False
 
     def installed(self):
         wrappers = ((experiment, "recover_via_linearization", self._trial),
@@ -400,17 +402,19 @@ class Recorder:
     def _trial(self, fn):
         def wrapped(*args, **kwargs):
             self.trial += 1
-            self.tests, self.proof = 0, "-"
+            self.tests = self.drawn = 0
+            self.proof, self.solved = "-", False
             out = fn(*args, **kwargs)
-            if self.proof == 0:  # proven before the solve
+            if self.proof != "-" and not self.solved:  # proven before the solve
                 self.records.append((self.trial, "-", "-", "converged", True, 0, 0,
-                                     f"guess={self.tests}:0"))
+                                     f"guess={self.tests}:{self.proof}"))
             return out
         return wrapped
 
     def _solve(self, fn):
         def wrapped(*args, **kwargs):
             self.calls = self.fallbacks = 0
+            self.solved = True
             res = fn(*args, **kwargs)
             self.records.append((self.trial, res.steps, res.iterations, res.status,
                                  res.certificate is not None, self.calls, self.fallbacks,
@@ -426,17 +430,25 @@ class Recorder:
 
     def _guess(self, fn):
         def wrapped(*args, **kwargs):
-            test = fn(*args, **kwargs)
-            if test is None or not kwargs.get("guess"):
-                return test
+            found = fn(*args, **kwargs)
+            if found is None or not kwargs.get("guess"):
+                return found
+            test, duals = (found, None) if callable(found) else found
 
             def counted(y):
-                found = test(y)
-                if found is not None:
-                    self.proof = self.tests
+                proved = test(y)
+                t = self.tests  # the dual 0, candidate t, or iterate t - drawn
+                if proved is not None:
+                    self.proof = ("dual0" if t == 0 else f"ls{t}" if t <= self.drawn
+                                  else t - self.drawn)
                 self.tests += 1
-                return found
-            return counted
+                return proved
+
+            def drawn():
+                for w in duals:
+                    self.drawn += 1
+                    yield w
+            return counted if duals is None else (counted, drawn())
         return wrapped
 
     def _factor(self, fn):
