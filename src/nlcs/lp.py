@@ -71,9 +71,7 @@ so the caller's hook alone answers for it (``recovery.certify_l1``
 returns a polished x, a dual certificate of its unique optimality and
 that certificate's margin).  The hook must not modify y: a None then
 leaves the iterate untouched, and the solve goes on bit for bit as
-without a hook.  ``guess`` is a hook with S fixed by the caller, called with
-y alone at every iterate after the start (whose dual 0 the caller can test
-first), before ``certify`` and whatever the gap test says.
+without a hook.
 """
 
 from __future__ import annotations
@@ -179,11 +177,10 @@ def _start_solve(B: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
                         max_iter: int = 200,
                         certify: Callable[[np.ndarray, np.ndarray], tuple | None] | None = None,
-                        guess: Callable[[np.ndarray], tuple | None] | None = None,
                         ) -> LpResult:
     """Minimize ||u||_1 s.t. B u = b for the measurements b (argument y) and
-    B of full row rank, through the split program above; ``certify`` and
-    ``guess`` are the optional certified-exit hooks (see the module docstring)."""
+    B of full row rank, through the split program above; ``certify`` is the
+    optional certified-exit hook (see the module docstring)."""
     B = np.asarray(B, dtype=np.float64)
     b = np.asarray(y, dtype=np.float64)
     n = B.shape[1]
@@ -221,15 +218,14 @@ def solve_standard_form(B, y, *, feas_tol: float = 1e-8, opt_tol: float = 1e-8,
         if best is None or merit < best[0]:
             best = (merit, x, y, it - 1)
         ratio = x / s
-        found = guess(y) if guess is not None and it > 1 else None
-        if found is None and certify is not None:
+        if certify is not None:
             r = np.maximum(ratio[:n], ratio[n:])
             inside = r > _SUPPORT_RATIO
             S = inside.nonzero()[0]
             if 0 < S.size < B.shape[0] and r[inside].min() >= _SUPPORT_GAP * r[~inside].max():
                 found = certify(S, y)
-        if found is not None:
-            return LpResult(found[0], found[1], "converged", it - 1, it - 1, found)
+                if found is not None:
+                    return LpResult(found[0], found[1], "converged", it - 1, it - 1, found)
         if pr <= feas_tol and dr <= feas_tol and mu_rel <= opt_tol:
             return LpResult(x[:n] - x[n:], y, "converged", it - 1, it - 1)
         if merit > 1e6 * best[0]:

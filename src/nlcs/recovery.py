@@ -4,9 +4,8 @@ Two decoders are provided:
 
 * ``basis_pursuit`` -- l1-norm minimization subject to B u = y, solved by
   the in-repo interior-point core for the split form u = u+ - u-, which
-  stops at the first iterate whose support, or the pipeline's guess supp(x),
-  carries a dual certificate of unique optimality (``certify_l1``, checked
-  by ``l1_dual_errors``);
+  stops at the first iterate whose support carries a dual certificate of
+  unique optimality (``certify_l1``, checked by ``l1_dual_errors``);
 * ``l0_oracle`` -- exhaustive minimum-support search: for k = 0, 1, ... all
   size-k supports are tried in lexicographic order and the first one whose
   least-squares fit reproduces the measurements is returned.  Each level
@@ -207,15 +206,9 @@ def _dual_problems(B: np.ndarray, b: np.ndarray, x: np.ndarray, w: np.ndarray,
     return problems, found[0]
 
 
-def _support_certifier(B: np.ndarray, b: np.ndarray, S: np.ndarray, guess: bool = False):
+def _support_certifier(B: np.ndarray, b: np.ndarray, S: np.ndarray):
     """The per-support half of ``certify_l1``: None when no certificate can hold
-    on S, else the per-dual test y -> ``certify_l1(B, b, S, y)``.  A ``guess``
-    (see ``basis_pursuit``) returns the test with its lazy ``_ls_duals``, also
-    needs every fitted entry to count in ``support_set``, so an extra index, fit
-    by rounding noise, proves nothing, and its test first screens y: for
-    Q = B_S R_S^-1 and t = R_S^-T sign(x_S), B_off' (y + Q (t - Q' y)) is B_off' w
-    for the exact projection w of y, and a value >= 1 returns None.  Rounding
-    can make the screen reject a y the test would pass, never certify one."""
+    on S, else the per-dual test y -> ``certify_l1(B, b, S, y)`` and the fitted x_S."""
     m, n = B.shape
     k = S.size
     A = np.empty((m, k + 1))
@@ -229,19 +222,13 @@ def _support_certifier(B: np.ndarray, b: np.ndarray, S: np.ndarray, guess: bool 
         xs = np.linalg.solve(RS, R[:k, k])
     except np.linalg.LinAlgError:  # an exactly singular R_S
         return None
-    a = np.abs(xs)
-    if not a.min() > (1e-6 * a.max() if guess else 0.0):
+    if not np.abs(xs).min() > 0.0:
         return None
     sign = np.sign(xs)
     off = np.ones(n, dtype=bool)
     off[S] = False
-    if guess:
-        Ri = np.linalg.inv(RS)
-        Q, t = BS @ Ri, sign @ Ri
 
     def test(y):
-        if guess and not float(np.abs((y + Q @ (t - y @ Q)) @ B)[off].max()) < 1.0:
-            return None
         try:
             w = y + BS @ np.linalg.solve(RS, np.linalg.solve(RS.T, sign - BS.T @ y))
         except np.linalg.LinAlgError:
@@ -254,19 +241,21 @@ def _support_certifier(B: np.ndarray, b: np.ndarray, S: np.ndarray, guess: bool 
         problems, margin = _dual_problems(B, b, x, w, c)
         return None if problems else (x, w, margin)
 
-    return (test, _ls_duals(B, BS, sign, off)) if guess else test
+    return test, xs
 
 
-def _ls_duals(B: np.ndarray, BS: np.ndarray, sign: np.ndarray, off: np.ndarray):
-    """The support guess's least-squares duals (see ``basis_pursuit``): with
+def _ls_duals(B: np.ndarray, S: np.ndarray, sign: np.ndarray):
+    """The support guess's least-squares duals (see ``_proven_on_support``): with
     G = B_off D B_off' and Z = G^-1 B_S, w = Z (B_S' Z)^-1 sign for D = I, then for
     Lawson's D <- D |B_off' w| / max, one buffer holding B D^1/2.  None when
     n - k < m (G singular); no more once a solve fails, w is not finite, or the
     last w's weighted mean of (b_j' w)^2 (the least over the set, so a lower bound
     on every squared ||B_off' w||_inf there) reaches 1."""
-    if np.count_nonzero(off) < B.shape[0]:
+    if B.shape[1] - S.size < B.shape[0]:
         return
-    d = off.astype(float)
+    BS = B[:, S]
+    d = np.ones(B.shape[1])
+    d[S] = 0.0
     X = np.empty_like(B)
     for r in range(_LS_ROUNDS):
         with np.errstate(all="ignore"):  # overflow or 0/0 ends in LinAlgError or a non-finite w
@@ -299,8 +288,8 @@ def certify_l1(B, b, S, y) -> tuple[np.ndarray, np.ndarray, float] | None:
     {B_S' w = sign(x_S)}, w = y + B_S R_S^-1 R_S^-T (sign(x_S) - B_S' y).
     The arguments are only read; ``_support_certifier`` does the work.
     """
-    test = _support_certifier(B, b, S)
-    return None if test is None else test(y)
+    found = _support_certifier(B, b, S)
+    return None if found is None else found[0](y)
 
 
 def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
@@ -338,20 +327,6 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     support carries the certificate below, returning the polished fit and
     the checker's margin (hook in ``lp``, fit and projection in ``certify_l1``).
 
-    Support guess.  The pipeline, which knows x, decodes through ``_decode_l1``
-    with S* = supp(x) as a guess: one setup on the scaled, unreduced (B, y)
-    tests, before the row-rank screen and the start solve, the dual 0 (Fuchs'
-    least-norm certificate, IEEE TIT 2004), then up to ``_LS_ROUNDS`` duals
-    w = argmin ||D^1/2 B_off' w||_2 over {B_S' w = sign(x_S)}, D = I and then
-    Lawson's (1961) reweightings D <- D |B_off' w|, which push ||B_off' w||_inf
-    toward its least value over that set; if all fail, each later iterate's dual
-    y_r before the hook, as U_r y_r on the reduced path.  A candidate is only a
-    dual y: it takes the same test as an iterate's, so it needs no proof of its
-    own.  The proof below needs only B_S's full column rank and B h = 0, and
-    the residual test bounds ||B x_hat - y|| on B itself, so it holds for a
-    row-rank-deficient B.  A proven x_hat depends only on S*; for B of full row
-    rank it has the hook's bits, and the margin is that of the first proof.
-
     Certificate (Zhang, Yin & Cheng, JOTA 2015).  Let S be the support of
     x_hat.  If B_S has full column rank and some w* has
     B_S' w* = sign(x_S) and ||B_S^c' w*||_inf < 1, then every h != 0 with
@@ -360,7 +335,9 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     ||x_hat + h||_1 - ||x_hat||_1 >= (1 - ||B_S^c' w*||_inf) ||h_S^c||_1,
     which is positive unless h_S^c = 0, and then B_S h_S = 0 forces h = 0.
     On the row-reduced path the certificate is for (U_r' B, U_r' y), whose
-    null space is B's, so it proves the same.
+    null space is B's, so it proves the same.  Uniqueness holds for B u = B x_hat,
+    not within the feasibility tolerance: a certified support can omit an entry
+    whose column adds less than that tolerance (large square/post, seed 3, trial 37).
 
     Rounding.  ``l1_dual_errors`` proves that such a w* exists from the
     computed w, which meets B_S' w = sign(x_S) only up to rounding.  With
@@ -384,25 +361,11 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     ||B_S^c' w*||_inf < 1.
     """
     _check_max_iter(max_iter)
-    return _decode_l1(B, y, max_iter)
-
-
-def _decode_l1(B, y, max_iter: int, support: np.ndarray | None = None) -> RecoveryReport:
-    """``basis_pursuit`` with ``support`` as the guess of its docstring (None: no guess)."""
     B0, y0 = B, yv = as_system(B, y)
     m, n = B.shape
     if not yv.any():
         return _report(np.zeros(n), B, yv, "converged")
-    safe, p, q = in_safe_range(B), 0, 0
-    if not (safe and in_safe_range(yv)):  # solve 2^p B u = 2^q y; then x = 2^(p - q) u
-        p, q = _unit_exponent(B), _unit_exponent(yv)
-        B, yv, safe = np.ldexp(B, p), np.ldexp(yv, q), None
-    test, duals = None, ()
-    if support is not None and support.size < m:
-        test, duals = _support_certifier(B, yv, support, guess=True) or (None, ())
-    found = test and next(filter(None, map(test, chain([np.zeros(m)], duals))), None)
-    if found is not None:
-        return _report(np.ldexp(found[0], p - q), B0, y0, "converged", found[2])
+    B, yv, p, q, safe = _in_range(B, yv)
 
     # rank m when the Gram floor proves the SVD would count it ("Row-rank screen"); budget
     # half the feasibility tolerance for the out-of-span component and half for the LP residual
@@ -425,10 +388,40 @@ def _decode_l1(B, y, max_iter: int, support: np.ndarray | None = None) -> Recove
         opt_tol=LP_OPTIMALITY_TOL,
         max_iter=max_iter,
         certify=partial(certify_l1, B_eff, y_eff),
-        guess=test if test is None or r == m else lambda w: test(Ur @ w),
     )
     margin = None if res.certificate is None else res.certificate[2]
     return _report(np.ldexp(res.x, p - q), B0, y0, res.status, margin)
+
+
+def _in_range(B: np.ndarray, y: np.ndarray):
+    """(2^p B, 2^q y, p, q, safe) of ``basis_pursuit``'s "Range"; safe: True, None once scaled."""
+    if in_safe_range(B) and in_safe_range(y):
+        return B, y, 0, 0, True
+    p, q = _unit_exponent(B), _unit_exponent(y)
+    return np.ldexp(B, p), np.ldexp(y, q), p, q, None
+
+
+def _proven_on_support(B, y, S: np.ndarray) -> RecoveryReport | None:
+    """The l1 answer for (B, y) proven on the support S before any solve, or None.
+
+    Support guess.  The pipeline knows x and takes S = supp(x).  On (B, y) scaled as
+    ``basis_pursuit`` scales it, the fit x_S must pass the ``support_set`` rule (every
+    |x_i| > 1e-6 max |x_S|), so an index fit by rounding noise proves nothing.  Then the
+    one ``_support_certifier`` test, which alone proves, takes the dual 0 (Fuchs'
+    least-norm certificate, IEEE TIT 2004) and the ``_ls_duals``: w = argmin
+    ||D^1/2 B_off' w||_2 over {B_S' w = sign(x_S)} for D = I and Lawson's (1961)
+    reweightings D <- D |B_off' w|, which push ||B_off' w||_inf toward its least value
+    there.  The certificate (``basis_pursuit``) needs only B_S's full column rank and
+    B h = 0, so it holds for a row-rank-deficient B; a proven x_hat depends only on S.
+    """
+    B0, y0 = B, yv = as_system(B, y)
+    B, yv, p, q, _ = _in_range(B, yv)
+    found = _support_certifier(B, yv, S) if S.size < B.shape[0] else None
+    if found is None or not np.abs(found[1]).min() > 1e-6 * np.abs(found[1]).max():
+        return None
+    duals = chain([np.zeros(B.shape[0])], _ls_duals(B, S, np.sign(found[1])))
+    proof = next(filter(None, map(found[0], duals)), None)
+    return proof and _report(np.ldexp(proof[0], p - q), B0, y0, "converged", proof[2])
 
 
 def _may_fit(By: np.ndarray, subs: np.ndarray, thr: float, gamma: float) -> np.ndarray:
@@ -601,8 +594,8 @@ def recover_via_linearization(
     is within the guard, and asserted by the caller otherwise.  The
     effective matrix is rescaled to symmetric RIP bounds when its constants
     are measurable (again within the guard); rescaling never changes the
-    recovered support.  The l1 decode takes supp(x) as its support guess
-    (see ``basis_pursuit``); ``max_iter`` caps its solver's iterations and is
+    recovered support.  The l1 decode tries ``_proven_on_support`` on supp(x)
+    before ``basis_pursuit``; ``max_iter`` caps its solver's iterations and is
     validated for either method.
     """
     _check_max_iter(max_iter)
@@ -648,7 +641,8 @@ def recover_via_linearization(
 
     B *= lam  # B is fresh; the measurements may be the certificate's Fz
     if method == "l1":
-        report = _decode_l1(B, lam * z, max_iter, np.flatnonzero(x))
+        report = (_proven_on_support(B, lam * z, np.flatnonzero(x))
+                  or basis_pursuit(B, lam * z, max_iter=max_iter))
     else:
         report = l0_oracle(B, lam * z, k)
 

@@ -296,14 +296,17 @@ def test_uncertified_desk_solves_converge(tmp_path, monkeypatch):
     # sign/pre at the desk scale with k = 30, past the l1 recovery threshold:
     # most solves are not certified and run to the solver's own stopping tests
     reports = []
-    decode = recovery._decode_l1  # the pipeline's l1 decode, with the support guess
 
-    def logged(B, y, *args):
-        rep = decode(B, y, *args)
-        reports.append((rep, float(np.linalg.norm(y))))
-        return rep
+    def logged(decode):  # the pipeline's l1 decode: the support guess, else basis_pursuit
+        def wrapped(B, y, *args, **kwargs):
+            rep = decode(B, y, *args, **kwargs)
+            if rep is not None:
+                reports.append((rep, float(np.linalg.norm(y))))
+            return rep
+        return wrapped
 
-    monkeypatch.setattr(recovery, "_decode_l1", logged)
+    for name in ("_proven_on_support", "basis_pursuit"):
+        monkeypatch.setattr(recovery, name, logged(getattr(recovery, name)))
     cfg = make_config(tmp_path, m=64, n=128, k=30, map_spec={"kind": "sign"}, trials=100, seed=0)
     run_experiment(cfg)
     assert len(reports) == 100

@@ -218,46 +218,6 @@ class TestCertifyHook:
         assert res.x.tobytes() == ref.x.tobytes() and res.status == ref.status
 
 
-class TestGuessHook:
-    def test_called_at_every_iterate_after_the_start_before_certify(self):
-        rng = np.random.default_rng(13)
-        B = rng.normal(size=(6, 12))
-        y = B @ np.where(np.arange(12) < 2, 1.0, 0.0)
-        log = []
-
-        def guess(y_dual):
-            log.append(("guess", y_dual.tobytes()))
-
-        def certify(S, y_dual):
-            log.append(("certify", y_dual.tobytes()))
-
-        ref = solve_standard_form(B, y, certify=certify, max_iter=6)
-        log.clear()
-        res = solve_standard_form(B, y, guess=guess, certify=certify, max_iter=6)
-        # a guess that returns None leaves the solve bit for bit as without it
-        assert res.x.tobytes() == ref.x.tobytes() and res.steps == ref.steps
-        guessed = [y_dual for kind, y_dual in log if kind == "guess"]
-        assert len(guessed) == res.steps  # iterates 1..steps: not the start, whose dual is 0
-        assert all(np.frombuffer(g).any() for g in guessed)
-        # after the start the guess comes first at an iterate, then certify under the gap rule
-        for i, (kind, y_dual) in enumerate(log):
-            if kind == "certify" and np.frombuffer(y_dual).any():
-                assert i > 0 and log[i - 1] == ("guess", y_dual)
-
-    def test_proof_ends_the_solve_without_certify(self):
-        rng = np.random.default_rng(14)
-        B = rng.normal(size=(6, 12))
-        y = B @ np.where(np.arange(12) < 2, 1.0, 0.0)
-        found = (np.full(12, 7.0), np.full(6, -1.0), "margin")
-
-        def unreachable(S, y_dual):  # pragma: no cover
-            raise AssertionError("certify runs after a proof")
-
-        res = solve_standard_form(B, y, guess=lambda y_dual: found, certify=unreachable)
-        assert res.status == "converged" and res.steps == res.iterations == 1
-        assert res.certificate is found and res.x is found[0] and res.y is found[1]
-
-
 def graded_system(m, seed):
     """A Gaussian m x 4m B and weights dsum spread over e^-20..e^20, as in
     late interior-point iterations."""

@@ -989,20 +989,23 @@ def reference_certify_l1(B, b, S, y):
 
 
 class GuessSpy:
-    """Wraps ``recovery._decode_l1`` and the guess tests of
-    ``recovery._support_certifier``: records each decode as [B, y, support,
-    report, proof] and checks every proof with ``l1_dual_errors`` on the system
-    it was made for.  The guess's dual candidates pass through unchanged."""
+    """Wraps ``recovery._proven_on_support`` and ``recovery.basis_pursuit`` at their
+    module globals: records each l1 decode of the pipeline (the pre-check, then
+    ``basis_pursuit`` when it returns None) as [B, y, support, report, proof],
+    proof the pre-check's (x_hat, w, margin) or None, and checks every proof with
+    ``l1_dual_errors`` on the system it was made for.  The dual candidates pass
+    through unchanged."""
 
     def __init__(self, monkeypatch):
-        self.decodes = []
-        setup, decode = recovery._support_certifier, recovery._decode_l1
+        self.decodes, self.inside = [], False
+        setup, precheck, decode = (recovery._support_certifier, recovery._proven_on_support,
+                                   recovery.basis_pursuit)
 
-        def spied_setup(B, b, S, guess=False):
-            found = setup(B, b, S, guess=guess)
-            if found is None or not guess:
+        def spied_setup(B, b, S):
+            found = setup(B, b, S)
+            if found is None or not self.inside:  # certify_l1's setups in a solve
                 return found
-            test, duals = found
+            test, xs = found
 
             def checked(y):
                 found = test(y)
@@ -1010,19 +1013,35 @@ class GuessSpy:
                     assert l1_dual_errors(B, b, found[0], found[1]) == []
                     self.decodes[-1][4] = found
                 return found
-            return checked, duals
+            return checked, xs
 
-        def spied_decode(B, y, max_iter, support=None):
-            self.decodes.append([B, y, support, None, None])
-            self.decodes[-1][3] = decode(B, y, max_iter, support)
+        def spied_precheck(B, y, S):
+            self.decodes.append([B, y, S, None, None])
+            self.inside = True
+            try:
+                self.decodes[-1][3] = precheck(B, y, S)
+            finally:
+                self.inside = False
             return self.decodes[-1][3]
 
+        def spied_decode(B, y, **kwargs):
+            rep = decode(B, y, **kwargs)
+            if self.decodes and self.decodes[-1][3] is None:
+                self.decodes[-1][3] = rep
+            return rep
+
         monkeypatch.setattr(recovery, "_support_certifier", spied_setup)
-        monkeypatch.setattr(recovery, "_decode_l1", spied_decode)
+        monkeypatch.setattr(recovery, "_proven_on_support", spied_precheck)
+        monkeypatch.setattr(recovery, "basis_pursuit", spied_decode)
+
+
+def decode_l1(B, y, S):
+    """The pipeline's l1 decode of (B, y) with the support guess S."""
+    return recovery._proven_on_support(B, y, S) or recovery.basis_pursuit(B, y)
 
 
 class TestSupportGuess:
-    """The pipeline's l1 decode tests supp(x) as a support guess first."""
+    """The pipeline proves the l1 answer on supp(x) before it calls ``basis_pursuit``."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_certify_l1_keeps_the_bits_of_the_unsplit_formula(self, seed):
@@ -1031,8 +1050,9 @@ class TestSupportGuess:
         b = B @ x
         S = np.flatnonzero(x)
         extra = np.sort(np.append(S, np.setdiff1d(np.arange(128), S)[seed]))
-        duals = [np.zeros(64)]
-        solve_standard_form(B, b, guess=lambda y: duals.append(y))  # every iterate's dual
+        # the dual of the best of the first j iterates, for every j the solve takes
+        steps = solve_standard_form(B, b).steps
+        duals = [solve_standard_form(B, b, max_iter=j).y for j in range(1, steps + 2)]
         proofs = 0
         for support in (S, S[1:], extra):
             for y in duals:
@@ -1047,21 +1067,19 @@ class TestSupportGuess:
     @pytest.mark.parametrize("seed", range(4))
     def test_wrong_guess_never_proves(self, seed, monkeypatch):
         # one index missing: b does not fit; one extra: its fitted entry is
-        # rounding noise, which is not support.  Either way the decode is the
-        # guess-free one, bit for bit
+        # rounding noise, which is not support.  Either way the pre-check
+        # fails, and the pipeline decodes with ``basis_pursuit``
         B = gaussian_matrix(64, 128, 710 + seed)
         x = random_sparse_signal(128, 10, 810 + seed)
         b = B @ x
         S = np.flatnonzero(x)
-        plain = basis_pursuit(B, b)
         spy = GuessSpy(monkeypatch)
         extra = np.sort(np.append(S, np.setdiff1d(np.arange(128), S)[7 * seed]))
         for support in (S[1:], S[:-1], extra):
-            rep = recovery._decode_l1(B, b, 200, support)
+            assert recovery._proven_on_support(B, b, support) is None
             assert spy.decodes[-1][4] is None
-            assert rep.x_hat.tobytes() == plain.x_hat.tobytes() and rep.to_json() == plain.to_json()
-        recovery._decode_l1(B, b, 200, S)
-        assert spy.decodes[-1][4] is not None  # the right guess proves
+        rep = recovery._proven_on_support(B, b, S)
+        assert rep.certified and rep.margin == spy.decodes[-1][4][2]  # the right guess proves
 
     def test_square_post_is_proven_before_the_solve(self, monkeypatch):
         def unreachable(*args, **kwargs):  # pragma: no cover
@@ -1086,12 +1104,13 @@ class TestSupportGuess:
         assert sum(d[4] is not None for d in spy.decodes) == len(spy.decodes) == 30
 
     def test_past_the_threshold_it_proves_only_certified_recoveries(self, monkeypatch):
-        # desk sign/pre at k = 30: l1 recovers x on about one trial in ten.
-        # The guess proves only trials whose guess-free decode is certified too,
-        # with x_hat within rounding; on every other trial the decode is the
-        # guess-free one, bit for bit
+        # desk sign/pre at k = 30: l1 recovers x on about one trial in ten, and
+        # the guess proves about one in a hundred before the solve (seeds 62
+        # and 123 here).  It proves only trials whose guess-free decode is
+        # certified too, with x_hat within rounding; on every other trial the
+        # decode is the guess-free one, bit for bit
         spy = GuessSpy(monkeypatch)
-        for seed in range(30):
+        for seed in range(130):
             A, x = gaussian_matrix(64, 128, 740 + seed), random_sparse_signal(128, 30, 840 + seed)
             recover_via_linearization(A, sign_map(64), "pre", x, "l1")
         decodes, proven = list(spy.decodes), 0
@@ -1106,26 +1125,43 @@ class TestSupportGuess:
                 assert np.abs(rep.x_hat - plain.x_hat).max() <= 1e-14 * np.abs(rep.x_hat).max()
         assert 0 < proven < 10
 
-    def test_row_rank_deficient_system_is_proven_on_its_unreduced_form(self, monkeypatch):
-        # B repeats three of its rows, so the solver runs on the row-reduced
-        # system, and the guess tests each iterate's dual y_r as U_r y_r; with
-        # no dual candidates, the dual 0 alone comes before the solve
+    def test_a_failed_guess_decodes_through_the_basis_pursuit_global(self, monkeypatch):
+        # the pipeline calls ``basis_pursuit`` at its module global, where a
+        # patch (a tracer's span, say) sees every solve: once on a desk sign/pre
+        # trial at k = 30 whose guess fails, never on one the guess proves
+        calls, decode = [], recovery.basis_pursuit
+        monkeypatch.setattr(recovery, "basis_pursuit",
+                            lambda *args, **kwargs: calls.append(args) or decode(*args, **kwargs))
+        A, x = gaussian_matrix(64, 128, 1001), random_sparse_signal(128, 30, 2001)
+        rep = recover_via_linearization(A, sign_map(64), "pre", x, "l1").report
+        assert len(calls) == 1 and not rep.certified
+        A, x = gaussian_matrix(64, 128, 900), random_sparse_signal(128, 10, 950)
+        rep = recover_via_linearization(A, sign_map(64), "pre", x, "l1").report
+        assert len(calls) == 1 and rep.certified
+
+    def test_row_rank_deficient_system_is_proven_on_its_reduced_form(self, monkeypatch):
+        # B repeats three of its rows.  With no dual candidates the dual 0
+        # fails, so ``basis_pursuit`` solves the row-reduced system
+        # (U_r' B, U_r' y), and its certify hook proves the answer there
         B = gaussian_matrix(12, 24, 50)
         B = np.vstack([B, B[:3]])
         x = random_sparse_signal(24, 4, 60)
-        spy = GuessSpy(monkeypatch)  # checks each proof on the unreduced (B, y)
-        monkeypatch.setattr(recovery, "_ls_duals", lambda *args: iter(()))
-        shapes = []
+        without_candidates(monkeypatch)
+        assert recovery._proven_on_support(B, B @ x, np.flatnonzero(x)) is None
+        solves = []
         solve = recovery.solve_standard_form
 
-        def recorded(B_eff, *args, **kwargs):
-            shapes.append(B_eff.shape)
-            return solve(B_eff, *args, **kwargs)
+        def recorded(B_eff, y_eff, **kwargs):
+            solves.append((B_eff, y_eff, solve(B_eff, y_eff, **kwargs)))
+            return solves[-1][2]
 
         monkeypatch.setattr(recovery, "solve_standard_form", recorded)
-        rep = recovery._decode_l1(B, B @ x, 200, np.flatnonzero(x))
-        assert shapes == [(12, 24)] and spy.decodes[-1][4][1].shape == (15,)
-        assert rep.certified and np.abs(rep.x_hat - x).max() <= 1e-14
+        rep = basis_pursuit(B, B @ x)
+        (B_eff, y_eff, res), = solves
+        assert B_eff.shape == (12, 24) and res.certificate is not None
+        x_hat, w, margin = res.certificate
+        assert l1_dual_errors(B_eff, y_eff, x_hat, w) == []
+        assert rep.certified and rep.margin == margin and np.abs(rep.x_hat - x).max() <= 1e-14
 
 
 def without_candidates(monkeypatch):
@@ -1172,41 +1208,42 @@ class TestLsDuals:
 
     @pytest.mark.parametrize("shape, duplicated", [((12, 14), False), ((12, 15), True)])
     def test_a_singular_gram_is_handled_cleanly(self, shape, duplicated, monkeypatch):
-        # n - k < m: no candidate.  n - k = m with a duplicated off-support
-        # column: B_off D B_off' is singular, and whatever the step yields
-        # must still pass the checker; the x_hat is the fallback's either way
+        # n - k < m: no candidate, the dual 0 fails and the solve proves the
+        # answer.  n - k = m with a duplicated off-support column: B_off D B_off'
+        # is singular, and whatever the step yields must still pass the
+        # checker, as a candidate proves before the solve; the x_hat is the
+        # fallback's either way
         m, n = shape
         B = gaussian_matrix(m, n, 70)
         S = np.array([1, 4, 8])
-        off = np.setdiff1d(np.arange(n), S)
         if duplicated:
+            off = np.setdiff1d(np.arange(n), S)
             B[:, off[5]] = B[:, off[2]]
         x = np.zeros(n)
         x[S] = [1.0, -2.0, 0.5]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            test, duals = recovery._support_certifier(B, B @ x, S, guess=True)
-            candidates = list(duals)
+            candidates = list(recovery._ls_duals(B, S, np.sign(x[S])))
             assert len(candidates) == (recovery._LS_ROUNDS if duplicated else 0)
             assert all(np.isfinite(w).all() for w in candidates)
             spy = GuessSpy(monkeypatch)
-            rep = recovery._decode_l1(B, B @ x, 200, S)
-        assert spy.decodes[-1][4] is not None
+            rep = decode_l1(B, B @ x, S)
+        assert (spy.decodes[-1][4] is not None) == duplicated
         without_candidates(monkeypatch)
-        plain = recovery._decode_l1(B, B @ x, 200, S)
+        plain = decode_l1(B, B @ x, S)
         assert rep.x_hat.tobytes() == plain.x_hat.tobytes() and rep.certified
 
     def test_a_flipped_sign_or_a_perturbed_dual_is_rejected(self):
         B, x = gaussian_matrix(64, 128, 900), random_sparse_signal(128, 10, 950)
         y, S = B @ x, np.flatnonzero(x)
-        test, duals = recovery._support_certifier(B, y, S, guess=True)
-        x_hat, w, _ = next(filter(None, map(test, duals)))
+        test, xs = recovery._support_certifier(B, y, S)
+        x_hat, w, _ = next(filter(None, map(test, recovery._ls_duals(B, S, np.sign(xs)))))
         assert l1_dual_errors(B, y, x_hat, w) == []
         off = np.ones(128, dtype=bool)
         off[S] = False
         flipped = np.sign(x_hat[S])
         flipped[3] = -flipped[3]
-        for w_flip in recovery._ls_duals(B, B[:, S], flipped, off):  # built for the wrong sign
+        for w_flip in recovery._ls_duals(B, S, flipped):  # built for the wrong sign
             assert l1_dual_errors(B, y, x_hat, w_flip) != []
         x_flip = x_hat.copy()
         x_flip[S[3]] = -x_flip[S[3]]

@@ -80,7 +80,8 @@ def test_panel_matrix(tmp_path):
 
 
 def test_panel_matrix_without_the_candidates(tmp_path, monkeypatch):
-    # with no dual candidates the solves run, and the guess proves at iterates
+    # with no dual candidates the dual 0 alone is tested before the solve; the
+    # solves run, and their certify hook proves at an iterate
     from nlcs import recovery
     monkeypatch.setattr(recovery, "_ls_duals", lambda *args: iter(()))
     tool = load()
@@ -88,15 +89,16 @@ def test_panel_matrix_without_the_candidates(tmp_path, monkeypatch):
     line, records = tool.run_panel("smoke/sign_pre", sizes, {"kind": "sign"}, "pre", 0, tmp_path)
     assert re.fullmatch(r"smoke/sign_pre [0-9a-f]{16} [0-9a-f]{16} solves=3 steps=\d+", line)
     assert [r.split()[0] for r in records] == ["0", "1", "2"]
-    for record in records:  # the guess proved at the iterate the solve returned
-        steps, iterate, guess = record.split()[1], record.split()[2], record.split()[-1]
-        assert guess == f"guess={int(steps) + 1}:{iterate}"
+    for record in records:  # certify_l1 proved at the iterate the solve returned
+        trial, steps, iterate, status, certified, calls, _, guess = record.split()
+        assert (steps, status, certified, guess) == (iterate, "converged", "True", "guess=1:-")
+        assert int(calls) >= 1
     # square/post: the guess proves trials 0 and 2 at the dual 0, before any solve
     line, records = tool.run_panel("smoke/square_post", sizes, {"kind": "square"}, "post", 0,
                                    tmp_path)
-    assert line.endswith(" solves=1 steps=1")
+    assert line.endswith(" solves=1 steps=3")
     assert records == ["0 - - converged True 0 0 guess=1:dual0",
-                       "1 1 1 converged True 0 0 guess=2:1",
+                       "1 3 3 converged True 2 0 guess=1:-",
                        "2 - - converged True 0 0 guess=1:dual0"]
 
 
@@ -104,11 +106,10 @@ def test_panel_matrix_without_the_guess(tmp_path, monkeypatch):
     # a package without the support guess, as at the parent of the change
     # that added it: the matrix still runs, and records guess=0:-
     from nlcs import recovery
-    setup, decode = recovery._support_certifier, recovery._decode_l1
-    monkeypatch.setattr(recovery, "_decode_l1",
-                        lambda B, y, max_iter, support: decode(B, y, max_iter))
+    setup = recovery._support_certifier
+    monkeypatch.setattr(recovery, "_proven_on_support", lambda B, y, S: None)
     monkeypatch.setattr(recovery, "certify_l1",
-                        lambda B, b, S, y: (lambda t: t and t(y))(setup(B, b, S)))
+                        lambda B, b, S, y: (lambda found: found and found[0](y))(setup(B, b, S)))
     monkeypatch.delattr(recovery, "_support_certifier")
     tool = load()
     sizes = {"m": 12, "n": 24, "k": 2, "trials": 3}

@@ -348,14 +348,16 @@ def cli_matrix(work: Path, full: bool):
 # fallback, so counting None returns counts those fallbacks exactly.  The
 # starting point's own QR fallback (when 2 B B' overflows or its LU fails) is
 # not counted; no panel here takes it.  ``guess`` counts the tests of the
-# support guess, the tests that ``recovery._support_certifier(..., guess=True)``
-# returns, and names the proof that ended the trial (``-`` when none did):
-# ``dual0`` for the dual 0 and ``ls<r>`` for the r-th least-squares dual
-# candidate, both before the solve, or i for the dual of iterate i.  A trial
-# proven before the solve makes none; its record reads
-# ``<trial> - - converged True 0 0 guess=<tests>:<proof>``.  A package whose
-# guess has no candidates (its setup returns the test alone) never names an
-# ``ls<r>``, and one without ``_support_certifier`` records ``guess=0:-``.
+# support guess before the solve, those of every test that
+# ``recovery._support_certifier`` returns before a solve starts (within a solve
+# it serves ``certify_l1``), and names the proof that ended the trial before
+# the solve: ``dual0`` for the dual 0 and ``ls<r>`` for the r-th least-squares
+# dual candidate, or ``-`` when none did.  A trial proven before the solve
+# makes none; its record reads ``<trial> - - converged True 0 0
+# guess=<tests>:<proof>``.  A package whose guess has no candidates (its setup
+# returns the test alone) never names an ``ls<r>``, one that also tests the
+# guess at the solver's iterates has those tests left out, and one without
+# ``_support_certifier`` records ``guess=0:-``.
 #
 # The panels: the six desk panels (64x128, k = 10, 100 trials) at config seed
 # 0 with the benchmark's map specs; the large sign/pre and square/post panels
@@ -387,7 +389,7 @@ class Recorder:
     def __init__(self):
         self.records: list[tuple] = []
         self.trial = -1
-        self.calls = self.fallbacks = self.tests = self.drawn = 0
+        self.calls = self.fallbacks = self.tests = 0
         self.proof, self.solved = "-", False
 
     def installed(self):
@@ -402,7 +404,7 @@ class Recorder:
     def _trial(self, fn):
         def wrapped(*args, **kwargs):
             self.trial += 1
-            self.tests = self.drawn = 0
+            self.tests = 0
             self.proof, self.solved = "-", False
             out = fn(*args, **kwargs)
             if self.proof != "-" and not self.solved:  # proven before the solve
@@ -431,24 +433,18 @@ class Recorder:
     def _guess(self, fn):
         def wrapped(*args, **kwargs):
             found = fn(*args, **kwargs)
-            if found is None or not kwargs.get("guess"):
+            if found is None or self.solved:
                 return found
-            test, duals = (found, None) if callable(found) else found
+            test, *rest = found if isinstance(found, tuple) else (found,)
 
             def counted(y):
                 proved = test(y)
-                t = self.tests  # the dual 0, candidate t, or iterate t - drawn
-                if proved is not None:
-                    self.proof = ("dual0" if t == 0 else f"ls{t}" if t <= self.drawn
-                                  else t - self.drawn)
-                self.tests += 1
+                if not self.solved:
+                    if proved is not None:
+                        self.proof = f"ls{self.tests}" if self.tests else "dual0"
+                    self.tests += 1
                 return proved
-
-            def drawn():
-                for w in duals:
-                    self.drawn += 1
-                    yield w
-            return counted if duals is None else (counted, drawn())
+            return (counted, *rest) if rest else counted
         return wrapped
 
     def _factor(self, fn):
