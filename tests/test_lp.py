@@ -208,6 +208,22 @@ class TestCertifyHook:
         assert all(call in rest for call in gapped)
         assert 0 < len(gapped) < len(every)
 
+    def test_a_hook_that_never_proves_leaves_the_solve_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        B = rng.normal(size=(6, 12))
+        y = B @ np.where(np.arange(12) < 2, 1.0, 0.0)
+        duals = []
+
+        def decline(S, y_dual):
+            duals.append(y_dual.copy())
+
+        ref = solve_standard_form(B, y)
+        res = solve_standard_form(B, y, certify=decline)
+        assert duals and all(d.any() for d in duals)
+        assert res.x.tobytes() == ref.x.tobytes() and res.y.tobytes() == ref.y.tobytes()
+        assert (res.status, res.steps, res.iterations) == (ref.status, ref.steps, ref.iterations)
+        assert res.certificate is None
+
     def test_single_row_never_calls_the_hook(self):
         def unreachable(S, y_dual):  # pragma: no cover
             raise AssertionError("no support with 0 < |S| < m = 1")
