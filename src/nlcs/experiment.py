@@ -83,6 +83,9 @@ class ExperimentConfig:
             raise ValueError(f"config missing keys: {sorted(missing)}")
         if not isinstance(d["map"], dict):
             raise ValueError(f"config 'map' must be an object, got {d['map']!r}")
+        for key in ("composition", "method", "output_dir"):
+            if not isinstance(d[key], str):
+                raise ValueError(f"config {key!r} must be a string, got {d[key]!r}")
         ints = {}
         for key in ("m", "n", "k", "trials", "seed"):
             v = d[key]  # an integral float such as 5.0 passes; 2.5, "5" and true do not
@@ -92,9 +95,9 @@ class ExperimentConfig:
             ints[key] = int(v)
         return cls(
             map_spec=dict(d["map"]),
-            composition=str(d["composition"]),
-            method=str(d["method"]),
-            output_dir=str(d["output_dir"]),
+            composition=d["composition"],
+            method=d["method"],
+            output_dir=d["output_dir"],
             **ints,
         )
 

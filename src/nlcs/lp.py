@@ -67,11 +67,11 @@ failed call costs the hook a factorization.  The hook returns None or a
 tuple whose first two entries are an x and a y; the solve then returns
 them at once with status "converged" and keeps the whole tuple as
 ``LpResult.certificate``.  The solver neither reads nor checks the tuple,
-so the caller's hook alone answers for it (``recovery.certify_l1``
-returns a polished x, a dual certificate of its unique optimality and
-that certificate's margin).  The hook must not modify y: a None then
-leaves the iterate untouched, and the solve goes on bit for bit as
-without a hook.
+so the caller's hook alone answers for it (``recovery.basis_pursuit``'s
+hook returns the ``recovery.certify_l1`` test's polished x, its dual
+certificate of unique optimality and their margin).  The hook must not
+modify y: a None then leaves the iterate untouched, and the solve goes
+on bit for bit as without a hook.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -62,6 +61,8 @@ LP_FEASIBILITY_TOL = 1e-8
 LP_OPTIMALITY_TOL = 1e-8
 #: least-squares dual candidates the support guess tries before the solve (``_ls_duals``)
 _LS_ROUNDS = 4
+#: an entry is support when |v_i| > _SUPPORT_FLOOR ||v||_inf (``support_set``, the pre-check's fit)
+_SUPPORT_FLOOR = 1e-6
 
 
 def _check_max_iter(max_iter) -> None:
@@ -81,7 +82,7 @@ class RecoveryReport(JsonReport):
     B x_hat - y for the system actually solved.  margin is
     1 - ||B_S^c' w||_inf of the first dual certificate w found that x_hat is
     the unique l1 minimizer, when the l1 decode ended on one (see
-    ``basis_pursuit``), None otherwise; certified is derived from it (margin
+    ``l1_dual_errors``), None otherwise; certified is derived from it (margin
     is not None), so the two cannot disagree.
     """
 
@@ -101,11 +102,11 @@ class RecoveryReport(JsonReport):
 def support_set(v) -> set[int]:
     """Indices of the significant entries of a recovered vector.
 
-    The threshold 1e-6 * ||v||_inf separates true support values from
-    decoder noise at any scale of v.
+    The threshold ``_SUPPORT_FLOOR`` * ||v||_inf separates true support
+    values from decoder noise at any scale of v.
     """
     x = as_vector(v)
-    threshold = 1e-6 * float(np.abs(x).max())
+    threshold = _SUPPORT_FLOOR * float(np.abs(x).max())
     return {int(i) for i in np.flatnonzero(np.abs(x) > threshold)}
 
 
@@ -122,13 +123,13 @@ def _report(x_hat: np.ndarray, B: np.ndarray, y: np.ndarray, status: str,
     )
 
 
-def _gram_floor(M: np.ndarray, phi: float | None = None, safe: bool | None = None) -> float:
+def _gram_floor(M: np.ndarray, phi: float | None = None) -> float:
     """Certified lower bound phi F / 2 on lambda_min(M M'), F = trace(fl(M M')), from a
     Cholesky factorization of fl(M M') - sI, or 0.0 when it fails or M is outside
-    ``matrix_core.in_safe_range`` (``safe``, when the caller knows).  Without ``phi``,
-    phi is half the computed smallest eigenvalue over F, kept within [``_RANK_FLOOR``,
-    1/2].  Proof: the Gram-floor lemma of ``matrix_core``, as ``basis_pursuit`` applies it."""
-    if not (in_safe_range(M) if safe is None else safe):
+    ``matrix_core.in_safe_range``.  Without ``phi``, phi is half the computed smallest
+    eigenvalue over F, kept within [``_RANK_FLOOR``, 1/2].  Proof: the Gram-floor lemma
+    of ``matrix_core``, as ``basis_pursuit`` applies it."""
+    if not in_safe_range(M):
         return 0.0
     m, n = M.shape
     G = M @ M.T
@@ -147,7 +148,7 @@ def _margin_and_bound(B: np.ndarray, S: np.ndarray, w: np.ndarray, sign: np.ndar
                       c: np.ndarray) -> tuple[float, float] | None:
     """The computed margin 1 - max over j outside S of |c_j|, c = fl(B' w),
     and its rounding bound beta, or None when B_S has no certified full
-    column rank (see ``basis_pursuit``)."""
+    column rank (see ``l1_dual_errors``)."""
     m, n = B.shape
     u = _UNIT_ROUNDOFF
     g = 2.0 * (m + 2) * u
@@ -174,9 +175,42 @@ def l1_dual_errors(B, b, x_hat, w) -> list[str]:
     With S the nonzeros of x_hat, the conditions of Zhang, Yin & Cheng are
     checked with every rounding error bounded: B_S has full column rank, and
     w lies close enough to {B_S' w = sign(x_hat_S)} that its margin
-    1 - ||B_S^c' w||_inf stays positive after the correction onto that set
-    (``basis_pursuit`` gives the proof).  The check uses only its arguments,
-    so it does not trust the solver or ``certify_l1``.
+    1 - ||B_S^c' w||_inf stays positive after the correction onto that set.
+    The check uses only its arguments, so it does not trust the solver or
+    ``certify_l1``.
+
+    Certificate (Zhang, Yin & Cheng, JOTA 2015).  Let S be the support of
+    x_hat.  If B_S has full column rank and some w* has
+    B_S' w* = sign(x_S) and ||B_S^c' w*||_inf < 1, then every h != 0 with
+    B h = 0 has ||x_hat + h||_1 >= ||x_hat||_1 + sign(x_S)' h_S +
+    ||h_S^c||_1 and sign(x_S)' h_S = w*' B_S h_S = -w*' B_S^c h_S^c, so
+    ||x_hat + h||_1 - ||x_hat||_1 >= (1 - ||B_S^c' w*||_inf) ||h_S^c||_1,
+    which is positive unless h_S^c = 0, and then B_S h_S = 0 forces h = 0.
+    On ``basis_pursuit``'s row-reduced path the certificate is for (U_r' B, U_r' y),
+    whose null space is B's, so it proves the same.  Uniqueness holds for B u = B x_hat,
+    not within the feasibility tolerance: a certified support can omit an entry
+    whose column adds less than that tolerance (large square/post, seed 3, trial 37).
+
+    Rounding.  The check proves that such a w* exists from the computed w,
+    which meets B_S' w = sign(x_S) only up to rounding.  With
+    k = |S|, g = 2 (m + 2) u, c = fl(B' w) and a = fl(|B|' |w|), every
+    |c_j - b_j' w| <= g a_j (the dot-product bound gamma_m |b_j|' |w| with
+    |b_j|' |w| <= a_j / (1 - gamma_m); underflow adds at most m 2^-1074,
+    far below the 2u of step 3).
+    (1) Rank: ``_gram_floor(B_S')``, ``basis_pursuit``'s Gram floor with M = B_S' (p = k,
+    q = m) and the phi it picks, must be positive; then sigma_min(B_S) > s_lo = sqrt(phi F / 2).
+    (2) Equality: e = B_S' w - sign(x_S) has |e_i| <= 1.01 |r_i| + g a_i
+    for the computed r = c_S - sign(x_S), so ||e||_2 <= eps =
+    1.05 fl(|| |r| + g a_S ||_2).  Then w* = w - B_S (B_S' B_S)^-1 e meets
+    B_S' w* = sign(x_S) exactly, and as ||B_S (B_S' B_S)^-1||_2 =
+    1 / sigma_min(B_S) < 1 / s_lo, every j outside S has
+    |b_j' w*| <= |c_j| + g a_j + ||b_j||_2 eps / s_lo.
+    (3) Margin: the check passes only when fl(1 - max_j |c_j|) exceeds
+    beta = 1.05 max_j (g a_j + fl(||b_j||_2) eps / s_lo) + 2u, over j
+    outside S.  The factor 1.05 covers the rounding of the norms, products
+    and sums that form eps and beta, each a relative error of at most
+    (m + k + 4) u <= 0.01, and 2u covers the subtraction from 1; so
+    ||B_S^c' w*||_inf < 1.
     """
     B, bv = as_system(B, b)
     x = as_vector(x_hat)
@@ -206,9 +240,20 @@ def _dual_problems(B: np.ndarray, b: np.ndarray, x: np.ndarray, w: np.ndarray,
     return problems, found[0]
 
 
-def _support_certifier(B: np.ndarray, b: np.ndarray, S: np.ndarray):
-    """The per-support half of ``certify_l1``: None when no certificate can hold
-    on S, else the per-dual test y -> ``certify_l1(B, b, S, y)`` and the fitted x_S."""
+def certify_l1(B: np.ndarray, b: np.ndarray, S: np.ndarray):
+    """The l1 certificate on the support S: None when none can hold there, else
+    the per-dual test and the fitted x_S.  The test takes a dual y and returns
+    the polished l1 minimizer on S, its dual certificate w and margin
+    1 - ||B_S^c' w||_inf, or None when they fail ``l1_dual_errors``.
+
+    One R-only QR of [B_S, b] gives R_S, the factor of B_S, and the
+    least-squares residual |R[k, k]| of b on B_S (k = |S|); the builder
+    returns None when that residual exceeds half the feasibility tolerance,
+    so a support that cannot fit b costs one QR without Q, or when x_S =
+    R_S^-1 R[:k, k] has a zero entry.  The test projects y onto
+    {B_S' w = sign(x_S)}, w = y + B_S R_S^-1 R_S^-T (sign(x_S) - B_S' y).
+    The arguments are only read.
+    """
     m, n = B.shape
     k = S.size
     A = np.empty((m, k + 1))
@@ -276,22 +321,6 @@ def _ls_duals(B: np.ndarray, S: np.ndarray, sign: np.ndarray):
         yield w
 
 
-def certify_l1(B, b, S, y) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Polished l1 minimizer on the support S, its dual certificate w and
-    margin 1 - ||B_S^c' w||_inf, or None when they fail ``l1_dual_errors``.
-
-    One R-only QR of [B_S, b] gives R_S, the factor of B_S, and the
-    least-squares residual |R[k, k]| of b on B_S (k = |S|); the attempt
-    stops there when that residual exceeds half the feasibility tolerance,
-    so a support that cannot fit b costs one QR without Q.  Otherwise
-    x_S = R_S^-1 R[:k, k], and w is the dual y projected onto
-    {B_S' w = sign(x_S)}, w = y + B_S R_S^-1 R_S^-T (sign(x_S) - B_S' y).
-    The arguments are only read; ``_support_certifier`` does the work.
-    """
-    found = _support_certifier(B, b, S)
-    return None if found is None else found[0](y)
-
-
 def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     """Minimize ||u||_1 subject to B u = y (within the feasibility tolerance).
 
@@ -324,81 +353,45 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     depend on the screen.
 
     Certified exit.  The solve ends at the first iterate whose candidate
-    support carries the certificate below, returning the polished fit and
-    the checker's margin (hook in ``lp``, fit and projection in ``certify_l1``).
-
-    Certificate (Zhang, Yin & Cheng, JOTA 2015).  Let S be the support of
-    x_hat.  If B_S has full column rank and some w* has
-    B_S' w* = sign(x_S) and ||B_S^c' w*||_inf < 1, then every h != 0 with
-    B h = 0 has ||x_hat + h||_1 >= ||x_hat||_1 + sign(x_S)' h_S +
-    ||h_S^c||_1 and sign(x_S)' h_S = w*' B_S h_S = -w*' B_S^c h_S^c, so
-    ||x_hat + h||_1 - ||x_hat||_1 >= (1 - ||B_S^c' w*||_inf) ||h_S^c||_1,
-    which is positive unless h_S^c = 0, and then B_S h_S = 0 forces h = 0.
-    On the row-reduced path the certificate is for (U_r' B, U_r' y), whose
-    null space is B's, so it proves the same.  Uniqueness holds for B u = B x_hat,
-    not within the feasibility tolerance: a certified support can omit an entry
-    whose column adds less than that tolerance (large square/post, seed 3, trial 37).
-
-    Rounding.  ``l1_dual_errors`` proves that such a w* exists from the
-    computed w, which meets B_S' w = sign(x_S) only up to rounding.  With
-    k = |S|, g = 2 (m + 2) u, c = fl(B' w) and a = fl(|B|' |w|), every
-    |c_j - b_j' w| <= g a_j (the dot-product bound gamma_m |b_j|' |w| with
-    |b_j|' |w| <= a_j / (1 - gamma_m); underflow adds at most m 2^-1074,
-    far below the 2u of step 3).
-    (1) Rank: ``_gram_floor(B_S')``, the Gram floor with M = B_S' (p = k, q = m) and
-    the phi it picks, must be positive; then sigma_min(B_S) > s_lo = sqrt(phi F / 2).
-    (2) Equality: e = B_S' w - sign(x_S) has |e_i| <= 1.01 |r_i| + g a_i
-    for the computed r = c_S - sign(x_S), so ||e||_2 <= eps =
-    1.05 fl(|| |r| + g a_S ||_2).  Then w* = w - B_S (B_S' B_S)^-1 e meets
-    B_S' w* = sign(x_S) exactly, and as ||B_S (B_S' B_S)^-1||_2 =
-    1 / sigma_min(B_S) < 1 / s_lo, every j outside S has
-    |b_j' w*| <= |c_j| + g a_j + ||b_j||_2 eps / s_lo.
-    (3) Margin: the check passes only when fl(1 - max_j |c_j|) exceeds
-    beta = 1.05 max_j (g a_j + fl(||b_j||_2) eps / s_lo) + 2u, over j
-    outside S.  The factor 1.05 covers the rounding of the norms, products
-    and sums that form eps and beta, each a relative error of at most
-    (m + k + 4) u <= 0.01, and 2u covers the subtraction from 1; so
-    ||B_S^c' w*||_inf < 1.
+    support carries a certificate that ``l1_dual_errors`` accepts, returning
+    the polished fit and the checker's margin (hook in ``lp``; ``certify_l1``
+    builds the fit and the projection).
     """
     _check_max_iter(max_iter)
-    B0, y0 = B, yv = as_system(B, y)
+    B, yv, report = _in_range(B, y)
     m, n = B.shape
     if not yv.any():
-        return _report(np.zeros(n), B, yv, "converged")
-    B, yv, p, q, safe = _in_range(B, yv)
+        return report(np.zeros(n), "converged")
 
     # rank m when the Gram floor proves the SVD would count it ("Row-rank screen"); budget
     # half the feasibility tolerance for the out-of-span component and half for the LP residual
-    r = m if _gram_floor(B, _RANK_FLOOR, safe) > 0.0 else int(
+    r = m if _gram_floor(B, _RANK_FLOOR) > 0.0 else int(
         rank_of_singular_values(np.linalg.svd(B, compute_uv=False)))
     if r < m:
         Ur = np.linalg.svd(B, full_matrices=False)[0][:, :r]
         out_of_span = float(np.linalg.norm(yv - Ur @ (Ur.T @ yv)))
         if out_of_span > 0.5 * LP_FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(yv))):
-            return _report(np.zeros(n), B0, y0, "infeasible")
-        B_eff = Ur.T @ B
-        y_eff = Ur.T @ yv
+            return report(np.zeros(n), "infeasible")
+        B_eff, y_eff = Ur.T @ B, Ur.T @ yv
     else:
         B_eff, y_eff = B, yv
 
-    res = solve_standard_form(
-        B_eff,
-        y_eff,
-        feas_tol=0.5 * LP_FEASIBILITY_TOL,
-        opt_tol=LP_OPTIMALITY_TOL,
-        max_iter=max_iter,
-        certify=partial(certify_l1, B_eff, y_eff),
-    )
-    margin = None if res.certificate is None else res.certificate[2]
-    return _report(np.ldexp(res.x, p - q), B0, y0, res.status, margin)
+    res = solve_standard_form(B_eff, y_eff, feas_tol=0.5 * LP_FEASIBILITY_TOL,
+                              opt_tol=LP_OPTIMALITY_TOL, max_iter=max_iter,
+                              certify=lambda S, w: (t := certify_l1(B_eff, y_eff, S)) and t[0](w))
+    return report(res.x, res.status, None if res.certificate is None else res.certificate[2])
 
 
-def _in_range(B: np.ndarray, y: np.ndarray):
-    """(2^p B, 2^q y, p, q, safe) of ``basis_pursuit``'s "Range"; safe: True, None once scaled."""
-    if in_safe_range(B) and in_safe_range(y):
-        return B, y, 0, 0, True
-    p, q = _unit_exponent(B), _unit_exponent(y)
-    return np.ldexp(B, p), np.ldexp(y, q), p, q, None
+def _in_range(B, y):
+    """(B, y) checked by ``as_system`` and scaled to 2^p B and 2^q y as ``basis_pursuit``'s
+    "Range" says, and report(u, status[, margin]) of an answer u to the scaled system:
+    x_hat = 2^(p - q) u, measured on (B, y)."""
+    B0, y0 = B, yv = as_system(B, y)
+    p = q = 0
+    if not (in_safe_range(B) and in_safe_range(yv)):
+        p, q = _unit_exponent(B), _unit_exponent(yv)
+        B, yv = np.ldexp(B, p), np.ldexp(yv, q)
+    return B, yv, lambda u, *rest: _report(np.ldexp(u, p - q), B0, y0, *rest)
 
 
 def _proven_on_support(B, y, S: np.ndarray) -> RecoveryReport | None:
@@ -406,22 +399,21 @@ def _proven_on_support(B, y, S: np.ndarray) -> RecoveryReport | None:
 
     Support guess.  The pipeline knows x and takes S = supp(x).  On (B, y) scaled as
     ``basis_pursuit`` scales it, the fit x_S must pass the ``support_set`` rule (every
-    |x_i| > 1e-6 max |x_S|), so an index fit by rounding noise proves nothing.  Then the
-    one ``_support_certifier`` test, which alone proves, takes the dual 0 (Fuchs'
-    least-norm certificate, IEEE TIT 2004) and the ``_ls_duals``: w = argmin
+    |x_i| > ``_SUPPORT_FLOOR`` max |x_S|), so an index fit by rounding noise proves
+    nothing.  Then the one ``certify_l1`` test, which alone proves, takes the dual 0
+    (Fuchs' least-norm certificate, IEEE TIT 2004) and the ``_ls_duals``: w = argmin
     ||D^1/2 B_off' w||_2 over {B_S' w = sign(x_S)} for D = I and Lawson's (1961)
     reweightings D <- D |B_off' w|, which push ||B_off' w||_inf toward its least value
-    there.  The certificate (``basis_pursuit``) needs only B_S's full column rank and
+    there.  The certificate (``l1_dual_errors``) needs only B_S's full column rank and
     B h = 0, so it holds for a row-rank-deficient B; a proven x_hat depends only on S.
     """
-    B0, y0 = B, yv = as_system(B, y)
-    B, yv, p, q, _ = _in_range(B, yv)
-    found = _support_certifier(B, yv, S) if S.size < B.shape[0] else None
-    if found is None or not np.abs(found[1]).min() > 1e-6 * np.abs(found[1]).max():
+    B, yv, report = _in_range(B, y)
+    found = certify_l1(B, yv, S) if S.size < B.shape[0] else None
+    if found is None or not np.abs(found[1]).min() > _SUPPORT_FLOOR * np.abs(found[1]).max():
         return None
     duals = chain([np.zeros(B.shape[0])], _ls_duals(B, S, np.sign(found[1])))
     proof = next(filter(None, map(found[0], duals)), None)
-    return proof and _report(np.ldexp(proof[0], p - q), B0, y0, "converged", proof[2])
+    return proof and report(proof[0], "converged", proof[2])
 
 
 def _may_fit(By: np.ndarray, subs: np.ndarray, thr: float, gamma: float) -> np.ndarray:
@@ -449,8 +441,8 @@ def l0_oracle(B, y, k_max: int) -> RecoveryReport:
     which also fixes the tie-breaking within a sparsity level; the empty
     support fits only y = 0.  When no support of size <= k_max fits, the
     report carries solver_status "infeasible" (nothing found) and x_hat = 0.
-    A B or y outside ``matrix_core.in_safe_range`` is first scaled by 2^p or 2^q
-    (as in ``basis_pursuit``), so that no norm loses its squares to underflow.
+    (B, y) is first scaled as ``basis_pursuit``'s "Range" says, so that no norm
+    loses its squares to underflow.
 
     Screen.  Each level is taken in chunks of ``matrix_core.column_subsets``
     and, for k < m, screened before ``lstsq`` runs.  One batched
@@ -486,7 +478,7 @@ def l0_oracle(B, y, k_max: int) -> RecoveryReport:
     is raised when C(n, 1) + ... + C(n, k_max) exceeds ``MAX_L0_SUPPORTS``,
     not only when the deepest level does.
     """
-    B, yv = as_system(B, y)
+    B, yv, report = _in_range(B, y)
     m, n = B.shape
     if not 0 <= k_max <= n:
         raise ValueError(f"k_max must satisfy 0 <= k_max <= cols, got {k_max}")
@@ -497,15 +489,9 @@ def l0_oracle(B, y, k_max: int) -> RecoveryReport:
             f" > max_supports={MAX_L0_SUPPORTS}"
         )
     if not yv.any():
-        return _report(np.zeros(n), B, yv, "converged")
+        return report(np.zeros(n), "converged")
     By = np.column_stack([B, yv])
     screenable = in_safe_range(By)
-    B0, y0, p, q = B, yv, 0, 0
-    if not screenable:  # search 2^p B u = 2^q y; then x = 2^(p - q) u
-        p, q = (0 if in_safe_range(M) else _unit_exponent(M) for M in (B, yv))
-        B, yv = np.ldexp(B, p), np.ldexp(yv, q)
-        By = np.column_stack([B, yv])
-        screenable = in_safe_range(By)
     thr = 1e-8 * float(np.linalg.norm(yv))
     for k in range(1, k_max + 1):
         gamma = 64.0 * m * k * k * _UNIT_ROUNDOFF
@@ -519,8 +505,8 @@ def l0_oracle(B, y, k_max: int) -> RecoveryReport:
                 if float(np.linalg.norm(cols @ coef - yv)) <= thr:
                     u = np.zeros(n)
                     u[sup] = coef
-                    return _report(np.ldexp(u, p - q), B0, y0, "converged")
-    return _report(np.zeros(n), B0, y0, "infeasible")
+                    return report(u, "converged")
+    return report(np.zeros(n), "infeasible")
 
 
 @dataclass

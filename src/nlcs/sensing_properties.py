@@ -339,7 +339,7 @@ def _screened_extremes(M: np.ndarray, G: np.ndarray, subs: np.ndarray, alpha: fl
     return _extremes(M, subs[sent], a, b) if sent.any() else (a, b)
 
 
-def _in_range(alpha: float, beta: float, scale: int) -> bool:
+def _normal_once_unscaled(alpha: float, beta: float, scale: int) -> bool:
     """Are alpha and beta, computed on A scaled by 2^scale, normal floats once unscaled?"""
     return math.frexp(alpha)[1] - 2 * scale >= -1021 and math.frexp(beta)[1] - 2 * scale <= 1024
 
@@ -375,7 +375,7 @@ def rip_constants(A, k: int) -> RipReport:
     if alpha <= _DEPENDENT_TOL * beta:
         raise RipOrderError(f"RIP of order {k} fails: alpha={alpha:.3e}{scaled}"
                             " is zero to numerical precision")
-    if not _in_range(alpha, beta, scale):
+    if not _normal_once_unscaled(alpha, beta, scale):
         raise RipRangeError(f"RIP constants of order {k} are outside float64's range:"
                             f" alpha={alpha:.3e} and beta={beta:.3e}{scaled}")
     lam = math.ldexp(math.sqrt(2.0 / (beta + alpha)), scale)
@@ -403,7 +403,7 @@ def _require_rip_order(A, k: int) -> None:
         G = M.T @ M
         beta_hi = 1.001 * float(np.sort(G.diagonal())[-k:].sum())
         tau = 1e-10 * beta_hi
-        if _in_range(tau, beta_hi, scale) and all(
+        if _normal_once_unscaled(tau, beta_hi, scale) and all(
                 _floor_cleared(G, subs, tau).all() for subs in column_subsets(n, k, m * k)):
             return
     rip_constants(A, k)

@@ -327,8 +327,10 @@ class TestExperiment:
 
     @pytest.mark.parametrize("key, value", [("map", 5), ("m", None), ("trials", [2]),
                                             ("trials", 2.5), ("seed", "5"), ("k", True),
-                                            ("n", 16.5)])
-    def test_wrongly_typed_config(self, tmp_path, capsys, key, value):
+                                            ("n", 16.5), ("output_dir", None),
+                                            ("composition", 1), ("method", ["l1"])])
+    def test_wrongly_typed_config(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.chdir(tmp_path)  # a null output_dir read as the path "None" lands here
         config = {
             "m": 8,
             "n": 16,
@@ -345,8 +347,8 @@ class TestExperiment:
         cfg_path.write_text(json.dumps(config))
         code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 1
-        assert err.startswith("error:") and repr(key) in err
-        assert not (tmp_path / "o").exists()
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and repr(key) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_mismatched_map_rejected(self, tmp_path, capsys):
         config = {

@@ -227,8 +227,8 @@ def gate_inputs(rng):
 
 def test_require_rip_order_bounds_hold_exactly(monkeypatch):
     checks, fallbacks = [], []  # (tau, beta_hi) of the gate's range check; rip_constants calls
-    in_range, rip = sensing_properties._in_range, sensing_properties.rip_constants
-    monkeypatch.setattr(sensing_properties, "_in_range",
+    in_range, rip = sensing_properties._normal_once_unscaled, sensing_properties.rip_constants
+    monkeypatch.setattr(sensing_properties, "_normal_once_unscaled",
                         lambda a, b, s: checks.append((a, b)) or in_range(a, b, s))
     monkeypatch.setattr(sensing_properties, "rip_constants",
                         lambda A, k: fallbacks.append(k) or rip(A, k))

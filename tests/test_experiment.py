@@ -62,6 +62,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=repr(key)):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize("key", ["composition", "method", "output_dir"])
+    @pytest.mark.parametrize("value", [None, 5, ["pre"], {"kind": "abs"}])
+    def test_non_string_entries_rejected(self, tmp_path, key, value):
+        # not stringified: "output_dir": null named the output directory "None"
+        d = {"m": 8, "n": 16, "k": 2, "map": {"kind": "abs"}, "composition": "pre",
+             "trials": 3, "seed": 7, "method": "l1", "output_dir": str(tmp_path), key: value}
+        with pytest.raises(ValueError, match=f"config {key!r} must be a string"):
+            ExperimentConfig.from_dict(d)
+
     def test_integral_floats_accepted(self, tmp_path):
         d = {"m": 8.0, "n": 16.0, "k": 2.0, "map": {"kind": "abs"}, "composition": "pre",
              "trials": 3.0, "seed": 7.0, "method": "l1", "output_dir": str(tmp_path)}

@@ -2,7 +2,6 @@ import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -196,8 +195,8 @@ class TestRowRankScreen:
         ys = [B @ random_sparse_signal(16, 2, 78), np.random.default_rng(79).normal(size=8)]
         screened = [basis_pursuit(B, y).to_json() for y in ys]
         gram_floor = recovery._gram_floor  # off for the row-rank screen only
-        monkeypatch.setattr(recovery, "_gram_floor", lambda M, phi=None, safe=None: (
-            0.0 if phi == recovery._RANK_FLOOR else gram_floor(M, phi, safe)))
+        monkeypatch.setattr(recovery, "_gram_floor", lambda M, phi=None: (
+            0.0 if phi == recovery._RANK_FLOOR else gram_floor(M, phi)))
         assert screened == [basis_pursuit(B, y).to_json() for y in ys]
 
 
@@ -205,7 +204,11 @@ def certified_solve(B, y):
     """The l1 solve of ``basis_pursuit`` with the certificate hook, and the
     same solve without it."""
     kw = {"feas_tol": 0.5 * LP_FEASIBILITY_TOL, "opt_tol": LP_OPTIMALITY_TOL}
-    return (solve_standard_form(B, y, certify=partial(certify_l1, B, y), **kw),
+
+    def hook(S, w):
+        found = certify_l1(B, y, S)
+        return found and found[0](w)
+    return (solve_standard_form(B, y, certify=hook, **kw),
             solve_standard_form(B, y, **kw))
 
 
@@ -960,7 +963,8 @@ def test_l0_scales_systems_below_the_safe_range(scale):
 
 
 def reference_certify_l1(B, b, S, y):
-    """``certify_l1`` as one function, before its setup and test were split."""
+    """``certify_l1(B, b, S)``'s test applied to y, as one function: the
+    certificate before its builder and test were split."""
     m, n = B.shape
     k = S.size
     A = np.empty((m, k + 1))
@@ -998,12 +1002,12 @@ class GuessSpy:
 
     def __init__(self, monkeypatch):
         self.decodes, self.inside = [], False
-        setup, precheck, decode = (recovery._support_certifier, recovery._proven_on_support,
+        setup, precheck, decode = (recovery.certify_l1, recovery._proven_on_support,
                                    recovery.basis_pursuit)
 
         def spied_setup(B, b, S):
             found = setup(B, b, S)
-            if found is None or not self.inside:  # certify_l1's setups in a solve
+            if found is None or not self.inside:  # the solver hook's calls
                 return found
             test, xs = found
 
@@ -1030,7 +1034,7 @@ class GuessSpy:
                 self.decodes[-1][3] = rep
             return rep
 
-        monkeypatch.setattr(recovery, "_support_certifier", spied_setup)
+        monkeypatch.setattr(recovery, "certify_l1", spied_setup)
         monkeypatch.setattr(recovery, "_proven_on_support", spied_precheck)
         monkeypatch.setattr(recovery, "basis_pursuit", spied_decode)
 
@@ -1055,8 +1059,9 @@ class TestSupportGuess:
         duals = [solve_standard_form(B, b, max_iter=j).y for j in range(1, steps + 2)]
         proofs = 0
         for support in (S, S[1:], extra):
+            found = certify_l1(B, b, support)
             for y in duals:
-                got, ref = certify_l1(B, b, support, y), reference_certify_l1(B, b, support, y)
+                got, ref = found and found[0](y), reference_certify_l1(B, b, support, y)
                 assert (got is None) == (ref is None)
                 if got is not None:
                     proofs += 1
@@ -1187,7 +1192,7 @@ class TestLsDuals:
             assert rep.x_hat.tobytes() == x_hat.tobytes()
             assert l1_dual_errors(B, y, x_hat, w) == []
             # the dual 0 fails here, so a candidate made the proof
-            assert certify_l1(B, y, S, np.zeros(64)) is None
+            assert certify_l1(B, y, S)[0](np.zeros(64)) is None
 
     @pytest.mark.parametrize("seed, rounds", [(1, 4), (3, 2)])
     def test_uncertified_trial_fails_every_candidate_and_keeps_the_fallback_bits(
@@ -1236,7 +1241,7 @@ class TestLsDuals:
     def test_a_flipped_sign_or_a_perturbed_dual_is_rejected(self):
         B, x = gaussian_matrix(64, 128, 900), random_sparse_signal(128, 10, 950)
         y, S = B @ x, np.flatnonzero(x)
-        test, xs = recovery._support_certifier(B, y, S)
+        test, xs = certify_l1(B, y, S)
         x_hat, w, _ = next(filter(None, map(test, recovery._ls_duals(B, S, np.sign(xs)))))
         assert l1_dual_errors(B, y, x_hat, w) == []
         off = np.ones(128, dtype=bool)

@@ -4,7 +4,7 @@ line, with and without what ``--full`` adds, and the diff against a
 revision reports what moved.  The tool reads private names of the package
 (``sensing_properties._uncleared``, ``_base_level``, ``_floor_cleared``,
 ``_rip_screens``, ``_extremes``, ``_require_rip_order``;
-``lp._gram_factor``; ``recovery._support_certifier``), so a rename breaks
+``lp._gram_factor``; ``recovery.certify_l1``), so a rename breaks
 them here rather than at the next identity run."""
 
 import importlib.util
@@ -104,19 +104,34 @@ def test_panel_matrix_without_the_candidates(tmp_path, monkeypatch):
 
 def test_panel_matrix_without_the_guess(tmp_path, monkeypatch):
     # a package without the support guess, as at the parent of the change
-    # that added it: the matrix still runs, and records guess=0:-
+    # that added it: the matrix still runs, counts the solves' certify
+    # calls, and records guess=0:-
     from nlcs import recovery
-    setup = recovery._support_certifier
     monkeypatch.setattr(recovery, "_proven_on_support", lambda B, y, S: None)
-    monkeypatch.setattr(recovery, "certify_l1",
-                        lambda B, b, S, y: (lambda found: found and found[0](y))(setup(B, b, S)))
-    monkeypatch.delattr(recovery, "_support_certifier")
     tool = load()
     sizes = {"m": 12, "n": 24, "k": 2, "trials": 3}
     line, records = tool.run_panel("smoke/square_post", sizes, {"kind": "square"}, "post", 0,
                                    tmp_path)
     assert line.endswith(" solves=3 steps=" + str(sum(int(r.split()[1]) for r in records)))
     assert [r.split()[-1] for r in records] == ["guess=0:-"] * 3
+    assert all(int(r.split()[5]) >= 1 for r in records)
+
+
+def test_panel_matrix_of_the_older_builder_name(tmp_path, monkeypatch):
+    # a package whose builder is ``_support_certifier``, reached through a
+    # ``certify_l1`` that calls it, as before the builder took that name: the
+    # tool wraps the builder there and makes the same line and records
+    from nlcs import recovery
+    monkeypatch.setattr(recovery, "_ls_duals", lambda *args: iter(()))  # trial 1 is solved
+    tool = load()
+    args = ("smoke/square_post", {"m": 12, "n": 24, "k": 2, "trials": 3}, {"kind": "square"},
+            "post", 0)
+    line, records = tool.run_panel(*args, tmp_path / "current")
+    assert records[1] == "1 3 3 converged True 2 0 guess=1:-"
+    monkeypatch.setattr(recovery, "_support_certifier", recovery.certify_l1, raising=False)
+    monkeypatch.setattr(recovery, "certify_l1",
+                        lambda B, b, S: recovery._support_certifier(B, b, S))
+    assert tool.run_panel(*args, tmp_path / "older") == (line, records)
 
 
 def test_cli_matrix(tmp_path, monkeypatch):

@@ -337,27 +337,30 @@ def cli_matrix(work: Path, full: bool):
 # ``summary.json`` and the ``signal_<i>.csv`` overlays), in name order.  A
 # solve record, one detail line each, is
 #
-#     <trial> <Newton steps> <returned iterate> <status> <certified> <certify_l1 calls>
+#     <trial> <Newton steps> <returned iterate> <status> <certified> <certify calls>
 #         <QR fallbacks> guess=<tests>:<proof>
 #
 # collected from outside the package by wrapping, at their module globals,
 # ``experiment.recover_via_linearization`` (the trial count),
-# ``recovery.solve_standard_form``, ``recovery.certify_l1`` and
+# ``recovery.solve_standard_form``, the l1 certificate builder and
 # ``lp._gram_factor``, called once per Newton step: it returns the Gram and
 # its Cholesky factor, or None when the step takes the Householder QR
 # fallback, so counting None returns counts those fallbacks exactly.  The
 # starting point's own QR fallback (when 2 B B' overflows or its LU fails) is
-# not counted; no panel here takes it.  ``guess`` counts the tests of the
-# support guess before the solve, those of every test that
-# ``recovery._support_certifier`` returns before a solve starts (within a solve
-# it serves ``certify_l1``), and names the proof that ended the trial before
-# the solve: ``dual0`` for the dual 0 and ``ls<r>`` for the r-th least-squares
-# dual candidate, or ``-`` when none did.  A trial proven before the solve
-# makes none; its record reads ``<trial> - - converged True 0 0
-# guess=<tests>:<proof>``.  A package whose guess has no candidates (its setup
-# returns the test alone) never names an ``ls<r>``, one that also tests the
-# guess at the solver's iterates has those tests left out, and one without
-# ``_support_certifier`` records ``guess=0:-``.
+# not counted; no panel here takes it.  The builder is
+# ``recovery._support_certifier`` where the package has it (an older layout,
+# where the solver hook ``certify_l1`` took the dual and called it) and
+# ``recovery.certify_l1`` otherwise; each call within a solve is one of the
+# solve's certify calls.  ``guess`` counts the tests of the support guess
+# before the solve, those of every test that the builder returns before a
+# solve starts, and names the proof that ended the trial before the solve:
+# ``dual0`` for the dual 0 and ``ls<r>`` for the r-th least-squares dual
+# candidate, or ``-`` when none did.  A trial proven before the solve makes
+# none; its record reads ``<trial> - - converged True 0 0
+# guess=<tests>:<proof>``.  A package whose guess has no candidates (its
+# builder returns the test alone) never names an ``ls<r>``, one that also
+# tests the guess at the solver's iterates has those tests left out, and one
+# without a guess records ``guess=0:-``.
 #
 # The panels: the six desk panels (64x128, k = 10, 100 trials) at config seed
 # 0 with the benchmark's map specs; the large sign/pre and square/post panels
@@ -393,10 +396,11 @@ class Recorder:
         self.proof, self.solved = "-", False
 
     def installed(self):
+        builder = ("_support_certifier" if hasattr(nlcs.recovery, "_support_certifier")
+                   else "certify_l1")
         wrappers = ((experiment, "recover_via_linearization", self._trial),
                     (nlcs.recovery, "solve_standard_form", self._solve),
-                    (nlcs.recovery, "certify_l1", self._certify),
-                    (nlcs.recovery, "_support_certifier", self._guess),
+                    (nlcs.recovery, builder, self._certifier),
                     (lp, "_gram_factor", self._factor))
         return swapped(*((module, name, wrap(getattr(module, name)))
                          for module, name, wrap in wrappers if hasattr(module, name)))
@@ -424,15 +428,11 @@ class Recorder:
             return res
         return wrapped
 
-    def _certify(self, fn):
-        def wrapped(*args, **kwargs):
-            self.calls += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    def _guess(self, fn):
+    def _certifier(self, fn):
         def wrapped(*args, **kwargs):
             found = fn(*args, **kwargs)
+            if self.solved:  # a call of the solve's certify hook
+                self.calls += 1
             if found is None or self.solved:
                 return found
             test, *rest = found if isinstance(found, tuple) else (found,)
