@@ -148,13 +148,15 @@ def is_monomial(M: np.ndarray) -> bool:
 def in_safe_range(M: np.ndarray) -> bool:
     """True iff M has a nonzero entry and every nonzero entry lies in
     [2^-400, 2^400] in magnitude, where the batched screens' rounding bounds
-    hold: their products can neither overflow nor lose accuracy to
-    underflow.  One temporary |M|, whose zeros become inf before its min."""
-    a = np.abs(M)
-    if not 0.0 < float(a.max(initial=0.0)) <= 2.0**400:
+    hold: their products can neither overflow nor lose accuracy to underflow.
+    M is read in place: max |M| = max(max M, -min M), which a nan or inf fails,
+    and a boolean mask of the band (-2^-400, 2^-400) may count only M's zeros."""
+    if not 0.0 < max(float(M.max(initial=0.0)), -float(M.min(initial=0.0))) <= 2.0**400:
         return False
-    a[a == 0.0] = np.inf
-    return float(a.min()) >= 2.0**-400
+    band = M < 2.0**-400
+    band &= M > -2.0**-400
+    count = np.count_nonzero(band)
+    return bool(count == 0 or count == M.size - np.count_nonzero(M))
 
 
 # ``rip_constants`` scales M only outside [2^-500, 2^500), where the largest Gram entry is

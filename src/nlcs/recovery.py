@@ -144,27 +144,40 @@ def _gram_floor(M: np.ndarray, phi: float | None = None) -> float:
     return phi * F / 2.0
 
 
+def _column_norms_and_bound(B: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n_j and a_j of ``l1_dual_errors``' "Rounding", reading B in place."""
+    m = B.shape[0]
+    t = math.sqrt(m) * 2.0**-500
+    norms = np.sqrt(np.einsum("ij,ij->j", B, B)) + t
+    return norms, norms * ((1.0 + 4.0 * (m + 2) * _UNIT_ROUNDOFF) * (np.linalg.norm(w) + t))
+
+
 def _margin_and_bound(B: np.ndarray, S: np.ndarray, w: np.ndarray, sign: np.ndarray,
                       c: np.ndarray) -> tuple[float, float] | None:
     """The computed margin 1 - max over j outside S of |c_j|, c = fl(B' w),
     and its rounding bound beta, or None when B_S has no certified full
-    column rank (see ``l1_dual_errors``)."""
+    column rank (see ``l1_dual_errors``, "Rounding", for the two forms of a)."""
     m, n = B.shape
-    u = _UNIT_ROUNDOFF
-    g = 2.0 * (m + 2) * u
-    a = np.abs(B).T @ np.abs(w)
+    g = 2.0 * (m + 2) * _UNIT_ROUNDOFF
     off = np.ones(n, dtype=bool)
     off[S] = False
-    eps, s_lo = 0.0, 1.0
+    s_lo = 1.0
     if S.size:
         lam_lo = _gram_floor(B[:, S].T)
         if lam_lo == 0.0:
             return None
         s_lo = math.sqrt(lam_lo)
-        eps = 1.05 * float(np.linalg.norm(np.abs(c[S] - sign) + g * a[S]))
-    terms = g * a[off] + np.linalg.norm(B, axis=0)[off] * (eps / s_lo)
-    margin = 1.0 - float(np.max(np.abs(c[off]), initial=0.0))
-    return margin, 1.05 * float(np.max(terms, initial=0.0)) + 2.0 * u
+    norms, a = _column_norms_and_bound(B, w)
+
+    def bound(a):
+        eps = 1.05 * float(np.linalg.norm(np.abs(c[S] - sign) + g * a[S]))  # 0 for an empty S
+        terms = g * a[off] + norms[off] * (eps / s_lo)
+        return 1.05 * float(np.max(terms, initial=0.0)) + 2.0 * _UNIT_ROUNDOFF
+
+    margin, beta = 1.0 - float(np.max(np.abs(c[off]), initial=0.0)), bound(a)
+    if beta >= margin > bound(np.zeros(n)):  # only a smaller a can prove: one |B| temporary
+        beta = bound(np.abs(B).T @ np.abs(w))
+    return margin, beta
 
 
 def l1_dual_errors(B, b, x_hat, w) -> list[str]:
@@ -191,12 +204,15 @@ def l1_dual_errors(B, b, x_hat, w) -> list[str]:
     not within the feasibility tolerance: a certified support can omit an entry
     whose column adds less than that tolerance (large square/post, seed 3, trial 37).
 
-    Rounding.  The check proves that such a w* exists from the computed w,
-    which meets B_S' w = sign(x_S) only up to rounding.  With
-    k = |S|, g = 2 (m + 2) u, c = fl(B' w) and a = fl(|B|' |w|), every
-    |c_j - b_j' w| <= g a_j (the dot-product bound gamma_m |b_j|' |w| with
-    |b_j|' |w| <= a_j / (1 - gamma_m); underflow adds at most m 2^-1074,
-    far below the 2u of step 3).
+    Rounding.  The check proves that such a w* exists from the computed w, which meets
+    B_S' w = sign(x_S) only up to rounding.  Let k = |S|, g = 2 (m + 2) u, c = fl(B' w),
+    t = sqrt(m) 2^-500 (it covers the squares' underflow) and n_j = fl(||b_j||_2) + t.
+    a_j = fl(n_j (1 + 4 (m + 2) u) (fl(||w||_2) + t)) >= |b_j|' |w| / (1 - gamma_m) by
+    Cauchy-Schwarz and seven roundings, with no m x n temporary.  Only where the margin does
+    not exceed the beta of step 3 with these a_j but exceeds it with a = 0 (beta grows with
+    a), a = fl(|B|' |w|) >= (1 - gamma_m) |B|' |w| is taken instead.
+    Either way every |c_j - b_j' w| <= gamma_m |b_j|' |w| <= g a_j (the dot-product bound;
+    underflow adds at most m 2^-1074, far below the 2u of step 3).
     (1) Rank: ``_gram_floor(B_S')``, ``basis_pursuit``'s Gram floor with M = B_S' (p = k,
     q = m) and the phi it picks, must be positive; then sigma_min(B_S) > s_lo = sqrt(phi F / 2).
     (2) Equality: e = B_S' w - sign(x_S) has |e_i| <= 1.01 |r_i| + g a_i
@@ -206,7 +222,7 @@ def l1_dual_errors(B, b, x_hat, w) -> list[str]:
     1 / sigma_min(B_S) < 1 / s_lo, every j outside S has
     |b_j' w*| <= |c_j| + g a_j + ||b_j||_2 eps / s_lo.
     (3) Margin: the check passes only when fl(1 - max_j |c_j|) exceeds
-    beta = 1.05 max_j (g a_j + fl(||b_j||_2) eps / s_lo) + 2u, over j
+    beta = 1.05 max_j (g a_j + n_j eps / s_lo) + 2u, over j
     outside S.  The factor 1.05 covers the rounding of the norms, products
     and sums that form eps and beta, each a relative error of at most
     (m + k + 4) u <= 0.01, and 2u covers the subtraction from 1; so
@@ -329,8 +345,8 @@ def basis_pursuit(B, y, *, max_iter: int = 200) -> RecoveryReport:
     comes back with solver_status "infeasible" and x_hat = 0.  The solver
     stops after ``max_iter`` iterations with status "max_iter".
 
-    Range.  B or y outside ``matrix_core.in_safe_range`` is scaled by 2^p or
-    2^q to a largest entry in [1/2, 1); x_hat = 2^(p - q) u is exact for the
+    Range.  B or y outside ``matrix_core.in_safe_range`` is scaled, unless y = 0, by
+    2^p or 2^q to a largest entry in [1/2, 1); x_hat = 2^(p - q) u is exact for the
     solution u, and the margin is B's, as 2^p B' w = B' (2^p w).
 
     Gram floor.  Let u = 2^-53, gamma_j = j u / (1 - j u), M a p x q matrix inside
@@ -388,7 +404,7 @@ def _in_range(B, y):
     x_hat = 2^(p - q) u, measured on (B, y)."""
     B0, y0 = B, yv = as_system(B, y)
     p = q = 0
-    if not (in_safe_range(B) and in_safe_range(yv)):
+    if not (in_safe_range(B) and in_safe_range(yv)) and yv.any():
         p, q = _unit_exponent(B), _unit_exponent(yv)
         B, yv = np.ldexp(B, p), np.ldexp(yv, q)
     return B, yv, lambda u, *rest: _report(np.ldexp(u, p - q), B0, y0, *rest)
@@ -625,7 +641,8 @@ def recover_via_linearization(
         except (RipOrderError, RipRangeError):  # lam 1: the decoder scales B itself
             pass
 
-    B *= lam  # B is fresh; the measurements may be the certificate's Fz
+    if lam != 1.0:
+        B *= lam  # B is fresh; the measurements may be the certificate's Fz
     if method == "l1":
         report = (_proven_on_support(B, lam * z, np.flatnonzero(x))
                   or basis_pursuit(B, lam * z, max_iter=max_iter))

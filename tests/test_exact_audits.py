@@ -15,7 +15,7 @@ import pytest
 
 from nlcs import matrix_core, recovery, sensing_properties
 from nlcs.errors import RipOrderError
-from tests.exact import definite, gram, solve
+from tests.exact import definite, gram, rationals, solve
 from tests.test_sensing_properties import gate_matrix
 
 U = Fraction(1, 2**53)
@@ -304,3 +304,60 @@ def test_screened_extremes_bounds_hold_exactly(monkeypatch):
                     grams[S] = gram(M, S)
                 assert definite(grams[S], a, strict=False) and below(grams[S], b, strict=False), S
     assert skipped > 0
+
+
+# ---------------------------------------------------------------------------
+# recovery._column_norms_and_bound, the Cauchy-Schwarz step of
+# ``l1_dual_errors``: every computed a_j >= |b_j|'|w| / (1 - gamma_m) and every
+# n_j^2 >= (1 - gamma_(m+4)) ||b_j||^2, at the margin cutoff and under underflow
+# ---------------------------------------------------------------------------
+
+def assert_cauchy_schwarz_bound(B, w):
+    m = B.shape[0]
+    norms, a = recovery._column_norms_and_bound(B, w)
+    wq = [abs(v) for v in rationals([w])[0]]
+    for j, col in enumerate(rationals(B.T)):
+        assert sum(abs(b) * v for b, v in zip(col, wq)) <= (1 - gamma(m)) * Fraction(a[j]), j
+        assert (1 - gamma(m + 4)) * sum(b * b for b in col) <= Fraction(norms[j]) ** 2, j
+
+
+def at_margin_cutoff(B, S, w, sign, target):
+    """B with its off-support columns scaled until its raw margin is target times
+    the checker's bound, as ``test_recovery``'s cutoff tests place it."""
+    C, off = B.copy(), np.setdiff1d(np.arange(B.shape[1]), S)
+    raw = np.abs(B[:, off].T @ w).max()
+    for _ in range(4):  # the bound moves with the scale; iterate to the target
+        bound = recovery._margin_and_bound(C, S, w, sign, C.T @ w)[1]
+        C[:, off] = B[:, off] * ((1.0 - target * bound) / raw)
+    return C
+
+
+@pytest.mark.parametrize("m", [3, 12, 40])
+def test_cauchy_schwarz_bound_holds_exactly_at_the_margin_cutoff(m):
+    rng = np.random.default_rng(1500 + m)
+    S, verdicts = np.array([0, 1]), []
+    for _ in range(3):
+        B = rng.normal(size=(m, 2 * m + 2))
+        sign = rng.choice([-1.0, 1.0], size=2)
+        w = np.linalg.lstsq(B[:, S].T, sign, rcond=None)[0]
+        w = w + 10.0 ** rng.uniform(-12, -5) * rng.normal(size=m)
+        B[:, 2] = np.ldexp(w, -2)  # parallel to w: Cauchy-Schwarz holds with equality
+        B[:, 3] = np.ldexp(np.sign(w), -560)  # |b_3| parallel to |w|, its squares underflow
+        x = np.zeros(B.shape[1])
+        x[S] = sign * rng.uniform(0.5, 2.0, size=2)
+        for target in (0.99, 1.01):  # raw margin / bound
+            C = at_margin_cutoff(B, S, w, sign, target)
+            verdicts.append(not recovery.l1_dual_errors(C, C @ x, x, w))
+            assert_cauchy_schwarz_bound(C, w)
+    assert verdicts == [False, True] * 3
+
+
+@pytest.mark.parametrize("scale", [-1070, -600, -530, 0, 300])
+def test_cauchy_schwarz_bound_covers_underflow(scale):
+    # B or w scaled until the sums of squares lose terms to underflow, or vanish
+    rng = np.random.default_rng(1600)
+    B, w = rng.normal(size=(12, 20)), rng.normal(size=12)
+    B[:, 0] = np.abs(w)
+    for Bs, ws in ((np.ldexp(B, scale), w), (B, np.ldexp(w, scale)),
+                   (np.ldexp(B, scale // 2), np.ldexp(w, scale // 2))):
+        assert_cauchy_schwarz_bound(Bs, ws)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,15 @@ class TestIsMonomial:
         assert is_monomial(M) is want
 
 
+def traced_peak(call):
+    """(call(), the peak of the memory traced while it ran): numpy's array data counts."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def safe_range_by_gather(M):
     """Reference form of ``in_safe_range``: gather the nonzero magnitudes."""
     nz = np.abs(M[M != 0.0])
@@ -119,7 +130,49 @@ class TestInSafeRange:
         M = rng.normal(size=(7, 9)) * 2.0 ** rng.integers(-420, 420, size=(7, 9))
         M[rng.random(M.shape) < 0.3] = rng.choice([0.0, -0.0])
         for A in (M, M * 2.0**-400, np.clip(M, -2.0**399, 2.0**399), M[:1, :1]):
-            assert in_safe_range(A) == safe_range_by_gather(A)
+            # the two signs are tested apart, so each sign is checked on its own
+            for B in (A, -np.abs(A), np.abs(A), -A):
+                assert in_safe_range(B) == safe_range_by_gather(B)
+
+    @pytest.mark.parametrize("M, expected", [
+        (np.array([[-1.0, -2.0**-400], [-2.0**400, -3.0]]), True),  # all negative
+        (np.array([[-1.0, -np.nextafter(2.0**-400, 0.0)]]), False),
+        (np.array([[-np.nextafter(2.0**400, np.inf), -1.0]]), False),
+        (np.array([[0.0, -1e-310, 0.0, 1.0]]), False),  # tiny negatives beside zeros
+        (np.array([[0.0, -2.0**-401, -0.0, -1.0]]), False),
+        (np.array([[0.0, -2.0**-400, -0.0, -1.0]]), True),
+        (np.array([[-0.0, -5e-324], [0.0, 2.0]]), False),
+        (np.array([[-0.0, -0.0]]), False),
+        (np.array([[-0.0, -1.0]]), True),
+        (np.array([[np.nan, 1.0]]), False),
+        (np.array([[1.0, -np.nan]]), False),
+        (np.array([[np.inf, 1.0]]), False),
+        (np.array([[-np.inf, 1.0]]), False),
+        (np.array([[-np.inf, np.inf]]), False),
+        (np.array([[np.nan, 0.0], [0.0, -0.0]]), False),
+    ])
+    def test_signs_zeros_and_non_finite_entries(self, M, expected):
+        assert in_safe_range(M) is expected
+        assert safe_range_by_gather(M) is expected
+
+    @pytest.mark.parametrize("entry", [2.0**-401, -2.0**-401, 5e-324, -5e-324, 2.0**401,
+                                       -2.0**401, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_planted_at_the_first_and_last_entry(self, entry, index):
+        for sign in (1.0, -1.0):  # among all-positive and all-negative entries
+            M = sign * np.abs(gaussian_matrix(160, 512, 4))
+            M[:, 5::7] = 0.0
+            M.flat[index] = entry
+            assert in_safe_range(M) is False
+            assert safe_range_by_gather(M) is False
+            M.flat[index] = 0.0
+            assert in_safe_range(M) is True
+
+    def test_reads_the_matrix_in_place(self):
+        # no m x n float temporary: its boolean masks are an eighth of M each
+        M = gaussian_matrix(160, 512, 3)
+        found, peak = traced_peak(lambda: in_safe_range(M))
+        assert found is True and peak < M.nbytes / 2
 
     @pytest.mark.parametrize("entry, expected", [
         (2.0**-400, True),

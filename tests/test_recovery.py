@@ -36,6 +36,7 @@ from nlcs.recovery import (
 from nlcs.pointwise_linearization import LinearizationCertificate, linearize
 from nlcs.sensing_properties import rip_constants, spark
 from tests.exact import gram, rationals, solve
+from tests.test_matrix_core import traced_peak
 
 SQRT2_MINUS_1 = np.sqrt(2.0) - 1.0
 
@@ -339,6 +340,18 @@ class TestL1Certificate:
         assert bound_hi > 1e-3 and margin_hi > 1e-3  # the raw margin alone would pass
         assert l1_dual_errors(system(hi), system(hi) @ x, x, w)[0].startswith("margin")
         assert exact_corrected_margin(system(lo), [0], w, sign) > 0
+
+    def test_coarse_cauchy_schwarz_bound_falls_back_to_the_abs_product(self):
+        # w has a component 1e8 outside the range of B (its zero row): the Cauchy-Schwarz
+        # a_j count it, and their beta alone exceeds the margin 1e-9; fl(|B|' |w|) does not
+        B = np.array([[1.0, 0.5, 1.0 - 1e-9], [0.0, 0.0, 0.0]])
+        x, w = np.array([1.0, 0.0, 0.0]), np.array([1.0, 1e8])
+        _, a = recovery._column_norms_and_bound(B, w)
+        assert 2.0 * 4 * 2.0**-53 * a.min() > 1e-9
+        margin, bound = recovery._margin_and_bound(B, np.array([0]), w, np.array([1.0]), B.T @ w)
+        assert margin > 0.99e-9 and bound < 1e-14
+        assert l1_dual_errors(B, B @ x, x, w) == []
+        assert exact_corrected_margin(B, [0], w, [1.0]) > 0
 
     @pytest.mark.parametrize("seed", range(12))
     def test_accepted_near_the_cutoff_means_exactly_certified(self, seed):
@@ -1167,6 +1180,41 @@ class TestSupportGuess:
         x_hat, w, margin = res.certificate
         assert l1_dual_errors(B_eff, y_eff, x_hat, w) == []
         assert rep.certified and rep.margin == margin and np.abs(rep.x_hat - x).max() <= 1e-14
+
+
+class TestReadsBInPlace:
+    """The l1 pre-check path reads B in place: no m x n float temporary at the
+    large preset's 160 x 512."""
+
+    def test_checker(self):
+        B = gaussian_matrix(160, 512, 3)
+        x = random_sparse_signal(512, 10, 4)
+        b = B @ x
+        x_hat, w, _ = certify_l1(B, b, np.flatnonzero(x))[0](np.zeros(160))
+        problems, peak = traced_peak(lambda: l1_dual_errors(B, b, x_hat, w))
+        assert problems == [] and peak < B.nbytes / 2
+        # -w misses B_S' w = sign(x_S) by 2: no a can prove it, so no |B| is formed
+        problems, peak = traced_peak(lambda: l1_dual_errors(B, b, x_hat, -w))
+        assert problems[0].startswith("margin") and peak < B.nbytes / 2
+
+    def test_square_post_precheck(self, monkeypatch):
+        calls, precheck = [], recovery._proven_on_support
+        monkeypatch.setattr(recovery, "_proven_on_support",
+                            lambda *args: calls.append(args) or precheck(*args))
+        A, x = gaussian_matrix(160, 512, 720), random_sparse_signal(512, 25, 820)
+        assert recover_via_linearization(A, square_map(512), "post", x, "l1").report.certified
+        (B, y, S), = calls
+        without_candidates(monkeypatch)  # proven at the dual 0
+        rep, peak = traced_peak(lambda: precheck(B, y, S))
+        assert rep.certified and peak < B.nbytes
+
+    def test_zero_measurements_leave_b_unscaled(self):
+        B = gaussian_matrix(6, 12, 5) * 1e-300  # outside the safe range
+        Bs, ys, report = recovery._in_range(B, np.zeros(6))
+        assert Bs is B and not ys.any()
+        assert not report(np.zeros(12), "converged").x_hat.any()
+        for rep in (basis_pursuit(B, np.zeros(6)), l0_oracle(B, np.zeros(6), 2)):
+            assert rep.solver_status == "converged" and not rep.x_hat.any()
 
 
 def without_candidates(monkeypatch):

@@ -4,7 +4,7 @@ line, with and without what ``--full`` adds, and the diff against a
 revision reports what moved.  The tool reads private names of the package
 (``sensing_properties._uncleared``, ``_base_level``, ``_floor_cleared``,
 ``_rip_screens``, ``_extremes``, ``_require_rip_order``;
-``lp._gram_factor``; ``recovery.certify_l1``), so a rename breaks
+``lp._gram_factor``; ``recovery.certify_l1``, ``_margin_and_bound``), so a rename breaks
 them here rather than at the next identity run."""
 
 import importlib.util
@@ -67,16 +67,41 @@ def test_panel_matrix(tmp_path):
     tool = load()
     sizes = {"m": 12, "n": 24, "k": 2, "trials": 3}
     # a least-squares dual candidate proves every sign/pre trial before a solve
-    line, records = tool.run_panel("smoke/sign_pre", sizes, {"kind": "sign"}, "pre", 0, tmp_path)
+    line, (*records, beta) = tool.run_panel("smoke/sign_pre", sizes, {"kind": "sign"}, "pre", 0,
+                                            tmp_path)
     assert re.fullmatch(r"smoke/sign_pre [0-9a-f]{16} [0-9a-f]{16} solves=0 steps=0", line)
     assert records == [f"{t} - - converged True 0 0 guess=2:ls1" for t in range(3)]
+    assert 0.0 < float(beta.removeprefix("max_beta=")) < 1e-9
     # square/post: the dual 0 proves trials 0 and 2, the first candidate trial 1
-    line, records = tool.run_panel("smoke/square_post", sizes, {"kind": "square"}, "post", 0,
-                                   tmp_path)
+    line, (*records, beta) = tool.run_panel("smoke/square_post", sizes, {"kind": "square"},
+                                            "post", 0, tmp_path)
     assert line.endswith(" solves=0 steps=0")
     assert records == ["0 - - converged True 0 0 guess=1:dual0",
                        "1 - - converged True 0 0 guess=2:ls1",
                        "2 - - converged True 0 0 guess=1:dual0"]
+    assert 0.0 < float(beta.removeprefix("max_beta=")) < 1e-9
+
+
+def test_panel_matrix_beta_is_the_largest_over_the_proofs(tmp_path, monkeypatch):
+    # every bound the checker computes, proof or not, and the ones it accepted
+    from nlcs import recovery
+    bounds, check = [], recovery._margin_and_bound
+
+    def recorded(*args):
+        found = check(*args)
+        bounds.append(found)
+        return found
+
+    monkeypatch.setattr(recovery, "_margin_and_bound", recorded)
+    tool = load()
+    sizes = {"m": 12, "n": 24, "k": 2, "trials": 3}
+    _, (*_, beta) = tool.run_panel("smoke/sign_pre", sizes, {"kind": "sign"}, "pre", 0, tmp_path)
+    proofs = [bound for margin, bound in filter(None, bounds) if margin > bound]
+    assert len(proofs) == 3 and beta == f"max_beta={max(proofs)!r}"
+    monkeypatch.setattr(recovery, "_proven_on_support", lambda B, y, S: None)
+    monkeypatch.setattr(recovery, "certify_l1", lambda B, b, S: None)  # nothing is proven
+    _, (*_, beta) = tool.run_panel("smoke/sign_pre", sizes, {"kind": "sign"}, "pre", 0, tmp_path)
+    assert beta == "max_beta=-"
 
 
 def test_panel_matrix_without_the_candidates(tmp_path, monkeypatch):
@@ -86,7 +111,8 @@ def test_panel_matrix_without_the_candidates(tmp_path, monkeypatch):
     monkeypatch.setattr(recovery, "_ls_duals", lambda *args: iter(()))
     tool = load()
     sizes = {"m": 12, "n": 24, "k": 2, "trials": 3}
-    line, records = tool.run_panel("smoke/sign_pre", sizes, {"kind": "sign"}, "pre", 0, tmp_path)
+    line, (*records, _) = tool.run_panel("smoke/sign_pre", sizes, {"kind": "sign"}, "pre", 0,
+                                         tmp_path)
     assert re.fullmatch(r"smoke/sign_pre [0-9a-f]{16} [0-9a-f]{16} solves=3 steps=\d+", line)
     assert [r.split()[0] for r in records] == ["0", "1", "2"]
     for record in records:  # certify_l1 proved at the iterate the solve returned
@@ -94,8 +120,8 @@ def test_panel_matrix_without_the_candidates(tmp_path, monkeypatch):
         assert (steps, status, certified, guess) == (iterate, "converged", "True", "guess=1:-")
         assert int(calls) >= 1
     # square/post: the guess proves trials 0 and 2 at the dual 0, before any solve
-    line, records = tool.run_panel("smoke/square_post", sizes, {"kind": "square"}, "post", 0,
-                                   tmp_path)
+    line, (*records, _) = tool.run_panel("smoke/square_post", sizes, {"kind": "square"},
+                                         "post", 0, tmp_path)
     assert line.endswith(" solves=1 steps=3")
     assert records == ["0 - - converged True 0 0 guess=1:dual0",
                        "1 3 3 converged True 2 0 guess=1:-",
@@ -110,9 +136,10 @@ def test_panel_matrix_without_the_guess(tmp_path, monkeypatch):
     monkeypatch.setattr(recovery, "_proven_on_support", lambda B, y, S: None)
     tool = load()
     sizes = {"m": 12, "n": 24, "k": 2, "trials": 3}
-    line, records = tool.run_panel("smoke/square_post", sizes, {"kind": "square"}, "post", 0,
-                                   tmp_path)
+    line, (*records, beta) = tool.run_panel("smoke/square_post", sizes, {"kind": "square"},
+                                            "post", 0, tmp_path)
     assert line.endswith(" solves=3 steps=" + str(sum(int(r.split()[1]) for r in records)))
+    assert beta != "max_beta=-"  # the solves' certify hook proves every trial
     assert [r.split()[-1] for r in records] == ["guess=0:-"] * 3
     assert all(int(r.split()[5]) >= 1 for r in records)
 
@@ -127,7 +154,7 @@ def test_panel_matrix_of_the_older_builder_name(tmp_path, monkeypatch):
     args = ("smoke/square_post", {"m": 12, "n": 24, "k": 2, "trials": 3}, {"kind": "square"},
             "post", 0)
     line, records = tool.run_panel(*args, tmp_path / "current")
-    assert records[1] == "1 3 3 converged True 2 0 guess=1:-"
+    assert records[1] == "1 3 3 converged True 2 0 guess=1:-" and records[-1] != "max_beta=-"
     monkeypatch.setattr(recovery, "_support_certifier", recovery.certify_l1, raising=False)
     monkeypatch.setattr(recovery, "certify_l1",
                         lambda B, b, S: recovery._support_certifier(B, b, S))

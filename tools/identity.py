@@ -362,6 +362,12 @@ def cli_matrix(work: Path, full: bool):
 # tests the guess at the solver's iterates has those tests left out, and one
 # without a guess records ``guess=0:-``.
 #
+# The details end with ``max_beta=<beta>``, the largest rounding bound beta
+# (``recovery._margin_and_bound``, as ``l1_dual_errors`` checks it) over the
+# panel's proofs, before or in a solve, as the repr of a float, or ``-`` when
+# no trial was proven; it is left out of the record digest, so a change to
+# the bound alone moves only this detail.
+#
 # The panels: the six desk panels (64x128, k = 10, 100 trials) at config seed
 # 0 with the benchmark's map specs; the large sign/pre and square/post panels
 # (160x512, k = 25, 40 trials) at config seeds 0-6; and desk sign/pre at
@@ -394,6 +400,7 @@ class Recorder:
         self.trial = -1
         self.calls = self.fallbacks = self.tests = 0
         self.proof, self.solved = "-", False
+        self.beta = self.max_beta = None
 
     def installed(self):
         builder = ("_support_certifier" if hasattr(nlcs.recovery, "_support_certifier")
@@ -401,7 +408,8 @@ class Recorder:
         wrappers = ((experiment, "recover_via_linearization", self._trial),
                     (nlcs.recovery, "solve_standard_form", self._solve),
                     (nlcs.recovery, builder, self._certifier),
-                    (lp, "_gram_factor", self._factor))
+                    (lp, "_gram_factor", self._factor),
+                    (nlcs.recovery, "_margin_and_bound", self._bound))
         return swapped(*((module, name, wrap(getattr(module, name)))
                          for module, name, wrap in wrappers if hasattr(module, name)))
 
@@ -433,18 +441,29 @@ class Recorder:
             found = fn(*args, **kwargs)
             if self.solved:  # a call of the solve's certify hook
                 self.calls += 1
-            if found is None or self.solved:
+            if found is None:
                 return found
             test, *rest = found if isinstance(found, tuple) else (found,)
+            before = not self.solved
 
             def counted(y):
+                self.beta = None
                 proved = test(y)
-                if not self.solved:
+                if proved is not None and self.beta is not None:
+                    self.max_beta = max(self.max_beta or 0.0, self.beta)
+                if before and not self.solved:
                     if proved is not None:
                         self.proof = f"ls{self.tests}" if self.tests else "dual0"
                     self.tests += 1
                 return proved
             return (counted, *rest) if rest else counted
+        return wrapped
+
+    def _bound(self, fn):
+        def wrapped(*args, **kwargs):
+            found = fn(*args, **kwargs)
+            self.beta = None if found is None else found[1]
+            return found
         return wrapped
 
     def _factor(self, fn):
@@ -472,8 +491,9 @@ def run_panel(label: str, sizes: dict, spec: dict, composition: str, seed: int,
     records = [" ".join(map(str, r)) for r in recorder.records]
     record_digest = digest("\n".join(records))
     solved = [r[1] for r in recorder.records if r[1] != "-"]
+    beta = "-" if recorder.max_beta is None else repr(recorder.max_beta)
     return (f"{label} {digest(*files)} {record_digest} solves={len(solved)} steps={sum(solved)}",
-            records)
+            records + [f"max_beta={beta}"])
 
 
 def panel_matrix(work: Path, full: bool):
