@@ -146,11 +146,10 @@ def is_monomial(M: np.ndarray) -> bool:
 
 
 def in_safe_range(M: np.ndarray) -> bool:
-    """True iff M has a nonzero entry and every nonzero entry lies in
-    [2^-400, 2^400] in magnitude, where the batched screens' rounding bounds
-    hold: their products can neither overflow nor lose accuracy to underflow.
-    M is read in place: max |M| = max(max M, -min M), which a nan or inf fails,
-    and a boolean mask of the band (-2^-400, 2^-400) may count only M's zeros."""
+    """True iff M has a nonzero entry and every nonzero entry lies in [2^-400, 2^400] in
+    magnitude, where the batched screens' rounding bounds hold: their products can neither
+    overflow nor lose accuracy to underflow.  Read in place: max |M| = max(max M, -min M),
+    which a nan or inf fails, and the band (-2^-400, 2^-400) may hold only M's zeros."""
     if not 0.0 < max(float(M.max(initial=0.0)), -float(M.min(initial=0.0))) <= 2.0**400:
         return False
     band = M < 2.0**-400

@@ -144,40 +144,34 @@ def _gram_floor(M: np.ndarray, phi: float | None = None) -> float:
     return phi * F / 2.0
 
 
-def _column_norms_and_bound(B: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The n_j and a_j of ``l1_dual_errors``' "Rounding", reading B in place."""
-    m = B.shape[0]
-    t = math.sqrt(m) * 2.0**-500
-    norms = np.sqrt(np.einsum("ij,ij->j", B, B)) + t
-    return norms, norms * ((1.0 + 4.0 * (m + 2) * _UNIT_ROUNDOFF) * (np.linalg.norm(w) + t))
+def _abs_product(B: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """fl(|B|' |w|) with no m x n temporary: |B| is formed 64 KiB of rows at a time,
+    below malloc's mmap threshold, so a large B costs no fresh pages."""
+    rows = max(1, 8192 // B.shape[1])
+    return sum(np.abs(B[i:i + rows]).T @ np.abs(w[i:i + rows]) for i in range(0, len(w), rows))
 
 
 def _margin_and_bound(B: np.ndarray, S: np.ndarray, w: np.ndarray, sign: np.ndarray,
                       c: np.ndarray) -> tuple[float, float] | None:
     """The computed margin 1 - max over j outside S of |c_j|, c = fl(B' w),
     and its rounding bound beta, or None when B_S has no certified full
-    column rank (see ``l1_dual_errors``, "Rounding", for the two forms of a)."""
+    column rank (see ``l1_dual_errors``)."""
     m, n = B.shape
-    g = 2.0 * (m + 2) * _UNIT_ROUNDOFF
+    u = _UNIT_ROUNDOFF
+    g = 2.0 * (m + 2) * u
+    a = _abs_product(B, w)
     off = np.ones(n, dtype=bool)
     off[S] = False
-    s_lo = 1.0
+    eps, s_lo = 0.0, 1.0
     if S.size:
         lam_lo = _gram_floor(B[:, S].T)
         if lam_lo == 0.0:
             return None
         s_lo = math.sqrt(lam_lo)
-    norms, a = _column_norms_and_bound(B, w)
-
-    def bound(a):
-        eps = 1.05 * float(np.linalg.norm(np.abs(c[S] - sign) + g * a[S]))  # 0 for an empty S
-        terms = g * a[off] + norms[off] * (eps / s_lo)
-        return 1.05 * float(np.max(terms, initial=0.0)) + 2.0 * _UNIT_ROUNDOFF
-
-    margin, beta = 1.0 - float(np.max(np.abs(c[off]), initial=0.0)), bound(a)
-    if beta >= margin > bound(np.zeros(n)):  # only a smaller a can prove: one |B| temporary
-        beta = bound(np.abs(B).T @ np.abs(w))
-    return margin, beta
+        eps = 1.05 * float(np.linalg.norm(np.abs(c[S] - sign) + g * a[S]))
+    terms = g * a[off] + np.sqrt(np.einsum("ij,ij->j", B, B))[off] * (eps / s_lo)
+    margin = 1.0 - float(np.max(np.abs(c[off]), initial=0.0))
+    return margin, 1.05 * float(np.max(terms, initial=0.0)) + 2.0 * u
 
 
 def l1_dual_errors(B, b, x_hat, w) -> list[str]:
@@ -204,15 +198,13 @@ def l1_dual_errors(B, b, x_hat, w) -> list[str]:
     not within the feasibility tolerance: a certified support can omit an entry
     whose column adds less than that tolerance (large square/post, seed 3, trial 37).
 
-    Rounding.  The check proves that such a w* exists from the computed w, which meets
-    B_S' w = sign(x_S) only up to rounding.  Let k = |S|, g = 2 (m + 2) u, c = fl(B' w),
-    t = sqrt(m) 2^-500 (it covers the squares' underflow) and n_j = fl(||b_j||_2) + t.
-    a_j = fl(n_j (1 + 4 (m + 2) u) (fl(||w||_2) + t)) >= |b_j|' |w| / (1 - gamma_m) by
-    Cauchy-Schwarz and seven roundings, with no m x n temporary.  Only where the margin does
-    not exceed the beta of step 3 with these a_j but exceeds it with a = 0 (beta grows with
-    a), a = fl(|B|' |w|) >= (1 - gamma_m) |B|' |w| is taken instead.
-    Either way every |c_j - b_j' w| <= gamma_m |b_j|' |w| <= g a_j (the dot-product bound;
-    underflow adds at most m 2^-1074, far below the 2u of step 3).
+    Rounding.  The check proves that such a w* exists from the computed w,
+    which meets B_S' w = sign(x_S) only up to rounding.  With
+    k = |S|, g = 2 (m + 2) u, c = fl(B' w) and a = fl(|B|' |w|), every
+    |c_j - b_j' w| <= g a_j (the dot-product bound gamma_m |b_j|' |w| with
+    |b_j|' |w| <= a_j / (1 - gamma_m) for m products summed in any order, as
+    ``_abs_product`` sums them by blocks of rows; underflow adds at most m 2^-1074,
+    far below the 2u of step 3).
     (1) Rank: ``_gram_floor(B_S')``, ``basis_pursuit``'s Gram floor with M = B_S' (p = k,
     q = m) and the phi it picks, must be positive; then sigma_min(B_S) > s_lo = sqrt(phi F / 2).
     (2) Equality: e = B_S' w - sign(x_S) has |e_i| <= 1.01 |r_i| + g a_i
@@ -222,7 +214,7 @@ def l1_dual_errors(B, b, x_hat, w) -> list[str]:
     1 / sigma_min(B_S) < 1 / s_lo, every j outside S has
     |b_j' w*| <= |c_j| + g a_j + ||b_j||_2 eps / s_lo.
     (3) Margin: the check passes only when fl(1 - max_j |c_j|) exceeds
-    beta = 1.05 max_j (g a_j + n_j eps / s_lo) + 2u, over j
+    beta = 1.05 max_j (g a_j + fl(||b_j||_2) eps / s_lo) + 2u, over j
     outside S.  The factor 1.05 covers the rounding of the norms, products
     and sums that form eps and beta, each a relative error of at most
     (m + k + 4) u <= 0.01, and 2u covers the subtraction from 1; so

@@ -307,18 +307,17 @@ def test_screened_extremes_bounds_hold_exactly(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# recovery._column_norms_and_bound, the Cauchy-Schwarz step of
-# ``l1_dual_errors``: every computed a_j >= |b_j|'|w| / (1 - gamma_m) and every
-# n_j^2 >= (1 - gamma_(m+4)) ||b_j||^2, at the margin cutoff and under underflow
+# recovery._abs_product, the a = fl(|B|'|w|) of ``l1_dual_errors``' "Rounding",
+# summed by blocks of rows: every a_j >= (1 - gamma_m) |b_j|'|w| less the
+# underflow allowance m 2^-1074, at the margin cutoff and under underflow
 # ---------------------------------------------------------------------------
 
-def assert_cauchy_schwarz_bound(B, w):
-    m = B.shape[0]
-    norms, a = recovery._column_norms_and_bound(B, w)
+def assert_abs_product_bound(B, w):
+    m, a = B.shape[0], recovery._abs_product(B, w)
     wq = [abs(v) for v in rationals([w])[0]]
     for j, col in enumerate(rationals(B.T)):
-        assert sum(abs(b) * v for b, v in zip(col, wq)) <= (1 - gamma(m)) * Fraction(a[j]), j
-        assert (1 - gamma(m + 4)) * sum(b * b for b in col) <= Fraction(norms[j]) ** 2, j
+        exact = sum(abs(b) * v for b, v in zip(col, wq))
+        assert (1 - gamma(m)) * exact <= Fraction(a[j]) + m * Fraction(1, 2**1074), j
 
 
 def at_margin_cutoff(B, S, w, sign, target):
@@ -332,32 +331,42 @@ def at_margin_cutoff(B, S, w, sign, target):
     return C
 
 
-@pytest.mark.parametrize("m", [3, 12, 40])
-def test_cauchy_schwarz_bound_holds_exactly_at_the_margin_cutoff(m):
+@pytest.mark.parametrize("m, n", [(3, 4097), (12, 1000), (40, 400)])
+def test_abs_product_bound_holds_exactly_at_the_margin_cutoff(m, n):
+    # n > 8192 / m: |B| is summed in blocks of 1, 8 and 20 rows
     rng = np.random.default_rng(1500 + m)
     S, verdicts = np.array([0, 1]), []
-    for _ in range(3):
-        B = rng.normal(size=(m, 2 * m + 2))
+    for _ in range(2):
+        B = rng.normal(size=(m, n))
         sign = rng.choice([-1.0, 1.0], size=2)
         w = np.linalg.lstsq(B[:, S].T, sign, rcond=None)[0]
         w = w + 10.0 ** rng.uniform(-12, -5) * rng.normal(size=m)
-        B[:, 2] = np.ldexp(w, -2)  # parallel to w: Cauchy-Schwarz holds with equality
-        B[:, 3] = np.ldexp(np.sign(w), -560)  # |b_3| parallel to |w|, its squares underflow
-        x = np.zeros(B.shape[1])
+        B[:, 2] = 0.25 / w  # every |b_i2 w_i| = 1/4
+        B[:, 3] = np.ldexp(np.sign(w), -1060)  # its products with w underflow
+        x = np.zeros(n)
         x[S] = sign * rng.uniform(0.5, 2.0, size=2)
         for target in (0.99, 1.01):  # raw margin / bound
             C = at_margin_cutoff(B, S, w, sign, target)
             verdicts.append(not recovery.l1_dual_errors(C, C @ x, x, w))
-            assert_cauchy_schwarz_bound(C, w)
-    assert verdicts == [False, True] * 3
+            assert_abs_product_bound(C, w)
+    assert verdicts == [False, True] * 2
 
 
 @pytest.mark.parametrize("scale", [-1070, -600, -530, 0, 300])
-def test_cauchy_schwarz_bound_covers_underflow(scale):
-    # B or w scaled until the sums of squares lose terms to underflow, or vanish
+def test_abs_product_bound_covers_underflow(scale):
+    # B or w scaled until the products lose bits to underflow, or vanish
     rng = np.random.default_rng(1600)
-    B, w = rng.normal(size=(12, 20)), rng.normal(size=12)
+    B, w = rng.normal(size=(12, 700)), rng.normal(size=12)
     B[:, 0] = np.abs(w)
     for Bs, ws in ((np.ldexp(B, scale), w), (B, np.ldexp(w, scale)),
                    (np.ldexp(B, scale // 2), np.ldexp(w, scale // 2))):
-        assert_cauchy_schwarz_bound(Bs, ws)
+        assert_abs_product_bound(Bs, ws)
+
+
+def test_abs_product_matches_the_one_block_product():
+    # the blocks change only the order of each column's sum
+    rng = np.random.default_rng(1700)
+    for m, n in ((160, 512), (64, 128), (7, 5000)):
+        B, w = rng.normal(size=(m, n)), rng.normal(size=m)
+        whole = np.abs(B).T @ np.abs(w)
+        assert np.all(np.abs(recovery._abs_product(B, w) - whole) <= 2 * m * 2.0**-53 * whole)
